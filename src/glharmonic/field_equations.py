@@ -6,9 +6,11 @@ components.
 
 Every quantity is direction-dependent and is evaluated at one fiber
 vector at a time; the h-/v- covariant derivatives come from gl_space
-(Berwald-type rules).  The identities behind the first two cyclic
-residuals involve the curvature convention of the riemann module; on
-curved base metrics their magnitudes are reported rather than asserted.
+(Berwald-type rules), with F and f evaluated together once at each
+point of the fiber stencil y, y +- h e_k.  The identities behind the first
+two cyclic residuals involve the curvature convention of the riemann
+module; on curved base metrics their magnitudes are reported rather than
+asserted.
 """
 
 from __future__ import annotations
@@ -18,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivisionGuardError
-from .gl_space import ConformalLagrangeSpace, hv_covariant_cov2, sigma_blocks
+from .gl_space import (
+    ConformalFactorDerivatives,
+    ConformalLagrangeSpace,
+    h_covariant,
+    joint_fiber_partials,
+    sigma_blocks,
+    sigma_gradients,
+)
 from .tensor_core import LO, TensorField
 
 COV2 = (LO, LO)
@@ -50,22 +59,23 @@ class EinsteinSystem:
     y: np.ndarray
 
 
-def _em_values(space: ConformalLagrangeSpace, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    blocks = sigma_blocks(space, y)
-    g = space.metric_values(y)
+def _em_values(space: ConformalLagrangeSpace, y: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """F, f, g_ip y^p and grad_v at one fiber from the gradient stage alone
+    (1 + 2n sigma calls); g = exp(2 sigma) gamma reuses its sigma value."""
+    s, gh, gv = sigma_gradients(space, y)
+    g = np.exp(2.0 * s)[..., None, None] * space.base.gamma.values
     gy = np.einsum("...ip,p->...i", g, y)
-    gh = blocks.grad_h.values
-    gv = blocks.grad_v.values
     F = gy[..., :, None] * gh[..., None, :] - gy[..., None, :] * gh[..., :, None]
     f = gy[..., :, None] * gv[..., None, :] - gy[..., None, :] * gv[..., :, None]
-    return F, f
+    return F, f, gy, gv
 
 
 def em_tensors(space: ConformalLagrangeSpace, y: np.ndarray) -> ElectromagneticTensors:
     """F_ij = (g_ip s_j - g_jp s_i) y^p and f_ij = (g_ip sdot_j - g_jp
     sdot_i) y^p at one fiber vector."""
     y = np.asarray(y, float)
-    F, f = _em_values(space, y)
+    F, f, _, _ = _em_values(space, y)
     return ElectromagneticTensors(
         F=TensorField(space.grid, F, COV2),
         f=TensorField(space.grid, f, COV2),
@@ -94,23 +104,25 @@ def maxwell_residuals(space: ConformalLagrangeSpace, y: np.ndarray
     where | is the h-covariant derivative and [v] the fiber partial.  The
     third vanishes identically in the continuum; the first two depend on
     the base curvature convention on curved charts.
+
+    (F, f) is evaluated once at each of the 2n + 1 points y, y +- h e_k;
+    all four derivatives come from that stencil and the curvature term
+    reuses the centre point, (1 + 2n)^2 sigma calls in all.
     """
     y = np.asarray(y, float)
     grid = space.grid
 
-    F_h, F_v = hv_covariant_cov2(lambda yy: _em_values(space, yy)[0], space, y)
-    f_h, f_v = hv_covariant_cov2(lambda yy: _em_values(space, yy)[1], space, y)
+    F, f, gy, gv = _em_values(space, y)            # gy = g_ip y^p
+    dF, df = joint_fiber_partials(lambda yy: _em_values(space, yy)[:2], y,
+                                  space.dim, space.fiber_step_scale)
 
-    blocks = sigma_blocks(space, y)
-    g = space.metric_values(y)
-    gy = np.einsum("...ip,p->...i", g, y)          # g_ip y^p
     riem = space.base.curvature.values             # (..., h, q, j, k)
-    curv = np.einsum("...hqjk,q,...h->...jk", riem, y, blocks.grad_v.values)
+    curv = np.einsum("...hqjk,q,...h->...jk", riem, y, gv)
     curv_term = gy[..., :, None, None] * curv[..., None, :, :]
 
-    res1 = _cyclic(F_h.values) - _cyclic(curv_term)
-    res2 = _cyclic(F_v.values) + _cyclic(f_h.values)
-    res3 = _cyclic(f_v.values)
+    res1 = _cyclic(h_covariant(F, dF, space, y)) - _cyclic(curv_term)
+    res2 = _cyclic(dF) + _cyclic(h_covariant(f, df, space, y))
+    res3 = _cyclic(df)
     return (
         TensorField(grid, res1, COV3),
         TensorField(grid, res2, COV3),
@@ -131,7 +143,11 @@ def deflection_tensor(space: ConformalLagrangeSpace, y: np.ndarray,
     debugging.
     """
     y = np.asarray(y, float)
-    blocks = sigma_blocks(space, y)
+    return _deflection(space, y, sigma_blocks(space, y), return_terms)
+
+
+def _deflection(space: ConformalLagrangeSpace, y: np.ndarray,
+                blocks: ConformalFactorDerivatives, return_terms: bool = False):
     base = space.base
     n = base.dim
     gamma = base.gamma.values
@@ -171,7 +187,7 @@ def einstein_system(space: ConformalLagrangeSpace, K: float, y: np.ndarray,
     base = space.base
     n = base.dim
     blocks = sigma_blocks(space, y)
-    t_field = deflection_tensor(space, y)
+    t_field = _deflection(space, y, blocks)
     h_vals = base.ricci.values - 0.5 * base.scalar.values[..., None, None] * base.gamma.values \
         + t_field.values
     v_vals = (2.0 - n) * (blocks.hess_v.values - blocks.tr_v.values[..., None, None] * base.gamma.values)

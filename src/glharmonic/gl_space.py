@@ -4,13 +4,19 @@ factor sigma.
 
 The nonlinear connection is N^i_j(x,y) = Gamma^i_{jk}(x) y^k (algebraic in
 y, no differencing).  Horizontal derivatives follow the adapted frame
-d/dx^i - N^j_i d/dy^j; vertical derivatives are plain fiber partials (the
-linear connection behind the h-/v- covariant rules is fixed to the
-Berwald-type pair (Gamma^i_{jk}, 0), recorded as ``V_CONNECTION``).
+d/dx^i - N^j_i d/dy^j; vertical derivatives are plain fiber partials,
+because the linear connection behind the h-/v- covariant rules is the
+Berwald-type pair (Gamma^i_{jk}, 0), whose vertical coefficients are zero.
 
 Direction-dependent quantities are evaluated one fiber vector at a time:
 a "fibered" field is a callable ``y -> grid samples``, and fiber partials
-are central differences with a relative step.
+are central differences with a relative step h = fiber_step(y).  Each
+fibered quantity is evaluated once at y and once at each of the 2n points
+y +- h e_k, and its h- and v-derivatives both come from that one stencil;
+several quantities share the stencil through :func:`joint_fiber_partials`.
+The gradient stage of the log factor, (sigma, grad_h, grad_v) at one
+fiber, costs 1 + 2n sigma calls, so its Hessian blocks, a Maxwell sample
+and an Einstein sample each cost (1 + 2n)^2.
 """
 
 from __future__ import annotations
@@ -28,8 +34,6 @@ from .tensor_core import (
     fd_partial,
     scalar_field,
 )
-
-V_CONNECTION = "zero"  # vertical coefficients of the adapted linear connection
 
 FIBER_STEP_SCALE = 1e-4
 
@@ -54,7 +58,6 @@ class ConformalLagrangeSpace:
     sigma: Callable[[np.ndarray, np.ndarray], np.ndarray]
     sigma_dx: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     sigma_dy: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    y_samples: tuple = ()
     fiber_step_scale: float = FIBER_STEP_SCALE
 
     @property
@@ -80,9 +83,8 @@ class ConformalLagrangeSpace:
 
 
 def conformal_space(base: RiemannPackage, sigma, sigma_dx=None, sigma_dy=None,
-                    y_samples=(), fiber_step_scale=FIBER_STEP_SCALE) -> ConformalLagrangeSpace:
-    y_samples = tuple(np.asarray(y, float) for y in y_samples)
-    return ConformalLagrangeSpace(base, sigma, sigma_dx, sigma_dy, y_samples, fiber_step_scale)
+                    fiber_step_scale=FIBER_STEP_SCALE) -> ConformalLagrangeSpace:
+    return ConformalLagrangeSpace(base, sigma, sigma_dx, sigma_dy, fiber_step_scale)
 
 
 def zero_sigma(points: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -101,14 +103,26 @@ def fiber_partials(make_values: Callable[[np.ndarray], np.ndarray], y: np.ndarra
     ``make_values(y)`` returns grid samples of any shape; the result stacks
     d(values)/dy^k along a new last axis.
     """
+    return joint_fiber_partials(lambda yy: (make_values(yy),), y, dim, step_scale)[0]
+
+
+def joint_fiber_partials(make_values: Callable[[np.ndarray], tuple], y: np.ndarray,
+                         dim: int, step_scale: float = FIBER_STEP_SCALE) -> tuple:
+    """:func:`fiber_partials` of several fibered fields over one stencil.
+
+    ``make_values(y)`` returns a tuple of grid-sample arrays and is called
+    once at each point y +- h e_k; the result is the tuple of their
+    partials, each stacked along a new last axis.
+    """
     y = np.asarray(y, float)
     h = fiber_step(y, step_scale)
     cols = []
     for k in range(dim):
         e = np.zeros(dim)
         e[k] = h
-        cols.append((make_values(y + e) - make_values(y - e)) / (2 * h))
-    return np.stack(cols, axis=-1)
+        plus, minus = make_values(y + e), make_values(y - e)
+        cols.append([(p - m) / (2 * h) for p, m in zip(plus, minus)])
+    return tuple(np.stack(c, axis=-1) for c in zip(*cols))
 
 
 def _grid_partials(field: TensorField) -> np.ndarray:
@@ -132,42 +146,38 @@ def delta_derivative(F: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 def hv_covariant(X: Callable[[np.ndarray], np.ndarray],
                  space: ConformalLagrangeSpace, y: np.ndarray) -> tuple[TensorField, TensorField]:
-    """h- and v-covariant derivatives of a fibered covector field.
+    """h- and v-covariant derivatives of a fibered all-covariant tensor.
 
-    ``X(y)`` returns samples of shape (*grid, n).  Returns the pair
-    (X_i|j horizontal, X_i|a vertical) as (0,2) fields:
-    horizontal = delta X_i / dx^j - Gamma^m_{ij} X_m, vertical = dX_i/dy^a.
+    ``X(y)`` returns samples of shape (*grid, n, ..., n); the rank is read
+    from the array.  X is evaluated at y and y +- h e_k only.  Returns the
+    pair (horizontal, vertical) with the derivative slot appended last:
+    horizontal = delta X / dx^j minus one Gamma-term per slot,
+    vertical = dX/dy^a.
     """
     y = np.asarray(y, float)
     vals = np.asarray(X(y), float)
-    h_part = _delta_covariant(lambda yy: np.asarray(X(yy), float), vals, space, y, n_slots=1)
-    v_part = fiber_partials(lambda yy: np.asarray(X(yy), float), y, space.dim,
-                            space.fiber_step_scale)
-    return (TensorField(space.grid, h_part, (LO, LO)),
-            TensorField(space.grid, v_part, (LO, LO)))
+    dy = fiber_partials(lambda yy: np.asarray(X(yy), float), y, space.dim,
+                        space.fiber_step_scale)
+    kinds = (LO,) * (vals.ndim - space.grid.dim + 1)
+    return (TensorField(space.grid, h_covariant(vals, dy, space, y), kinds),
+            TensorField(space.grid, dy, kinds))
 
 
-def hv_covariant_cov2(X: Callable[[np.ndarray], np.ndarray],
-                      space: ConformalLagrangeSpace, y: np.ndarray) -> tuple[TensorField, TensorField]:
-    """Same as :func:`hv_covariant` for fibered (0,2) tensors: one
-    Christoffel correction per covariant slot, fiber partial for v."""
-    y = np.asarray(y, float)
-    vals = np.asarray(X(y), float)
-    h_part = _delta_covariant(lambda yy: np.asarray(X(yy), float), vals, space, y, n_slots=2)
-    v_part = fiber_partials(lambda yy: np.asarray(X(yy), float), y, space.dim,
-                            space.fiber_step_scale)
-    return (TensorField(space.grid, h_part, (LO, LO, LO)),
-            TensorField(space.grid, v_part, (LO, LO, LO)))
+hv_covariant_cov2 = hv_covariant
 
 
-def _delta_covariant(make_values, vals, space, y, n_slots: int) -> np.ndarray:
-    """h-covariant derivative of a fibered all-covariant tensor:
+def h_covariant(vals: np.ndarray, dy: np.ndarray, space: ConformalLagrangeSpace,
+                y: np.ndarray) -> np.ndarray:
+    """h-covariant derivative of a fibered all-covariant tensor from its
+    values at y and its fiber partials ``dy`` (the v-covariant derivative):
     delta/dx^k of the components minus one Gamma-term per slot; the new
-    derivative slot is appended last."""
+    derivative slot is appended last.  A caller with several fibered
+    tensors takes all their partials from one stencil with
+    :func:`joint_fiber_partials`."""
     gd = space.grid.dim
+    n_slots = vals.ndim - gd
     field = TensorField(space.grid, vals, (LO,) * n_slots)
     dx = _grid_partials(field)                                     # (*grid, *slots, k)
-    dy = fiber_partials(make_values, y, space.dim, space.fiber_step_scale)
     dy_m_first = np.moveaxis(dy, -1, gd)                           # (*grid, m, *slots)
     slot_letters = "".join(chr(ord("A") + s) for s in range(n_slots))
     correction = np.einsum(
@@ -212,49 +222,50 @@ class ConformalFactorDerivatives:
     tr_v: TensorField
 
 
-def _sigma_grad_h_values(space: ConformalLagrangeSpace, y: np.ndarray) -> np.ndarray:
-    """sigma_i = d sigma/dx^i - N^j_i sigma_dot_j at constant fiber."""
+def sigma_gradients(space: ConformalLagrangeSpace, y: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradient stage of the log factor at one fiber: the samples of
+    (sigma, grad_h, grad_v) with grad_v_i = d sigma/dy^i and
+    grad_h_i = d sigma/dx^i - N^j_i grad_v_j.  One sigma call for the
+    value and one fiber stencil (2n calls) shared by both gradients;
+    analytic partials replace the stencils when given."""
+    y = np.asarray(y, float)
     pts = space.grid.points()
+    s = np.asarray(space.sigma(pts, y), float)
+    if space.sigma_dy is not None:
+        grad_v = np.asarray(space.sigma_dy(pts, y), float)
+    else:
+        grad_v = fiber_partials(lambda yy: np.asarray(space.sigma(pts, yy), float), y,
+                                space.dim, space.fiber_step_scale)
     if space.sigma_dx is not None:
         dx = np.asarray(space.sigma_dx(pts, y), float)
     else:
-        dx = _grid_partials(space.sigma_field(y))
-    dy = _sigma_grad_v_values(space, y)
-    n_conn = space.nonlinear_connection(y)
-    return dx - np.einsum("...ji,...j->...i", n_conn, dy)
-
-
-def _sigma_grad_v_values(space: ConformalLagrangeSpace, y: np.ndarray) -> np.ndarray:
-    pts = space.grid.points()
-    if space.sigma_dy is not None:
-        return np.asarray(space.sigma_dy(pts, y), float)
-    return fiber_partials(lambda yy: np.asarray(space.sigma(pts, yy), float), y,
-                          space.dim, space.fiber_step_scale)
+        dx = _grid_partials(scalar_field(space.grid, s))
+    grad_h = dx - np.einsum("...ji,...j->...i", space.nonlinear_connection(y), grad_v)
+    return s, grad_h, grad_v
 
 
 def sigma_blocks(space: ConformalLagrangeSpace, y: np.ndarray) -> ConformalFactorDerivatives:
-    """All derivative blocks of the log factor at one fiber vector."""
+    """All derivative blocks of the log factor at one fiber vector: the
+    gradient stage at y, then the Hessian stage, which differences the pair
+    (grad_h, grad_v) over one stencil y +- h e_k; (1 + 2n)^2 sigma calls."""
     y = np.asarray(y, float)
     grid = space.grid
     gamma = space.base.gamma.values
     gamma_inv = space.base.gamma_inv.values
 
-    grad_h = _sigma_grad_h_values(space, y)
-    grad_v = _sigma_grad_v_values(space, y)
+    _, grad_h, grad_v = sigma_gradients(space, y)
+    d_grad_h, d_grad_v = joint_fiber_partials(lambda yy: sigma_gradients(space, yy)[1:], y,
+                                              space.dim, space.fiber_step_scale)
 
     sq_h = np.einsum("...kl,...k,...l->...", gamma_inv, grad_h, grad_h)
     sq_v = np.einsum("...ab,...a,...b->...", gamma_inv, grad_v, grad_v)
 
     # horizontal covariant derivative of grad_h
-    h_part = _delta_covariant(lambda yy: _sigma_grad_h_values(space, yy), grad_h,
-                              space, y, n_slots=1)
-    hess_h = h_part + grad_h[..., :, None] * grad_h[..., None, :] \
-        - 0.5 * gamma * sq_h[..., None, None]
-
+    hess_h = h_covariant(grad_h, d_grad_h, space, y) \
+        + grad_h[..., :, None] * grad_h[..., None, :] - 0.5 * gamma * sq_h[..., None, None]
     # vertical derivative of grad_v (plain fiber partial, zero v-connection)
-    v_part = fiber_partials(lambda yy: _sigma_grad_v_values(space, yy), y,
-                            space.dim, space.fiber_step_scale)
-    hess_v = v_part + grad_v[..., :, None] * grad_v[..., None, :] \
+    hess_v = d_grad_v + grad_v[..., :, None] * grad_v[..., None, :] \
         - 0.5 * gamma * sq_v[..., None, None]
 
     tr_h = np.einsum("...ij,...ij->...", gamma_inv, hess_h)

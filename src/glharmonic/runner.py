@@ -373,47 +373,56 @@ def _group_loop_oracle(gens, f, phi, psi_eval):
     return out
 
 
+def _fold_max_abs(scalars: dict, max_key: str, count_key: str, values: np.ndarray) -> None:
+    """Fold one sample into ``scalars[max_key]`` (largest finite |value|)
+    and ``scalars[count_key]`` (number of nan/inf values)."""
+    mag = np.abs(values)
+    finite = np.isfinite(mag)
+    scalars[max_key] = max(scalars.get(max_key, 0.0),
+                           float(np.max(mag, where=finite, initial=0.0)))
+    scalars[count_key] = scalars.get(count_key, 0) + int(mag.size - np.count_nonzero(finite))
+
+
+def _all_finite(scalars: dict) -> bool:
+    return not any(v for k, v in scalars.items() if k.endswith("_nonfinite"))
+
+
 def _task_maxwell(ctx: _Context, task: dict, out, dumps):
     space = ctx.gl
-    maxima = {"residual1": 0.0, "residual2": 0.0, "residual3": 0.0}
+    scalars: dict = {}
     first = True
     for y in ctx.spec["samples"]:
-        r1, r2, r3 = maxwell_residuals(space, np.asarray(y, float))
-        maxima["residual1"] = max(maxima["residual1"], float(np.max(np.abs(r1.values))))
-        maxima["residual2"] = max(maxima["residual2"], float(np.max(np.abs(r2.values))))
-        maxima["residual3"] = max(maxima["residual3"], float(np.max(np.abs(r3.values))))
+        residuals = maxwell_residuals(space, np.asarray(y, float))
+        for k, r in enumerate(residuals, 1):
+            _fold_max_abs(scalars, f"residual{k}", f"residual{k}_nonfinite", r.values)
         if first:
-            dumps.append(("maxwell_residual3", space.grid, r3.values, "x"))
+            dumps.append(("maxwell_residual3", space.grid, residuals[2].values, "x"))
             first = False
-    ok = True
+    ok = _all_finite(scalars)
     for key in ("residual1_max", "residual2_max", "residual3_max"):
         if key in task:
-            ok = ok and maxima[key.replace("_max", "")] <= task[key]
-    return ok, maxima, {}
+            ok = ok and scalars[key.replace("_max", "")] <= task[key]
+    return ok, scalars, {}
 
 
 def _task_einstein(ctx: _Context, task: dict, out, dumps):
     space = ctx.gl
     K = ctx.spec.get("K", 0.0)
     with_em = task.get("energy_momentum", "K" in ctx.spec)
-    scalars = {}
-    ok = True
-    h_max = v_max = 0.0
+    scalars: dict = {}
     first = True
     for y in ctx.spec["samples"]:
         sys = einstein_system(space, K, np.asarray(y, float), energy_momentum=with_em)
-        h_max = max(h_max, float(np.max(np.abs(sys.h_lhs.values))))
-        v_max = max(v_max, float(np.max(np.abs(sys.v_lhs.values))))
+        _fold_max_abs(scalars, "h_lhs_max", "h_lhs_nonfinite", sys.h_lhs.values)
+        _fold_max_abs(scalars, "v_lhs_max", "v_lhs_nonfinite", sys.v_lhs.values)
         if first:
             dumps.append(("einstein_h_lhs", space.grid, sys.h_lhs.values, "x"))
             dumps.append(("einstein_v_lhs", space.grid, sys.v_lhs.values, "x"))
             first = False
-    scalars["h_lhs_max"] = h_max
-    scalars["v_lhs_max"] = v_max
-    if "h_lhs_max" in task:
-        ok = ok and h_max <= task["h_lhs_max"]
-    if "v_lhs_max" in task:
-        ok = ok and v_max <= task["v_lhs_max"]
+    ok = _all_finite(scalars)
+    for key in ("h_lhs_max", "v_lhs_max"):
+        if key in task:
+            ok = ok and scalars[key] <= task[key]
     if "expected_scalar" in task:
         err = float(np.max(np.abs(space.base.scalar.values - task["expected_scalar"])))
         scalars["scalar_curvature_error"] = err

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glharmonic.errors import DivisionGuardError
 from glharmonic.field_equations import (
@@ -290,3 +292,68 @@ def test_constant_sigma_shift_scaling():
     t0 = deflection_tensor(space0, y)
     t1 = deflection_tensor(space1, y)
     assert np.max(np.abs(t0.values - t1.values)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# single-pass fiber stencils: sigma call counts and the two-pass oracle
+# ---------------------------------------------------------------------------
+
+
+def test_sigma_calls_per_sample():
+    # one fiber stencil of 2n + 1 points, each point a gradient stage of
+    # 1 + 2n calls: (1 + 2n)^2 for sigma_blocks and for a whole sample
+    from glharmonic.gl_space import sigma_blocks
+
+    calls = [0]
+
+    def sig(pts, y):
+        calls[0] += 1
+        return 0.1 * np.sin(pts[..., 0]) * (1 + 0.2 * y[0] * y[-1])
+
+    space2 = curved_space(sig, n=9)
+    space3 = curved_space_3d(sig, n=5)
+    y2, y3 = np.array([0.6, 0.9]), np.array([0.9, 0.7, 0.2])
+
+    def count(fn, *args):
+        calls[0] = 0
+        fn(*args)
+        return calls[0]
+
+    assert count(sigma_blocks, space2, y2) <= 25
+    assert count(sigma_blocks, space3, y3) <= 49
+    assert count(maxwell_residuals, space3, y3) <= 49
+    assert count(einstein_system, space2, 1.0, y2) <= 25
+
+
+def _oracle_sigma(pts, y):
+    return (np.log(np.abs(A3 @ y)) * (1 + 0.1 * np.sin(pts[..., 0]))
+            + 0.05 * np.cos(pts[..., 1]) * y[0])
+
+
+MAXWELL_ORACLE_SPACE = curved_space_3d(_oracle_sigma, n=7)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(st.tuples(*[st.floats(-1.5, 1.5)] * 3).filter(
+    lambda y: abs(A3 @ np.array(y)) >= 0.3))
+def test_maxwell_matches_two_pass_composition(y):
+    # oracle: the rank-generic hv_covariant applied to F and f separately
+    # (each with its own fiber stencil), plus the curvature term
+    from glharmonic.field_equations import _cyclic
+    from glharmonic.gl_space import hv_covariant, sigma_blocks
+
+    y = np.array(y)
+    space = MAXWELL_ORACLE_SPACE
+    F_h, F_v = hv_covariant(lambda yy: em_tensors(space, yy).F.values, space, y)
+    f_h, f_v = hv_covariant(lambda yy: em_tensors(space, yy).f.values, space, y)
+    gy = np.einsum("...ip,p->...i", space.metric_values(y), y)
+    curv = np.einsum("...hqjk,q,...h->...jk", space.base.curvature.values, y,
+                     sigma_blocks(space, y).grad_v.values)
+    expected = (
+        _cyclic(F_h.values) - _cyclic(gy[..., :, None, None] * curv[..., None, :, :]),
+        _cyclic(F_v.values) + _cyclic(f_h.values),
+        _cyclic(f_v.values),
+    )
+    for got, want in zip(maxwell_residuals(space, y), expected):
+        scale = max(np.max(np.abs(want)), 1e-300)
+        assert np.max(np.abs(got.values - want)) <= 1e-12 * scale

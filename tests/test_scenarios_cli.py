@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -182,3 +183,31 @@ def test_stencil_override_flag(tmp_path):
     assert result.exit_code == 0
     report = json.loads((tmp_path / "harmonic-identity__report.json").read_text())
     assert report["environment"]["stencil_order"] == 4
+
+
+def test_nonfinite_field_fails_the_task(tmp_path):
+    # sigma = ln(y1) sampled at y1 = 0: every Einstein and Maxwell output is
+    # NaN; the maxima must not read a silent 0.0 pass
+    spec = json.loads(json.dumps(BUILTIN_SCENARIOS["einstein-2d"]))
+    spec["name"] = "nan-sigma"
+    spec["gl_space"]["sigma"] = "ln(y1)"
+    spec["samples"] = [[0.0, 1.0]]
+    spec["tasks"].append({"task": "maxwell"})
+    with np.errstate(all="ignore"):
+        report = run_scenario(spec, tmp_path)
+    assert report["status"] == "fail"
+    einstein, maxwell = report["tasks"]
+    assert einstein["status"] == "fail" and maxwell["status"] == "fail"
+    nodes = 48 * 48
+    assert einstein["scalars"]["h_lhs_nonfinite"] == nodes * 4
+    assert einstein["scalars"]["v_lhs_nonfinite"] == nodes * 4
+    for k in (1, 2, 3):
+        assert maxwell["scalars"][f"residual{k}_nonfinite"] == nodes * 8
+
+
+def test_finite_fields_report_zero_nonfinite_counts(tmp_path):
+    report = run_scenario(BUILTIN_SCENARIOS["flat-vacuum"], tmp_path)
+    assert report["status"] == "pass"
+    for task in report["tasks"]:
+        counts = [v for k, v in task["scalars"].items() if k.endswith("_nonfinite")]
+        assert counts and all(c == 0 for c in counts)
