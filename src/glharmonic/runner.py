@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import pathlib
 import time
+import traceback
 from itertools import product
 from typing import Any
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import scenarios as sc
 from .energy import ConnectionTensor, MapJet, MetricPair, el_residual, energy, lagrangian_density
-from .errors import GLHarmonicError
+from .errors import GLHarmonicError, SingularMetricError
 from .field_equations import einstein_system, maxwell_residuals
 from .gl_space import conformal_space
 from .riemann import curvature_package
@@ -33,9 +34,13 @@ from .systems import (
     pseudolinear_scenario,
     quotient_functional,
 )
-from .tensor_core import ChartGrid
+from .tensor_core import ChartGrid, metric_field
 
 FORMAT = "%.17g"
+# Rows formatted and written per block.  It bounds the transient memory of a
+# dump (value deduplication, cell array, block string): at 257^2 nodes with
+# four components 2048 rows wrote as fast as 4096 with half the peak memory.
+DUMP_BLOCK_ROWS = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -43,24 +48,44 @@ FORMAT = "%.17g"
 # ---------------------------------------------------------------------------
 
 
+def _format_distinct(values: np.ndarray) -> np.ndarray:
+    """``FORMAT % v`` for every entry of a float64 array, as an object array
+    of the same shape.  Each distinct bit pattern is formatted once, so
+    -0.0 and 0.0, and NaNs with different payloads, stay apart exactly as
+    they do under ``%``."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    strings = np.array([FORMAT % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return strings[inverse.reshape(values.shape)]
+
+
 def dump_field_csv(path: pathlib.Path, grid: ChartGrid, values: np.ndarray,
                    coord_prefix: str, value_name: str) -> None:
     """Fixed column order: coordinates first, then components in
     lexicographic index order, 17 significant digits."""
-    pts = grid.points().reshape(-1, grid.dim)
+    n_rows = int(np.prod(grid.shape))
     comp_shape = values.shape[grid.dim:]
-    flat = values.reshape(len(pts), -1)
+    flat = np.ascontiguousarray(values, dtype=np.float64).reshape(n_rows, -1)
     headers = [f"{coord_prefix}{k + 1}" for k in range(grid.dim)]
     if comp_shape:
         for idx in product(*(range(s) for s in comp_shape)):
             headers.append(value_name + "_" + "".join(str(i + 1) for i in idx))
     else:
         headers.append(value_name)
+    # grid.points() is the meshgrid of the axis coordinates: format each axis
+    # once and pick its strings by node index
+    axis_strings = [np.array([FORMAT % v for v in grid.axis_coords(k).tolist()], dtype=object)
+                    for k in range(grid.dim)]
+    row = ",".join(["%s"] * len(headers)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(headers) + "\n")
-        for row_pt, row_val in zip(pts, flat):
-            cells = [FORMAT % v for v in row_pt] + [FORMAT % v for v in row_val]
-            fh.write(",".join(cells) + "\n")
+        for start in range(0, n_rows, DUMP_BLOCK_ROWS):
+            stop = min(start + DUMP_BLOCK_ROWS, n_rows)
+            cells = np.empty((stop - start, len(headers)), dtype=object)
+            nodes = np.unravel_index(np.arange(start, stop), grid.shape)
+            for k, strings in enumerate(axis_strings):
+                cells[:, k] = strings[nodes[k]]
+            cells[:, grid.dim:] = _format_distinct(flat[start:stop])
+            fh.write(row * (stop - start) % tuple(cells.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +133,17 @@ class _Context:
         n = self.spec["n_space"]
         return self._memo("psi_eval", lambda: sc.metric_evaluator(
             n.get("metric", "identity"), n["dim"], "x"))
+
+    def checked_psi(self, f):
+        """The target metric evaluator, after checking that psi is positive
+        definite where it is sampled: at the values of ``f`` (a map jet or a
+        sampled curve) on its grid.  A failing node raises
+        SingularMetricError naming the node."""
+        try:
+            metric_field(f.grid, self.psi_eval(f.values))
+        except SingularMetricError as exc:
+            raise SingularMetricError(f"target metric psi: {exc}", node=exc.node) from None
+        return self.psi_eval
 
     @property
     def map_jet(self) -> MapJet:
@@ -169,7 +205,8 @@ class _Context:
                 sigma = sc.scalar_evaluator_two_args(self.spec["sigma"], m_dim, "a", m_dim, "b")
             if "tau" in self.spec:
                 tau = sc.scalar_evaluator_two_args(self.spec["tau"], n_dim, "x", n_dim, "y")
-            return MetricPair.conformal(self.phi_eval, self.psi_eval, sigma=sigma, tau=tau)
+            return MetricPair.conformal(self.phi_eval, self.checked_psi(self.map_jet),
+                                        sigma=sigma, tau=tau)
         return self._memo("metric_pair", build)
 
     @property
@@ -207,11 +244,12 @@ class _Context:
 def _task_energy(ctx: _Context, task: dict, out: pathlib.Path, dumps: list):
     E = energy(ctx.map_jet, ctx.metric_pair, ctx.connection, ctx.phi)
     scalars = {"energy": E}
-    ok = True
+    density = lagrangian_density(ctx.map_jet, ctx.metric_pair, ctx.connection, ctx.phi)
+    _fold_max_abs(scalars, "density_max", "density_nonfinite", density.values)
+    ok = _all_finite(scalars) and bool(np.isfinite(E))
     if "expected" in task:
         scalars["expected"] = task["expected"]
-        ok = abs(E - task["expected"]) <= task.get("tol", 1e-9)
-    density = lagrangian_density(ctx.map_jet, ctx.metric_pair, ctx.connection, ctx.phi)
+        ok = ok and abs(E - task["expected"]) <= task.get("tol", 1e-9)
     dumps.append(("density", ctx.m_grid, density.values, "a"))
     return ok, scalars, {}
 
@@ -219,10 +257,13 @@ def _task_energy(ctx: _Context, task: dict, out: pathlib.Path, dumps: list):
 def _task_el_residual(ctx: _Context, task: dict, out, dumps):
     res = el_residual(ctx.map_jet, ctx.metric_pair, ctx.connection, ctx.phi,
                       ctx.tol["fd_step"])
-    max_abs = float(np.max(np.abs(res.values)))
-    ok = max_abs <= task["max_abs"] if "max_abs" in task else True
+    scalars: dict = {}
+    _fold_max_abs(scalars, "max_residual", "residual_nonfinite", res.values)
+    ok = _all_finite(scalars)
+    if "max_abs" in task:
+        ok = ok and scalars["max_residual"] <= task["max_abs"]
     dumps.append(("el_residual", ctx.m_grid, res.values, "a"))
-    return ok, {"max_residual": max_abs}, {}
+    return ok, scalars, {}
 
 
 def _certificate_record(cert):
@@ -254,7 +295,7 @@ def _task_certify(ctx: _Context, task: dict, out, dumps):
         phi = identity_metric(grid)
     else:
         f, grid, phi = ctx.map_jet, ctx.m_grid, ctx.phi
-    cert = certify_minimizer(f, ctx.system, phi, ctx.psi_eval,
+    cert = certify_minimizer(f, ctx.system, phi, ctx.checked_psi(f),
                              ctx.tol["tol_gap"], ctx.tol["tol_defect"],
                              ctx.tol["eps_sing"])
     dumps.append(("best_fit_scale", grid, cert.kappa, "a"))
@@ -263,7 +304,7 @@ def _task_certify(ctx: _Context, task: dict, out, dumps):
 
 def _task_orbit(ctx: _Context, task: dict, out, dumps):
     curve, xi_ev = _orbit_curve(ctx)
-    res = orbit_geodesic_residual(curve, xi_ev, ctx.psi_eval, ctx.tol["eps_sing"])
+    res = orbit_geodesic_residual(curve, xi_ev, ctx.checked_psi(curve), ctx.tol["eps_sing"])
     max_res = float(np.max(np.abs(res.values)))
     threshold = task.get("residual_threshold", 1e-4)
     dumps.append(("orbit_curve", curve.grid, curve.values, "t"))
@@ -272,7 +313,7 @@ def _task_orbit(ctx: _Context, task: dict, out, dumps):
 
 
 def _task_pfaff(ctx: _Context, task: dict, out, dumps):
-    cert = certify_minimizer(ctx.map_jet, ctx.system, ctx.phi, ctx.psi_eval,
+    cert = certify_minimizer(ctx.map_jet, ctx.system, ctx.phi, ctx.checked_psi(ctx.map_jet),
                              ctx.tol["tol_gap"], ctx.tol["tol_defect"],
                              ctx.tol["eps_sing"])
     dumps.append(("pfaff_best_fit_scale", ctx.m_grid, cert.kappa, "a"))
@@ -280,7 +321,7 @@ def _task_pfaff(ctx: _Context, task: dict, out, dumps):
 
 
 def _task_pseudolinear(ctx: _Context, task: dict, out, dumps):
-    cert = certify_minimizer(ctx.map_jet, ctx.system, ctx.phi, ctx.psi_eval,
+    cert = certify_minimizer(ctx.map_jet, ctx.system, ctx.phi, ctx.checked_psi(ctx.map_jet),
                              ctx.tol["tol_gap"], ctx.tol["tol_defect"],
                              ctx.tol["eps_sing"])
     scalars = {}
@@ -319,9 +360,9 @@ def _task_group(ctx: _Context, task: dict, out, dumps):
     gens = [(sc.covector_evaluator(g["xi"], n_dim, "x"),
              sc.covector_evaluator(g["A"], m_dim, "a"))
             for g in sys_spec["generators"]]
-    density = group_system_lagrangian(gens, ctx.map_jet, ctx.phi, ctx.psi_eval,
-                                      ctx.tol["eps_sing"])
-    oracle = _group_loop_oracle(gens, ctx.map_jet, ctx.phi, ctx.psi_eval)
+    psi = ctx.checked_psi(ctx.map_jet)
+    density = group_system_lagrangian(gens, ctx.map_jet, ctx.phi, psi, ctx.tol["eps_sing"])
+    oracle = _group_loop_oracle(gens, ctx.map_jet, ctx.phi, psi)
     gap = float(np.max(np.abs(density.values - oracle)))
     integral = quadrature(scalar_field(ctx.m_grid, density.values * sqrt_det(ctx.phi).values))
     dumps.append(("group_density", ctx.m_grid, density.values, "a"))
@@ -501,9 +542,15 @@ def run_scenario(spec: dict, out_dir, stencil_override: int | None = None,
             record["scalars"] = {k: _jsonify(v) for k, v in scalars.items()}
             if certificate:
                 record["certificate"] = {k: _jsonify(v) for k, v in certificate.items()}
-        except GLHarmonicError as exc:
+        except Exception as exc:
             record["status"] = "error"
+            record["error_type"] = type(exc).__name__
             record["reason"] = str(exc)
+            if not isinstance(exc, GLHarmonicError):
+                # innermost frame of an unexpected exception
+                frame = traceback.extract_tb(exc.__traceback__)[-1]
+                where = f"{pathlib.Path(frame.filename).name}:{frame.lineno}"
+                record["where"] = f"{frame.name} ({where})"
             for attr in ("node", "nodes", "point", "direction"):
                 val = getattr(exc, attr, None)
                 if val is not None:

@@ -190,8 +190,8 @@ _TASK_REQUIREMENTS = {
     # certify accepts either a sampled map on a chart or an integrated orbit
     "certify_theorem": ("n_space", "system", ("m_space+map", "orbit")),
     "orbit": ("n_space", "system", "orbit"),
-    "pfaff": ("m_space", "map", "system"),
-    "pseudolinear": ("m_space", "map", "system"),
+    "pfaff": ("m_space", "n_space", "map", "system"),
+    "pseudolinear": ("m_space", "n_space", "map", "system"),
     "group_lagrangian": ("m_space", "n_space", "map", "system"),
     "maxwell": ("gl_space", "samples"),
     "einstein": ("gl_space", "samples"),
@@ -375,6 +375,9 @@ def _semantic_errors(spec: dict) -> list[str]:
             errors.append(f"tasks.{t} (pfaff): system.kind must be 'pfaff'")
         if name == "pseudolinear" and spec.get("system", {}).get("kind") != "pseudolinear":
             errors.append(f"tasks.{t} (pseudolinear): system.kind must be 'pseudolinear'")
+        if name == "pseudolinear" and n_dim not in (None, 1):
+            errors.append(f"tasks.{t} (pseudolinear): the level-set check needs a "
+                          f"one-dimensional target, n_space.dim is {n_dim}")
         if name == "group_lagrangian" and spec.get("system", {}).get("kind") != "group":
             errors.append(f"tasks.{t} (group_lagrangian): system.kind must be 'group'")
     return errors

@@ -211,3 +211,76 @@ def test_finite_fields_report_zero_nonfinite_counts(tmp_path):
     for task in report["tasks"]:
         counts = [v for k, v in task["scalars"].items() if k.endswith("_nonfinite")]
         assert counts and all(c == 0 for c in counts)
+
+
+def test_nonfinite_energy_and_residual_fail_the_tasks(tmp_path):
+    # ln(a1 - 10) is NaN on the whole torus: energy "nan" must not pass
+    spec = json.loads(json.dumps(BUILTIN_SCENARIOS["harmonic-identity"]))
+    spec["name"] = "nan-map"
+    spec["map"] = {"components": ["ln(a1-10)", "a2"]}
+    spec["tasks"] = [{"task": "energy"}, {"task": "el_residual"}]
+    with np.errstate(all="ignore"):
+        report = run_scenario(spec, tmp_path)
+    assert report["status"] == "fail"
+    energy, residual = report["tasks"]
+    assert energy["status"] == "fail" and residual["status"] == "fail"
+    assert energy["scalars"]["energy"] == "nan"
+    assert energy["scalars"]["density_nonfinite"] == 33 * 33
+    assert residual["scalars"]["residual_nonfinite"] == 33 * 33 * 2
+
+
+def test_unexpected_exception_becomes_error_record(tmp_path, monkeypatch):
+    import glharmonic.runner as runner_module
+
+    def broken_task(ctx, task, out, dumps):
+        raise ValueError("not a library error")
+
+    monkeypatch.setitem(runner_module._TASK_RUNNERS, "energy", broken_task)
+    report = run_scenario(BUILTIN_SCENARIOS["harmonic-identity"], tmp_path)
+    assert (tmp_path / "harmonic-identity__report.json").exists()
+    assert report["status"] == "fail"
+    energy, residual = report["tasks"]
+    assert energy["status"] == "error"
+    assert energy["error_type"] == "ValueError"
+    assert energy["reason"] == "not a library error"
+    assert "broken_task" in energy["where"]
+    assert residual["status"] == "pass"
+
+
+def test_validator_rejects_level_sets_of_vector_maps():
+    # the level-set check of the pseudolinear task needs a scalar map
+    spec = json.loads(json.dumps(BUILTIN_SCENARIOS["pseudolinear-exp"]))
+    spec["n_space"]["dim"] = 2
+    spec["map"]["components"] = ["exp(a1 + a2)", "a1"]
+    spec["system"]["xi"] = ["1", "0"]
+    errors = validate_scenario(spec)
+    assert errors == ["tasks.0 (pseudolinear): the level-set check needs a "
+                      "one-dimensional target, n_space.dim is 2"]
+
+
+@pytest.mark.parametrize("name", ["pfaff-exact", "pseudolinear-exp"])
+def test_validator_requires_target_for_pfaff_and_pseudolinear_tasks(name):
+    spec = json.loads(json.dumps(BUILTIN_SCENARIOS[name]))
+    del spec["n_space"]
+    spec["tasks"] = spec["tasks"][:1]
+    task = spec["tasks"][0]["task"]
+    assert validate_scenario(spec) == [
+        f"tasks.0 ({task}): scenario is missing required field 'n_space'"]
+
+
+@pytest.mark.parametrize("name, metric", [
+    ("harmonic-identity", {"matrix": [["1", "2"], ["2", "1"]]}),
+    ("pfaff-exact", {"diag": ["1.5 - x1"]}),
+    ("orbit-rotation", {"diag": ["1", "x2 - 0.5"]}),
+])
+def test_indefinite_target_metric_is_an_error(name, metric, tmp_path):
+    spec = json.loads(json.dumps(BUILTIN_SCENARIOS[name]))
+    spec["n_space"]["metric"] = metric
+    assert validate_scenario(spec) == []
+    report = run_scenario(spec, tmp_path)
+    assert report["status"] == "fail"
+    for task in report["tasks"]:
+        assert task["status"] == "error", task
+        assert task["error_type"] == "SingularMetricError"
+        assert task["reason"].startswith("target metric psi: ")
+        assert task["node"] is not None
