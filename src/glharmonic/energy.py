@@ -26,12 +26,13 @@ from .tensor_core import (
     LO,
     ChartGrid,
     MetricField,
+    NodeMatrices,
     TensorField,
     fd_partial,
     invert_metric,
-    quadrature,
     scalar_field,
     sqrt_det,
+    volume_integral,
 )
 
 DEFAULT_FD_STEP = 1e-6
@@ -287,7 +288,7 @@ class MetricPair:
 
 def _inverse_with_guard(mats: np.ndarray, what: str, grid_dim: int) -> np.ndarray:
     try:
-        inv = np.linalg.inv(mats)
+        inv = NodeMatrices(mats).inv
     except np.linalg.LinAlgError:
         node = _worst_node(mats, grid_dim)
         raise SingularMetricError(f"{what} is singular at node {node}", node=node) from None
@@ -304,10 +305,9 @@ def _inverse_with_guard(mats: np.ndarray, what: str, grid_dim: int) -> np.ndarra
 
 
 def _worst_node(mats: np.ndarray, grid_dim: int):
-    det = np.abs(np.linalg.det(mats))
-    flat_shape = mats.shape[:grid_dim]
+    det = np.abs(NodeMatrices(mats).det)
     idx = np.argmin(det.reshape(-1))
-    return tuple(np.unravel_index(idx, flat_shape))
+    return tuple(int(i) for i in np.unravel_index(idx, mats.shape[:grid_dim]))
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +340,7 @@ def lagrangian_density(f: MapJet, pair: MetricPair, P: ConnectionTensor,
 
 def energy(f: MapJet, pair: MetricPair, P: ConnectionTensor, phi: MetricField) -> float:
     """Quadrature of the density against the source volume weight."""
-    L = lagrangian_density(f, pair, P, phi)
-    return quadrature(scalar_field(f.grid, L.values * sqrt_det(phi).values))
+    return volume_integral(lagrangian_density(f, pair, P, phi), phi)
 
 
 def density_partials(f: MapJet, pair: MetricPair, P: ConnectionTensor,

@@ -34,7 +34,7 @@ from .systems import (
     pseudolinear_scenario,
     quotient_functional,
 )
-from .tensor_core import ChartGrid, metric_field
+from .tensor_core import ChartGrid, metric_field, volume_integral
 
 FORMAT = "%.17g"
 # Rows formatted and written per block.  It bounds the transient memory of a
@@ -242,9 +242,9 @@ class _Context:
 
 
 def _task_energy(ctx: _Context, task: dict, out: pathlib.Path, dumps: list):
-    E = energy(ctx.map_jet, ctx.metric_pair, ctx.connection, ctx.phi)
-    scalars = {"energy": E}
     density = lagrangian_density(ctx.map_jet, ctx.metric_pair, ctx.connection, ctx.phi)
+    E = volume_integral(density, ctx.phi)
+    scalars = {"energy": E}
     _fold_max_abs(scalars, "density_max", "density_nonfinite", density.values)
     ok = _all_finite(scalars) and bool(np.isfinite(E))
     if "expected" in task:
@@ -278,11 +278,13 @@ def _certificate_record(cert):
 
 
 def _orbit_curve(ctx: _Context):
-    o = ctx.spec["orbit"]
-    xi_ev = sc.covector_evaluator(ctx.spec["system"]["xi"],
-                                  ctx.spec["n_space"]["dim"], "x")
-    return integrate_orbit(xi_ev, o["x0"], o["t0"], o["t1"], o["nodes"],
-                           o.get("rk4_step", 1e-3), o.get("stencil_order", 4)), xi_ev
+    def build():
+        o = ctx.spec["orbit"]
+        xi_ev = sc.covector_evaluator(ctx.spec["system"]["xi"],
+                                      ctx.spec["n_space"]["dim"], "x")
+        return integrate_orbit(xi_ev, o["x0"], o["t0"], o["t1"], o["nodes"],
+                               o.get("rk4_step", 1e-3), o.get("stencil_order", 4)), xi_ev
+    return ctx._memo("orbit_curve", build)
 
 
 def _task_certify(ctx: _Context, task: dict, out, dumps):
@@ -352,7 +354,6 @@ def _task_pseudolinear(ctx: _Context, task: dict, out, dumps):
 
 def _task_group(ctx: _Context, task: dict, out, dumps):
     from .systems import group_system_lagrangian
-    from .tensor_core import quadrature, scalar_field, sqrt_det
 
     sys_spec = ctx.spec["system"]
     n_dim = ctx.spec["n_space"]["dim"]
@@ -364,7 +365,7 @@ def _task_group(ctx: _Context, task: dict, out, dumps):
     density = group_system_lagrangian(gens, ctx.map_jet, ctx.phi, psi, ctx.tol["eps_sing"])
     oracle = _group_loop_oracle(gens, ctx.map_jet, ctx.phi, psi)
     gap = float(np.max(np.abs(density.values - oracle)))
-    integral = quadrature(scalar_field(ctx.m_grid, density.values * sqrt_det(ctx.phi).values))
+    integral = volume_integral(density, ctx.phi)
     dumps.append(("group_density", ctx.m_grid, density.values, "a"))
     ok = gap <= task.get("oracle_tol", 1e-12)
     return ok, {"lagrangian_integral": integral, "loop_oracle_gap": gap}, {}

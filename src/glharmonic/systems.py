@@ -24,6 +24,7 @@ from .errors import AdmissibilityError, SingularDirectionError
 from .tensor_core import (
     ChartGrid,
     MetricField,
+    NodeMatrices,
     TensorField,
     fd_partial,
     interior_mask,
@@ -32,6 +33,7 @@ from .tensor_core import (
     quadrature,
     scalar_field,
     sqrt_det,
+    volume_integral,
 )
 
 DEFAULT_EPS_SING = 1e-8
@@ -194,7 +196,7 @@ def quotient_functional(f: MapJet, system: FirstOrderSystem, phi: MetricField,
     pair = section_scalar_product(f.jet, T_vals, phi_inv, psi_vals)
     _pairing_guard(pair, norm_df, norm_T, eps_sing, f.grid)
     integrand = norm_T * norm_df / pair**2
-    return 0.5 * quadrature(scalar_field(f.grid, integrand * sqrt_det(phi).values))
+    return 0.5 * volume_integral(scalar_field(f.grid, integrand), phi)
 
 
 def half_volume(phi: MetricField) -> float:
@@ -333,7 +335,7 @@ def pfaff_metric(A, phi_eval, eps_sing: float = DEFAULT_EPS_SING):
 
     def g(a_pts, b_vals):
         phi_vals = np.asarray(phi_eval(a_pts), float)
-        phi_inv = np.linalg.inv(phi_vals)
+        phi_inv = NodeMatrices(phi_vals).inv
         A_vals = np.asarray(A(a_pts), float)
         Ab = np.einsum("...a,...a->...", A_vals, np.asarray(b_vals, float))
         norm2 = np.einsum("...ab,...a,...b->...", phi_inv, A_vals, A_vals)
@@ -370,7 +372,7 @@ def pseudolinear_scenario(xi, A, phi_eval, psi_eval,
 
     def sigma(a_pts, b_vals):
         phi_vals = np.asarray(phi_eval(a_pts), float)
-        phi_inv = np.linalg.inv(phi_vals)
+        phi_inv = NodeMatrices(phi_vals).inv
         A_vals = np.asarray(A(a_pts), float)
         Ab = np.einsum("...a,...a->...", A_vals, np.asarray(b_vals, float))
         norm2 = np.einsum("...ab,...a,...b->...", phi_inv, A_vals, A_vals)

@@ -3,14 +3,23 @@ quadrature, and small dense index contractions.
 
 Everything else in the library is built on this layer.  A chart is a
 rectangular box, each axis either a closed interval or a full period of a
-flat torus.  Fields store one small dense tensor per node; all nodewise
-algebra is vectorized with einsum.
+flat torus.  Fields store one small dense tensor per node; nodewise
+contractions are vectorized with einsum.
+
+Pointwise linear algebra of per-node matrices (determinant, inverse,
+2-norm condition number, positive-definiteness) goes through
+``NodeMatrices`` only.  Chosen on the matrix order n: for n <= 2 it uses
+closed forms (the adjugate inverse, Blinn's closed-form 2x2 SVD for the
+condition number, the Cholesky recurrence for definiteness), because
+numpy's batched LAPACK calls cost far more than the arithmetic on
+large batches of tiny matrices; for n >= 3 it calls ``np.linalg``.
 """
 
 from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -215,8 +224,8 @@ def sample_scalar(grid: ChartGrid, fn: Callable[[np.ndarray], np.ndarray]) -> Te
 @dataclass(frozen=True)
 class MetricField(TensorField):
     """Symmetric two-slot field: a metric (``lo,lo``) or its inverse
-    (``up,up``).  Riemannian metrics are checked positive definite via
-    Cholesky at every node."""
+    (``up,up``).  Riemannian metrics are checked finite and positive
+    definite at every node."""
 
     index_kinds: tuple[str, str] = (LO, LO)
     definite: str = field(default="riemannian", compare=False)
@@ -232,24 +241,12 @@ class MetricField(TensorField):
         if sym_defect > 1e-10 * max(1.0, float(np.max(np.abs(self.values)))):
             raise ValueError(f"metric is not symmetric (max defect {sym_defect:.3e})")
         if self.definite == "riemannian":
-            try:
-                np.linalg.cholesky(self.values)
-            except np.linalg.LinAlgError:
-                node = _first_non_spd_node(self.values, self.grid.dim)
-                raise SingularMetricError(
-                    f"metric is not positive definite at node {node}", node=node
-                ) from None
-
-
-def _first_non_spd_node(values: np.ndarray, grid_dim: int):
-    flat = values.reshape(-1, *values.shape[grid_dim:])
-    shape = values.shape[:grid_dim]
-    for idx in range(flat.shape[0]):
-        try:
-            np.linalg.cholesky(flat[idx])
-        except np.linalg.LinAlgError:
-            return tuple(np.unravel_index(idx, shape))
-    return None
+            ok = NodeMatrices(self.values).positive_definite
+            if not ok.all():
+                node = tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), ok.shape))
+                finite = np.all(np.isfinite(self.values[node]))
+                what = "positive definite" if finite else "finite"
+                raise SingularMetricError(f"metric is not {what} at node {node}", node=node)
 
 
 def metric_field(grid: ChartGrid, values: np.ndarray, contravariant: bool = False,
@@ -388,21 +385,125 @@ def interior_mask(grid: ChartGrid, margin: int | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+class NodeMatrices:
+    """Square matrices stacked along leading node axes, shape ``(..., n, n)``,
+    with their determinant, inverse, 2-norm condition number and
+    positive-definiteness per node, each computed on first use.
+
+    For n <= 2 every quantity is a closed form of the entries
+    [[a, b], [c, d]]; symmetry is not assumed.  For n >= 3 they are numpy's
+    batched LAPACK results.  Division and NaN warnings of the closed forms
+    are silenced: a NaN entry gives NaN results (and fails the
+    definiteness test), an exactly singular node an infinite condition
+    number.
+    """
+
+    def __init__(self, mats: np.ndarray):
+        self.mats = np.asarray(mats, dtype=float)
+        self.n = self.mats.shape[-1]
+
+    def _entries(self):
+        m = self.mats
+        return m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+
+    @cached_property
+    def det(self) -> np.ndarray:
+        if self.n == 1:
+            return self.mats[..., 0, 0].copy()
+        if self.n == 2:
+            a, b, c, d = self._entries()
+            with np.errstate(all="ignore"):
+                return a * d - b * c
+        return np.linalg.det(self.mats)
+
+    @cached_property
+    def inv(self) -> np.ndarray:
+        """Pointwise inverse.  Raises ``np.linalg.LinAlgError`` when a node
+        is exactly singular (det == 0 for n <= 2, a zero pivot for LAPACK)."""
+        if self.n >= 3:
+            return np.linalg.inv(self.mats)
+        det = self.det
+        if np.any(det == 0):
+            raise np.linalg.LinAlgError("Singular matrix")
+        with np.errstate(all="ignore"):
+            if self.n == 1:
+                return 1.0 / self.mats
+            a, b, c, d = self._entries()
+            out = np.empty_like(self.mats)
+            out[..., 0, 0] = d / det
+            out[..., 0, 1] = -b / det
+            out[..., 1, 0] = -c / det
+            out[..., 1, 1] = a / det
+        return out
+
+    @cached_property
+    def cond(self) -> np.ndarray:
+        """2-norm condition number sigma_max / sigma_min; infinite where the
+        matrix is exactly singular, as ``np.linalg.cond`` reports it.
+
+        For n = 2, sigma_max = Q + R with Q = hypot((a + d)/2, (c - b)/2)
+        and R = hypot((a - d)/2, (c + b)/2) (the closed-form 2x2 SVD:
+        Blinn, "Consider the lowly 2x2 matrix", IEEE CG&A 1996), and
+        sigma_min = |det| / sigma_max, which involves no cancellation."""
+        if self.n >= 3:
+            return np.linalg.cond(self.mats)
+        det = self.det
+        with np.errstate(all="ignore"):
+            if self.n == 1:
+                cond = np.abs(det) / np.abs(det)
+            else:
+                a, b, c, d = self._entries()
+                s_max = (np.hypot(0.5 * (a + d), 0.5 * (c - b))
+                         + np.hypot(0.5 * (a - d), 0.5 * (c + b)))
+                cond = s_max * s_max / np.abs(det)
+        return np.where(det == 0, np.inf, cond)
+
+    @cached_property
+    def positive_definite(self) -> np.ndarray:
+        """Boolean per node: every entry finite and the matrix positive
+        definite.  For n <= 2 this runs the Cholesky recurrence on the lower
+        triangle exactly as LAPACK does (l21 = a21 * (1 / sqrt(a11)),
+        then a22 - l21^2 > 0), so on finite input it agrees with
+        ``np.linalg.cholesky`` succeeding; NaN fails each comparison."""
+        m = self.mats
+        finite = np.isfinite(m).all(axis=(-2, -1))
+        a = m[..., 0, 0]
+        if self.n == 1:
+            return finite & (a > 0)
+        if self.n == 2:
+            with np.errstate(all="ignore"):
+                l21 = m[..., 1, 0] * (1.0 / np.sqrt(a))
+                return finite & (a > 0) & (m[..., 1, 1] - l21 * l21 > 0)
+        try:
+            np.linalg.cholesky(m)
+            return finite
+        except np.linalg.LinAlgError:
+            ok = finite.reshape(-1)
+            flat = m.reshape(-1, self.n, self.n)
+            for idx in np.flatnonzero(ok):
+                try:
+                    np.linalg.cholesky(flat[idx])
+                except np.linalg.LinAlgError:
+                    ok[idx] = False
+            return ok.reshape(finite.shape)
+
+
 def invert_metric(g: MetricField, cond_bound: float = 1e12) -> MetricField:
     """Pointwise matrix inverse with flipped variance.
 
-    Nodes whose condition number exceeds ``cond_bound`` raise a
-    singular-metric error naming the first offending node.
+    Nodes whose condition number exceeds ``cond_bound``, or is NaN, raise
+    a singular-metric error naming the first offending node.
     """
-    cond = np.linalg.cond(g.values)
-    bad = cond > cond_bound
+    mats = NodeMatrices(g.values)
+    cond = mats.cond
+    bad = ~(cond <= cond_bound)
     if np.any(bad):
         node = tuple(int(i) for i in np.argwhere(bad)[0])
         raise SingularMetricError(
             f"metric condition number {cond[bad].max():.3e} exceeds bound at node {node}",
             node=node,
         )
-    inv = np.linalg.inv(g.values)
+    inv = mats.inv
     inv = 0.5 * (inv + np.swapaxes(inv, -1, -2))
     kinds = (UP, UP) if g.index_kinds == (LO, LO) else (LO, LO)
     return MetricField(g.grid, inv, kinds, definite="pseudo")
@@ -410,7 +511,12 @@ def invert_metric(g: MetricField, cond_bound: float = 1e12) -> MetricField:
 
 def sqrt_det(g: MetricField) -> TensorField:
     """Scalar field of sqrt(|det g|) per node (the volume weight)."""
-    return scalar_field(g.grid, np.sqrt(np.abs(np.linalg.det(g.values))))
+    return scalar_field(g.grid, np.sqrt(np.abs(NodeMatrices(g.values).det)))
+
+
+def volume_integral(rho: TensorField, g: MetricField) -> float:
+    """Integral of a scalar field against the volume weight sqrt(|det g|)."""
+    return quadrature(scalar_field(rho.grid, rho.values * sqrt_det(g).values))
 
 
 def quadrature(rho: TensorField) -> float:

@@ -197,6 +197,7 @@ def test_singular_source_metric_names_node():
     with pytest.raises(SingularMetricError) as err:
         lagrangian_density(f, pair, ConnectionTensor.zero(2, 2), identity_metric(grid))
     assert err.value.node == (3, 4)
+    assert str(err.value) == "source metric g(a, b) is singular at node (3, 4)"
 
 
 def test_energy_nonnegative_and_axis_relabel_invariant():

@@ -272,6 +272,7 @@ def test_validator_requires_target_for_pfaff_and_pseudolinear_tasks(name):
     ("harmonic-identity", {"matrix": [["1", "2"], ["2", "1"]]}),
     ("pfaff-exact", {"diag": ["1.5 - x1"]}),
     ("orbit-rotation", {"diag": ["1", "x2 - 0.5"]}),
+    ("harmonic-identity", {"diag": ["3 - x1", "1"]}),
 ])
 def test_indefinite_target_metric_is_an_error(name, metric, tmp_path):
     spec = json.loads(json.dumps(BUILTIN_SCENARIOS[name]))
@@ -284,3 +285,66 @@ def test_indefinite_target_metric_is_an_error(name, metric, tmp_path):
         assert task["error_type"] == "SingularMetricError"
         assert task["reason"].startswith("target metric psi: ")
         assert task["node"] is not None
+        # plain integers, not numpy scalars, in the reason
+        assert task["reason"].endswith(f"at node {tuple(task['node'])}")
+    if metric == {"diag": ["3 - x1", "1"]}:
+        assert report["tasks"][0]["reason"].endswith("at node (16, 0)")
+
+
+def test_nonfinite_source_metric_is_an_error(tmp_path):
+    # ln(a1 - 3) is NaN for a1 < 3: np.linalg.cholesky returns NaN there
+    # without an error, so the metric must be rejected as non-finite
+    spec = json.loads(json.dumps(BUILTIN_SCENARIOS["harmonic-identity"]))
+    spec["m_space"]["metric"] = {"diag": ["1 + 0*ln(a1 - 3)", "1"]}
+    with np.errstate(all="ignore"):
+        report = run_scenario(spec, tmp_path)
+    assert report["status"] == "fail"
+    for task in report["tasks"]:
+        assert task["status"] == "error", task
+        assert task["error_type"] == "SingularMetricError"
+        assert task["reason"] == "metric is not finite at node (0, 0)"
+        assert task["node"] == [0, 0]
+
+
+def test_energy_task_evaluates_the_density_once(tmp_path, monkeypatch):
+    import importlib
+
+    import glharmonic.runner as runner_module
+    from glharmonic.energy import energy
+
+    # the package exports the function ``energy`` under the module's name
+    energy_module = importlib.import_module("glharmonic.energy")
+    calls = []
+    original = energy_module._density_values
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(energy_module, "_density_values", counted)
+    spec = json.loads(json.dumps(BUILTIN_SCENARIOS["harmonic-identity"]))
+    spec["tasks"] = spec["tasks"][:1]
+    report = run_scenario(spec, tmp_path)
+    assert report["tasks"][0]["status"] == "pass"
+    assert len(calls) == 1
+    ctx = runner_module._Context(spec, None)
+    expected = energy(ctx.map_jet, ctx.metric_pair, ctx.connection, ctx.phi)
+    assert report["tasks"][0]["scalars"]["energy"] == expected
+
+
+def test_orbit_is_integrated_once_per_scenario(tmp_path, monkeypatch):
+    import glharmonic.runner as runner_module
+
+    calls = []
+    original = runner_module.integrate_orbit
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(runner_module, "integrate_orbit", counted)
+    spec = BUILTIN_SCENARIOS["orbit-rotation"]
+    assert [t["task"] for t in spec["tasks"]] == ["orbit", "certify_theorem"]
+    report = run_scenario(spec, tmp_path)
+    assert report["status"] == "pass"
+    assert len(calls) == 1

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glharmonic.errors import ContractionError, SingularMetricError
 from glharmonic.tensor_core import (
     LO,
     UP,
+    NodeMatrices,
     TensorField,
     box_grid,
     contract,
@@ -98,17 +101,25 @@ def test_invert_diagonal():
     assert np.allclose(ginv.values, np.diag([0.25, 1.0 / 9.0]))
 
 
-def test_invert_random_spd_roundtrip():
+def _spd_roundtrip(n):
     grid = box_grid([(0, 1), (0, 1)], [7, 5])
-    a = rng.normal(size=(7, 5, 3, 3))
-    spd = np.einsum("...ij,...kj->...ik", a, a) + 3.0 * np.eye(3)
+    a = rng.normal(size=(7, 5, n, n))
+    spd = np.einsum("...ij,...kj->...ik", a, a) + 3.0 * np.eye(n)
     g = metric_field(grid, spd)
     ginv = invert_metric(g)
     prod = np.einsum("...ij,...jk->...ik", g.values, ginv.values)
-    assert np.max(np.abs(prod - np.eye(3))) < 1e-12
+    assert np.max(np.abs(prod - np.eye(n))) < 1e-12
     # double inversion is the identity on well-conditioned inputs
     g2 = invert_metric(ginv)
     assert np.max(np.abs(g2.values - g.values)) < 1e-10
+
+
+def test_invert_random_spd_roundtrip():
+    _spd_roundtrip(3)
+
+
+def test_invert_random_spd_roundtrip_2x2():
+    _spd_roundtrip(2)
 
 
 def test_invert_singular_names_node():
@@ -121,6 +132,16 @@ def test_invert_singular_names_node():
     assert err.value.node == (3,)
 
 
+def test_invert_nan_names_node():
+    grid = interval_grid(0, 1, 5)
+    vals = np.broadcast_to(np.eye(2), (5, 2, 2)).copy()
+    vals[2, 0, 1] = vals[2, 1, 0] = np.nan
+    g = metric_field(grid, vals, definite="pseudo")
+    with pytest.raises(SingularMetricError) as err:
+        invert_metric(g)
+    assert err.value.node == (2,)
+
+
 def test_non_spd_metric_rejected():
     grid = interval_grid(0, 1, 5)
     vals = np.broadcast_to(np.diag([1.0, -1.0]), (5, 2, 2)).copy()
@@ -128,6 +149,160 @@ def test_non_spd_metric_rejected():
         metric_field(grid, vals)
     # but allowed as a pseudo-Riemannian metric
     metric_field(grid, vals, definite="pseudo")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_metric_rejected(n, bad):
+    # a NaN passes through np.linalg.cholesky without an error, and an
+    # infinite a11 passes the 2x2 Cholesky recurrence
+    grid = box_grid([(0, 1), (0, 1)], [6, 5])
+    vals = np.broadcast_to(np.eye(n), (6, 5, n, n)).copy()
+    vals[4, 2, 0, 0] = bad
+    vals[5, 1, n - 1, n - 1] = -1.0
+    with pytest.raises(SingularMetricError) as err:
+        metric_field(grid, vals)
+    assert err.value.node == (4, 2)
+    assert str(err.value) == "metric is not finite at node (4, 2)"
+
+
+# ---------------------------------------------------------------------------
+# NodeMatrices: closed forms for n <= 2 against np.linalg
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+# closed forms and LAPACK each carry a relative error of a few eps * cond
+# in det, inverse and cond; C is the constant of that bound
+C = 16.0
+BATCH = 48
+
+
+def _rotations(r, count):
+    t = r.uniform(0.0, 2.0 * np.pi, count)
+    c, s = np.cos(t), np.sin(t)
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+
+
+def _matrices(n, family, log_cond, log_scale, seed):
+    """A batch of BATCH n x n matrices of the given family, condition
+    numbers up to 10**log_cond and entries of size about 10**log_scale."""
+    r = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    big = scale * r.uniform(0.5, 2.0, BATCH)
+    if n == 1:
+        sign = 1.0 if family == "spd" else r.choice([-1.0, 1.0], BATCH)
+        return (sign * big).reshape(BATCH, 1, 1)
+    small = big * 10.0 ** -r.uniform(0.0, log_cond, BATCH)
+    U = _rotations(r, BATCH)
+    if family == "general":
+        V = _rotations(r, BATCH) * r.choice([-1.0, 1.0], (BATCH, 1, 1))
+        return np.einsum("...ij,...j,...kj->...ik", U, np.stack([big, small], -1), V)
+    if family == "indefinite":
+        small = -small
+    m = np.einsum("...ij,...j,...kj->...ik", U, np.stack([big, small], -1), U)
+    m = 0.5 * (m + np.swapaxes(m, -1, -2))
+    if family == "near_symmetric":
+        skew = 1e-11 * big * r.uniform(-1.0, 1.0, BATCH)
+        m[..., 0, 1] += skew
+        m[..., 1, 0] -= skew
+    return m
+
+
+def _cholesky_succeeds(m):
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _check_against_linalg(m):
+    nm = NodeMatrices(m)
+    ref_cond = np.linalg.cond(m)
+    tol = C * EPS * ref_cond
+    ref_det = np.linalg.det(m)
+    assert np.all(np.abs(nm.det - ref_det) <= tol * np.abs(ref_det))
+    assert np.all(np.abs(nm.cond - ref_cond) <= tol * ref_cond)
+    ref_inv = np.linalg.inv(m)
+    err = np.max(np.abs(nm.inv - ref_inv), axis=(-2, -1))
+    assert np.all(err <= tol * np.max(np.abs(ref_inv), axis=(-2, -1)))
+    assert nm.positive_definite.tolist() == [_cholesky_succeeds(x) for x in m]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.sampled_from([1, 2]),
+       family=st.sampled_from(["spd", "indefinite", "general", "near_symmetric"]),
+       log_cond=st.floats(0.0, 15.0), log_scale=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_closed_forms_match_linalg(n, family, log_cond, log_scale, seed):
+    _check_against_linalg(_matrices(n, family, log_cond, log_scale, seed))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_definiteness_matches_cholesky_at_the_boundary(log_scale, seed):
+    # a22 within one ulp of l21^2, as LAPACK computes l21, so that the
+    # last pivot of the Cholesky recurrence is the smallest positive
+    # number, zero or negative
+    r = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    a11 = scale * r.uniform(0.1, 10.0, BATCH)
+    a21 = scale * r.uniform(-10.0, 10.0, BATCH)
+    l21 = a21 * (1.0 / np.sqrt(a11))
+    a22 = np.nextafter(l21 * l21, r.choice([-np.inf, 0.0, np.inf], BATCH) * l21 * l21)
+    m = np.stack([np.stack([a11, a21], -1), np.stack([a21, a22], -1)], -2)
+    ok = NodeMatrices(m).positive_definite
+    assert ok.tolist() == [_cholesky_succeeds(x) for x in m]
+    assert 0 < ok.sum() < BATCH
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(n=st.sampled_from([1, 2]), log_scale=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_singular_and_nan_nodes(n, log_scale, seed):
+    r = np.random.default_rng(seed)
+    m = _matrices(n, "general", 3.0, log_scale, seed)
+    singular, nan = r.choice(BATCH, 2, replace=False)
+    if n == 2:
+        # proportional rows with a power-of-two factor: a d - b c == 0 exactly
+        m[singular, 1] = m[singular, 0] * 2.0 ** int(r.integers(-3, 4))
+    else:
+        m[singular] = 0.0
+    m[nan].flat[int(r.integers(0, n * n))] = np.nan
+    nm = NodeMatrices(m)
+    assert nm.det[singular] == 0.0 and nm.cond[singular] == np.inf
+    assert np.linalg.cond(m[singular]) > 1e15
+    with pytest.raises(np.linalg.LinAlgError):
+        nm.inv
+    assert np.isnan(nm.det[nan]) and np.isnan(nm.cond[nan])
+    assert not nm.positive_definite[nan]
+    # only the lower triangle counts, so a non-symmetric singular matrix may pass
+    assert nm.positive_definite[singular] == _cholesky_succeeds(m[singular])
+    rest = np.ones(BATCH, bool)
+    rest[[singular, nan]] = False
+    _check_against_linalg(m[rest])
+    assert np.isnan(NodeMatrices(m[nan]).inv).all()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_order_three_and_up_is_numpy_linalg_bit_for_bit(n):
+    grid = box_grid([(0, 1), (0, 1)], [7, 5])
+    a = rng.normal(size=(7, 5, n, n))
+    vals = np.einsum("...ij,...kj->...ik", a, a) + 0.5 * np.eye(n)
+    nm = NodeMatrices(vals)
+    assert np.array_equal(nm.det, np.linalg.det(vals))
+    assert np.array_equal(nm.inv, np.linalg.inv(vals))
+    assert np.array_equal(nm.cond, np.linalg.cond(vals))
+    ginv = invert_metric(metric_field(grid, vals)).values
+    ref = np.linalg.inv(vals)
+    assert np.array_equal(ginv, 0.5 * (ref + np.swapaxes(ref, -1, -2)))
+    indefinite = vals.copy()
+    indefinite[2, 3] = np.diag(np.arange(n) - 1.0)
+    indefinite[5, 0, 1, 1] = np.nan
+    ok = NodeMatrices(indefinite).positive_definite
+    expected = [_cholesky_succeeds(x) and np.isfinite(x).all() for x in indefinite.reshape(-1, n, n)]
+    assert ok.reshape(-1).tolist() == expected
+    assert not ok[2, 3] and not ok[5, 0] and ok.sum() == 33
 
 
 # ---------------------------------------------------------------------------
