@@ -7,6 +7,13 @@ The density is L = g^{gm}(a, b) h_{kl}(f(a), y) f^k_g f^l_m / 2, the energy
 its integral against the source volume weight, and a map is harmonic when
 the discrete energy gradient vanishes.
 
+Evaluation.  Per node, b and y are one matrix-vector product each of P's
+flattened blocks with w_{bi} = phi^{ab} f^i_a, and the density is
+g^{gm} (f^T h f)_{gm} / 2.  The generic residual differences the density
+by central steps in each map value and each jet entry; P depends on
+(a, f) only, so one evaluation of P serves all 2nm jet perturbations and
+a residual evaluates each P block 2n + 1 times.
+
 Sign convention.  The residual returned here *is* the nodewise density
 form of the discrete energy gradient: at interior nodes of the grid,
 ``quadrature_weight * residual`` reproduces central finite differences of
@@ -223,12 +230,25 @@ def induced_arguments(f: MapJet, P: ConnectionTensor, phi_inv: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Direction arguments manufactured from the jet:
     b^g = phi^{ab} f^i_a P^g_{bi}(a, f) and y^k = phi^{ab} f^i_a P^k_{bi}(a, f)."""
-    a_pts = f.grid.points()
-    src = np.asarray(P.source(a_pts, f.values), float)
-    tgt = np.asarray(P.target(a_pts, f.values), float)
-    b = np.einsum("...ab,...ia,...gbi->...g", phi_inv, f.jet, src)
-    y = np.einsum("...ab,...ia,...kbi->...k", phi_inv, f.jet, tgt)
-    return b, y
+    return _arguments(_connection_blocks(P, f.grid.points(), f.values), f.jet, phi_inv)
+
+
+def _connection_blocks(P: ConnectionTensor, a_pts: np.ndarray, f_vals: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """P's source and target blocks at (a, f) with the two lower slots
+    flattened: (..., m, m*n) and (..., n, m*n)."""
+    src = np.asarray(P.source(a_pts, f_vals), float)
+    tgt = np.asarray(P.target(a_pts, f_vals), float)
+    return (src.reshape(src.shape[:-2] + (-1,)), tgt.reshape(tgt.shape[:-2] + (-1,)))
+
+
+def _arguments(blocks: tuple[np.ndarray, np.ndarray], jet_vals: np.ndarray,
+               phi_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """b and y from flattened connection blocks and a jet."""
+    src, tgt = blocks
+    # w_{bi} = phi^{ab} f^i_a, flattened like the blocks' lower slots
+    w = np.swapaxes(jet_vals @ phi_inv, -1, -2).reshape(jet_vals.shape[:-2] + (-1, 1))
+    return (src @ w)[..., 0], (tgt @ w)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +312,7 @@ def _inverse_with_guard(mats: np.ndarray, what: str, grid_dim: int) -> np.ndarra
     except np.linalg.LinAlgError:
         node = _worst_node(mats, grid_dim)
         raise SingularMetricError(f"{what} is singular at node {node}", node=node) from None
-    defect = np.abs(np.einsum("...ij,...jk->...ik", mats, inv) - np.eye(mats.shape[-1]))
+    defect = np.abs(mats @ inv - np.eye(mats.shape[-1]))
     worst = np.max(defect)
     if not np.isfinite(worst) or worst > 1e-6:
         flat = defect.reshape(defect.shape[:grid_dim] + (-1,)).max(axis=-1)
@@ -316,25 +336,26 @@ def _worst_node(mats: np.ndarray, grid_dim: int):
 
 
 def _density_values(a_pts: np.ndarray, f_vals: np.ndarray, jet_vals: np.ndarray,
-                    pair: MetricPair, P: ConnectionTensor, phi_inv: np.ndarray,
-                    grid_dim: int) -> np.ndarray:
+                    pair: MetricPair, blocks: tuple[np.ndarray, np.ndarray],
+                    phi_inv: np.ndarray, grid_dim: int) -> np.ndarray:
     """Pointwise density with b and y recomputed from the given jet (their
-    dependence on the map is part of the variational structure)."""
-    src = np.asarray(P.source(a_pts, f_vals), float)
-    tgt = np.asarray(P.target(a_pts, f_vals), float)
-    b = np.einsum("...ab,...ia,...gbi->...g", phi_inv, jet_vals, src)
-    y = np.einsum("...ab,...ia,...kbi->...k", phi_inv, jet_vals, tgt)
+    dependence on the map is part of the variational structure); ``blocks``
+    are the flattened connection blocks at (a, f_vals)."""
+    b, y = _arguments(blocks, jet_vals, phi_inv)
     gmat = np.asarray(pair.g(a_pts, b), float)
     ginv = _inverse_with_guard(gmat, "source metric g(a, b)", grid_dim)
     hmat = np.asarray(pair.h(f_vals, y), float)
-    return 0.5 * np.einsum("...gm,...kl,...kg,...lm->...", ginv, hmat, jet_vals, jet_vals)
+    pulled = np.swapaxes(jet_vals, -1, -2) @ hmat @ jet_vals    # f^k_g h_kl f^l_m
+    return 0.5 * (ginv * pulled).sum((-2, -1))
 
 
 def lagrangian_density(f: MapJet, pair: MetricPair, P: ConnectionTensor,
                        phi: MetricField) -> TensorField:
     """The density L = g^{gm}(a,b) h_{kl}(f,y) f^k_g f^l_m / 2 per node."""
+    a_pts = f.grid.points()
     phi_inv = invert_metric(phi).values
-    vals = _density_values(f.grid.points(), f.values, f.jet, pair, P, phi_inv, f.grid.dim)
+    blocks = _connection_blocks(P, a_pts, f.values)
+    vals = _density_values(a_pts, f.values, f.jet, pair, blocks, phi_inv, f.grid.dim)
     return scalar_field(f.grid, vals)
 
 
@@ -364,10 +385,14 @@ def density_partials(f: MapJet, pair: MetricPair, P: ConnectionTensor,
         fp[..., i] += h
         fm = f.values.copy()
         fm[..., i] -= h
-        Lp = _density_values(a_pts, fp, f.jet, pair, P, phi_inv, grid.dim)
-        Lm = _density_values(a_pts, fm, f.jet, pair, P, phi_inv, grid.dim)
+        Lp = _density_values(a_pts, fp, f.jet, pair, _connection_blocks(P, a_pts, fp),
+                             phi_inv, grid.dim)
+        Lm = _density_values(a_pts, fm, f.jet, pair, _connection_blocks(P, a_pts, fm),
+                             phi_inv, grid.dim)
         dLdf[..., i] = (Lp - Lm) / (2.0 * h)
 
+    # P depends on (a, f) only: one evaluation serves every jet perturbation
+    blocks = _connection_blocks(P, a_pts, f.values)
     dLdjet = np.empty(grid.shape + (n, m))
     for i in range(n):
         for al in range(m):
@@ -376,8 +401,8 @@ def density_partials(f: MapJet, pair: MetricPair, P: ConnectionTensor,
             jp[..., i, al] += h
             jm = f.jet.copy()
             jm[..., i, al] -= h
-            Lp = _density_values(a_pts, f.values, jp, pair, P, phi_inv, grid.dim)
-            Lm = _density_values(a_pts, f.values, jm, pair, P, phi_inv, grid.dim)
+            Lp = _density_values(a_pts, f.values, jp, pair, blocks, phi_inv, grid.dim)
+            Lm = _density_values(a_pts, f.values, jm, pair, blocks, phi_inv, grid.dim)
             dLdjet[..., i, al] = (Lp - Lm) / (2.0 * h)
     return dLdf, dLdjet
 

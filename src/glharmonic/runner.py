@@ -280,16 +280,14 @@ def _certificate_record(cert):
 def _orbit_curve(ctx: _Context):
     def build():
         o = ctx.spec["orbit"]
-        xi_ev = sc.covector_evaluator(ctx.spec["system"]["xi"],
-                                      ctx.spec["n_space"]["dim"], "x")
-        return integrate_orbit(xi_ev, o["x0"], o["t0"], o["t1"], o["nodes"],
-                               o.get("rk4_step", 1e-3), o.get("stencil_order", 4)), xi_ev
+        return integrate_orbit(ctx.system.xi, o["x0"], o["t0"], o["t1"], o["nodes"],
+                               o.get("rk4_step", 1e-3), o.get("stencil_order", 4))
     return ctx._memo("orbit_curve", build)
 
 
 def _task_certify(ctx: _Context, task: dict, out, dumps):
     if "orbit" in ctx.spec and ctx.spec.get("system", {}).get("kind") == "orbit":
-        curve, _ = _orbit_curve(ctx)
+        curve = _orbit_curve(ctx)
         f = curve.as_map()
         grid = curve.grid
         from .tensor_core import identity_metric
@@ -305,8 +303,9 @@ def _task_certify(ctx: _Context, task: dict, out, dumps):
 
 
 def _task_orbit(ctx: _Context, task: dict, out, dumps):
-    curve, xi_ev = _orbit_curve(ctx)
-    res = orbit_geodesic_residual(curve, xi_ev, ctx.checked_psi(curve), ctx.tol["eps_sing"])
+    curve = _orbit_curve(ctx)
+    res = orbit_geodesic_residual(curve, ctx.system.xi, ctx.checked_psi(curve),
+                                  ctx.tol["eps_sing"])
     max_res = float(np.max(np.abs(res.values)))
     threshold = task.get("residual_threshold", 1e-4)
     dumps.append(("orbit_curve", curve.grid, curve.values, "t"))
@@ -334,12 +333,8 @@ def _task_pseudolinear(ctx: _Context, task: dict, out, dumps):
         ok = ok and defect <= task["level_set_threshold"]
     # the quotient functional must coincide with the energy of the
     # attached conformal data
-    sys_spec = ctx.spec["system"]
-    n_dim = ctx.spec["n_space"]["dim"]
-    m_dim = ctx.spec["m_space"]["dim"]
-    xi = sc.covector_evaluator(sys_spec["xi"], n_dim, "x")
-    A = sc.covector_evaluator(sys_spec["A"], m_dim, "a")
-    pair, P, system = pseudolinear_scenario(xi, A, ctx.phi_eval, ctx.psi_eval,
+    pair, P, system = pseudolinear_scenario(ctx.system.xi, ctx.system.A,
+                                            ctx.phi_eval, ctx.psi_eval,
                                             ctx.tol["eps_sing"])
     lt = quotient_functional(ctx.map_jet, system, ctx.phi, ctx.psi_eval,
                              ctx.tol["eps_sing"])
@@ -355,12 +350,7 @@ def _task_pseudolinear(ctx: _Context, task: dict, out, dumps):
 def _task_group(ctx: _Context, task: dict, out, dumps):
     from .systems import group_system_lagrangian
 
-    sys_spec = ctx.spec["system"]
-    n_dim = ctx.spec["n_space"]["dim"]
-    m_dim = ctx.spec["m_space"]["dim"]
-    gens = [(sc.covector_evaluator(g["xi"], n_dim, "x"),
-             sc.covector_evaluator(g["A"], m_dim, "a"))
-            for g in sys_spec["generators"]]
+    gens = ctx.system.generators
     psi = ctx.checked_psi(ctx.map_jet)
     density = group_system_lagrangian(gens, ctx.map_jet, ctx.phi, psi, ctx.tol["eps_sing"])
     oracle = _group_loop_oracle(gens, ctx.map_jet, ctx.phi, psi)
@@ -372,46 +362,55 @@ def _task_group(ctx: _Context, task: dict, out, dumps):
 
 
 def _group_loop_oracle(gens, f, phi, psi_eval):
-    """Nodewise plain-loop evaluation of the group density."""
+    """Plain-loop evaluation of the group density: explicit loops over the
+    generators and every index, each term taken over the whole grid."""
     from .tensor_core import invert_metric
 
     grid = f.grid
     pts = grid.points()
     phi_inv = invert_metric(phi).values
     psi_vals = np.asarray(psi_eval(f.values), float)
-    out = np.zeros(grid.shape)
+    jet = f.jet
     m = grid.dim
     n = f.target_dim
     xi_all = [np.asarray(xi(f.values), float) for xi, _ in gens]
     A_all = [np.asarray(A(pts), float) for _, A in gens]
-    for idx in np.ndindex(*grid.shape):
-        jet = f.jet[idx]
-        psi_n = psi_vals[idx]
-        pinv = phi_inv[idx]
-        flat = np.zeros(n)
-        norm_xi = 0.0
-        for xiv in (x[idx] for x in xi_all):
-            flat_r = psi_n @ xiv
-            flat += flat_r
-            norm_xi += flat_r @ xiv
-        A_sum = np.zeros(m)
-        for Av in (a[idx] for a in A_all):
-            A_sum += Av
-        b = np.zeros(m)
+    flat = np.zeros(grid.shape + (n,))
+    norm_xi = np.zeros(grid.shape)
+    for xiv in xi_all:
+        flat_r = np.zeros(grid.shape + (n,))
+        for i in range(n):
+            for j in range(n):
+                flat_r[..., i] += psi_vals[..., i, j] * xiv[..., j]
+        flat += flat_r
+        pairing = np.zeros(grid.shape)
+        for i in range(n):
+            pairing += flat_r[..., i] * xiv[..., i]
+        norm_xi += pairing
+    A_sum = np.zeros(grid.shape + (m,))
+    for Av in A_all:
+        A_sum += Av
+    b = np.zeros(grid.shape + (m,))
+    for g in range(m):
+        for be in range(m):
+            for i in range(n):
+                b[..., g] += phi_inv[..., g, be] * flat[..., i] * jet[..., i, be]
+    Ab = np.zeros(grid.shape)
+    for g in range(m):
+        Ab += A_sum[..., g] * b[..., g]
+    norm_A2 = np.zeros(grid.shape)
+    for be in range(m):
+        A_raised = np.zeros(grid.shape)
         for g in range(m):
-            for be in range(m):
-                for i in range(n):
-                    b[g] += pinv[g, be] * flat[i] * jet[i, be]
-        Ab = A_sum @ b
-        norm_A2 = A_sum @ pinv @ A_sum
-        L = 0.0
-        for g in range(m):
-            for mu in range(m):
-                for k in range(n):
-                    for l in range(n):
-                        L += 0.5 * (norm_A2 / Ab**2) * pinv[g, mu] * norm_xi \
-                            * psi_n[k, l] * jet[k, g] * jet[l, mu]
-        out[idx] = L
+            A_raised += A_sum[..., g] * phi_inv[..., g, be]
+        norm_A2 += A_raised * A_sum[..., be]
+    out = np.zeros(grid.shape)
+    for g in range(m):
+        for mu in range(m):
+            for k in range(n):
+                for l in range(n):
+                    out += 0.5 * (norm_A2 / Ab**2) * phi_inv[..., g, mu] * norm_xi \
+                        * psi_vals[..., k, l] * jet[..., k, g] * jet[..., l, mu]
     return out
 
 

@@ -45,7 +45,6 @@ _METRIC_SPEC = {
             "properties": {
                 "diag": _EXPR_LIST,
                 "matrix": {"type": "array", "items": _EXPR_LIST, "minItems": 1},
-                "pseudo": {"type": "boolean"},
             },
         },
     ]
@@ -441,8 +440,10 @@ def covector_evaluator(exprs, dim: int, prefix: str):
 
     def ev(pts):
         env = component_env(prefix, pts)
-        cols = [np.broadcast_to(e(env), pts.shape[:-1]) for e in compiled]
-        return np.stack(cols, axis=-1)
+        out = np.empty(pts.shape[:-1] + (len(compiled),))
+        for j, e in enumerate(compiled):
+            out[..., j] = e(env)    # broadcasts constant components
+        return out
 
     return ev
 

@@ -224,8 +224,8 @@ def sample_scalar(grid: ChartGrid, fn: Callable[[np.ndarray], np.ndarray]) -> Te
 @dataclass(frozen=True)
 class MetricField(TensorField):
     """Symmetric two-slot field: a metric (``lo,lo``) or its inverse
-    (``up,up``).  Riemannian metrics are checked finite and positive
-    definite at every node."""
+    (``up,up``).  Every metric is checked finite at every node, before
+    symmetry; Riemannian metrics also positive definite."""
 
     index_kinds: tuple[str, str] = (LO, LO)
     definite: str = field(default="riemannian", compare=False)
@@ -237,16 +237,24 @@ class MetricField(TensorField):
         n1, n2 = self.slot_dims
         if n1 != n2:
             raise ValueError("metric slots must have equal dimension")
+        scale = float(np.max(np.abs(self.values)))    # nan or inf iff an entry is
+        if not np.isfinite(scale):
+            node = _first_false(np.isfinite(self.values).all(axis=(-2, -1)))
+            raise SingularMetricError(f"metric is not finite at node {node}", node=node)
         sym_defect = np.max(np.abs(self.values - np.swapaxes(self.values, -1, -2)))
-        if sym_defect > 1e-10 * max(1.0, float(np.max(np.abs(self.values)))):
+        if not sym_defect <= 1e-10 * max(1.0, scale):
             raise ValueError(f"metric is not symmetric (max defect {sym_defect:.3e})")
         if self.definite == "riemannian":
             ok = NodeMatrices(self.values).positive_definite
             if not ok.all():
-                node = tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), ok.shape))
-                finite = np.all(np.isfinite(self.values[node]))
-                what = "positive definite" if finite else "finite"
-                raise SingularMetricError(f"metric is not {what} at node {node}", node=node)
+                node = _first_false(ok)
+                raise SingularMetricError(f"metric is not positive definite at node {node}",
+                                          node=node)
+
+
+def _first_false(mask: np.ndarray) -> tuple[int, ...]:
+    """The first node, in C order, where ``mask`` is False."""
+    return tuple(int(i) for i in np.unravel_index(int(np.argmin(mask)), mask.shape))
 
 
 def metric_field(grid: ChartGrid, values: np.ndarray, contravariant: bool = False,

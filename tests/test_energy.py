@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glharmonic.energy import (
     ConnectionTensor,
     MapJet,
     MetricPair,
+    _inverse_with_guard,
     central_partials,
     constant_metric,
+    density_partials,
     el_residual,
     el_residual_fiber_covector,
     el_residual_oneform_source,
@@ -19,6 +23,7 @@ from glharmonic.tensor_core import (
     identity_metric,
     interval_grid,
     invert_metric,
+    metric_field,
     quadrature,
     scalar_field,
 )
@@ -519,3 +524,86 @@ def test_pfaff_jet_partial_matches_display_formula():
         + np.einsum("...ga,...g->...a", phi_inv, grad)
     )
     assert np.max(np.abs(dLdjet[..., 0, :] - display)) < 1e-6 * max(1.0, np.max(np.abs(display)))
+
+
+# ---------------------------------------------------------------------------
+# the matmul density path against the einsum path it replaced
+# ---------------------------------------------------------------------------
+
+def _einsum_density_values(a_pts, f_vals, jet_vals, pair, P, phi_inv, grid_dim):
+    """Reference: the density by one einsum per contraction, with P
+    evaluated at the given map values."""
+    src = np.asarray(P.source(a_pts, f_vals), float)
+    tgt = np.asarray(P.target(a_pts, f_vals), float)
+    b = np.einsum("...ab,...ia,...gbi->...g", phi_inv, jet_vals, src)
+    y = np.einsum("...ab,...ia,...kbi->...k", phi_inv, jet_vals, tgt)
+    gmat = np.asarray(pair.g(a_pts, b), float)
+    ginv = _inverse_with_guard(gmat, "source metric g(a, b)", grid_dim)
+    hmat = np.asarray(pair.h(f_vals, y), float)
+    return 0.5 * np.einsum("...gm,...kl,...kg,...lm->...", ginv, hmat, jet_vals, jet_vals)
+
+
+def _spd(base, vec_a, vec_b):
+    """(..., d, d) positive definite matrices I + M M^T with M linear in
+    the trigonometric features of two point arrays."""
+    feats = np.concatenate([np.sin(vec_a), np.cos(vec_b)], axis=-1)
+    M = np.einsum("dek,...k->...de", base, feats)
+    return np.eye(base.shape[0]) + M @ np.swapaxes(M, -1, -2)
+
+
+def _random_problem(m, n, seed, nodes=5):
+    """A map jet on an m-dimensional chart into n dimensions with a
+    position-dependent, non-symmetric connection and direction-dependent
+    metrics on both sides, all drawn from ``seed``."""
+    r = np.random.default_rng(seed)
+    grid = box_grid([(0.0, 1.0)] * m, [nodes] * m)
+    values = r.normal(size=grid.shape + (n,))
+    jet = r.normal(size=grid.shape + (n, m))
+    f = MapJet(grid=grid, values=values, jet=jet)
+
+    S0, S1 = r.normal(size=(2, m, m, n))
+    T0, T1 = r.normal(size=(2, n, m, n))
+    ca, cx = r.normal(size=m), r.normal(size=n)
+
+    def wave(a, x):
+        return np.sin(a @ ca + x @ cx)[..., None, None, None]
+
+    P = ConnectionTensor(source=lambda a, x: S0 + S1 * wave(a, x),
+                         target=lambda a, x: T0 + T1 * wave(a, x), m=m, n=n)
+    gb = 0.3 * r.normal(size=(m, m, 2 * m))
+    hb = 0.3 * r.normal(size=(n, n, 2 * n))
+    pair = MetricPair.general(g=lambda a, b: _spd(gb, a, b), h=lambda x, y: _spd(hb, x, y))
+    pb = 0.3 * r.normal(size=(m, m, 2 * m))
+    phi = metric_field(grid, _spd(pb, grid.points(), 2.0 * grid.points()))
+    return f, pair, P, phi
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(m=st.sampled_from([1, 2, 3]), n=st.sampled_from([1, 2, 3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_density_matches_einsum_reference(m, n, seed):
+    f, pair, P, phi = _random_problem(m, n, seed)
+    phi_inv = invert_metric(phi).values
+    ref = _einsum_density_values(f.grid.points(), f.values, f.jet, pair, P, phi_inv, m)
+    got = lagrangian_density(f, pair, P, phi).values
+    # only the contraction order differs
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (3, 2)])
+def test_density_partials_evaluates_connection_2n_plus_1_times(m, n):
+    f, pair, P, phi = _random_problem(m, n, seed=7)
+    calls = {"source": 0, "target": 0}
+
+    def counted(name, fn):
+        def ev(a, x):
+            calls[name] += 1
+            return fn(a, x)
+        return ev
+
+    counted_P = ConnectionTensor(source=counted("source", P.source),
+                                 target=counted("target", P.target), m=m, n=n)
+    density_partials(f, pair, counted_P, phi)
+    # 2n value perturbations, plus one unperturbed evaluation shared by
+    # all 2nm jet perturbations
+    assert calls == {"source": 2 * n + 1, "target": 2 * n + 1}

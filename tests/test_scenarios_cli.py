@@ -6,13 +6,16 @@ import yaml
 from click.testing import CliRunner
 
 from glharmonic.cli import main
+from glharmonic.expressions import Expression, component_env
 from glharmonic.runner import run_scenario
 from glharmonic.scenarios import (
     BUILTIN_SCENARIOS,
     builtin_catalog,
+    covector_evaluator,
     load_scenario,
     validate_scenario,
 )
+from glharmonic.tensor_core import invert_metric
 
 runner = CliRunner()
 
@@ -348,3 +351,113 @@ def test_orbit_is_integrated_once_per_scenario(tmp_path, monkeypatch):
     report = run_scenario(spec, tmp_path)
     assert report["status"] == "pass"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name, built", [
+    ("orbit-rotation", 1), ("pseudolinear-exp", 2), ("group-two-generators", 4)])
+def test_tasks_reuse_the_context_system(name, built, tmp_path, monkeypatch):
+    # the orbit, pseudolinear and group tasks take their evaluators from
+    # _Context.system, so each covector expression list is compiled once
+    import glharmonic.scenarios as scenarios_module
+
+    calls = []
+    original = scenarios_module.covector_evaluator
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(scenarios_module, "covector_evaluator", counted)
+    report = run_scenario(BUILTIN_SCENARIOS[name], tmp_path)
+    assert report["status"] == "pass"
+    assert len(calls) == built
+
+
+def test_validator_rejects_pseudo_metric_key():
+    # no builder reads the key, and every sampled metric is checked as
+    # Riemannian, so accepting it would promise what the run ignores
+    spec = json.loads(json.dumps(BUILTIN_SCENARIOS["harmonic-identity"]))
+    spec["m_space"]["metric"] = {"diag": ["1", "1"], "pseudo": True}
+    errors = validate_scenario(spec)
+    assert len(errors) == 1
+    assert errors[0].startswith("m_space.metric: ")
+
+
+def _stacked_covector_evaluator(exprs, dim, prefix):
+    """Reference: each component broadcast to the point shape, then stacked."""
+    names = [f"{prefix}{k + 1}" for k in range(dim)]
+    compiled = [Expression(src, scalars=names) for src in exprs]
+
+    def ev(pts):
+        env = component_env(prefix, pts)
+        cols = [np.broadcast_to(e(env), pts.shape[:-1]) for e in compiled]
+        return np.stack(cols, axis=-1)
+
+    return ev
+
+
+@pytest.mark.parametrize("point_shape", [(), (7,), (5, 4)])
+@pytest.mark.parametrize("exprs", [
+    ["1", "0"], ["-x2", "x1"], ["1", "x1*x2 - 0.5"], ["0", "exp(x2)", "2.5", "sin(x1)/3"]])
+def test_covector_evaluator_matches_stacked_columns(point_shape, exprs):
+    pts = np.random.default_rng(5).normal(size=point_shape + (2,))
+    got = covector_evaluator(exprs, 2, "x")(pts)
+    ref = _stacked_covector_evaluator(exprs, 2, "x")(pts)
+    assert got.shape == ref.shape == point_shape + (len(exprs),)
+    assert got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+
+
+def _per_node_group_oracle(gens, f, phi, psi_eval):
+    """Reference: the group density by plain loops at one node at a time."""
+    grid = f.grid
+    pts = grid.points()
+    phi_inv = invert_metric(phi).values
+    psi_vals = np.asarray(psi_eval(f.values), float)
+    out = np.zeros(grid.shape)
+    m = grid.dim
+    n = f.target_dim
+    xi_all = [np.asarray(xi(f.values), float) for xi, _ in gens]
+    A_all = [np.asarray(A(pts), float) for _, A in gens]
+    for idx in np.ndindex(*grid.shape):
+        jet = f.jet[idx]
+        psi_n = psi_vals[idx]
+        pinv = phi_inv[idx]
+        flat = np.zeros(n)
+        norm_xi = 0.0
+        for xiv in (x[idx] for x in xi_all):
+            flat_r = psi_n @ xiv
+            flat += flat_r
+            norm_xi += flat_r @ xiv
+        A_sum = np.zeros(m)
+        for Av in (a[idx] for a in A_all):
+            A_sum += Av
+        b = np.zeros(m)
+        for g in range(m):
+            for be in range(m):
+                for i in range(n):
+                    b[g] += pinv[g, be] * flat[i] * jet[i, be]
+        Ab = A_sum @ b
+        norm_A2 = A_sum @ pinv @ A_sum
+        L = 0.0
+        for g in range(m):
+            for mu in range(m):
+                for k in range(n):
+                    for l in range(n):
+                        L += 0.5 * (norm_A2 / Ab**2) * pinv[g, mu] * norm_xi \
+                            * psi_n[k, l] * jet[k, g] * jet[l, mu]
+        out[idx] = L
+    return out
+
+
+def test_group_loop_oracle_matches_per_node_loop():
+    from glharmonic.runner import _Context, _group_loop_oracle
+
+    spec = json.loads(json.dumps(BUILTIN_SCENARIOS["group-two-generators"]))
+    spec["m_space"]["nodes"] = [9, 7]
+    spec["m_space"]["metric"] = {"matrix": [["1.2 + 0.3*a1", "0.1*a2"], ["0.1*a2", "0.9"]]}
+    spec["n_space"]["metric"] = {"diag": ["1 + 0.2*x2", "exp(0.3*x1)"]}
+    ctx = _Context(spec, None)
+    args = (ctx.system.generators, ctx.map_jet, ctx.phi, ctx.psi_eval)
+    ref = _per_node_group_oracle(*args)
+    assert np.max(np.abs(_group_loop_oracle(*args) - ref)) <= 1e-15 * np.max(np.abs(ref))

@@ -134,9 +134,10 @@ def test_invert_singular_names_node():
 
 def test_invert_nan_names_node():
     grid = interval_grid(0, 1, 5)
-    vals = np.broadcast_to(np.eye(2), (5, 2, 2)).copy()
-    vals[2, 0, 1] = vals[2, 1, 0] = np.nan
-    g = metric_field(grid, vals, definite="pseudo")
+    g = metric_field(grid, np.broadcast_to(np.eye(2), (5, 2, 2)).copy(), definite="pseudo")
+    # construction rejects NaN, so poison the checked field in place to
+    # reach the condition-number gate of invert_metric
+    g.values[2, 0, 1] = g.values[2, 1, 0] = np.nan
     with pytest.raises(SingularMetricError) as err:
         invert_metric(g)
     assert err.value.node == (2,)
@@ -164,6 +165,22 @@ def test_non_finite_metric_rejected(n, bad):
         metric_field(grid, vals)
     assert err.value.node == (4, 2)
     assert str(err.value) == "metric is not finite at node (4, 2)"
+
+
+@pytest.mark.parametrize("definite", ["riemannian", "pseudo"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_metric_rejected_before_symmetry(definite, n, bad):
+    # one off-diagonal entry (the diagonal for n = 1): the matrix is also
+    # non-symmetric, and a NaN defect passed a plain `>` gate
+    grid = box_grid([(0, 1), (0, 1)], [6, 5])
+    vals = np.broadcast_to(np.eye(n), (6, 5, n, n)).copy()
+    vals[3, 1, 0, n - 1] = bad
+    vals[5, 4, 0, 0] = -1.0
+    with pytest.raises(SingularMetricError) as err:
+        metric_field(grid, vals, definite=definite)
+    assert err.value.node == (3, 1)
+    assert str(err.value) == "metric is not finite at node (3, 1)"
 
 
 # ---------------------------------------------------------------------------
