@@ -23,7 +23,7 @@ the two Euler-Lagrange terms: the derivative term enters with a minus).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -178,8 +178,7 @@ class ConnectionTensor:
 
 @dataclass(frozen=True)
 class MapJet:
-    """A sampled map f: M -> N with its first-order jet and, once induced,
-    the direction arguments b (source) and y (target).
+    """A sampled map f: M -> N with its first-order jet.
 
     Immutable: jets are computed at construction, so they can never go
     stale against the values.
@@ -188,8 +187,6 @@ class MapJet:
     grid: ChartGrid
     values: np.ndarray          # (*grid, n)
     jet: np.ndarray             # (*grid, n, m)
-    b: np.ndarray | None = None
-    y: np.ndarray | None = None
 
     @classmethod
     def from_values(cls, grid: ChartGrid, values: np.ndarray,
@@ -220,10 +217,6 @@ class MapJet:
     @property
     def target_dim(self) -> int:
         return self.values.shape[-1]
-
-    def with_induced(self, P: ConnectionTensor, phi_inv: np.ndarray) -> "MapJet":
-        b, y = induced_arguments(self, P, phi_inv)
-        return replace(self, b=b, y=y)
 
 
 def induced_arguments(f: MapJet, P: ConnectionTensor, phi_inv: np.ndarray

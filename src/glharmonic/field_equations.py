@@ -28,7 +28,7 @@ from .gl_space import (
     sigma_blocks,
     sigma_gradients,
 )
-from .tensor_core import LO, TensorField
+from .tensor_core import LO, TensorField, contract_vector
 
 COV2 = (LO, LO)
 COV3 = (LO, LO, LO)
@@ -117,7 +117,11 @@ def maxwell_residuals(space: ConformalLagrangeSpace, y: np.ndarray
                                   space.dim, space.fiber_step_scale)
 
     riem = space.base.curvature.values             # (..., h, q, j, k)
-    curv = np.einsum("...hqjk,q,...h->...jk", riem, y, gv)
+    n = space.dim
+    lead = space.grid.shape
+    # sdot_h first, against the contiguous (h, qjk) layout, then y^q
+    curv = gv[..., None, :] @ riem.reshape(lead + (n, n ** 3))
+    curv = contract_vector(curv.reshape(lead + (n, n, n)), y, -3)
     curv_term = gy[..., :, None, None] * curv[..., None, :, :]
 
     res1 = _cyclic(h_covariant(F, dF, space, y)) - _cyclic(curv_term)
@@ -162,8 +166,11 @@ def _deflection(space: ConformalLagrangeSpace, y: np.ndarray,
     term2 = gamma * scalar2[..., None, None]
     ricci_y = np.einsum("...tj,t->...j", ricci, y)
     term3 = gv[..., :, None] * ricci_y[..., None, :]
-    mixed = np.einsum("...stja,t,...a->...sj", riem, y, gv_up)
-    term4 = -np.einsum("...is,...sj->...ij", gamma, mixed)
+    # gamma^{ap} sdot_p first, against the contiguous (stj, a) layout, then y^t
+    lead = space.grid.shape
+    mixed = riem.reshape(lead + (n ** 3, n)) @ gv_up[..., None]
+    mixed = contract_vector(mixed.reshape(lead + (n, n, n)), y, -2)
+    term4 = -(gamma @ mixed)
 
     total = TensorField(space.grid, term1 + term2 + term3 + term4, COV2)
     if return_terms:

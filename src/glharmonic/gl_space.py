@@ -31,6 +31,7 @@ from .tensor_core import (
     LO,
     ChartGrid,
     TensorField,
+    contract_vector,
     fd_partial,
     scalar_field,
 )
@@ -79,7 +80,7 @@ class ConformalLagrangeSpace:
 
     def nonlinear_connection(self, y: np.ndarray) -> np.ndarray:
         """N^i_j = Gamma^i_{jk} y^k per node, shape (..., i, j)."""
-        return np.einsum("...ijk,k->...ij", self.base.christoffel.values, np.asarray(y, float))
+        return contract_vector(self.base.christoffel.values, y, -1)
 
 
 def conformal_space(base: RiemannPackage, sigma, sigma_dx=None, sigma_dy=None,
@@ -175,22 +176,20 @@ def h_covariant(vals: np.ndarray, dy: np.ndarray, space: ConformalLagrangeSpace,
     tensors takes all their partials from one stencil with
     :func:`joint_fiber_partials`."""
     gd = space.grid.dim
+    n = space.dim
+    lead = space.grid.shape
     n_slots = vals.ndim - gd
     field = TensorField(space.grid, vals, (LO,) * n_slots)
-    dx = _grid_partials(field)                                     # (*grid, *slots, k)
-    dy_m_first = np.moveaxis(dy, -1, gd)                           # (*grid, m, *slots)
-    slot_letters = "".join(chr(ord("A") + s) for s in range(n_slots))
-    correction = np.einsum(
-        f"...mk,...m{slot_letters}->...{slot_letters}k",
-        space.nonlinear_connection(y), dy_m_first,
-    )
-    delta_vals = dx - correction
-    gam = space.base.christoffel.values                            # (*grid, m, i, k)
-    rest = slot_letters[1:]
+    delta_vals = _grid_partials(field)                             # (*grid, *slots, k)
+    # N-correction: dy carries the fiber slot m last, N^m_k is (m, k)
+    correction = dy.reshape(lead + (-1, n)) @ space.nonlinear_connection(y)
+    delta_vals -= correction.reshape(delta_vals.shape)
+    gam = space.base.christoffel.values.reshape(lead + (n, n * n))  # (*grid, m, ik)
     for slot in range(n_slots):
-        x_m_first = np.moveaxis(vals, gd + slot, gd)               # (*grid, m, rest)
-        term = np.einsum(f"...mik,...m{rest}->...i{rest}k", gam, x_m_first)
-        delta_vals = delta_vals - np.moveaxis(term, gd, gd + slot)
+        x_m_last = np.moveaxis(vals, gd + slot, -1)                # (*grid, rest, m)
+        term = x_m_last.reshape(lead + (-1, n)) @ gam              # (*grid, rest, ik)
+        term = term.reshape(x_m_last.shape[:-1] + (n, n))          # (*grid, rest, i, k)
+        delta_vals -= np.moveaxis(term, -2, gd + slot)
     return delta_vals
 
 

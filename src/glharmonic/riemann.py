@@ -61,13 +61,15 @@ def christoffel(gamma: MetricField, gamma_inv: MetricField | None = None) -> Ten
     if gamma_inv is None:
         gamma_inv = invert_metric(gamma)
     dg = _metric_partials(gamma)  # (..., m, k, j) = d_j gamma_{mk}
+    n = dg.shape[-1]
     term = (
-        np.einsum("...mkj->...mjk", dg)   # d_j gamma_{mk}
-        + dg                               # d_k gamma_{mj}
-        - np.einsum("...jkm->...mjk", dg)  # d_m gamma_{jk}
+        dg.swapaxes(-2, -1)           # d_j gamma_{mk}
+        + dg                          # d_k gamma_{mj}
+        - np.moveaxis(dg, -1, -3)     # d_m gamma_{jk}
     )
-    vals = 0.5 * np.einsum("...im,...mjk->...ijk", gamma_inv.values, term)
-    return TensorField(gamma.grid, vals, (UP, LO, LO))
+    vals = gamma_inv.values @ term.reshape(term.shape[:-3] + (n, n * n))
+    vals *= 0.5
+    return TensorField(gamma.grid, vals.reshape(term.shape), (UP, LO, LO))
 
 
 def _metric_partials(gamma: MetricField) -> np.ndarray:
@@ -88,15 +90,15 @@ def curvature_package(gamma: MetricField, ricci_convention: str = "last") -> Rie
         raise ValueError(f"ricci_convention must be 'last' or 'middle', got {ricci_convention!r}")
     gamma_inv = invert_metric(gamma)
     gam = christoffel(gamma, gamma_inv)
-    dgam = np.stack(
-        [fd_partial(gam, axis).values for axis in range(gamma.grid.dim)], axis=-1
-    )  # (..., i, j, k, l) = d_l Gamma^i_{jk}
-    riem = (
-        dgam
-        - np.einsum("...ijlk->...ijkl", dgam)
-        + np.einsum("...iml,...mjk->...ijkl", gam.values, gam.values)
-        - np.einsum("...imk,...mjl->...ijkl", gam.values, gam.values)
-    )
+    n, lead, g = gamma.grid.dim, gamma.grid.shape, gam.values
+    # Gamma^i_{ml} Gamma^m_{jk} from one batched product (il, m) @ (m, jk),
+    # viewed in (..., i, j, k, l) order; d_l Gamma^i_{jk} added in place
+    prod = g.swapaxes(-2, -1).reshape(lead + (n * n, n)) @ g.reshape(lead + (n, n * n))
+    riem = np.moveaxis(prod.reshape(lead + (n,) * 4), -3, -1)
+    for axis in range(n):
+        riem[..., axis] += fd_partial(gam, axis).values
+    # antisymmetrize in (k, l) into a C-ordered array
+    riem = np.subtract(riem, riem.swapaxes(-2, -1), out=np.empty(riem.shape))
     curvature = TensorField(gamma.grid, riem, (UP, LO, LO, LO))
     if ricci_convention == "last":
         ricci_vals = np.einsum("...kijk->...ij", riem)

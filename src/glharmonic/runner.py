@@ -306,11 +306,12 @@ def _task_orbit(ctx: _Context, task: dict, out, dumps):
     curve = _orbit_curve(ctx)
     res = orbit_geodesic_residual(curve, ctx.system.xi, ctx.checked_psi(curve),
                                   ctx.tol["eps_sing"])
-    max_res = float(np.max(np.abs(res.values)))
     threshold = task.get("residual_threshold", 1e-4)
+    scalars = {"threshold": threshold}
+    _fold_max_abs(scalars, "max_residual", "residual_nonfinite", res.values)
     dumps.append(("orbit_curve", curve.grid, curve.values, "t"))
     dumps.append(("orbit_residual", curve.grid, res.values, "t"))
-    return max_res <= threshold, {"max_residual": max_res, "threshold": threshold}, {}
+    return _all_finite(scalars) and scalars["max_residual"] <= threshold, scalars, {}
 
 
 def _task_pfaff(ctx: _Context, task: dict, out, dumps):

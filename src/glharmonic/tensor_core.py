@@ -3,8 +3,14 @@ quadrature, and small dense index contractions.
 
 Everything else in the library is built on this layer.  A chart is a
 rectangular box, each axis either a closed interval or a full period of a
-flat torus.  Fields store one small dense tensor per node; nodewise
-contractions are vectorized with einsum.
+flat torus.  Fields store one small dense tensor per node.
+
+Nodewise contractions in ``riemann``, ``gl_space`` and ``field_equations``
+are batched ``@`` on contiguous reshapes; a slot contracted against a
+vector that is the same at every node (the fiber vector y) goes through
+:func:`contract_vector`.  einsum remains for matrix-vector products per
+node, quadratic forms and traces, :func:`contract`, and in ``energy`` and
+``systems``.
 
 Pointwise linear algebra of per-node matrices (determinant, inverse,
 2-norm condition number, positive-definiteness) goes through
@@ -18,7 +24,7 @@ large batches of tiny matrices; for n >= 3 it calls ``np.linalg``.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -107,17 +113,6 @@ class ChartGrid:
             w = np.multiply.outer(w, self.axis_weights(k))
         return w
 
-    def with_stencil_order(self, order: int) -> "ChartGrid":
-        return replace(self, stencil_order=order)
-
-    def refined(self, factor: int = 2) -> "ChartGrid":
-        """Grid with ``factor`` times as many intervals per axis."""
-        nodes = tuple(
-            n * factor if per else (n - 1) * factor + 1
-            for n, per in zip(self.nodes_per_axis, self.periodic)
-        )
-        return replace(self, nodes_per_axis=nodes)
-
 
 def interval_grid(lo: float, hi: float, nodes: int, periodic: bool = False,
                   stencil_order: int = 2) -> ChartGrid:
@@ -204,16 +199,6 @@ def vector_field(grid: ChartGrid, values: np.ndarray) -> TensorField:
 
 def covector_field(grid: ChartGrid, values: np.ndarray) -> TensorField:
     return TensorField(grid, values, (LO,))
-
-
-def tensor3_field(grid: ChartGrid, values: np.ndarray,
-                  index_kinds: tuple[str, str, str]) -> TensorField:
-    return TensorField(grid, values, index_kinds)
-
-
-def tensor4_field(grid: ChartGrid, values: np.ndarray,
-                  index_kinds: tuple[str, str, str, str]) -> TensorField:
-    return TensorField(grid, values, index_kinds)
 
 
 def sample_scalar(grid: ChartGrid, fn: Callable[[np.ndarray], np.ndarray]) -> TensorField:
@@ -362,12 +347,6 @@ def fd_partial(f: TensorField, axis: int, order: int | None = None) -> TensorFie
     order = f.grid.stencil_order if order is None else order
     out = _derivative_1d(f.values, axis, f.grid.spacing[axis], order, f.grid.periodic[axis])
     return TensorField(f.grid, out, f.index_kinds)
-
-
-def fd_gradient(f: TensorField, order: int | None = None) -> TensorField:
-    """All partials stacked into one extra covariant slot (the last)."""
-    parts = [fd_partial(f, k, order).values for k in range(f.grid.dim)]
-    return TensorField(f.grid, np.stack(parts, axis=-1), f.index_kinds + (LO,))
 
 
 def interior_mask(grid: ChartGrid, margin: int | None = None) -> np.ndarray:
@@ -533,6 +512,18 @@ def quadrature(rho: TensorField) -> float:
     if rho.arity != 0:
         raise ValueError("quadrature integrates scalar fields")
     return float(np.sum(rho.values * rho.grid.quadrature_weights()))
+
+
+def contract_vector(values: np.ndarray, vec: np.ndarray, axis: int) -> np.ndarray:
+    """sum_k vec[k] * values[..., k, ...] along ``axis``: one slot of a
+    per-node array contracted against a vector that is the same at every
+    node, accumulated in place over the n slices of that slot."""
+    vec = np.asarray(vec, float)
+    slices = np.moveaxis(values, axis, 0)
+    out = vec[0] * slices[0]
+    for k in range(1, vec.shape[0]):
+        out += vec[k] * slices[k]
+    return out
 
 
 def contract(t1: TensorField, t2: TensorField,

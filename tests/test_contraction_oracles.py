@@ -1,0 +1,243 @@
+"""The batched-matmul contractions of the field layers against the einsum
+forms they replaced, on random non-symmetric Christoffel and curvature
+arrays.  The einsum functions below are the references; they are kept
+verbatim from the per-node formulas and must not be rewritten."""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from glharmonic import riemann
+from glharmonic.field_equations import _cyclic, _deflection, _em_values, maxwell_residuals
+from glharmonic.gl_space import (
+    ConformalFactorDerivatives,
+    conformal_space,
+    h_covariant,
+    joint_fiber_partials,
+)
+from glharmonic.riemann import RiemannPackage, christoffel, curvature_package
+from glharmonic.tensor_core import (
+    LO,
+    UP,
+    TensorField,
+    box_grid,
+    contract_vector,
+    fd_partial,
+    invert_metric,
+    metric_field,
+    scalar_field,
+)
+
+RTOL = 1e-13
+SHAPES = {2: (6, 5), 3: (5, 6, 5)}
+
+oracle_settings = settings(max_examples=12, deadline=None, database=None)
+cases = st.tuples(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+
+
+def assert_close(got, want, scale=None):
+    if scale is None:
+        scale = max(float(np.max(np.abs(want))), 1e-300)
+    assert np.max(np.abs(got - want)) <= RTOL * scale
+
+
+def random_metric(rng, n):
+    grid = box_grid([(0.0, 1.0)] * n, SHAPES[n])
+    a = 0.4 * rng.standard_normal(grid.shape + (n, n))
+    return metric_field(grid, a @ a.swapaxes(-1, -2) + np.eye(n))
+
+
+def random_package(rng, n) -> RiemannPackage:
+    """Random (non-symmetric) Christoffel, curvature and Ricci arrays over a
+    random positive definite metric; they need not be consistent."""
+    gamma = random_metric(rng, n)
+    grid, shape = gamma.grid, gamma.grid.shape
+    return RiemannPackage(
+        gamma=gamma,
+        gamma_inv=invert_metric(gamma),
+        christoffel=TensorField(grid, rng.standard_normal(shape + (n,) * 3), (UP, LO, LO)),
+        curvature=TensorField(grid, rng.standard_normal(shape + (n,) * 4), (UP, LO, LO, LO)),
+        ricci=TensorField(grid, rng.standard_normal(shape + (n, n)), (LO, LO)),
+        scalar=scalar_field(grid, rng.standard_normal(shape)),
+    )
+
+
+def smooth_sigma(pts, y):
+    return 0.1 * np.sin(pts[..., 0]) * (1 + 0.2 * y[0] * y[-1]) + 0.05 * np.log1p(y @ y)
+
+
+# ---------------------------------------------------------------------------
+# einsum references
+# ---------------------------------------------------------------------------
+
+
+def _partials(values, grid):
+    field = TensorField(grid, values, (LO,) * (values.ndim - grid.dim))
+    return np.stack([fd_partial(field, k).values for k in range(grid.dim)], axis=-1)
+
+
+def christoffel_reference(gamma, gamma_inv):
+    dg = _partials(gamma.values, gamma.grid)
+    term = (
+        np.einsum("...mkj->...mjk", dg)
+        + dg
+        - np.einsum("...jkm->...mjk", dg)
+    )
+    return 0.5 * np.einsum("...im,...mjk->...ijk", gamma_inv.values, term)
+
+
+def curvature_reference(gam, gamma_inv, grid, ricci_convention):
+    dgam = _partials(gam, grid)
+    riem = (
+        dgam
+        - np.einsum("...ijlk->...ijkl", dgam)
+        + np.einsum("...iml,...mjk->...ijkl", gam, gam)
+        - np.einsum("...imk,...mjl->...ijkl", gam, gam)
+    )
+    trace = "...kijk->...ij" if ricci_convention == "last" else "...kikj->...ij"
+    ricci = np.einsum(trace, riem)
+    return riem, ricci, np.einsum("...ij,...ij->...", gamma_inv, ricci)
+
+
+def h_covariant_reference(vals, dy, space, y):
+    gd = space.grid.dim
+    n_slots = vals.ndim - gd
+    dx = _partials(vals, space.grid)
+    n_conn = np.einsum("...ijk,k->...ij", space.base.christoffel.values, y)
+    letters = "".join(chr(ord("A") + s) for s in range(n_slots))
+    delta = dx - np.einsum(f"...mk,...m{letters}->...{letters}k",
+                           n_conn, np.moveaxis(dy, -1, gd))
+    gam = space.base.christoffel.values
+    rest = letters[1:]
+    for slot in range(n_slots):
+        x_m_first = np.moveaxis(vals, gd + slot, gd)
+        term = np.einsum(f"...mik,...m{rest}->...i{rest}k", gam, x_m_first)
+        delta = delta - np.moveaxis(term, gd, gd + slot)
+    return delta
+
+
+def deflection_reference(space, y, blocks):
+    base = space.base
+    n = base.dim
+    gamma, gamma_inv = base.gamma.values, base.gamma_inv.values
+    ricci, riem = base.ricci.values, base.curvature.values
+    gv = blocks.grad_v.values
+    gv_up = np.einsum("...ap,...p->...a", gamma_inv, gv)
+    term1 = (n - 2) * (gamma * blocks.tr_h.values[..., None, None] - blocks.hess_h.values)
+    term2 = gamma * np.einsum("...st,s,...t->...", ricci, y, gv_up)[..., None, None]
+    term3 = gv[..., :, None] * np.einsum("...tj,t->...j", ricci, y)[..., None, :]
+    mixed = np.einsum("...stja,t,...a->...sj", riem, y, gv_up)
+    term4 = -np.einsum("...is,...sj->...ij", gamma, mixed)
+    return {"trace_part": term1, "ricci_scalar_part": term2,
+            "ricci_vector_part": term3, "curvature_mixed_part": term4}
+
+
+def maxwell_reference(space, y):
+    F, f, gy, gv = _em_values(space, y)
+    dF, df = joint_fiber_partials(lambda yy: _em_values(space, yy)[:2], y,
+                                  space.dim, space.fiber_step_scale)
+    curv = np.einsum("...hqjk,q,...h->...jk", space.base.curvature.values, y, gv)
+    curv_term = gy[..., :, None, None] * curv[..., None, :, :]
+    return (
+        _cyclic(h_covariant_reference(F, dF, space, y)) - _cyclic(curv_term),
+        _cyclic(dF) + _cyclic(h_covariant_reference(f, df, space, y)),
+        _cyclic(df),
+    )
+
+
+# ---------------------------------------------------------------------------
+# oracles
+# ---------------------------------------------------------------------------
+
+
+@oracle_settings
+@given(cases, st.sampled_from([-1, -2, -3]))
+def test_contract_vector_matches_einsum(case, axis):
+    n, seed = case
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((4, 3) + (n,) * 3)
+    vec = rng.standard_normal(n)
+    letters = "ijk"
+    out = letters.replace(letters[axis], "")
+    want = np.einsum(f"...{letters},{letters[axis]}->...{out}", values, vec)
+    assert_close(contract_vector(values, vec, axis), want)
+
+
+@oracle_settings
+@given(cases)
+def test_christoffel_matches_einsum(case):
+    n, seed = case
+    gamma = random_metric(np.random.default_rng(seed), n)
+    gamma_inv = invert_metric(gamma)
+    assert_close(christoffel(gamma, gamma_inv).values, christoffel_reference(gamma, gamma_inv))
+
+
+@oracle_settings
+@given(cases, st.sampled_from(["last", "middle"]))
+def test_curvature_package_matches_einsum(case, ricci_convention):
+    # a random non-symmetric Gamma in place of the metric's, so that a slot
+    # swap in the Gamma.Gamma product shows
+    n, seed = case
+    rng = np.random.default_rng(seed)
+    gamma = random_metric(rng, n)
+    gam = TensorField(gamma.grid, rng.standard_normal(gamma.grid.shape + (n,) * 3), (UP, LO, LO))
+    with mock.patch.object(riemann, "christoffel", lambda g, g_inv: gam):
+        pkg = curvature_package(gamma, ricci_convention)
+    riem, ricci, scalar = curvature_reference(gam.values, pkg.gamma_inv.values, gamma.grid,
+                                              ricci_convention)
+    assert_close(pkg.curvature.values, riem)
+    assert_close(pkg.ricci.values, ricci)
+    assert_close(pkg.scalar.values, scalar)
+
+
+@oracle_settings
+@given(cases, st.sampled_from([1, 2, 3]))
+def test_h_covariant_matches_einsum(case, rank):
+    n, seed = case
+    rng = np.random.default_rng(seed)
+    space = conformal_space(random_package(rng, n), smooth_sigma)
+    shape = space.grid.shape + (n,) * rank
+    vals = rng.standard_normal(shape)
+    dy = rng.standard_normal(shape + (n,))
+    y = rng.standard_normal(n)
+    assert_close(h_covariant(vals, dy, space, y), h_covariant_reference(vals, dy, space, y))
+
+
+@oracle_settings
+@given(cases)
+def test_deflection_terms_match_einsum(case):
+    n, seed = case
+    rng = np.random.default_rng(seed)
+    space = conformal_space(random_package(rng, n), smooth_sigma)
+    grid = space.grid
+
+    def rand(rank):
+        return TensorField(grid, rng.standard_normal(grid.shape + (n,) * rank), (LO,) * rank)
+
+    blocks = ConformalFactorDerivatives(
+        grad_h=rand(1), grad_v=rand(1), sq_h=rand(0), hess_h=rand(2), tr_h=rand(0),
+        sq_v=rand(0), hess_v=rand(2), tr_v=rand(0))
+    y = rng.standard_normal(n)
+    total, terms = _deflection(space, y, blocks, return_terms=True)
+    want = deflection_reference(space, y, blocks)
+    assert terms.keys() == want.keys()
+    for key, value in want.items():
+        assert_close(terms[key].values, value)
+    assert_close(total.values, sum(want.values()))
+
+
+@oracle_settings
+@given(cases)
+def test_maxwell_curvature_term_matches_einsum(case):
+    n, seed = case
+    rng = np.random.default_rng(seed)
+    space = conformal_space(random_package(rng, n), smooth_sigma)
+    y = rng.uniform(0.3, 1.2, n) * rng.choice([-1.0, 1.0], n)
+    expected = maxwell_reference(space, y)
+    # in two dimensions residuals 2 and 3 cancel to round-off, so all three
+    # are held to the scale of the largest
+    scale = max(float(np.max(np.abs(want))) for want in expected)
+    for got, want in zip(maxwell_residuals(space, y), expected):
+        assert_close(got.values, want, scale)

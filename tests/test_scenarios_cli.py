@@ -232,6 +232,24 @@ def test_nonfinite_energy_and_residual_fail_the_tasks(tmp_path):
     assert residual["scalars"]["residual_nonfinite"] == 33 * 33 * 2
 
 
+def test_nonfinite_orbit_residual_fails_the_task(tmp_path):
+    # 0*ln(0.5 - x2) is NaN once the rotation orbit passes x2 = 0.5: the
+    # curve and its residual are finite up to there and NaN after
+    spec = json.loads(json.dumps(BUILTIN_SCENARIOS["orbit-rotation"]))
+    spec["name"] = "nan-orbit"
+    spec["system"]["xi"] = ["-x2", "x1 + 0*ln(0.5 - x2)"]
+    spec["tasks"] = [{"task": "orbit"}]
+    with np.errstate(all="ignore"):
+        report = run_scenario(spec, tmp_path)
+    (orbit,) = report["tasks"]
+    assert orbit["status"] == "fail"
+    scalars = orbit["scalars"]
+    rows = (tmp_path / "nan-orbit__orbit__orbit_residual.csv").read_text().splitlines()[1:]
+    nan_cells = sum(cell == "nan" for row in rows for cell in row.split(",")[1:])
+    assert 0 < scalars["residual_nonfinite"] == nan_cells < 2 * 201
+    assert isinstance(scalars["max_residual"], float) and scalars["max_residual"] < 1e-4
+
+
 def test_unexpected_exception_becomes_error_record(tmp_path, monkeypatch):
     import glharmonic.runner as runner_module
 
