@@ -28,10 +28,7 @@ def main():
               help="Directory for the report and CSV dumps.")
 @click.option("--stencil", type=click.Choice(["2", "4"]), default=None,
               help="Override the stencil order of every chart.")
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Recorded in the report; tasks run sequentially.")
-@click.option("--seed", type=int, default=0, show_default=True)
-def run(scenario, out_dir, stencil, threads, seed):
+def run(scenario, out_dir, stencil):
     """Run a scenario (bundled name or YAML file path)."""
     try:
         spec = load_scenario(scenario)
@@ -40,8 +37,7 @@ def run(scenario, out_dir, stencil, threads, seed):
             for msg in errors:
                 click.echo(f"invalid: {msg}", err=True)
             sys.exit(2)
-        report = run_scenario(spec, out_dir, stencil_override=int(stencil) if stencil else None,
-                              threads=threads, seed=seed)
+        report = run_scenario(spec, out_dir, stencil_override=int(stencil) if stencil else None)
     except ScenarioValidationError as exc:
         for msg in exc.messages:
             click.echo(f"invalid: {msg}", err=True)

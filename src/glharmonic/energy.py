@@ -65,11 +65,13 @@ def central_partials(fn: Callable[[np.ndarray], np.ndarray], pts: np.ndarray,
     """Central differences of a vectorized point evaluator in each
     coordinate of its argument; one trailing axis is appended.
 
-    Steps are relative, per node and per coordinate.
+    The step is h = rel_step * (1 + |x_k|), per node and per coordinate.
+    This is the one map-side step rule: the generic and closed-form
+    residuals take every partial in a map value, jet entry or induced
+    direction from here.  ``fn`` is called exactly 2d times.
     """
     d = pts.shape[-1]
-    base = np.asarray(fn(pts), float)
-    out = np.empty(base.shape + (d,))
+    out = None
     for k in range(d):
         h = rel_step * (1.0 + np.abs(pts[..., k]))
         plus = pts.copy()
@@ -77,7 +79,10 @@ def central_partials(fn: Callable[[np.ndarray], np.ndarray], pts: np.ndarray,
         minus = pts.copy()
         minus[..., k] -= h
         num = np.asarray(fn(plus), float) - np.asarray(fn(minus), float)
-        out[..., k] = num / _expand(2.0 * h, num.ndim)
+        col = num / _expand(2.0 * h, num.ndim)
+        if out is None:
+            out = np.empty(col.shape + (d,))
+        out[..., k] = col
     return out
 
 
@@ -371,33 +376,19 @@ def density_partials(f: MapJet, pair: MetricPair, P: ConnectionTensor,
     n = f.target_dim
     m = grid.dim
 
-    dLdf = np.empty(grid.shape + (n,))
-    for i in range(n):
-        h = fd_step * (1.0 + np.abs(f.values[..., i]))
-        fp = f.values.copy()
-        fp[..., i] += h
-        fm = f.values.copy()
-        fm[..., i] -= h
-        Lp = _density_values(a_pts, fp, f.jet, pair, _connection_blocks(P, a_pts, fp),
-                             phi_inv, grid.dim)
-        Lm = _density_values(a_pts, fm, f.jet, pair, _connection_blocks(P, a_pts, fm),
-                             phi_inv, grid.dim)
-        dLdf[..., i] = (Lp - Lm) / (2.0 * h)
+    dLdf = central_partials(
+        lambda fv: _density_values(a_pts, fv, f.jet, pair, _connection_blocks(P, a_pts, fv),
+                                   phi_inv, grid.dim),
+        f.values, fd_step)
 
-    # P depends on (a, f) only: one evaluation serves every jet perturbation
+    # P depends on (a, f) only: one evaluation serves every jet perturbation.
+    # The jet is differenced as n*m coordinates per node, entry (i, a) at i*m + a.
     blocks = _connection_blocks(P, a_pts, f.values)
-    dLdjet = np.empty(grid.shape + (n, m))
-    for i in range(n):
-        for al in range(m):
-            h = fd_step * (1.0 + np.abs(f.jet[..., i, al]))
-            jp = f.jet.copy()
-            jp[..., i, al] += h
-            jm = f.jet.copy()
-            jm[..., i, al] -= h
-            Lp = _density_values(a_pts, f.values, jp, pair, blocks, phi_inv, grid.dim)
-            Lm = _density_values(a_pts, f.values, jm, pair, blocks, phi_inv, grid.dim)
-            dLdjet[..., i, al] = (Lp - Lm) / (2.0 * h)
-    return dLdf, dLdjet
+    dLdjet = central_partials(
+        lambda jv: _density_values(a_pts, f.values, jv.reshape(jv.shape[:-1] + (n, m)),
+                                   pair, blocks, phi_inv, grid.dim),
+        f.jet.reshape(grid.shape + (n * m,)), fd_step)
+    return dLdf, dLdjet.reshape(grid.shape + (n, m))
 
 
 def assemble_residual(grid: ChartGrid, sqrt_phi: np.ndarray, dLdf: np.ndarray,
@@ -424,25 +415,6 @@ def el_residual(f: MapJet, pair: MetricPair, P: ConnectionTensor, phi: MetricFie
 # ---------------------------------------------------------------------------
 
 
-def _bump_partials_in_vector(fn, x_fixed, vec, rel_step=DEFAULT_FD_STEP):
-    """Central partials of fn(x_fixed, vec) in the second, per-node vector
-    argument; one trailing axis appended."""
-    d = vec.shape[-1]
-    out = None
-    for k in range(d):
-        h = rel_step * (1.0 + np.abs(vec[..., k]))
-        vp = vec.copy()
-        vp[..., k] += h
-        vm = vec.copy()
-        vm[..., k] -= h
-        num = np.asarray(fn(x_fixed, vp), float) - np.asarray(fn(x_fixed, vm), float)
-        col = num / _expand(2.0 * h, num.ndim)
-        if out is None:
-            out = np.empty(col.shape + (d,))
-        out[..., k] = col
-    return out
-
-
 def el_residual_fiber_covector(f: MapJet, sigma_a, tau, A, phi: MetricField, psi,
                                source_block=None, tau_dy=None,
                                fd_step: float = DEFAULT_FD_STEP) -> TensorField:
@@ -466,7 +438,7 @@ def el_residual_fiber_covector(f: MapJet, sigma_a, tau, A, phi: MetricField, psi
     if tau_dy is not None:
         dt_dy = np.asarray(tau_dy(f.values, y), float)
     else:
-        dt_dy = _bump_partials_in_vector(tau, f.values, y, fd_step)
+        dt_dy = central_partials(lambda v: tau(f.values, v), y, fd_step)
 
     pref = np.exp(2.0 * s_vals + 2.0 * t_vals)
     jj = np.einsum("...gm,...kl,...kg,...lm->...", phi_inv, psi_vals, f.jet, f.jet)
@@ -513,7 +485,7 @@ def el_residual_oneform_source(f: MapJet, sigma, tau_x, xi, phi: MetricField, ps
     if sigma_db is not None:
         ds_db = np.asarray(sigma_db(a_pts, b), float)
     else:
-        ds_db = _bump_partials_in_vector(sigma, a_pts, b, fd_step)
+        ds_db = central_partials(lambda v: sigma(a_pts, v), b, fd_step)
     dxi_dx = central_partials(lambda xv: np.asarray(xi(xv), float), f.values, fd_step)
 
     pref = np.exp(2.0 * s_vals + 2.0 * t_vals)

@@ -40,7 +40,13 @@ FIBER_STEP_SCALE = 1e-4
 
 
 def fiber_step(y: np.ndarray, scale: float = FIBER_STEP_SCALE) -> float:
-    """Relative central-difference step in the fiber: scale * (1 + |y|)."""
+    """Relative central-difference step in the fiber: scale * (1 + |y|).
+
+    This is deliberately not ``energy.central_partials``'s per-coordinate
+    rule: a fibered field is sampled at one constant fiber vector for the
+    whole grid, so one step (from the norm of y) serves every coordinate,
+    and every field-equation output is defined by this step.
+    """
     return scale * (1.0 + float(np.linalg.norm(y)))
 
 

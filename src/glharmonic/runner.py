@@ -4,8 +4,8 @@ dumps.
 
 Report contract: every executed task appears exactly once with a
 pass/fail/error status; failures carry locations or magnitudes.  Given a
-fixed scenario, seed and a single thread, all numeric content is
-deterministic (wall times are environment metadata).
+fixed scenario, all numeric content is deterministic (wall times are
+environment metadata).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .systems import (
     pseudolinear_scenario,
     quotient_functional,
 )
-from .tensor_core import ChartGrid, metric_field, volume_integral
+from .tensor_core import ChartGrid, identity_metric, metric_field, volume_integral
 
 FORMAT = "%.17g"
 # Rows formatted and written per block.  It bounds the transient memory of a
@@ -175,24 +175,7 @@ class _Context:
                          sc.covector_evaluator(g["A"], m_dim, "a"))
                         for g in spec["generators"]]
                 return FirstOrderSystem.group(gens)
-            rows = spec["T"]
-            names_a = [f"a{k + 1}" for k in range(m_dim)]
-            names_x = [f"x{k + 1}" for k in range(n_dim)]
-            from .expressions import Expression, component_env
-
-            compiled = [[Expression(src, scalars=names_a + names_x) for src in row]
-                        for row in rows]
-
-            def T(a_pts, x_vals):
-                env = component_env("a", a_pts)
-                env.update(component_env("x", x_vals))
-                out = np.zeros(a_pts.shape[:-1] + (len(rows), len(rows[0])))
-                for i, row in enumerate(compiled):
-                    for al, e in enumerate(row):
-                        out[..., i, al] = e(env)
-                return out
-
-            return FirstOrderSystem.general(T)
+            return FirstOrderSystem.general(sc.system_matrix_evaluator(spec["T"], m_dim, n_dim))
         return self._memo("system", build)
 
     @property
@@ -285,20 +268,26 @@ def _orbit_curve(ctx: _Context):
     return ctx._memo("orbit_curve", build)
 
 
+def _certify(ctx: _Context, f, phi):
+    return certify_minimizer(f, ctx.system, phi, ctx.checked_psi(f), ctx.tol["tol_gap"],
+                             ctx.tol["tol_defect"], ctx.tol["eps_sing"])
+
+
+def _map_certificate(ctx: _Context):
+    """The minimizer certificate of the scenario map, shared by the
+    certify_theorem, pfaff and pseudolinear tasks."""
+    return ctx._memo("map_certificate", lambda: _certify(ctx, ctx.map_jet, ctx.phi))
+
+
 def _task_certify(ctx: _Context, task: dict, out, dumps):
     if "orbit" in ctx.spec and ctx.spec.get("system", {}).get("kind") == "orbit":
         curve = _orbit_curve(ctx)
-        f = curve.as_map()
         grid = curve.grid
-        from .tensor_core import identity_metric
-
-        phi = identity_metric(grid)
+        cert = _certify(ctx, curve.as_map(), identity_metric(grid))
     else:
-        f, grid, phi = ctx.map_jet, ctx.m_grid, ctx.phi
-    cert = certify_minimizer(f, ctx.system, phi, ctx.checked_psi(f),
-                             ctx.tol["tol_gap"], ctx.tol["tol_defect"],
-                             ctx.tol["eps_sing"])
-    dumps.append(("best_fit_scale", grid, cert.kappa, "a"))
+        grid, cert = ctx.m_grid, _map_certificate(ctx)
+    dump_name = "pfaff_best_fit_scale" if task["task"] == "pfaff" else "best_fit_scale"
+    dumps.append((dump_name, grid, cert.kappa, "a"))
     return cert.verdict, {}, _certificate_record(cert)
 
 
@@ -314,18 +303,8 @@ def _task_orbit(ctx: _Context, task: dict, out, dumps):
     return _all_finite(scalars) and scalars["max_residual"] <= threshold, scalars, {}
 
 
-def _task_pfaff(ctx: _Context, task: dict, out, dumps):
-    cert = certify_minimizer(ctx.map_jet, ctx.system, ctx.phi, ctx.checked_psi(ctx.map_jet),
-                             ctx.tol["tol_gap"], ctx.tol["tol_defect"],
-                             ctx.tol["eps_sing"])
-    dumps.append(("pfaff_best_fit_scale", ctx.m_grid, cert.kappa, "a"))
-    return cert.verdict, {}, _certificate_record(cert)
-
-
 def _task_pseudolinear(ctx: _Context, task: dict, out, dumps):
-    cert = certify_minimizer(ctx.map_jet, ctx.system, ctx.phi, ctx.checked_psi(ctx.map_jet),
-                             ctx.tol["tol_gap"], ctx.tol["tol_defect"],
-                             ctx.tol["eps_sing"])
+    cert = _map_certificate(ctx)
     scalars = {}
     ok = cert.verdict
     defect = level_set_geodesic_defect(ctx.map_jet)
@@ -486,7 +465,7 @@ _TASK_RUNNERS = {
     "el_residual": _task_el_residual,
     "certify_theorem": _task_certify,
     "orbit": _task_orbit,
-    "pfaff": _task_pfaff,
+    "pfaff": _task_certify,
     "pseudolinear": _task_pseudolinear,
     "group_lagrangian": _task_group,
     "maxwell": _task_maxwell,
@@ -499,8 +478,7 @@ _TASK_RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
-def run_scenario(spec: dict, out_dir, stencil_override: int | None = None,
-                 threads: int = 1, seed: int = 0) -> dict:
+def run_scenario(spec: dict, out_dir, stencil_override: int | None = None) -> dict:
     """Execute all tasks of a validated scenario; write report + CSV dumps.
 
     Returns the report dict; report["status"] is "pass" only if every task
@@ -525,8 +503,6 @@ def run_scenario(spec: dict, out_dir, stencil_override: int | None = None,
             "grids": grids,
             "stencil_order": stencil_override
             or spec.get("m_space", spec.get("gl_space", {})).get("stencil_order", 2),
-            "seed": seed,
-            "threads": threads,
         },
         "tasks": [],
     }

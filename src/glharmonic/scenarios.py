@@ -424,14 +424,33 @@ def metric_evaluator(spec_metric, dim: int, prefix: str) -> Callable[[np.ndarray
     rows = [[Expression(src, scalars=names) for src in row] for row in spec_metric["matrix"]]
 
     def matrix_eval(pts):
-        env = component_env(prefix, pts)
-        out = np.zeros(pts.shape[:-1] + (dim, dim))
-        for i, row in enumerate(rows):
-            for j, e in enumerate(row):
-                out[..., i, j] = e(env)
+        out = _fill_matrix(rows, component_env(prefix, pts), pts.shape[:-1])
         return 0.5 * (out + np.swapaxes(out, -1, -2))
 
     return matrix_eval
+
+
+def system_matrix_evaluator(rows, m_dim: int, n_dim: int):
+    """Vectorized T^i_a(a, x) of a general first-order system from rows of
+    expressions in a1..am and x1..xn: ``T(a_pts, x_vals) -> (..., n, m)``."""
+    names = [f"a{k + 1}" for k in range(m_dim)] + [f"x{k + 1}" for k in range(n_dim)]
+    compiled = [[Expression(src, scalars=names) for src in row] for row in rows]
+
+    def T(a_pts, x_vals):
+        env = component_env("a", a_pts)
+        env.update(component_env("x", x_vals))
+        return _fill_matrix(compiled, env, a_pts.shape[:-1])
+
+    return T
+
+
+def _fill_matrix(rows, env: dict, lead_shape: tuple) -> np.ndarray:
+    """(*lead_shape, rows, columns) array of compiled expressions in env."""
+    out = np.zeros(lead_shape + (len(rows), len(rows[0])))
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            out[..., i, j] = e(env)
+    return out
 
 
 def covector_evaluator(exprs, dim: int, prefix: str):

@@ -329,24 +329,33 @@ def orbit_geodesic_residual(c: SampledCurve, xi, psi,
 # ---------------------------------------------------------------------------
 
 
+def _pfaff_factor(A, phi_eval, a_pts, b_vals, eps_sing: float, message: str):
+    """(phi(a), A(b), |A|^2_phi) at (a, b), after checking that A(b) does
+    not vanish; ``message`` names the caller in the error."""
+    phi_vals = np.asarray(phi_eval(a_pts), float)
+    phi_inv = NodeMatrices(phi_vals).inv
+    A_vals = np.asarray(A(a_pts), float)
+    Ab = np.einsum("...a,...a->...", A_vals, np.asarray(b_vals, float))
+    norm2 = np.einsum("...ab,...a,...b->...", phi_inv, A_vals, A_vals)
+    bad = np.abs(Ab) <= eps_sing
+    if np.any(bad):
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise SingularDirectionError(
+            message,
+            point=np.asarray(a_pts)[idx] if np.asarray(a_pts).ndim > 1 else a_pts,
+            direction=np.asarray(b_vals)[idx] if np.asarray(b_vals).ndim > 1 else b_vals,
+        )
+    return phi_vals, Ab, norm2
+
+
 def pfaff_metric(A, phi_eval, eps_sing: float = DEFAULT_EPS_SING):
     """Direction-dependent source metric of the Pfaff system df = A:
     g_ab(a, b) = (A(b))^2 / |A|^2_phi phi_ab(a)."""
 
     def g(a_pts, b_vals):
-        phi_vals = np.asarray(phi_eval(a_pts), float)
-        phi_inv = NodeMatrices(phi_vals).inv
-        A_vals = np.asarray(A(a_pts), float)
-        Ab = np.einsum("...a,...a->...", A_vals, np.asarray(b_vals, float))
-        norm2 = np.einsum("...ab,...a,...b->...", phi_inv, A_vals, A_vals)
-        bad = np.abs(Ab) <= eps_sing
-        if np.any(bad):
-            idx = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise SingularDirectionError(
-                "Pfaff metric queried where A vanishes on the direction",
-                point=np.asarray(a_pts)[idx] if np.asarray(a_pts).ndim > 1 else a_pts,
-                direction=np.asarray(b_vals)[idx] if np.asarray(b_vals).ndim > 1 else b_vals,
-            )
+        phi_vals, Ab, norm2 = _pfaff_factor(
+            A, phi_eval, a_pts, b_vals, eps_sing,
+            "Pfaff metric queried where A vanishes on the direction")
         return (Ab**2 / norm2)[..., None, None] * phi_vals
 
     return g
@@ -371,17 +380,8 @@ def pseudolinear_scenario(xi, A, phi_eval, psi_eval,
         return np.einsum("...ij,...i,...j->...", psi_vals, xi_vals, xi_vals)
 
     def sigma(a_pts, b_vals):
-        phi_vals = np.asarray(phi_eval(a_pts), float)
-        phi_inv = NodeMatrices(phi_vals).inv
-        A_vals = np.asarray(A(a_pts), float)
-        Ab = np.einsum("...a,...a->...", A_vals, np.asarray(b_vals, float))
-        norm2 = np.einsum("...ab,...a,...b->...", phi_inv, A_vals, A_vals)
-        bad = np.abs(Ab) <= eps_sing
-        if np.any(bad):
-            idx = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise SingularDirectionError(
-                "pseudolinear source factor queried where A(b) vanishes",
-                point=None, direction=np.asarray(b_vals)[idx])
+        _, Ab, norm2 = _pfaff_factor(A, phi_eval, a_pts, b_vals, eps_sing,
+                                     "pseudolinear source factor queried where A(b) vanishes")
         return 0.5 * np.log(norm2) - np.log(np.abs(Ab))
 
     def tau(x_vals, y_vals):

@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glharmonic.energy import (
+    DEFAULT_FD_STEP,
     ConnectionTensor,
     MapJet,
     MetricPair,
+    _connection_blocks,
+    _density_values,
     _inverse_with_guard,
     central_partials,
     constant_metric,
@@ -607,3 +610,123 @@ def test_density_partials_evaluates_connection_2n_plus_1_times(m, n):
     # 2n value perturbations, plus one unperturbed evaluation shared by
     # all 2nm jet perturbations
     assert calls == {"source": 2 * n + 1, "target": 2 * n + 1}
+
+
+# ---------------------------------------------------------------------------
+# the one map-side difference primitive against the loops it replaced
+# ---------------------------------------------------------------------------
+
+def _loop_density_partials(f, pair, P, phi, fd_step=DEFAULT_FD_STEP):
+    """Reference: one perturbation loop over the map values and one over
+    the jet entries, each with its own copy of the step rule."""
+    grid = f.grid
+    a_pts = grid.points()
+    phi_inv = invert_metric(phi).values
+    n, m = f.target_dim, grid.dim
+    dLdf = np.empty(grid.shape + (n,))
+    for i in range(n):
+        h = fd_step * (1.0 + np.abs(f.values[..., i]))
+        fp = f.values.copy()
+        fp[..., i] += h
+        fm = f.values.copy()
+        fm[..., i] -= h
+        Lp = _density_values(a_pts, fp, f.jet, pair, _connection_blocks(P, a_pts, fp),
+                             phi_inv, grid.dim)
+        Lm = _density_values(a_pts, fm, f.jet, pair, _connection_blocks(P, a_pts, fm),
+                             phi_inv, grid.dim)
+        dLdf[..., i] = (Lp - Lm) / (2.0 * h)
+    blocks = _connection_blocks(P, a_pts, f.values)
+    dLdjet = np.empty(grid.shape + (n, m))
+    for i in range(n):
+        for al in range(m):
+            h = fd_step * (1.0 + np.abs(f.jet[..., i, al]))
+            jp = f.jet.copy()
+            jp[..., i, al] += h
+            jm = f.jet.copy()
+            jm[..., i, al] -= h
+            Lp = _density_values(a_pts, f.values, jp, pair, blocks, phi_inv, grid.dim)
+            Lm = _density_values(a_pts, f.values, jm, pair, blocks, phi_inv, grid.dim)
+            dLdjet[..., i, al] = (Lp - Lm) / (2.0 * h)
+    return dLdf, dLdjet
+
+
+def _loop_partials_in_vector(fn, x_fixed, vec, rel_step=DEFAULT_FD_STEP):
+    """Reference: central partials of fn(x_fixed, vec) in the per-node
+    vector argument, with their own copy of the step rule."""
+    d = vec.shape[-1]
+    out = None
+    for k in range(d):
+        h = rel_step * (1.0 + np.abs(vec[..., k]))
+        vp = vec.copy()
+        vp[..., k] += h
+        vm = vec.copy()
+        vm[..., k] -= h
+        num = np.asarray(fn(x_fixed, vp), float) - np.asarray(fn(x_fixed, vm), float)
+        col = num / (2.0 * h).reshape(h.shape + (1,) * (num.ndim - h.ndim))
+        if out is None:
+            out = np.empty(col.shape + (d,))
+        out[..., k] = col
+    return out
+
+
+_dims = st.sampled_from([1, 2, 3])
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(m=_dims, n=_dims, seed=st.integers(0, 2**32 - 1),
+       fd_step=st.sampled_from([DEFAULT_FD_STEP, 1e-4]))
+def test_density_partials_match_perturbation_loops(m, n, seed, fd_step):
+    f, pair, P, phi = _random_problem(m, n, seed)
+    got = density_partials(f, pair, P, phi, fd_step)
+    ref = _loop_density_partials(f, pair, P, phi, fd_step)
+    assert np.array_equal(got[0], ref[0])
+    assert np.array_equal(got[1], ref[1])
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(m=_dims, n=_dims, seed=st.integers(0, 2**32 - 1))
+def test_closed_form_residuals_match_vector_partial_loop(m, n, seed):
+    # each closed form takes its direction partial from central_partials
+    # unless an analytic one is passed: passing the reference loop's partial
+    # must give the same residual bit for bit
+    f, pair, P, phi = _random_problem(m, n, seed)
+
+    def sigma(a, b):
+        return 0.1 * np.log(pair.g(a, b)[..., 0, 0])
+
+    def tau(x, y):
+        return 0.1 * np.log(pair.h(x, y)[..., 0, 0])
+
+    def psi(x):
+        return pair.h(x, 0.5 * x)
+
+    A = lambda a: 1.0 + 0.3 * np.sin(a)
+    sigma_a = lambda a: 0.1 * np.sin(a.sum(axis=-1))
+    got = el_residual_fiber_covector(f, sigma_a, tau, A, phi, psi)
+    ref = el_residual_fiber_covector(
+        f, sigma_a, tau, A, phi, psi,
+        tau_dy=lambda x, y: _loop_partials_in_vector(tau, x, y))
+    assert np.array_equal(got.values, ref.values)
+
+    xi = lambda x: 1.0 + 0.3 * np.cos(x)
+    tau_x = lambda x: 0.1 * np.sin(x.sum(axis=-1))
+    got = el_residual_oneform_source(f, sigma, tau_x, xi, phi, psi)
+    ref = el_residual_oneform_source(
+        f, sigma, tau_x, xi, phi, psi,
+        sigma_db=lambda a, b: _loop_partials_in_vector(sigma, a, b))
+    assert np.array_equal(got.values, ref.values)
+
+
+def test_central_partials_calls_fn_twice_per_coordinate():
+    calls = []
+
+    def fn(pts):
+        calls.append(1)
+        return np.stack([pts[..., 0] * pts[..., 1], np.sin(pts[..., 2])], axis=-1)
+
+    pts = np.random.default_rng(3).normal(size=(4, 5, 3))
+    d = central_partials(fn, pts)
+    assert len(calls) == 2 * 3
+    assert d.shape == (4, 5, 2, 3)
+    assert np.allclose(d[..., 0, 0], pts[..., 1], atol=1e-8)
+    assert np.allclose(d[..., 1, 2], np.cos(pts[..., 2]), atol=1e-8)

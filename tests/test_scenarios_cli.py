@@ -147,7 +147,7 @@ def test_numeric_error_is_reported_with_location(tmp_path):
 def test_reports_and_dumps_deterministic(tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     for out in (out1, out2):
-        run_scenario(BUILTIN_SCENARIOS["pseudolinear-exp"], out, seed=7)
+        run_scenario(BUILTIN_SCENARIOS["pseudolinear-exp"], out)
     for f1 in sorted(out1.iterdir()):
         f2 = out2 / f1.name
         if f1.suffix == ".csv":
@@ -369,6 +369,29 @@ def test_orbit_is_integrated_once_per_scenario(tmp_path, monkeypatch):
     report = run_scenario(spec, tmp_path)
     assert report["status"] == "pass"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name, first", [
+    ("pfaff-exact", "pfaff"), ("pseudolinear-exp", "pseudolinear")])
+def test_map_is_certified_once_per_scenario(name, first, tmp_path, monkeypatch):
+    # the construction task and certify_theorem share one certificate
+    import glharmonic.runner as runner_module
+
+    calls = []
+    original = runner_module.certify_minimizer
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(runner_module, "certify_minimizer", counted)
+    spec = BUILTIN_SCENARIOS[name]
+    assert [t["task"] for t in spec["tasks"]] == [first, "certify_theorem"]
+    report = run_scenario(spec, tmp_path)
+    assert report["status"] == "pass"
+    assert len(calls) == 1
+    first_record, certify_record = report["tasks"]
+    assert first_record["certificate"] == certify_record["certificate"]
 
 
 @pytest.mark.parametrize("name, built", [

@@ -323,6 +323,24 @@ def test_pfaff_metric_quadratic_homogeneity():
     assert np.allclose(g_scaled(a, b), g(a, b))
 
 
+@pytest.mark.parametrize("which, message", [
+    ("pfaff", "Pfaff metric queried where A vanishes on the direction"),
+    ("pseudolinear", "pseudolinear source factor queried where A(b) vanishes")])
+def test_pfaff_factor_guard_names_point_and_direction(which, message):
+    A = lambda a: np.stack([1.0 + a[..., 0], np.ones_like(a[..., 0])], axis=-1)
+    if which == "pfaff":
+        fn = pfaff_metric(A, eye2)
+    else:
+        fn = pseudolinear_scenario(lambda x: np.ones_like(x), A, eye2, one1)[0].sigma
+    a = np.array([[0.2, 0.9], [0.5, 0.1]])
+    b = np.array([[0.4, -0.7], [1.0, -1.5]])   # A(b) = 0 at the second node
+    with pytest.raises(SingularDirectionError) as info:
+        fn(a, b)
+    assert str(info.value) == message
+    assert np.array_equal(info.value.point, a[1])
+    assert np.array_equal(info.value.direction, b[1])
+
+
 def test_pfaff_exact_primitive_minimizes():
     grid = box_grid([(0, 1), (0, 1)], [65, 65])
     fvals, A = exact_pfaff_map(grid)
