@@ -375,9 +375,18 @@ def density_partials(f: MapJet, pair: MetricPair, P: ConnectionTensor,
     phi_inv = invert_metric(phi).values
     n = f.target_dim
     m = grid.dim
+    pair_f = pair_jet = pair
+    if pair.kind == "conformal":
+        # phi depends on a only and psi on f only: phi is evaluated once, and
+        # psi once for every jet perturbation
+        phi_vals = np.asarray(pair.phi(a_pts), float)
+        psi_vals = np.asarray(pair.psi(f.values), float)
+        pair_f = MetricPair.conformal(lambda a: phi_vals, pair.psi, pair.sigma, pair.tau)
+        pair_jet = MetricPair.conformal(lambda a: phi_vals, lambda x: psi_vals,
+                                        pair.sigma, pair.tau)
 
     dLdf = central_partials(
-        lambda fv: _density_values(a_pts, fv, f.jet, pair, _connection_blocks(P, a_pts, fv),
+        lambda fv: _density_values(a_pts, fv, f.jet, pair_f, _connection_blocks(P, a_pts, fv),
                                    phi_inv, grid.dim),
         f.values, fd_step)
 
@@ -386,7 +395,7 @@ def density_partials(f: MapJet, pair: MetricPair, P: ConnectionTensor,
     blocks = _connection_blocks(P, a_pts, f.values)
     dLdjet = central_partials(
         lambda jv: _density_values(a_pts, f.values, jv.reshape(jv.shape[:-1] + (n, m)),
-                                   pair, blocks, phi_inv, grid.dim),
+                                   pair_jet, blocks, phi_inv, grid.dim),
         f.jet.reshape(grid.shape + (n * m,)), fd_step)
     return dLdf, dLdjet.reshape(grid.shape + (n, m))
 

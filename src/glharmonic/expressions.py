@@ -4,6 +4,12 @@ Supported: + - * /, unary minus, parentheses, exp, ln (alias log), sin,
 cos, abs, dot(u, v) on declared vector names, numeric literals, pi and e,
 and declared variable names.  Nothing else parses: scenario files cannot
 execute code.
+
+An expression is validated against the grammar when it is constructed.
+On its first evaluation the validated tree is lowered (operators to the
+numpy ufuncs, literals to floats, pi and e to literals, variables to
+lookups in the evaluation environment) and compiled once, into a
+namespace without builtins that holds only the grammar's functions.
 """
 
 from __future__ import annotations
@@ -24,11 +30,25 @@ FUNCTIONS = {
 
 CONSTANTS = {"pi": np.pi, "e": np.e}
 
-_BINOPS = {
+_UFUNCS = {
     ast.Add: np.add,
     ast.Sub: np.subtract,
     ast.Mult: np.multiply,
     ast.Div: np.divide,
+}
+
+
+def _dot(u, v):
+    return np.einsum("...k,...k->...", np.asarray(u, float), np.asarray(v, float))
+
+
+# Everything compiled code can name.  Variables are read as env["x1"], so
+# no variable can shadow a function.
+_NAMESPACE = {
+    "__builtins__": {},
+    **FUNCTIONS,
+    **{fn.__name__: fn for fn in _UFUNCS.values()},
+    "dot": _dot,
 }
 
 
@@ -37,7 +57,8 @@ class ExpressionError(ValueError):
 
 
 class Expression:
-    """A compiled scenario expression over named scalar/vector variables."""
+    """A scenario expression over named scalar/vector variables, validated
+    on construction and compiled on its first evaluation."""
 
     def __init__(self, source: str, scalars: Sequence[str], vectors: Sequence[str] = ()):
         self.source = source
@@ -49,9 +70,10 @@ class Expression:
             raise ExpressionError(f"cannot parse {source!r}: {exc.msg}") from None
         self._root = tree.body
         self._check(self._root, vector_ok=False)
+        self._compiled = None
 
     def _check(self, node: ast.AST, vector_ok: bool) -> None:
-        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        if isinstance(node, ast.BinOp) and type(node.op) in _UFUNCS:
             self._check(node.left, False)
             self._check(node.right, False)
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
@@ -93,29 +115,41 @@ class Expression:
                 f"construct {type(node).__name__} is outside the expression grammar")
 
     def __call__(self, env: Mapping[str, np.ndarray]) -> np.ndarray:
-        return self._eval(self._root, env)
+        if self._compiled is None:
+            params = ast.arguments(posonlyargs=[], args=[ast.arg("env")], kwonlyargs=[],
+                                   kw_defaults=[], defaults=[])
+            tree = ast.Expression(ast.Lambda(params, _lower(self._root)))
+            code = compile(ast.fix_missing_locations(tree), "<expression>", "eval")
+            self._compiled = eval(code, _NAMESPACE)
+        return self._compiled(env)
 
-    def _eval(self, node: ast.AST, env: Mapping[str, np.ndarray]):
-        if isinstance(node, ast.BinOp):
-            return _BINOPS[type(node.op)](self._eval(node.left, env),
-                                          self._eval(node.right, env))
-        if isinstance(node, ast.UnaryOp):
-            val = self._eval(node.operand, env)
-            return -val if isinstance(node.op, ast.USub) else +val
-        if isinstance(node, ast.Call):
-            name = node.func.id
-            if name == "dot":
-                u = env[node.args[0].id]
-                v = env[node.args[1].id]
-                return np.einsum("...k,...k->...", np.asarray(u, float), np.asarray(v, float))
-            return FUNCTIONS[name](self._eval(node.args[0], env))
-        if isinstance(node, ast.Name):
-            if node.id in CONSTANTS:
-                return CONSTANTS[node.id]
-            return env[node.id]
-        if isinstance(node, ast.Constant):
-            return float(node.value)
-        raise AssertionError("unreachable: node was validated")
+
+def _lower(node: ast.AST) -> ast.expr:
+    """The validated tree as Python code with the semantics of the grammar:
+    operators call the numpy ufuncs (a literal 1/0 gives inf, it does not
+    raise), literals are floats, pi and e are literals that no variable
+    shadows, and a variable is read as ``env[name]``."""
+    if isinstance(node, ast.BinOp):
+        return _call(_UFUNCS[type(node.op)].__name__, _lower(node.left), _lower(node.right))
+    if isinstance(node, ast.UnaryOp):
+        return ast.UnaryOp(node.op, _lower(node.operand))
+    if isinstance(node, ast.Call):
+        if node.func.id == "dot":
+            return _call("dot", *(_lookup(arg.id) for arg in node.args))
+        return _call(node.func.id, _lower(node.args[0]))
+    if isinstance(node, ast.Name):
+        if node.id in CONSTANTS:
+            return ast.Constant(CONSTANTS[node.id])
+        return _lookup(node.id)
+    return ast.Constant(float(node.value))
+
+
+def _call(name: str, *args: ast.expr) -> ast.Call:
+    return ast.Call(ast.Name(name, ast.Load()), list(args), [])
+
+
+def _lookup(name: str) -> ast.Subscript:
+    return ast.Subscript(ast.Name("env", ast.Load()), ast.Constant(name), ast.Load())
 
 
 def component_env(prefix: str, values: np.ndarray) -> dict:

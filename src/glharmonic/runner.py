@@ -138,11 +138,16 @@ class _Context:
         """The target metric evaluator, after checking that psi is positive
         definite where it is sampled: at the values of ``f`` (a map jet or a
         sampled curve) on its grid.  A failing node raises
-        SingularMetricError naming the node."""
-        try:
-            metric_field(f.grid, self.psi_eval(f.values))
-        except SingularMetricError as exc:
-            raise SingularMetricError(f"target metric psi: {exc}", node=exc.node) from None
+        SingularMetricError naming the node.  Each array of values is
+        checked once, so a curve and ``curve.as_map()`` share one check."""
+        def check():
+            try:
+                metric_field(f.grid, self.psi_eval(f.values))
+            except SingularMetricError as exc:
+                raise SingularMetricError(f"target metric psi: {exc}",
+                                          node=exc.node) from None
+            return f.values     # held, so its id is not reused while cached
+        self._memo(("checked_psi", id(f.values)), check)
         return self.psi_eval
 
     @property

@@ -408,12 +408,13 @@ def metric_evaluator(spec_metric, dim: int, prefix: str) -> Callable[[np.ndarray
 
         return identity
 
-    names = [f"{prefix}{k + 1}" for k in range(dim)]
+    keys = _component_keys(prefix, dim)
+    names = [name for name, _ in keys]
     if "diag" in spec_metric:
         exprs = [Expression(src, scalars=names) for src in spec_metric["diag"]]
 
         def diag_eval(pts):
-            env = component_env(prefix, pts)
+            env = {name: pts[k] for name, k in keys}
             out = np.zeros(pts.shape[:-1] + (dim, dim))
             for k, e in enumerate(exprs):
                 out[..., k, k] = e(env)
@@ -424,7 +425,7 @@ def metric_evaluator(spec_metric, dim: int, prefix: str) -> Callable[[np.ndarray
     rows = [[Expression(src, scalars=names) for src in row] for row in spec_metric["matrix"]]
 
     def matrix_eval(pts):
-        out = _fill_matrix(rows, component_env(prefix, pts), pts.shape[:-1])
+        out = _fill_matrix(rows, {name: pts[k] for name, k in keys}, pts.shape[:-1])
         return 0.5 * (out + np.swapaxes(out, -1, -2))
 
     return matrix_eval
@@ -433,15 +434,22 @@ def metric_evaluator(spec_metric, dim: int, prefix: str) -> Callable[[np.ndarray
 def system_matrix_evaluator(rows, m_dim: int, n_dim: int):
     """Vectorized T^i_a(a, x) of a general first-order system from rows of
     expressions in a1..am and x1..xn: ``T(a_pts, x_vals) -> (..., n, m)``."""
-    names = [f"a{k + 1}" for k in range(m_dim)] + [f"x{k + 1}" for k in range(n_dim)]
+    a_keys, x_keys = _component_keys("a", m_dim), _component_keys("x", n_dim)
+    names = [name for name, _ in a_keys + x_keys]
     compiled = [[Expression(src, scalars=names) for src in row] for row in rows]
 
     def T(a_pts, x_vals):
-        env = component_env("a", a_pts)
-        env.update(component_env("x", x_vals))
+        env = {name: a_pts[k] for name, k in a_keys}
+        env.update({name: x_vals[k] for name, k in x_keys})
         return _fill_matrix(compiled, env, a_pts.shape[:-1])
 
     return T
+
+
+def _component_keys(prefix: str, dim: int) -> tuple:
+    """(name, index) of each component of a stacked coordinate array:
+    ("x1", (..., 0)), ("x2", (..., 1)), ... as ``component_env`` names them."""
+    return tuple((f"{prefix}{k + 1}", (Ellipsis, k)) for k in range(dim))
 
 
 def _fill_matrix(rows, env: dict, lead_shape: tuple) -> np.ndarray:
@@ -454,11 +462,11 @@ def _fill_matrix(rows, env: dict, lead_shape: tuple) -> np.ndarray:
 
 
 def covector_evaluator(exprs, dim: int, prefix: str):
-    names = [f"{prefix}{k + 1}" for k in range(dim)]
-    compiled = [Expression(src, scalars=names) for src in exprs]
+    keys = _component_keys(prefix, dim)
+    compiled = [Expression(src, scalars=[name for name, _ in keys]) for src in exprs]
 
     def ev(pts):
-        env = component_env(prefix, pts)
+        env = {name: pts[k] for name, k in keys}
         out = np.empty(pts.shape[:-1] + (len(compiled),))
         for j, e in enumerate(compiled):
             out[..., j] = e(env)    # broadcasts constant components
@@ -469,16 +477,16 @@ def covector_evaluator(exprs, dim: int, prefix: str):
 
 def scalar_evaluator_two_args(src: str, d1: int, p1: str, d2: int, p2: str):
     """Expression over two stacked arguments, e.g. sigma(x, y)."""
-    names = [f"{p1}{k + 1}" for k in range(d1)] + [f"{p2}{k + 1}" for k in range(d2)]
-    e = Expression(src, scalars=names, vectors=(p1, p2))
+    keys1, keys2 = _component_keys(p1, d1), _component_keys(p2, d2)
+    e = Expression(src, scalars=[name for name, _ in keys1 + keys2], vectors=(p1, p2))
 
     def ev(first, second):
         first = np.asarray(first, float)
         second = np.asarray(second, float)
         if second.ndim == 1:
             second = np.broadcast_to(second, first.shape[:-1] + second.shape)
-        env = component_env(p1, first)
-        env.update(component_env(p2, second))
+        env = {name: first[k] for name, k in keys1}
+        env.update({name: second[k] for name, k in keys2})
         env[p1] = first
         env[p2] = second
         return np.broadcast_to(e(env), first.shape[:-1]).copy()

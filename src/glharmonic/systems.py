@@ -138,17 +138,26 @@ def integrate_orbit(xi, x0, t0: float, t1: float, nodes: int,
     h_grid = grid.spacing[0]
     k = max(1, int(np.ceil(h_grid / max_step - 1e-12)))
     h = h_grid / k
-    x = np.asarray(x0, dtype=float)
+    half_h, sixth_h = 0.5 * h, h / 6.0
+
+    def slope(point):
+        return np.asarray(xi(np.array(point)), float).tolist()
+
+    # The stages are combined in Python floats: the same IEEE operations in
+    # the same order as the array expressions x + h/2 k1, ...,
+    # x + h/6 (k1 + 2 k2 + 2 k3 + k4), without numpy's per-operation
+    # overhead on a handful of components.
+    x = np.asarray(x0, dtype=float).tolist()
     samples = [x]
     for _ in range(nodes - 1):
         for _ in range(k):
-            k1 = np.asarray(xi(x), float)
-            k2 = np.asarray(xi(x + 0.5 * h * k1), float)
-            k3 = np.asarray(xi(x + 0.5 * h * k2), float)
-            k4 = np.asarray(xi(x + h * k3), float)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            k1 = slope(x)
+            k2 = slope([a + half_h * b for a, b in zip(x, k1)])
+            k3 = slope([a + half_h * b for a, b in zip(x, k2)])
+            k4 = slope([a + h * b for a, b in zip(x, k3)])
+            x = [a + sixth_h * (p + 2 * q + 2 * r + s) for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
         samples.append(x)
-    return SampledCurve.from_values(grid, np.stack(samples, axis=0))
+    return SampledCurve.from_values(grid, np.array(samples))
 
 
 # ---------------------------------------------------------------------------

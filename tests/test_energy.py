@@ -612,6 +612,34 @@ def test_density_partials_evaluates_connection_2n_plus_1_times(m, n):
     assert calls == {"source": 2 * n + 1, "target": 2 * n + 1}
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (2, 3), (3, 2)])
+def test_density_partials_evaluates_phi_once_and_psi_2n_plus_1_times(m, n):
+    f, _, P, phi = _random_problem(m, n, seed=11)
+    r = np.random.default_rng(12)
+    pb, hb = 0.3 * r.normal(size=(m, m, 2 * m)), 0.3 * r.normal(size=(n, n, 2 * n))
+    cb, cy = r.normal(size=m), r.normal(size=n)
+    calls = {"phi": 0, "psi": 0}
+
+    def phi_eval(a):
+        calls["phi"] += 1
+        return _spd(pb, a, 2.0 * a)
+
+    def psi_eval(x):
+        calls["psi"] += 1
+        return _spd(hb, x, 0.5 * x)
+
+    pair = MetricPair.conformal(phi_eval, psi_eval,
+                                sigma=lambda a, b: 0.1 * np.sin(a.sum(-1) + b @ cb),
+                                tau=lambda x, y: 0.1 * np.cos(x.sum(-1) - y @ cy))
+    got = density_partials(f, pair, P, phi)
+    # phi depends on a only; psi once per value perturbation, plus one
+    # evaluation shared by all 2nm jet perturbations
+    assert calls == {"phi": 1, "psi": 2 * n + 1}
+    ref = _loop_density_partials(f, pair, P, phi)
+    assert np.array_equal(got[0], ref[0])
+    assert np.array_equal(got[1], ref[1])
+
+
 # ---------------------------------------------------------------------------
 # the one map-side difference primitive against the loops it replaced
 # ---------------------------------------------------------------------------

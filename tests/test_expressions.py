@@ -1,7 +1,18 @@
+import ast
+import builtins
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from glharmonic.expressions import Expression, ExpressionError, component_env
+from glharmonic.expressions import (
+    CONSTANTS,
+    FUNCTIONS,
+    Expression,
+    ExpressionError,
+    component_env,
+)
 
 
 def test_arithmetic_and_functions():
@@ -36,7 +47,7 @@ def test_vectorized_over_grids():
     assert np.allclose(out, pts[..., 0] * pts[..., 1])
 
 
-@pytest.mark.parametrize("bad", [
+OUTSIDE_GRAMMAR = [
     "__import__('os')",
     "x1 ** 2",
     "lambda: 1",
@@ -48,12 +59,133 @@ def test_vectorized_over_grids():
     "x",               # bare vector outside dot
     "'str'",
     "1 if x1 else 2",
-])
+]
+
+
+@pytest.mark.parametrize("bad", OUTSIDE_GRAMMAR)
 def test_rejects_outside_grammar(bad):
     with pytest.raises(ExpressionError):
         Expression(bad, scalars=["x1"], vectors=["x"])
 
 
+def test_grammar_is_checked_before_anything_is_compiled(monkeypatch):
+    # ast.parse compiles to a tree only; any compile to code must come after
+    # the grammar check, on the first evaluation
+    real_compile = builtins.compile
+
+    def no_code(source, filename, mode, flags=0, *args, **kwargs):
+        if not flags & ast.PyCF_ONLY_AST:
+            raise AssertionError("compiled to code")
+        return real_compile(source, filename, mode, flags, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", no_code)
+    for bad in OUTSIDE_GRAMMAR:
+        with pytest.raises(ExpressionError):
+            Expression(bad, scalars=["x1"], vectors=["x"])
+    ok = Expression("x1 + 1", scalars=["x1"])
+    with pytest.raises(AssertionError, match="to code"):
+        ok({"x1": 1.0})
+
+
+def test_call_is_defined_on_the_class():
+    # the one entry point of every evaluation, rebound by span tracers
+    assert "__call__" in Expression.__dict__
+
+
 def test_component_env_names():
     env = component_env("a", np.zeros((3, 2)))
     assert set(env) == {"a1", "a2"}
+
+
+# ---------------------------------------------------------------------------
+# the compiled evaluation against the tree walker it replaced
+# ---------------------------------------------------------------------------
+
+_UFUNCS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply, ast.Div: np.divide}
+
+
+def _walk(node, env):
+    """Reference: evaluate a validated tree node by node."""
+    if isinstance(node, ast.BinOp):
+        return _UFUNCS[type(node.op)](_walk(node.left, env), _walk(node.right, env))
+    if isinstance(node, ast.UnaryOp):
+        val = _walk(node.operand, env)
+        return -val if isinstance(node.op, ast.USub) else +val
+    if isinstance(node, ast.Call):
+        name = node.func.id
+        if name == "dot":
+            u = env[node.args[0].id]
+            v = env[node.args[1].id]
+            return np.einsum("...k,...k->...", np.asarray(u, float), np.asarray(v, float))
+        return FUNCTIONS[name](_walk(node.args[0], env))
+    if isinstance(node, ast.Name):
+        if node.id in CONSTANTS:
+            return CONSTANTS[node.id]
+        return env[node.id]
+    if isinstance(node, ast.Constant):
+        return float(node.value)
+    raise AssertionError("unreachable: node was validated")
+
+
+def _assert_same(got, ref):
+    assert type(got) is type(ref)
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.array_equal(got, ref, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+# declared pi and e must not shadow the constants; variables named like a
+# function or a ufunc are read from env and do not shadow it either
+_SCALARS = ["x1", "x2", "pi", "e", "abs", "add"]
+_literals = st.one_of(st.integers(0, 10**20).map(str),
+                      st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False).map(repr))
+_leaves = st.one_of(_literals, st.sampled_from(
+    ["x1", "x2", "pi", "e", "abs", "add", "dot(u, v)", "dot(v, v)"]))
+
+
+def _extend(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from("-+"), inner).map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(st.sampled_from(sorted(FUNCTIONS)), inner).map(lambda t: f"{t[0]}({t[1]})"),
+    )
+
+
+_sources = st.recursive(_leaves, _extend, max_leaves=12)
+
+
+def _env(lead_shape, seed):
+    r = np.random.default_rng(seed)
+    env = component_env("x", r.normal(size=lead_shape + (2,)))
+    env.update(u=r.normal(size=lead_shape + (3,)), v=r.normal(size=lead_shape + (3,)),
+               pi=7.0, e=-3.0, abs=r.normal(size=lead_shape), add=0.25)
+    return env
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(source=_sources, lead_shape=st.sampled_from([(), (5,), (3, 4)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_compiled_matches_tree_walker(source, lead_shape, seed):
+    expr = Expression(source, scalars=_SCALARS, vectors=["u", "v"])
+    env = _env(lead_shape, seed)
+    with np.errstate(all="ignore"):
+        _assert_same(expr(env), _walk(ast.parse(source, mode="eval").body, env))
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("1/0", np.inf), ("-1/0", -np.inf), ("0/0", np.nan), ("ln(0)", -np.inf),
+    ("1/(1 - 1)", np.inf), ("e", np.e), ("pi", np.pi), ("-(2)", -2.0)])
+def test_literal_only_expressions(source, expected):
+    # ufunc semantics, not Python's: no ZeroDivisionError, and declared
+    # scalars named pi or e do not shadow the constants
+    expr = Expression(source, scalars=_SCALARS)
+    env = _env((), 0)
+    with np.errstate(all="ignore"):
+        got = expr(env)
+        _assert_same(got, _walk(ast.parse(source, mode="eval").body, env))
+    assert np.array_equal(got, expected, equal_nan=True)
+
+
+def test_declared_e_is_the_constant():
+    assert Expression("e", scalars=["e"])({"e": 5.0}) == np.e

@@ -371,6 +371,26 @@ def test_orbit_is_integrated_once_per_scenario(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_psi_is_checked_once_on_the_orbit_nodes(tmp_path, monkeypatch):
+    # the orbit task checks psi on the curve, certify_theorem on the same
+    # nodes as a map: one evaluation and check serves both
+    import glharmonic.runner as runner_module
+
+    checked = []
+    original = runner_module.metric_field
+
+    def counted(grid, values, *args, **kwargs):
+        checked.append(values.shape)
+        return original(grid, values, *args, **kwargs)
+
+    monkeypatch.setattr(runner_module, "metric_field", counted)
+    spec = BUILTIN_SCENARIOS["orbit-rotation"]
+    assert [t["task"] for t in spec["tasks"]] == ["orbit", "certify_theorem"]
+    report = run_scenario(spec, tmp_path)
+    assert report["status"] == "pass"
+    assert checked == [(spec["orbit"]["nodes"], 2, 2)]
+
+
 @pytest.mark.parametrize("name, first", [
     ("pfaff-exact", "pfaff"), ("pseudolinear-exp", "pseudolinear")])
 def test_map_is_certified_once_per_scenario(name, first, tmp_path, monkeypatch):
@@ -439,7 +459,8 @@ def _stacked_covector_evaluator(exprs, dim, prefix):
 
 @pytest.mark.parametrize("point_shape", [(), (7,), (5, 4)])
 @pytest.mark.parametrize("exprs", [
-    ["1", "0"], ["-x2", "x1"], ["1", "x1*x2 - 0.5"], ["0", "exp(x2)", "2.5", "sin(x1)/3"]])
+    ["1", "0"], ["-x2", "x1"], ["1", "x1*x2 - 0.5"], ["0", "exp(x2)", "2.5", "sin(x1)/3"],
+    ["+x1", "abs(x1) - cos(x2)/ln(2 + x1*x1)", "-(1/x2)"]])
 def test_covector_evaluator_matches_stacked_columns(point_shape, exprs):
     pts = np.random.default_rng(5).normal(size=point_shape + (2,))
     got = covector_evaluator(exprs, 2, "x")(pts)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glharmonic.energy import (
     MapJet,
@@ -251,6 +253,41 @@ def test_rk4_circle_orbit_residual_small_and_converging():
         maxres[nodes] = np.max(np.abs(res.values))
     assert maxres[201] < 1e-4
     assert maxres[201] / maxres[401] >= 8.0  # order >= 3 under joint refinement
+
+
+def _array_rk4_orbit(xi, x0, t0, t1, nodes, max_step=1e-3, stencil_order=4):
+    """Reference: the RK4 orbit with every stage combined as array expressions."""
+    grid = interval_grid(t0, t1, nodes, stencil_order=stencil_order)
+    k = max(1, int(np.ceil(grid.spacing[0] / max_step - 1e-12)))
+    h = grid.spacing[0] / k
+    x = np.asarray(x0, dtype=float)
+    samples = [x]
+    for _ in range(nodes - 1):
+        for _ in range(k):
+            k1 = np.asarray(xi(x), float)
+            k2 = np.asarray(xi(x + 0.5 * h * k1), float)
+            k3 = np.asarray(xi(x + 0.5 * h * k2), float)
+            k4 = np.asarray(xi(x + h * k3), float)
+            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        samples.append(x)
+    return np.stack(samples, axis=0)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(n=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1),
+       max_step=st.sampled_from([1e-3, 7e-3, 0.05]))
+def test_orbit_matches_array_rk4_bit_for_bit(n, seed, max_step):
+    r = np.random.default_rng(seed)
+    M, c = r.normal(size=(n, n)), r.normal(size=n)
+
+    def xi(x):
+        return np.sin(x @ M.T) + c * np.cos(x.sum(axis=-1, keepdims=True))
+
+    x0 = r.normal(size=n).tolist()
+    curve = integrate_orbit(xi, x0, 0.0, 0.7, nodes=9, max_step=max_step)
+    ref = _array_rk4_orbit(xi, x0, 0.0, 0.7, nodes=9, max_step=max_step)
+    assert curve.values.shape == ref.shape
+    assert np.array_equal(curve.values, ref)
 
 
 def test_reparametrized_circle_is_still_a_minimizer():
