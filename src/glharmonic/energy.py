@@ -279,11 +279,7 @@ class MetricPair:
     @classmethod
     def riemannian(cls, phi, psi) -> "MetricPair":
         """Direction-independent pair: the classical harmonic-map setting."""
-        return cls(
-            g=lambda a, b: np.asarray(phi(a), float),
-            h=lambda x, y: np.asarray(psi(x), float),
-            kind="conformal", phi=phi, psi=psi, sigma=None, tau=None,
-        )
+        return cls.conformal(phi, psi)
 
     @classmethod
     def conformal(cls, phi, psi, sigma=None, tau=None) -> "MetricPair":
@@ -420,102 +416,81 @@ def el_residual(f: MapJet, pair: MetricPair, P: ConnectionTensor, phi: MetricFie
 
 
 # ---------------------------------------------------------------------------
-# closed-form residuals for the two conformal couplings
+# closed-form residuals for conformal pairs
 # ---------------------------------------------------------------------------
 
 
+def _conformal_residual(grid: ChartGrid, weight: np.ndarray, x_vals: np.ndarray,
+                        jet: np.ndarray, phi_inv: np.ndarray, psi_vals: np.ndarray,
+                        s_vals: np.ndarray, pref: np.ndarray, u: np.ndarray, v: np.ndarray,
+                        h_at_direction, chain: np.ndarray | None = None,
+                        fd_step: float = DEFAULT_FD_STEP) -> TensorField:
+    """Residual of L = pref phi^{gm} psi_kl f^k_g f^l_m / 2 with
+    pref = e^{2s+2t}, when the direction enters one log factor (s or t)
+    through an argument linear in the jet, so that the jet partial of that
+    factor is u_a v_i (jj = phi^{gm} psi_kl f^k_g f^l_m):
+
+    dL/df^i_a = pref { jj u_a v_i + phi^{ga} psi_ik f^k_g }
+    dL/df^i   = e^{2s} phi^{gm} (dh_kl/dx^i) f^k_g f^l_m / 2 + pref jj chain_i
+
+    ``h_at_direction(x)`` is h = e^{2t} psi at the fixed direction, whose
+    x-partial is taken by ``central_partials``; ``chain`` is the x-partial
+    of the log factor through its argument, when that depends on x.
+    ``weight`` is the volume weight sqrt(phi) of ``assemble_residual``.
+    """
+    jj = np.einsum("...gm,...kl,...kg,...lm->...", phi_inv, psi_vals, jet, jet)
+    dLdjet = pref[..., None, None] * (
+        u[..., None, :] * v[..., :, None] * jj[..., None, None]
+        + np.einsum("...ga,...ik,...kg->...ia", phi_inv, psi_vals, jet)
+    )
+    dh_dx = central_partials(h_at_direction, x_vals, fd_step)      # (..., k, l, i)
+    dLdf = 0.5 * np.einsum("...,...gm,...kli,...kg,...lm->...i",
+                           np.exp(2.0 * s_vals), phi_inv, dh_dx, jet, jet)
+    if chain is not None:
+        dLdf = pref[..., None] * jj[..., None] * chain + dLdf
+    return assemble_residual(grid, weight, dLdf, dLdjet)
+
+
 def el_residual_fiber_covector(f: MapJet, sigma_a, tau, A, phi: MetricField, psi,
-                               source_block=None, tau_dy=None,
                                fd_step: float = DEFAULT_FD_STEP) -> TensorField:
     """Closed-form residual when the fiber is induced by a covector A on
     the source (target connection block A_a d^k_i) and the source log
-    factor depends on position only.
-
-    dL/df^i   = g^{gm} (dh_{kl}/dx^i) f^k_g f^l_m / 2
-    dL/df^i_a = e^{2s+2t} { phi^{gm} phi^{ae} psi_{kl} A_e (dt/dy^i)
-                f^k_g f^l_m + phi^{ga} psi_{ik} f^k_g }.
-    """
-    grid = f.grid
-    a_pts = grid.points()
+    factor depends on position only: y = phi^{-1} A f, u = phi^{-1} A and
+    v = dt/dy in ``_conformal_residual``."""
+    a_pts = f.grid.points()
     phi_inv = invert_metric(phi).values
     A_vals = np.asarray(A(a_pts), float)
     y = np.einsum("...ab,...b,...ka->...k", phi_inv, A_vals, f.jet)
-
     s_vals = np.asarray(sigma_a(a_pts), float)
-    t_vals = np.asarray(tau(f.values, y), float)
-    psi_vals = np.asarray(psi(f.values), float)
-    if tau_dy is not None:
-        dt_dy = np.asarray(tau_dy(f.values, y), float)
-    else:
-        dt_dy = central_partials(lambda v: tau(f.values, v), y, fd_step)
-
-    pref = np.exp(2.0 * s_vals + 2.0 * t_vals)
-    jj = np.einsum("...gm,...kl,...kg,...lm->...", phi_inv, psi_vals, f.jet, f.jet)
-    Ae_up = np.einsum("...ae,...e->...a", phi_inv, A_vals)
-    dLdjet = pref[..., None, None] * (
-        Ae_up[..., None, :] * dt_dy[..., :, None] * jj[..., None, None]
-        + np.einsum("...ga,...ik,...kg->...ia", phi_inv, psi_vals, f.jet)
-    )
-
-    # full x-partial of h at fixed y: e^{2t} (2 dt/dx psi + dpsi/dx)
-    def h_of_x(xv):
-        return np.exp(2.0 * np.asarray(tau(xv, y), float))[..., None, None] \
-            * np.asarray(psi(xv), float)
-
-    dh_dx = central_partials(h_of_x, f.values, fd_step)      # (..., k, l, i)
-    ginv_scale = np.exp(2.0 * s_vals)                        # g^{gm} = e^{2s} phi^{gm}
-    dLdf = 0.5 * np.einsum("...,...gm,...kli,...kg,...lm->...i",
-                           ginv_scale, phi_inv, dh_dx, f.jet, f.jet)
-    return assemble_residual(grid, sqrt_det(phi).values, dLdf, dLdjet)
+    return _conformal_residual(
+        f.grid, sqrt_det(phi).values, f.values, f.jet, phi_inv, np.asarray(psi(f.values), float),
+        s_vals, pref=np.exp(2.0 * s_vals + 2.0 * np.asarray(tau(f.values, y), float)),
+        u=np.einsum("...ae,...e->...a", phi_inv, A_vals),
+        v=central_partials(lambda v: tau(f.values, v), y, fd_step),
+        h_at_direction=lambda xv: np.exp(2.0 * np.asarray(tau(xv, y), float))[..., None, None]
+        * np.asarray(psi(xv), float),
+        fd_step=fd_step)
 
 
 def el_residual_oneform_source(f: MapJet, sigma, tau_x, xi, phi: MetricField, psi,
-                               sigma_db=None, fd_step: float = DEFAULT_FD_STEP
-                               ) -> TensorField:
+                               fd_step: float = DEFAULT_FD_STEP) -> TensorField:
     """Closed-form residual when the source argument is induced by a
     one-form xi along the map (source connection block d^g_a xi_i) and the
-    target log factor depends on position only.
-
-    dL/df^i   = e^{2s+2t} phi^{gm} phi^{de} psi_{kl} (dxi_p/dx^i)
-                (ds/db^e) f^p_d f^k_g f^l_m + g^{gm} (dh_{kl}/dx^i)
-                f^k_g f^l_m / 2
-    dL/df^i_a = e^{2s+2t} { phi^{gm} phi^{ae} psi_{kl} (ds/db^e) xi_i
-                f^k_g f^l_m + phi^{ga} psi_{ik} f^k_g }.
-    """
-    grid = f.grid
-    a_pts = grid.points()
+    target log factor depends on position only: b = phi^{-1} xi f,
+    u = phi^{-1} ds/db, v = xi and chain_i = u_d (dxi_p/dx^i) f^p_d in
+    ``_conformal_residual``."""
+    a_pts = f.grid.points()
     phi_inv = invert_metric(phi).values
     xi_vals = np.asarray(xi(f.values), float)
     b = np.einsum("...gb,...i,...ib->...g", phi_inv, xi_vals, f.jet)
-
     s_vals = np.asarray(sigma(a_pts, b), float)
-    t_vals = np.asarray(tau_x(f.values), float)
-    psi_vals = np.asarray(psi(f.values), float)
-    if sigma_db is not None:
-        ds_db = np.asarray(sigma_db(a_pts, b), float)
-    else:
-        ds_db = central_partials(lambda v: sigma(a_pts, v), b, fd_step)
+    ds_up = np.einsum("...de,...e->...d", phi_inv,
+                      central_partials(lambda v: sigma(a_pts, v), b, fd_step))
     dxi_dx = central_partials(lambda xv: np.asarray(xi(xv), float), f.values, fd_step)
-
-    pref = np.exp(2.0 * s_vals + 2.0 * t_vals)
-    jj = np.einsum("...gm,...kl,...kg,...lm->...", phi_inv, psi_vals, f.jet, f.jet)
-    ds_up = np.einsum("...de,...e->...d", phi_inv, ds_db)
-
-    dLdjet = pref[..., None, None] * (
-        ds_up[..., None, :] * xi_vals[..., :, None] * jj[..., None, None]
-        + np.einsum("...ga,...ik,...kg->...ia", phi_inv, psi_vals, f.jet)
-    )
-
-    first = pref[..., None] * jj[..., None] * np.einsum(
-        "...d,...pi,...pd->...i", ds_up, dxi_dx, f.jet)
-
-    def h_of_x(xv):
-        return np.exp(2.0 * np.asarray(tau_x(xv), float))[..., None, None] \
-            * np.asarray(psi(xv), float)
-
-    dh_dx = central_partials(h_of_x, f.values, fd_step)
-    ginv_scale = np.exp(2.0 * s_vals)
-    second = 0.5 * np.einsum("...,...gm,...kli,...kg,...lm->...i",
-                             ginv_scale, phi_inv, dh_dx, f.jet, f.jet)
-    dLdf = first + second
-    return assemble_residual(grid, sqrt_det(phi).values, dLdf, dLdjet)
+    return _conformal_residual(
+        f.grid, sqrt_det(phi).values, f.values, f.jet, phi_inv, np.asarray(psi(f.values), float),
+        s_vals, pref=np.exp(2.0 * s_vals + 2.0 * np.asarray(tau_x(f.values), float)),
+        u=ds_up, v=xi_vals,
+        h_at_direction=lambda xv: np.exp(2.0 * np.asarray(tau_x(xv), float))[..., None, None]
+        * np.asarray(psi(xv), float),
+        chain=np.einsum("...d,...pi,...pd->...i", ds_up, dxi_dx, f.jet), fd_step=fd_step)

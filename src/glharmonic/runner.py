@@ -34,7 +34,7 @@ from .systems import (
     pseudolinear_scenario,
     quotient_functional,
 )
-from .tensor_core import ChartGrid, identity_metric, metric_field, volume_integral
+from .tensor_core import ChartGrid, identity_metric, metric_field, sample_metric, volume_integral
 
 FORMAT = "%.17g"
 # Rows formatted and written per block.  It bounds the transient memory of a
@@ -116,11 +116,7 @@ class _Context:
 
     @property
     def phi(self):
-        def build():
-            m = self.spec["m_space"]
-            return sc.sampled_metric(self.m_grid, m.get("metric", "identity"),
-                                     m["dim"], "a")
-        return self._memo("phi", build)
+        return self._memo("phi", lambda: sample_metric(self.m_grid, self.phi_eval))
 
     @property
     def phi_eval(self):
@@ -269,7 +265,8 @@ def _orbit_curve(ctx: _Context):
     def build():
         o = ctx.spec["orbit"]
         return integrate_orbit(ctx.system.xi, o["x0"], o["t0"], o["t1"], o["nodes"],
-                               o.get("rk4_step", 1e-3), o.get("stencil_order", 4))
+                               o.get("rk4_step", 1e-3),
+                               ctx.stencil_override or o.get("stencil_order", 4))
     return ctx._memo("orbit_curve", build)
 
 
@@ -501,13 +498,14 @@ def run_scenario(spec: dict, out_dir, stencil_override: int | None = None) -> di
         grids["gl_space"] = list(spec["gl_space"]["nodes"])
     if "orbit" in spec:
         grids["orbit"] = [spec["orbit"]["nodes"]]
+    orders = [spec[key].get("stencil_order", default)
+              for key, default in (("m_space", 2), ("gl_space", 2), ("orbit", 4)) if key in spec]
 
     report = {
         "scenario": spec["name"],
         "environment": {
             "grids": grids,
-            "stencil_order": stencil_override
-            or spec.get("m_space", spec.get("gl_space", {})).get("stencil_order", 2),
+            "stencil_order": stencil_override or (orders[0] if orders else 2),
         },
         "tasks": [],
     }

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .energy import ConnectionTensor, MapJet, MetricPair
+from .energy import ConnectionTensor, MapJet, MetricPair, _conformal_residual
 from .errors import AdmissibilityError, SingularDirectionError
 from .tensor_core import (
     ChartGrid,
@@ -171,14 +171,6 @@ def section_scalar_product(T_vals: np.ndarray, S_vals: np.ndarray,
     return np.einsum("...ab,...ij,...ia,...jb->...", phi_inv, psi_vals, T_vals, S_vals)
 
 
-def _system_data(f: MapJet, system: FirstOrderSystem, phi: MetricField, psi):
-    a_pts = f.grid.points()
-    phi_inv = invert_metric(phi).values
-    psi_vals = np.asarray(psi(f.values), float)
-    T_vals = np.asarray(system.T(a_pts, f.values), float)
-    return phi_inv, psi_vals, T_vals
-
-
 def _pairing_guard(pair_vals, norm_df, norm_T, eps_sing, grid):
     floor = eps_sing * np.sqrt(np.maximum(norm_df * norm_T, 0.0))
     bad = np.abs(pair_vals) <= floor
@@ -191,6 +183,21 @@ def _pairing_guard(pair_vals, norm_df, norm_T, eps_sing, grid):
         )
 
 
+def _quotient(f: MapJet, system: FirstOrderSystem, phi: MetricField, psi, eps_sing: float):
+    """The quotient functional's value with the nodewise data a certificate
+    reuses: (value, phi^{-1}, psi, T, |T|^2, <df, T>)."""
+    phi_inv = invert_metric(phi).values
+    psi_vals = np.asarray(psi(f.values), float)
+    T_vals = np.asarray(system.T(f.grid.points(), f.values), float)
+    norm_T = section_scalar_product(T_vals, T_vals, phi_inv, psi_vals)
+    norm_df = section_scalar_product(f.jet, f.jet, phi_inv, psi_vals)
+    pair = section_scalar_product(f.jet, T_vals, phi_inv, psi_vals)
+    _pairing_guard(pair, norm_df, norm_T, eps_sing, f.grid)
+    integrand = norm_T * norm_df / pair**2
+    value = 0.5 * volume_integral(scalar_field(f.grid, integrand), phi)
+    return value, phi_inv, psi_vals, T_vals, norm_T, pair
+
+
 def quotient_functional(f: MapJet, system: FirstOrderSystem, phi: MetricField,
                         psi, eps_sing: float = DEFAULT_EPS_SING) -> float:
     """The Cauchy-Schwarz quotient
@@ -199,13 +206,7 @@ def quotient_functional(f: MapJet, system: FirstOrderSystem, phi: MetricField,
     Nodes where the pairing vanishes (relative to |df| |T|) are domain
     violations and raise, with locations.
     """
-    phi_inv, psi_vals, T_vals = _system_data(f, system, phi, psi)
-    norm_T = section_scalar_product(T_vals, T_vals, phi_inv, psi_vals)
-    norm_df = section_scalar_product(f.jet, f.jet, phi_inv, psi_vals)
-    pair = section_scalar_product(f.jet, T_vals, phi_inv, psi_vals)
-    _pairing_guard(pair, norm_df, norm_T, eps_sing, f.grid)
-    integrand = norm_T * norm_df / pair**2
-    return 0.5 * volume_integral(scalar_field(f.grid, integrand), phi)
+    return _quotient(f, system, phi, psi, eps_sing)[0]
 
 
 def half_volume(phi: MetricField) -> float:
@@ -235,8 +236,7 @@ def certify_minimizer(f: MapJet, system: FirstOrderSystem, phi: MetricField, psi
                       eps_sing: float = DEFAULT_EPS_SING) -> MinimizerCertificate:
     """Certify that a map attains the functional's global minimum value of
     half the source volume and solves the first-order system."""
-    phi_inv, psi_vals, T_vals = _system_data(f, system, phi, psi)
-    value = quotient_functional(f, system, phi, psi, eps_sing)
+    value, phi_inv, psi_vals, T_vals, norm_T, pair = _quotient(f, system, phi, psi, eps_sing)
     half_vol = half_volume(phi)
     gap = value - half_vol
 
@@ -244,8 +244,6 @@ def certify_minimizer(f: MapJet, system: FirstOrderSystem, phi: MetricField, psi
     defect = np.sqrt(np.maximum(section_scalar_product(diff, diff, phi_inv, psi_vals), 0.0))
     max_defect = float(np.max(defect))
 
-    norm_T = section_scalar_product(T_vals, T_vals, phi_inv, psi_vals)
-    pair = section_scalar_product(f.jet, T_vals, phi_inv, psi_vals)
     kappa = pair / np.maximum(norm_T, 1e-300)
     diff_k = f.jet - kappa[..., None, None] * T_vals
     defect_k = np.sqrt(np.maximum(section_scalar_product(diff_k, diff_k, phi_inv, psi_vals), 0.0))
@@ -295,9 +293,10 @@ def orbit_geodesic_residual(c: SampledCurve, xi, psi,
     """Residual of the geodesic equations of the orbit metric along a
     sampled curve, with the velocity as the direction argument.
 
-    dL/dcdot_i = e^{2t} { psi_kl (dt/dcdot^i) cdot^k cdot^l + psi_ik cdot^k }
-    with t = ln(|xi|_psi / |xi_flat(cdot)|); dL/dc^i differentiates the
-    direction-dependent metric in position only.  Residual =
+    This is the conformal residual of ``energy`` on a one-dimensional
+    source with phi = 1: the velocity is the jet, e^{2t} = |xi|^2_psi /
+    (xi_flat(cdot))^2, u = 1 and v = dt/dcdot = -xi_flat / (xi_flat(cdot)),
+    and dL/dc differentiates the orbit metric in position only.  Residual =
     dL/dc - d/dt dL/dcdot, matching the energy-gradient sign convention.
     """
     xvals, yvals = c.values, c.velocity
@@ -311,26 +310,13 @@ def orbit_geodesic_residual(c: SampledCurve, xi, psi,
             "orbit residual queried where the direction pairing vanishes",
             point=xvals[idx], direction=yvals[idx])
     norm2 = np.einsum("...i,...i->...", xi_flat, xi_vals)
-    e2t = norm2 / pairing**2
-    dt_dy = -xi_flat / pairing[..., None]
-    yy = np.einsum("...kl,...k,...l->...", psi_vals, yvals, yvals)
-    dLdydot = e2t[..., None] * (
-        dt_dy * yy[..., None] + np.einsum("...ik,...k->...i", psi_vals, yvals)
-    )
-
     h_eval = orbit_metric(xi, psi, eps_sing)
-
-    def h_of_x(x):
-        return h_eval(x, yvals)
-
-    from .energy import central_partials
-
-    dh_dx = central_partials(h_of_x, xvals, x_step)       # (..., k, l, i)
-    dLdx = 0.5 * np.einsum("...kli,...k,...l->...i", dh_dx, yvals, yvals)
-
-    flux = TensorField(c.grid, dLdydot, ("lo",))
-    res = dLdx - fd_partial(flux, 0).values
-    return TensorField(c.grid, res, ("lo",))
+    unit = np.ones(pairing.shape)
+    return _conformal_residual(
+        c.grid, unit, xvals, yvals[..., None], unit[..., None, None], psi_vals,
+        np.zeros(pairing.shape), pref=norm2 / pairing**2, u=unit[..., None],
+        v=-xi_flat / pairing[..., None], h_at_direction=lambda x: h_eval(x, yvals),
+        fd_step=x_step)
 
 
 # ---------------------------------------------------------------------------

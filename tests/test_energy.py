@@ -711,14 +711,9 @@ def test_density_partials_match_perturbation_loops(m, n, seed, fd_step):
     assert np.array_equal(got[1], ref[1])
 
 
-@settings(max_examples=30, deadline=None, database=None)
-@given(m=_dims, n=_dims, seed=st.integers(0, 2**32 - 1))
-def test_closed_form_residuals_match_vector_partial_loop(m, n, seed):
-    # each closed form takes its direction partial from central_partials
-    # unless an analytic one is passed: passing the reference loop's partial
-    # must give the same residual bit for bit
-    f, pair, P, phi = _random_problem(m, n, seed)
-
+def _conformal_data(pair):
+    """Log factors and metrics for the closed forms, built from a random
+    problem's direction-dependent pair."""
     def sigma(a, b):
         return 0.1 * np.log(pair.g(a, b)[..., 0, 0])
 
@@ -728,21 +723,50 @@ def test_closed_form_residuals_match_vector_partial_loop(m, n, seed):
     def psi(x):
         return pair.h(x, 0.5 * x)
 
-    A = lambda a: 1.0 + 0.3 * np.sin(a)
-    sigma_a = lambda a: 0.1 * np.sin(a.sum(axis=-1))
-    got = el_residual_fiber_covector(f, sigma_a, tau, A, phi, psi)
-    ref = el_residual_fiber_covector(
-        f, sigma_a, tau, A, phi, psi,
-        tau_dy=lambda x, y: _loop_partials_in_vector(tau, x, y))
-    assert np.array_equal(got.values, ref.values)
+    return sigma, tau, psi
 
-    xi = lambda x: 1.0 + 0.3 * np.cos(x)
-    tau_x = lambda x: 0.1 * np.sin(x.sum(axis=-1))
-    got = el_residual_oneform_source(f, sigma, tau_x, xi, phi, psi)
-    ref = el_residual_oneform_source(
-        f, sigma, tau_x, xi, phi, psi,
-        sigma_db=lambda a, b: _loop_partials_in_vector(sigma, a, b))
-    assert np.array_equal(got.values, ref.values)
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(m=_dims, n=_dims, seed=st.integers(0, 2**32 - 1))
+def test_central_partials_in_a_direction_match_vector_partial_loop(m, n, seed):
+    # the closed forms take dtau/dy and dsigma/db from central_partials of a
+    # vector argument at a fixed position: the same bits as a loop with its
+    # own copy of the step rule
+    f, pair, P, phi = _random_problem(m, n, seed)
+    sigma, tau, _ = _conformal_data(pair)
+    b, y = induced_arguments(f, P, invert_metric(phi).values)
+    a_pts = f.grid.points()
+    assert np.array_equal(central_partials(lambda v: tau(f.values, v), y),
+                          _loop_partials_in_vector(tau, f.values, y))
+    assert np.array_equal(central_partials(lambda v: sigma(a_pts, v), b),
+                          _loop_partials_in_vector(sigma, a_pts, b))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_closed_form_residuals_match_general_in_every_dimension(m, n):
+    # non-square jets and a random SPD phi catch orientation and raising
+    # slips in u and v: a u without phi^{-1} passes the phi = 1 fixtures
+    for seed in range(5):
+        f, pair, _, phi = _random_problem(m, n, seed)
+        sigma, tau, psi = _conformal_data(pair)
+        phi_eval = lambda a: phi.values
+        A = lambda a: 1.0 + 0.3 * np.sin(a)
+        sigma_a = lambda a: 0.1 * np.sin(a.sum(axis=-1))
+        xi = lambda x: 1.0 + 0.3 * np.cos(x)
+        tau_x = lambda x: 0.1 * np.sin(x.sum(axis=-1))
+        cases = [
+            (el_residual_fiber_covector(f, sigma_a, tau, A, phi, psi),
+             MetricPair.conformal(phi_eval, psi, sigma=lambda a, b: sigma_a(a), tau=tau),
+             ConnectionTensor.covector_fiber(A, m=m, n=n)),
+            (el_residual_oneform_source(f, sigma, tau_x, xi, phi, psi),
+             MetricPair.conformal(phi_eval, psi, sigma=sigma, tau=lambda x, y: tau_x(x)),
+             ConnectionTensor.oneform_source(xi, m=m, n=n)),
+        ]
+        for special, conformal_pair, P in cases:
+            general = el_residual(f, conformal_pair, P, phi).values
+            scale = np.max(np.abs(general))
+            assert np.max(np.abs(special.values - general)) < 1e-8 * max(1.0, scale)
 
 
 def test_central_partials_calls_fn_twice_per_coordinate():

@@ -188,6 +188,19 @@ def test_stencil_override_flag(tmp_path):
     assert report["environment"]["stencil_order"] == 4
 
 
+@pytest.mark.parametrize("flag, order", [([], 4), (["--stencil", "2"], 2)])
+def test_orbit_chart_runs_and_reports_its_stencil_order(flag, order, tmp_path):
+    # orbit-rotation has no m_space or gl_space: its one chart is the orbit
+    # grid, whose default order is 4, and --stencil overrides it
+    result = runner.invoke(main, ["run", "orbit-rotation", "--out", str(tmp_path)] + flag)
+    assert result.exit_code == 0
+    report = json.loads((tmp_path / "orbit-rotation__report.json").read_text())
+    assert report["environment"]["stencil_order"] == order
+    residual = report["tasks"][0]["scalars"]["max_residual"]
+    # fourth-order stencils leave ~3e-9, second-order ones ~2e-5
+    assert (residual < 1e-7) == (order == 4)
+
+
 def test_nonfinite_field_fails_the_task(tmp_path):
     # sigma = ln(y1) sampled at y1 = 0: every Einstein and Maxwell output is
     # NaN; the maxima must not read a silent 0.0 pass
@@ -432,6 +445,25 @@ def test_tasks_reuse_the_context_system(name, built, tmp_path, monkeypatch):
     report = run_scenario(BUILTIN_SCENARIOS[name], tmp_path)
     assert report["status"] == "pass"
     assert len(calls) == built
+
+
+@pytest.mark.parametrize("name", ["harmonic-identity", "pseudolinear-exp"])
+def test_tasks_reuse_the_context_metric_evaluators(name, tmp_path, monkeypatch):
+    # the sampled source metric comes from _Context.phi_eval: one evaluator
+    # per metric, phi in a and psi in x
+    import glharmonic.scenarios as scenarios_module
+
+    prefixes = []
+    original = scenarios_module.metric_evaluator
+
+    def counted(spec_metric, dim, prefix):
+        prefixes.append(prefix)
+        return original(spec_metric, dim, prefix)
+
+    monkeypatch.setattr(scenarios_module, "metric_evaluator", counted)
+    report = run_scenario(BUILTIN_SCENARIOS[name], tmp_path)
+    assert report["status"] == "pass"
+    assert prefixes == ["a", "x"]
 
 
 def test_validator_rejects_pseudo_metric_key():
