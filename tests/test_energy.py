@@ -612,32 +612,70 @@ def test_density_partials_evaluates_connection_2n_plus_1_times(m, n):
     assert calls == {"source": 2 * n + 1, "target": 2 * n + 1}
 
 
+def _counted_conformal_pair(m, n, calls, sigma=True, tau=True, seed=12):
+    """A conformal pair with direction-dependent log factors whose four
+    ingredients count their calls in ``calls``; its phi is not the sampled
+    phi of ``_random_problem``."""
+    r = np.random.default_rng(seed)
+    pb, hb = 0.3 * r.normal(size=(m, m, 2 * m)), 0.3 * r.normal(size=(n, n, 2 * n))
+    cb, cy = r.normal(size=m), r.normal(size=n)
+
+    def counted(name, fn):
+        def ev(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return ev
+
+    return MetricPair.conformal(
+        counted("phi", lambda a: _spd(pb, a, 2.0 * a)),
+        counted("psi", lambda x: _spd(hb, x, 0.5 * x)),
+        sigma=counted("sigma", lambda a, b: 0.1 * np.sin(a.sum(-1) + b @ cb)) if sigma else None,
+        tau=counted("tau", lambda x, y: 0.1 * np.cos(x.sum(-1) - y @ cy)) if tau else None)
+
+
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (2, 3), (3, 2)])
 def test_density_partials_evaluates_phi_once_and_psi_2n_plus_1_times(m, n):
     f, _, P, phi = _random_problem(m, n, seed=11)
-    r = np.random.default_rng(12)
-    pb, hb = 0.3 * r.normal(size=(m, m, 2 * m)), 0.3 * r.normal(size=(n, n, 2 * n))
-    cb, cy = r.normal(size=m), r.normal(size=n)
-    calls = {"phi": 0, "psi": 0}
-
-    def phi_eval(a):
-        calls["phi"] += 1
-        return _spd(pb, a, 2.0 * a)
-
-    def psi_eval(x):
-        calls["psi"] += 1
-        return _spd(hb, x, 0.5 * x)
-
-    pair = MetricPair.conformal(phi_eval, psi_eval,
-                                sigma=lambda a, b: 0.1 * np.sin(a.sum(-1) + b @ cb),
-                                tau=lambda x, y: 0.1 * np.cos(x.sum(-1) - y @ cy))
+    calls = {}
+    pair = _counted_conformal_pair(m, n, calls)
     got = density_partials(f, pair, P, phi)
     # phi depends on a only; psi once per value perturbation, plus one
-    # evaluation shared by all 2nm jet perturbations
-    assert calls == {"phi": 1, "psi": 2 * n + 1}
+    # evaluation shared by all jet partials
+    assert (calls["phi"], calls["psi"]) == (1, 2 * n + 1)
     ref = _loop_density_partials(f, pair, P, phi)
     assert np.array_equal(got[0], ref[0])
-    assert np.array_equal(got[1], ref[1])
+    # a conformal pair takes its jet partials in closed form; the
+    # difference path stays pinned through the same metrics as a general pair
+    scale = np.max(np.abs(ref[1]))
+    assert np.max(np.abs(got[1] - ref[1])) <= 1e-8 * max(1.0, scale)
+    general = MetricPair.general(pair.g, pair.h)
+    assert np.array_equal(density_partials(f, general, P, phi)[1],
+                          _loop_density_partials(f, general, P, phi)[1])
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (2, 3), (3, 2)])
+def test_conformal_density_partials_evaluate_sigma_and_tau_once_per_direction_step(m, n):
+    f, _, P, phi = _random_problem(m, n, seed=13)
+    calls = {}
+    density_partials(f, _counted_conformal_pair(m, n, calls), P, phi)
+    # sigma and tau: 2n value perturbations, one evaluation at (b, y), and
+    # the central partials in b (2m sigma calls) and in y (2n tau calls)
+    assert (calls["sigma"], calls["tau"]) == (2 * (m + n) + 1, 4 * n + 1)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(m=st.sampled_from([1, 2, 3]), n=st.sampled_from([1, 2, 3]),
+       seed=st.integers(0, 2**32 - 1), sigma=st.booleans(), tau=st.booleans())
+def test_conformal_jet_partials_match_general_difference_path(m, n, seed, sigma, tau):
+    # P depends on the map values, and the pair's phi is not the sampled
+    # phi that raises the jet into b and y: g^{-1} and phi^{-1} differ
+    f, _, P, phi = _random_problem(m, n, seed)
+    pair = _counted_conformal_pair(m, n, {}, sigma, tau, seed=seed + 1)
+    got = density_partials(f, pair, P, phi)
+    ref = density_partials(f, MetricPair.general(pair.g, pair.h), P, phi)
+    assert np.array_equal(got[0], ref[0])
+    scale = np.max(np.abs(ref[1]))
+    assert np.max(np.abs(got[1] - ref[1])) <= 1e-8 * max(1.0, scale)
 
 
 # ---------------------------------------------------------------------------
