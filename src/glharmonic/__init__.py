@@ -22,6 +22,7 @@ from .errors import (
     SingularDirectionError,
     SingularMetricError,
     StencilSupportError,
+    StepLimitError,
 )
 from .field_equations import (
     EinsteinSystem,

@@ -39,6 +39,10 @@ class AdmissibilityError(GLHarmonicError):
         self.nodes = nodes or []
 
 
+class StepLimitError(GLHarmonicError):
+    """An integration would take more steps than the integrator runs."""
+
+
 class DivisionGuardError(GLHarmonicError):
     """A coupling constant of zero was supplied where a division is required."""
 

@@ -26,6 +26,7 @@ from .field_equations import einstein_system, maxwell_residuals
 from .gl_space import conformal_space
 from .riemann import curvature_package
 from .systems import (
+    DEFAULT_RK4_STEP,
     FirstOrderSystem,
     certify_minimizer,
     integrate_orbit,
@@ -264,7 +265,7 @@ def _orbit_curve(ctx: _Context):
     def build():
         o = ctx.spec["orbit"]
         return integrate_orbit(ctx.system.xi, o["x0"], o["t0"], o["t1"], o["nodes"],
-                               o.get("rk4_step", 1e-3),
+                               o.get("rk4_step", DEFAULT_RK4_STEP),
                                ctx.stencil_override or o.get("stencil_order", 4))
     return ctx._memo("orbit_curve", build)
 

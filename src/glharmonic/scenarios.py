@@ -13,13 +13,15 @@ single chart whose coordinates are x1..xn.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ScenarioValidationError
+from .errors import ScenarioValidationError, StepLimitError
 from .expressions import Expression, ExpressionError, component_env
-from .tensor_core import ChartGrid, MetricField, box_grid, metric_field
+from .systems import DEFAULT_RK4_STEP, rk4_substeps
+from .tensor_core import ChartGrid, MetricField, box_grid, interval_grid, metric_field
 
 TASK_NAMES = (
     "energy",
@@ -324,6 +326,16 @@ def _semantic_errors(spec: dict) -> list[str]:
         for key, names in (("xi", x_names), ("A", a_names)):
             for k, src in enumerate(system.get(key, [])):
                 _check_expr(errors, f"system.{key}.{k}", src, names)
+        if "T" in system:
+            # the builder reads T as an n x m array in a1..am and x1..xn,
+            # with dimension 1 for a missing space
+            rows, t_m, t_n = system["T"], m_dim or 1, n_dim or 1
+            if len(rows) != t_n or any(len(row) != t_m for row in rows):
+                errors.append(f"system.T: expected a {t_n}x{t_m} array of expressions")
+            t_names = [f"a{k + 1}" for k in range(t_m)] + [f"x{k + 1}" for k in range(t_n)]
+            for i, row in enumerate(rows):
+                for j, src in enumerate(row):
+                    _check_expr(errors, f"system.T.{i}.{j}", src, t_names)
         for r, gen in enumerate(system.get("generators", [])):
             for k, src in enumerate(gen["xi"]):
                 _check_expr(errors, f"system.generators.{r}.xi.{k}", src, x_names)
@@ -349,6 +361,12 @@ def _semantic_errors(spec: dict) -> list[str]:
             errors.append(f"orbit.x0: expected {n_dim} components, got {len(orbit['x0'])}")
         if orbit["t1"] <= orbit["t0"]:
             errors.append("orbit: t1 must exceed t0")
+        else:
+            grid = interval_grid(orbit["t0"], orbit["t1"], orbit["nodes"])
+            try:
+                rk4_substeps(grid, orbit.get("rk4_step", DEFAULT_RK4_STEP))
+            except StepLimitError as exc:
+                errors.append(f"orbit.rk4_step: {exc}")
 
     samples = spec.get("samples")
     if samples and gl:
@@ -408,24 +426,16 @@ def metric_evaluator(spec_metric, dim: int, prefix: str) -> Callable[[np.ndarray
 
         return identity
 
-    keys = _component_keys(prefix, dim)
-    names = [name for name, _ in keys]
     if "diag" in spec_metric:
-        exprs = [Expression(src, scalars=names) for src in spec_metric["diag"]]
+        diag = spec_metric["diag"]
+        return _Outputs([diag[i] if i == j else "0" for i in range(dim) for j in range(dim)],
+                        ((prefix, dim),), (dim, dim))
 
-        def diag_eval(pts):
-            env = {name: pts[k] for name, k in keys}
-            out = np.zeros(pts.shape[:-1] + (dim, dim))
-            for k, e in enumerate(exprs):
-                out[..., k, k] = e(env)
-            return out
-
-        return diag_eval
-
-    rows = [[Expression(src, scalars=names) for src in row] for row in spec_metric["matrix"]]
+    entries = _Outputs([src for row in spec_metric["matrix"] for src in row],
+                       ((prefix, dim),), (dim, dim))
 
     def matrix_eval(pts):
-        out = _fill_matrix(rows, {name: pts[k] for name, k in keys}, pts.shape[:-1])
+        out = entries(pts)
         return 0.5 * (out + np.swapaxes(out, -1, -2))
 
     return matrix_eval
@@ -434,64 +444,88 @@ def metric_evaluator(spec_metric, dim: int, prefix: str) -> Callable[[np.ndarray
 def system_matrix_evaluator(rows, m_dim: int, n_dim: int):
     """Vectorized T^i_a(a, x) of a general first-order system from rows of
     expressions in a1..am and x1..xn: ``T(a_pts, x_vals) -> (..., n, m)``."""
-    a_keys, x_keys = _component_keys("a", m_dim), _component_keys("x", n_dim)
-    names = [name for name, _ in a_keys + x_keys]
-    compiled = [[Expression(src, scalars=names) for src in row] for row in rows]
-
-    def T(a_pts, x_vals):
-        env = {name: a_pts[k] for name, k in a_keys}
-        env.update({name: x_vals[k] for name, k in x_keys})
-        return _fill_matrix(compiled, env, a_pts.shape[:-1])
-
-    return T
-
-
-def _component_keys(prefix: str, dim: int) -> tuple:
-    """(name, index) of each component of a stacked coordinate array:
-    ("x1", (..., 0)), ("x2", (..., 1)), ... as ``component_env`` names them."""
-    return tuple((f"{prefix}{k + 1}", (Ellipsis, k)) for k in range(dim))
-
-
-def _fill_matrix(rows, env: dict, lead_shape: tuple) -> np.ndarray:
-    """(*lead_shape, rows, columns) array of compiled expressions in env."""
-    out = np.zeros(lead_shape + (len(rows), len(rows[0])))
-    for i, row in enumerate(rows):
-        for j, e in enumerate(row):
-            out[..., i, j] = e(env)
-    return out
+    return _Outputs([src for row in rows for src in row], (("a", m_dim), ("x", n_dim)),
+                    (len(rows), len(rows[0])))
 
 
 def covector_evaluator(exprs, dim: int, prefix: str):
-    keys = _component_keys(prefix, dim)
-    compiled = [Expression(src, scalars=[name for name, _ in keys]) for src in exprs]
-
-    def ev(pts):
-        env = {name: pts[k] for name, k in keys}
-        out = np.empty(pts.shape[:-1] + (len(compiled),))
-        for j, e in enumerate(compiled):
-            out[..., j] = e(env)    # broadcasts constant components
-        return out
-
-    return ev
+    return _Outputs(exprs, ((prefix, dim),), (len(exprs),))
 
 
 def scalar_evaluator_two_args(src: str, d1: int, p1: str, d2: int, p2: str):
     """Expression over two stacked arguments, e.g. sigma(x, y)."""
-    keys1, keys2 = _component_keys(p1, d1), _component_keys(p2, d2)
-    e = Expression(src, scalars=[name for name, _ in keys1 + keys2], vectors=(p1, p2))
+    value = _Outputs([src], ((p1, d1), (p2, d2)), (), vectors=True)
 
     def ev(first, second):
         first = np.asarray(first, float)
         second = np.asarray(second, float)
-        if second.ndim == 1:
+        if second.ndim == 1 and first.ndim > 1:
             second = np.broadcast_to(second, first.shape[:-1] + second.shape)
-        env = {name: first[k] for name, k in keys1}
-        env.update({name: second[k] for name, k in keys2})
-        env[p1] = first
-        env[p2] = second
-        return np.broadcast_to(e(env), first.shape[:-1]).copy()
+        return value(first, second)
 
     return ev
+
+
+class _Outputs:
+    """One compiled function for a list of expressions in the components
+    of stacked coordinate arguments, ``args`` = ((prefix, dim), ...), and
+    the array it fills: the outputs in row-major order make up a per-point
+    block of ``shape``.  With ``vectors`` each prefix is also declared as a
+    vector for dot.
+
+    Called on one point, every argument a 1-D float64 array of its
+    dimension, it takes the float lowering.  It returns the array path's
+    result for that point instead when the float lowering raises
+    ZeroDivisionError or gives a non-finite value, so those values and
+    numpy's warnings for them are the array path's."""
+
+    def __init__(self, sources, args, shape: tuple, vectors: bool = False):
+        self.args = tuple(args)
+        names = [f"{p}{k + 1}" for p, dim in self.args for k in range(dim)]
+        self.expr = Expression(list(sources), scalars=names,
+                               vectors=[p for p, _ in self.args] if vectors else ())
+        self.vectors = vectors
+        self.shape = shape
+        self.size = math.prod(shape)
+        self._point_shapes = tuple((dim,) for _, dim in self.args)
+        self._flat = shape == (self.size,)
+
+    def __call__(self, first: np.ndarray, second: np.ndarray | None = None) -> np.ndarray:
+        shapes = self._point_shapes
+        if first.shape == shapes[0] and first.dtype is _FLOAT and (
+                second is None or second.shape == shapes[1] and second.dtype is _FLOAT):
+            values = first.tolist() if second is None else first.tolist() + second.tolist()
+            block = self._at_point(values)
+            if block is not None:
+                return block
+        arrays = (first,) if second is None else (first, second)
+        env = {}
+        for (prefix, _), a in zip(self.args, arrays):
+            env.update(component_env(prefix, a))
+            if self.vectors:
+                env[prefix] = a
+        lead = first.shape[:-1]
+        out = np.zeros(lead + self.shape)
+        flat = out.reshape(lead + (self.size,))
+        for j, value in enumerate(self.expr(env)):
+            flat[..., j] = value    # broadcasts constants
+        return out
+
+    def _at_point(self, values: list) -> np.ndarray | None:
+        form = self.expr.point_form
+        if form is None:
+            return None
+        try:
+            outputs = form(*values)
+        except ZeroDivisionError:
+            return None
+        if not all(map(math.isfinite, outputs)):
+            return None
+        block = np.array(outputs)
+        return block if self._flat else block.reshape(self.shape)
+
+
+_FLOAT = np.dtype(float)
 
 
 def sampled_metric(grid: ChartGrid, spec_metric, dim: int, prefix: str,
@@ -501,15 +535,9 @@ def sampled_metric(grid: ChartGrid, spec_metric, dim: int, prefix: str,
 
 
 def build_map_values(spec_map: dict, grid: ChartGrid, n_dim: int):
-    names = [f"a{k + 1}" for k in range(grid.dim)]
-    pts = grid.points()
-    env = component_env("a", pts)
-    env["a"] = pts
-    cols = []
-    for src in spec_map["components"]:
-        e = Expression(src, scalars=names, vectors=("a",))
-        cols.append(np.broadcast_to(e(env), grid.shape))
-    values = np.stack(cols, axis=-1)
+    components = spec_map["components"]
+    values = _Outputs(components, (("a", grid.dim),), (len(components),),
+                      vectors=True)(grid.points())
     linear_jet = spec_map.get("linear_jet")
     return values, (np.asarray(linear_jet, float) if linear_jet is not None else None)
 

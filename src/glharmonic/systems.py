@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .energy import ConnectionTensor, MapJet, MetricPair, _conformal_residual
-from .errors import AdmissibilityError, SingularDirectionError
+from .errors import AdmissibilityError, SingularDirectionError, StepLimitError
 from .tensor_core import (
     ChartGrid,
     MetricField,
@@ -37,6 +37,8 @@ from .tensor_core import (
 )
 
 DEFAULT_EPS_SING = 1e-8
+DEFAULT_RK4_STEP = 1e-3
+MAX_RK4_SUBSTEPS = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +131,29 @@ class SampledCurve:
         return MapJet.from_values(self.grid, self.values)
 
 
+def rk4_substeps(grid: ChartGrid, max_step: float) -> int:
+    """The number of equal RK4 substeps, each no longer than ``max_step``,
+    that split every interval of a curve grid.  Raises StepLimitError when
+    the whole curve would take more than MAX_RK4_SUBSTEPS, including a step
+    so small that the count overflows."""
+    per_interval = max(1.0, float(np.ceil(grid.spacing[0] / max_step - 1e-12)))
+    intervals = grid.nodes_per_axis[0] - 1
+    if intervals * per_interval > MAX_RK4_SUBSTEPS:
+        raise StepLimitError(
+            f"a step of at most {max_step!r} takes {intervals * per_interval:.3g} RK4 "
+            f"substeps over {intervals} grid intervals; at most {MAX_RK4_SUBSTEPS} are run")
+    return int(per_interval)
+
+
 def integrate_orbit(xi, x0, t0: float, t1: float, nodes: int,
-                    max_step: float = 1e-3, stencil_order: int = 4) -> SampledCurve:
+                    max_step: float = DEFAULT_RK4_STEP, stencil_order: int = 4) -> SampledCurve:
     """Fixed-step classical fourth-order Runge-Kutta orbit of a vector
     field, landing exactly on the curve grid nodes (each grid interval is
-    split into equal substeps no longer than ``max_step``)."""
+    split into equal substeps no longer than ``max_step``, see
+    :func:`rk4_substeps`)."""
     grid = interval_grid(t0, t1, nodes, stencil_order=stencil_order)
-    h_grid = grid.spacing[0]
-    k = max(1, int(np.ceil(h_grid / max_step - 1e-12)))
-    h = h_grid / k
+    k = rk4_substeps(grid, max_step)
+    h = grid.spacing[0] / k
     half_h, sixth_h = 0.5 * h, h / 6.0
 
     def slope(point):

@@ -1,5 +1,6 @@
 import ast
 import builtins
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from glharmonic.expressions import (
     ExpressionError,
     component_env,
 )
+from glharmonic.scenarios import covector_evaluator
 
 
 def test_arithmetic_and_functions():
@@ -189,3 +191,37 @@ def test_literal_only_expressions(source, expected):
 
 def test_declared_e_is_the_constant():
     assert Expression("e", scalars=["e"])({"e": 5.0}) == np.e
+
+
+# ---------------------------------------------------------------------------
+# the float lowering of one point against the array path
+# ---------------------------------------------------------------------------
+
+_point_leaves = st.one_of(_literals, st.sampled_from(["x1", "x2", "x3", "pi", "e", "0"]))
+_point_sources = st.recursive(_point_leaves, _extend, max_leaves=10)
+_coordinates = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, 1.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-4.0, 4.0))
+
+
+def _warning_messages(evaluate):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = evaluate()
+    return value, {str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(sources=st.lists(_point_sources, min_size=1, max_size=4),
+       point=st.lists(_coordinates, min_size=3, max_size=3))
+def test_float_lowering_matches_array_path(sources, point):
+    # zero divisors, inf and nan fall back to the array path; where the
+    # output is finite the float path must give the same bits
+    ev = covector_evaluator(sources, 3, "x")
+    pts = np.array(point)
+    got, got_warnings = _warning_messages(lambda: ev(pts))
+    ref, ref_warnings = _warning_messages(lambda: ev(pts[None])[0])
+    _assert_same(got, ref)
+    if not np.all(np.isfinite(ref)):
+        assert got_warnings == ref_warnings

@@ -6,6 +6,7 @@ import yaml
 from click.testing import CliRunner
 
 from glharmonic.cli import main
+from glharmonic.errors import ScenarioValidationError
 from glharmonic.expressions import Expression, component_env
 from glharmonic.runner import run_scenario
 from glharmonic.scenarios import (
@@ -13,8 +14,12 @@ from glharmonic.scenarios import (
     builtin_catalog,
     covector_evaluator,
     load_scenario,
+    metric_evaluator,
+    scalar_evaluator_two_args,
+    system_matrix_evaluator,
     validate_scenario,
 )
+from glharmonic.systems import integrate_orbit
 from glharmonic.tensor_core import invert_metric
 
 runner = CliRunner()
@@ -245,7 +250,7 @@ def test_nonfinite_energy_and_residual_fail_the_tasks(tmp_path):
     assert residual["scalars"]["residual_nonfinite"] == 33 * 33 * 2
 
 
-def test_nonfinite_orbit_residual_fails_the_task(tmp_path):
+def test_nonfinite_orbit_residual_fails_the_task(tmp_path, monkeypatch):
     # 0*ln(0.5 - x2) is NaN once the rotation orbit passes x2 = 0.5: the
     # curve and its residual are finite up to there and NaN after
     spec = json.loads(json.dumps(BUILTIN_SCENARIOS["orbit-rotation"]))
@@ -261,6 +266,18 @@ def test_nonfinite_orbit_residual_fails_the_task(tmp_path):
     nan_cells = sum(cell == "nan" for row in rows for cell in row.split(",")[1:])
     assert 0 < scalars["residual_nonfinite"] == nan_cells < 2 * 201
     assert isinstance(scalars["max_residual"], float) and scalars["max_residual"] < 1e-4
+
+    # the NaN stages leave the float lowering for the array path: the same
+    # report and dumps as a run where every evaluation takes the array path
+    monkeypatch.setattr(Expression, "point_form", None)
+    with np.errstate(all="ignore"):
+        forced = run_scenario(spec, tmp_path / "array-path")
+    for task in (orbit, *forced["tasks"]):
+        task.pop("wall_time_s")
+    assert forced["tasks"] == [orbit]
+    for name in ("orbit_curve", "orbit_residual"):
+        dump = f"nan-orbit__orbit__{name}.csv"
+        assert (tmp_path / dump).read_bytes() == (tmp_path / "array-path" / dump).read_bytes()
 
 
 def test_unexpected_exception_becomes_error_record(tmp_path, monkeypatch):
@@ -290,6 +307,39 @@ def test_validator_rejects_level_sets_of_vector_maps():
     errors = validate_scenario(spec)
     assert errors == ["tasks.0 (pseudolinear): the level-set check needs a "
                       "one-dimensional target, n_space.dim is 2"]
+
+
+@pytest.mark.parametrize("T, error", [
+    ([["1 +", "2"]], "system.T.0.0: cannot parse"),
+    ([["zzz", "2"]], "system.T.0.0: unknown name 'zzz'"),
+    ([["1", "2", "3"]], "system.T: expected a 1x2 array"),
+    ([["1"]], "system.T: expected a 1x2 array"),
+    ([["1", "2"], ["3", "4"]], "system.T: expected a 1x2 array"),
+])
+def test_validator_checks_the_general_system_tensor(T, error):
+    # T is an n x m array of expressions in a1..am and x1..xn; a misshapen
+    # one used to broadcast inside the certificate or raise there
+    spec = json.loads(json.dumps(BUILTIN_SCENARIOS["pfaff-exact"]))
+    spec["system"] = {"kind": "general", "T": T}
+    spec["tasks"] = [{"task": "certify_theorem"}]
+    errors = validate_scenario(spec)
+    assert len(errors) == 1
+    assert errors[0].startswith(error)
+    spec["system"]["T"] = [["1 + 0.3*cos(a1)*cos(a2) + 0*x1", "2 - 0.3*sin(a1)*sin(a2)"]]
+    assert validate_scenario(spec) == []
+
+
+@pytest.mark.parametrize("rk4_step", [1e-320, 1e-9])
+def test_validator_rejects_orbits_beyond_the_substep_limit(rk4_step, tmp_path):
+    # a half turn at 201 nodes: 1e-320 overflows the substep count, 1e-9
+    # asks for about 3.1e9 substeps, which would never finish
+    spec = json.loads(json.dumps(BUILTIN_SCENARIOS["orbit-rotation"]))
+    spec["orbit"].update(t1=np.pi, rk4_step=rk4_step)
+    errors = validate_scenario(spec)
+    assert len(errors) == 1
+    assert errors[0].startswith("orbit.rk4_step: ")
+    with pytest.raises(ScenarioValidationError):
+        run_scenario(spec, tmp_path)
 
 
 @pytest.mark.parametrize("name", ["pfaff-exact", "pseudolinear-exp"])
@@ -500,6 +550,38 @@ def test_covector_evaluator_matches_stacked_columns(point_shape, exprs):
     assert got.shape == ref.shape == point_shape + (len(exprs),)
     assert got.dtype == ref.dtype
     assert got.tobytes() == ref.tobytes()
+
+
+def _same_bytes(got, ref):
+    assert got.shape == ref.shape
+    assert got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("x", [[0.3, -1.7], [0.0, 2.0], [-0.0, np.inf]])
+def test_single_point_evaluators_match_the_array_path(x):
+    # one point takes the float lowering, unless the list uses dot or a
+    # value is non-finite; the same point as a batch of one takes the
+    # array path
+    a, x = np.array([0.8, -0.4]), np.array(x)
+    evaluators = [
+        (metric_evaluator({"diag": ["1 + x1*x1", "exp(x2)"]}, 2, "x"), (x,)),
+        (metric_evaluator({"matrix": [["2", "0.1*x1"], ["0.3*x2", "1/x1"]]}, 2, "x"), (x,)),
+        (system_matrix_evaluator([["a1*x1", "a2"], ["x2", "sin(a1)/x1"], ["-x2", "1"]], 2, 2),
+         (a, x)),
+        (scalar_evaluator_two_args("0.3*x1*y2 - ln(abs(y1))", 2, "x", 2, "y"), (x, a)),
+        (scalar_evaluator_two_args("ln(abs(dot(x, y)))", 2, "x", 2, "y"), (x, a)),
+    ]
+    with np.errstate(all="ignore"):
+        for ev, args in evaluators:
+            _same_bytes(ev(*args), ev(*(v[None] for v in args))[0])
+
+
+def test_transcendental_orbit_matches_the_array_path():
+    xi = covector_evaluator(["-x2 + 0.1*sin(x1)", "x1*exp(-0.05*x2)"], 2, "x")
+    curve = integrate_orbit(xi, [1.0, 0.0], 0.0, np.pi, nodes=101)
+    ref = integrate_orbit(lambda pts: xi(pts[None])[0], [1.0, 0.0], 0.0, np.pi, nodes=101)
+    _same_bytes(curve.values, ref.values)
 
 
 def _per_node_group_oracle(gens, f, phi, psi_eval):

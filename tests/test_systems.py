@@ -9,7 +9,7 @@ from glharmonic.energy import (
     el_residual_fiber_covector,
     energy,
 )
-from glharmonic.errors import AdmissibilityError, SingularDirectionError
+from glharmonic.errors import AdmissibilityError, SingularDirectionError, StepLimitError
 from glharmonic.systems import (
     FirstOrderSystem,
     SampledCurve,
@@ -23,6 +23,7 @@ from glharmonic.systems import (
     pfaff_metric,
     pseudolinear_scenario,
     quotient_functional,
+    rk4_substeps,
     section_scalar_product,
 )
 from glharmonic.tensor_core import (
@@ -288,6 +289,21 @@ def test_orbit_matches_array_rk4_bit_for_bit(n, seed, max_step):
     ref = _array_rk4_orbit(xi, x0, 0.0, 0.7, nodes=9, max_step=max_step)
     assert curve.values.shape == ref.shape
     assert np.array_equal(curve.values, ref)
+
+
+def test_rk4_substeps_of_the_bundled_orbits():
+    # quarter turn at 201 nodes (orbit-rotation) and half turn at 201 nodes
+    # (the benchmark orbit): 1,600 and 3,200 substeps at the default step
+    assert rk4_substeps(interval_grid(0.0, np.pi / 2, 201), 1e-3) * 200 == 1600
+    assert rk4_substeps(interval_grid(0.0, np.pi, 201), 1e-3) * 200 == 3200
+    assert rk4_substeps(interval_grid(0.0, 1.0, 9), 1.0) == 1
+
+
+@pytest.mark.parametrize("max_step", [1e-320, 1e-9])
+def test_orbit_beyond_the_substep_limit_raises_a_library_error(max_step):
+    # 1e-320 overflows the count to inf; 1e-9 asks for about 3.1e9 substeps
+    with pytest.raises(StepLimitError, match="RK4 substeps over 200 grid intervals"):
+        integrate_orbit(rotation_field, [1.0, 0.0], 0.0, np.pi, nodes=201, max_step=max_step)
 
 
 def test_reparametrized_circle_is_still_a_minimizer():
