@@ -9,13 +9,16 @@ the discrete energy gradient vanishes.
 
 Evaluation.  Per node, b and y are one matrix-vector product each of P's
 flattened blocks with w_{bi} = phi^{ab} f^i_a, and the density is
-g^{gm} (f^T h f)_{gm} / 2.  The generic residual differences the density
-by central steps in each map value.  Its jet partials are differenced
-too for a general pair; a conformal pair takes them in closed form,
-h_{il} f^l_g g^{ga} plus the chain rule through b and y, with only
-dsigma/db and dtau/dy differenced.  P depends on (a, f) only, so one
-evaluation of P serves all jet partials and a residual evaluates each P
-block 2n + 1 times.
+g^{gm} (f^T h f)_{gm} / 2.  A general pair's residual differences the
+density by central steps in each map value and each jet entry.  A
+conformal pair g = e^{-2 sigma(a,b)} phi(a), h = e^{2 tau(x,y)} psi(x)
+takes both partials by the chain rule (``_conformal_partials``): L scales
+as e^{2 sigma + 2 tau}, so one pair of direction gradients dsigma/db and
+dtau/dy serves both (central differences, or the pair's exact ``tau_dy``).
+sigma and g are evaluated and guard-inverted once; only psi, tau at fixed
+y and the connection blocks that depend on x are differenced in x.  The
+fiber-covector, one-form-source and orbit-geodesic residuals are
+(pair, P) constructions over this one path.
 
 Sign convention.  The residual returned here *is* the nodewise density
 form of the discrete energy gradient: at interior nodes of the grid,
@@ -69,9 +72,9 @@ def central_partials(fn: Callable[[np.ndarray], np.ndarray], pts: np.ndarray,
     coordinate of its argument; one trailing axis is appended.
 
     The step is h = rel_step * (1 + |x_k|), per node and per coordinate.
-    This is the one map-side step rule: the generic and closed-form
-    residuals take every partial in a map value, jet entry or induced
-    direction from here.  ``fn`` is called exactly 2d times.
+    This is the one map-side step rule: the residual takes every
+    differenced partial in a map value, jet entry or induced direction
+    from here.  ``fn`` is called exactly 2d times.
     """
     d = pts.shape[-1]
     out = None
@@ -82,17 +85,11 @@ def central_partials(fn: Callable[[np.ndarray], np.ndarray], pts: np.ndarray,
         minus = pts.copy()
         minus[..., k] -= h
         num = np.asarray(fn(plus), float) - np.asarray(fn(minus), float)
-        col = num / _expand(2.0 * h, num.ndim)
+        col = num / (2.0 * h).reshape(h.shape + (1,) * (num.ndim - h.ndim))
         if out is None:
             out = np.empty(col.shape + (d,))
         out[..., k] = col
     return out
-
-
-def _expand(arr: np.ndarray, ndim: int) -> np.ndarray:
-    while arr.ndim < ndim:
-        arr = arr[..., None]
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -108,20 +105,25 @@ class ConnectionTensor:
     Evaluators are vectorized: ``source(a_pts, x_vals) -> (..., m, m, n)``
     with axes [upper, lower-source, lower-target] and
     ``target(a_pts, x_vals) -> (..., n, m, n)`` with axes
-    [upper, lower-source, lower-target].
+    [upper, lower-source, lower-target].  ``source_depends_on_x`` and
+    ``target_depends_on_x`` say whether a block depends on x; a block that
+    does not is never re-evaluated at perturbed map values.  Both default
+    to True, which is always correct.
     """
 
     source: Callable[[np.ndarray, np.ndarray], np.ndarray]
     target: Callable[[np.ndarray, np.ndarray], np.ndarray]
     m: int
     n: int
+    source_depends_on_x: bool = True
+    target_depends_on_x: bool = True
 
     @classmethod
     def zero(cls, m: int, n: int) -> "ConnectionTensor":
         return cls(
             source=lambda a, x: np.zeros(a.shape[:-1] + (m, m, n)),
             target=lambda a, x: np.zeros(a.shape[:-1] + (n, m, n)),
-            m=m, n=n,
+            m=m, n=n, source_depends_on_x=False, target_depends_on_x=False,
         )
 
     @classmethod
@@ -132,7 +134,7 @@ class ConnectionTensor:
         return cls(
             source=lambda a, x: np.broadcast_to(sb, a.shape[:-1] + sb.shape).copy(),
             target=lambda a, x: np.broadcast_to(tb, a.shape[:-1] + tb.shape).copy(),
-            m=m, n=n,
+            m=m, n=n, source_depends_on_x=False, target_depends_on_x=False,
         )
 
     @classmethod
@@ -141,7 +143,8 @@ class ConnectionTensor:
                        ) -> "ConnectionTensor":
         """Target block A_a(a) d^k_i (the induced fiber is the A-weighted
         jet); source block free, defaulting to zero.  Dimensions are read
-        off the arguments at evaluation time."""
+        off the arguments at evaluation time.  The target and the default
+        source do not depend on x; a given source is taken to."""
 
         def target(a_pts, x_vals):
             avals = np.asarray(A(a_pts), float)      # (..., m)
@@ -152,14 +155,17 @@ class ConnectionTensor:
             mm, nn = a_pts.shape[-1], x_vals.shape[-1]
             return np.zeros(a_pts.shape[:-1] + (mm, mm, nn))
 
-        return cls(source=source or zero_source, target=target, m=m, n=n)
+        return cls(source=source or zero_source, target=target, m=m, n=n,
+                   source_depends_on_x=source is not None, target_depends_on_x=False)
 
     @classmethod
     def oneform_source(cls, xi: Callable[[np.ndarray], np.ndarray],
                        target: Callable | None = None, m: int = -1, n: int = -1
                        ) -> "ConnectionTensor":
         """Source block d^g_a xi_i(x) (the induced source argument is the
-        xi-weighted jet, raised); target block free, defaulting to zero."""
+        xi-weighted jet, raised); target block free, defaulting to zero.
+        The source depends on x, the default target does not; a given
+        target is taken to."""
 
         def source(a_pts, x_vals):
             xivals = np.asarray(xi(x_vals), float)   # (..., n)
@@ -170,7 +176,8 @@ class ConnectionTensor:
             mm, nn = a_pts.shape[-1], x_vals.shape[-1]
             return np.zeros(a_pts.shape[:-1] + (nn, mm, nn))
 
-        return cls(source=source, target=target or zero_target, m=m, n=n)
+        return cls(source=source, target=target or zero_target, m=m, n=n,
+                   source_depends_on_x=True, target_depends_on_x=target is not None)
 
     @classmethod
     def velocity(cls, n: int = -1, source: Callable | None = None) -> "ConnectionTensor":
@@ -263,8 +270,10 @@ class MetricPair:
 
     ``g(a_pts, b) -> (..., m, m)`` on the source side and
     ``h(x_vals, y) -> (..., n, n)`` along the map.  Conformal pairs carry
-    their ingredients so specialized residual formulas can reuse them:
-    g = exp(-2 sigma(a,b)) phi(a) and h = exp(2 tau(x,y)) psi(x).
+    their ingredients so the residual can take its partials by the chain
+    rule: g = exp(-2 sigma(a,b)) phi(a) and h = exp(2 tau(x,y)) psi(x).
+    ``tau_dy(x, y) -> (..., n)`` is an optional exact direction gradient of
+    tau; without it dtau/dy is differenced.
     """
 
     g: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -274,6 +283,7 @@ class MetricPair:
     psi: Callable[[np.ndarray], np.ndarray] | None = None
     sigma: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     tau: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    tau_dy: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     @classmethod
     def general(cls, g, h) -> "MetricPair":
@@ -285,7 +295,7 @@ class MetricPair:
         return cls.conformal(phi, psi)
 
     @classmethod
-    def conformal(cls, phi, psi, sigma=None, tau=None) -> "MetricPair":
+    def conformal(cls, phi, psi, sigma=None, tau=None, tau_dy=None) -> "MetricPair":
         def g(a, b):
             base = np.asarray(phi(a), float)
             if sigma is None:
@@ -300,14 +310,16 @@ class MetricPair:
             t = np.asarray(tau(x, y), float)
             return np.exp(2.0 * t)[..., None, None] * base
 
-        return cls(g=g, h=h, kind="conformal", phi=phi, psi=psi, sigma=sigma, tau=tau)
+        return cls(g=g, h=h, kind="conformal", phi=phi, psi=psi, sigma=sigma, tau=tau,
+                   tau_dy=tau_dy)
 
 
 def _inverse_with_guard(mats: np.ndarray, what: str, grid_dim: int) -> np.ndarray:
     try:
         inv = NodeMatrices(mats).inv
     except np.linalg.LinAlgError:
-        node = _worst_node(mats, grid_dim)
+        det = np.abs(NodeMatrices(mats).det).reshape(-1)
+        node = tuple(int(i) for i in np.unravel_index(np.argmin(det), mats.shape[:grid_dim]))
         raise SingularMetricError(f"{what} is singular at node {node}", node=node) from None
     defect = np.abs(mats @ inv - np.eye(mats.shape[-1]))
     worst = np.max(defect)
@@ -319,12 +331,6 @@ def _inverse_with_guard(mats: np.ndarray, what: str, grid_dim: int) -> np.ndarra
             node=node,
         )
     return inv
-
-
-def _worst_node(mats: np.ndarray, grid_dim: int):
-    det = np.abs(NodeMatrices(mats).det)
-    idx = np.argmin(det.reshape(-1))
-    return tuple(int(i) for i in np.unravel_index(idx, mats.shape[:grid_dim]))
 
 
 # ---------------------------------------------------------------------------
@@ -365,78 +371,106 @@ def density_partials(f: MapJet, pair: MetricPair, P: ConnectionTensor,
                      phi: MetricField, fd_step: float = DEFAULT_FD_STEP
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise partials of the density with respect to map values and
-    jet entries.  The value partials are nodewise central differences with
-    relative steps; so are the jet partials of a general pair, while a
-    conformal pair takes them in closed form (``_conformal_jet_partials``).
+    jet entries.  A general pair takes both by nodewise central differences
+    with relative steps; a conformal pair takes them by the chain rule
+    (``_conformal_partials``).
 
     Returns (dL/df^i of shape (*grid, n), dL/df^i_a of shape (*grid, n, m)).
     """
     grid = f.grid
     a_pts = grid.points()
     phi_inv = invert_metric(phi).values
+    if pair.kind == "conformal":
+        return _conformal_partials(a_pts, f.values, f.jet, pair, P, phi_inv, grid.dim, fd_step)
     n = f.target_dim
     m = grid.dim
-    pair_f = pair_jet = pair
-    if pair.kind == "conformal":
-        # phi depends on a only and psi on f only: phi is evaluated once, and
-        # psi once for every value perturbation plus once at f
-        phi_vals = np.asarray(pair.phi(a_pts), float)
-        psi_vals = np.asarray(pair.psi(f.values), float)
-        pair_f = MetricPair.conformal(lambda a: phi_vals, pair.psi, pair.sigma, pair.tau)
-        pair_jet = MetricPair.conformal(lambda a: phi_vals, lambda x: psi_vals,
-                                        pair.sigma, pair.tau)
-
     dLdf = central_partials(
-        lambda fv: _density_values(a_pts, fv, f.jet, pair_f, _connection_blocks(P, a_pts, fv),
+        lambda fv: _density_values(a_pts, fv, f.jet, pair, _connection_blocks(P, a_pts, fv),
                                    phi_inv, grid.dim),
         f.values, fd_step)
-
     # P depends on (a, f) only: one evaluation serves every jet partial.
-    blocks = _connection_blocks(P, a_pts, f.values)
-    if pair.kind == "conformal":
-        return dLdf, _conformal_jet_partials(a_pts, f.values, f.jet, pair_jet, blocks,
-                                             phi_inv, grid.dim, fd_step)
     # The jet is differenced as n*m coordinates per node, entry (i, a) at i*m + a.
+    blocks = _connection_blocks(P, a_pts, f.values)
     dLdjet = central_partials(
         lambda jv: _density_values(a_pts, f.values, jv.reshape(jv.shape[:-1] + (n, m)),
-                                   pair_jet, blocks, phi_inv, grid.dim),
+                                   pair, blocks, phi_inv, grid.dim),
         f.jet.reshape(grid.shape + (n * m,)), fd_step)
     return dLdf, dLdjet.reshape(grid.shape + (n, m))
 
 
-def _conformal_jet_partials(a_pts: np.ndarray, f_vals: np.ndarray, jet: np.ndarray,
-                            pair: MetricPair, blocks: tuple[np.ndarray, np.ndarray],
-                            phi_inv: np.ndarray, grid_dim: int, fd_step: float) -> np.ndarray:
-    """dL/df^i_a of a conformal pair by the chain rule, (..., n, m):
+def _conformal_partials(a_pts: np.ndarray, x: np.ndarray, jet: np.ndarray, pair: MetricPair,
+                        P: ConnectionTensor, phi_inv: np.ndarray, grid_dim: int,
+                        fd_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """dL/df^i (..., n) and dL/df^i_a (..., n, m) of a conformal pair by
+    the chain rule:
 
-    dL/dJ = h J g^{-1} + 2L (phi^{-1} R)^T,
-    R_{bi} = S^g_{bi} dsigma/db^g + T^k_{bi} dtau/dy^k,
+    dL/dJ   = h J g^{-1} + 2L (phi^{-1} R)^T,
+    R_{bi}  = S^g_{bi} dsigma/db^g + T^k_{bi} dtau/dy^k,
+    dL/df^i = 2L (dsigma/db . (d_i S) w + dtau/dy . (d_i T) w + d_i tau|_y)
+              + e^{2 tau} tr(g^{-1} J^T d_i psi J) / 2,
 
-    where S, T are the flattened ``blocks`` and b = S w, y = T w with
+    where S, T are P's flattened blocks and b = S w, y = T w with
     w = vec((J phi^{-1})^T).  L scales as e^{2 sigma + 2 tau}, so its
-    direction partials are 2L dsigma/db and 2L dtau/dy; these are taken by
-    ``central_partials`` (2m sigma and 2n tau calls).  g^{-1} is the guarded
-    inverse of g(a, b) itself: ``pair.phi`` need not be the metric whose
-    inverse ``phi_inv`` defines w.  A missing sigma or tau drops its term.
+    direction partials are 2L dsigma/db and 2L dtau/dy; dsigma/db comes
+    from ``central_partials`` (2m sigma calls), dtau/dy from the pair's
+    ``tau_dy`` hook or else from ``central_partials`` (2n tau calls).
+
+    dL/df is the central partial in x of one scalar per node: the density
+    with g^{-1} and y held fixed and h(x, y) re-evaluated (the last two
+    terms), plus each x-dependent block contracted with 2L dsigma/db or
+    2L dtau/dy and w; an x-free block is not re-evaluated.  g^{-1} is the
+    guarded inverse of g(a, b) itself: ``pair.phi`` need not be the metric
+    whose inverse ``phi_inv`` defines w.  A missing sigma or tau drops its
+    terms.
     """
+    dLdjet, y, pulled, in_x = _conformal_jet_partials(a_pts, x, jet, pair, P, phi_inv,
+                                                      grid_dim, fd_step)
+
+    def at_fixed_direction(xv):
+        out = 0.5 * np.einsum("...kl,...lk->...", pulled, np.asarray(pair.psi(xv), float))
+        if pair.tau is not None:
+            out = np.exp(2.0 * np.asarray(pair.tau(xv, y), float)) * out
+        for block, coef in in_x:
+            out = out + np.einsum("...gbi,...gbi->...", coef, np.asarray(block(a_pts, xv), float))
+        return out
+
+    return central_partials(at_fixed_direction, x, fd_step), dLdjet
+
+
+def _conformal_jet_partials(a_pts: np.ndarray, x: np.ndarray, jet: np.ndarray,
+                            pair: MetricPair, P: ConnectionTensor, phi_inv: np.ndarray,
+                            grid_dim: int, fd_step: float):
+    """dL/dJ of a conformal pair and what its dL/df reuses: y, J g^{-1} J^T
+    (L = e^{2 tau} tr(J g^{-1} J^T psi) / 2) and each x-dependent block with
+    its coefficient 2L dlog/darg (x) w.  The intermediates are freed on
+    return, before the x-differences run."""
+    src, tgt = blocks = _connection_blocks(P, a_pts, x)
     b, y = _arguments(blocks, jet, phi_inv)
     ginv = _inverse_with_guard(np.asarray(pair.g(a_pts, b), float), "source metric g(a, b)",
                                grid_dim)
-    hj = np.asarray(pair.h(f_vals, y), float) @ jet
+    jet_t = np.swapaxes(jet, -1, -2)
+    hj = np.asarray(pair.h(x, y), float) @ jet
     dLdjet = hj @ ginv
-    if pair.sigma is None and pair.tau is None:
-        return dLdjet
-    src, tgt = blocks
+    two_L = (ginv * (jet_t @ hj)).sum((-2, -1))
+    w = np.swapaxes(jet @ phi_inv, -1, -2)[..., None, :, :]    # w_{bi}, unflattened
     R = 0.0
+    in_x = []
     if pair.sigma is not None:
-        R = central_partials(lambda v: pair.sigma(a_pts, v), b, fd_step)[..., None, :] @ src
+        ds = central_partials(lambda u: pair.sigma(a_pts, u), b, fd_step)
+        R = ds[..., None, :] @ src
+        if P.source_depends_on_x:
+            in_x.append((P.source, (two_L[..., None] * ds)[..., None, None] * w))
     if pair.tau is not None:
-        R = R + central_partials(lambda v: pair.tau(f_vals, v), y, fd_step)[..., None, :] @ tgt
-    two_L = (ginv * (np.swapaxes(jet, -1, -2) @ hj)).sum((-2, -1))
-    n, m = jet.shape[-2:]
-    raised = phi_inv @ R.reshape(R.shape[:-2] + (m, n))     # (..., a, i)
-    dLdjet += two_L[..., None, None] * np.swapaxes(raised, -1, -2)
-    return dLdjet
+        dt = (central_partials(lambda u: pair.tau(x, u), y, fd_step) if pair.tau_dy is None
+              else np.asarray(pair.tau_dy(x, y), float))
+        R = R + dt[..., None, :] @ tgt
+        if P.target_depends_on_x:
+            in_x.append((P.target, (two_L[..., None] * dt)[..., None, None] * w))
+    if pair.sigma is not None or pair.tau is not None:
+        n, m = jet.shape[-2:]
+        raised = phi_inv @ R.reshape(R.shape[:-2] + (m, n))     # (..., a, i)
+        dLdjet += two_L[..., None, None] * np.swapaxes(raised, -1, -2)
+    return dLdjet, y, jet @ ginv @ jet_t, in_x
 
 
 def assemble_residual(grid: ChartGrid, sqrt_phi: np.ndarray, dLdf: np.ndarray,
@@ -459,81 +493,23 @@ def el_residual(f: MapJet, pair: MetricPair, P: ConnectionTensor, phi: MetricFie
 
 
 # ---------------------------------------------------------------------------
-# closed-form residuals for conformal pairs
+# conformal residuals with one direction-dependent log factor
 # ---------------------------------------------------------------------------
-
-
-def _conformal_residual(grid: ChartGrid, weight: np.ndarray, x_vals: np.ndarray,
-                        jet: np.ndarray, phi_inv: np.ndarray, psi_vals: np.ndarray,
-                        s_vals: np.ndarray, pref: np.ndarray, u: np.ndarray, v: np.ndarray,
-                        h_at_direction, chain: np.ndarray | None = None,
-                        fd_step: float = DEFAULT_FD_STEP) -> TensorField:
-    """Residual of L = pref phi^{gm} psi_kl f^k_g f^l_m / 2 with
-    pref = e^{2s+2t}, when the direction enters one log factor (s or t)
-    through an argument linear in the jet, so that the jet partial of that
-    factor is u_a v_i (jj = phi^{gm} psi_kl f^k_g f^l_m):
-
-    dL/df^i_a = pref { jj u_a v_i + phi^{ga} psi_ik f^k_g }
-    dL/df^i   = e^{2s} phi^{gm} (dh_kl/dx^i) f^k_g f^l_m / 2 + pref jj chain_i
-
-    ``h_at_direction(x)`` is h = e^{2t} psi at the fixed direction, whose
-    x-partial is taken by ``central_partials``; ``chain`` is the x-partial
-    of the log factor through its argument, when that depends on x.
-    ``weight`` is the volume weight sqrt(phi) of ``assemble_residual``.
-    """
-    jj = np.einsum("...gm,...kl,...kg,...lm->...", phi_inv, psi_vals, jet, jet)
-    dLdjet = pref[..., None, None] * (
-        u[..., None, :] * v[..., :, None] * jj[..., None, None]
-        + np.einsum("...ga,...ik,...kg->...ia", phi_inv, psi_vals, jet)
-    )
-    dh_dx = central_partials(h_at_direction, x_vals, fd_step)      # (..., k, l, i)
-    dLdf = 0.5 * np.einsum("...,...gm,...kli,...kg,...lm->...i",
-                           np.exp(2.0 * s_vals), phi_inv, dh_dx, jet, jet)
-    if chain is not None:
-        dLdf = pref[..., None] * jj[..., None] * chain + dLdf
-    return assemble_residual(grid, weight, dLdf, dLdjet)
 
 
 def el_residual_fiber_covector(f: MapJet, sigma_a, tau, A, phi: MetricField, psi,
                                fd_step: float = DEFAULT_FD_STEP) -> TensorField:
-    """Closed-form residual when the fiber is induced by a covector A on
-    the source (target connection block A_a d^k_i) and the source log
-    factor depends on position only: y = phi^{-1} A f, u = phi^{-1} A and
-    v = dt/dy in ``_conformal_residual``."""
-    a_pts = f.grid.points()
-    phi_inv = invert_metric(phi).values
-    A_vals = np.asarray(A(a_pts), float)
-    y = np.einsum("...ab,...b,...ka->...k", phi_inv, A_vals, f.jet)
-    s_vals = np.asarray(sigma_a(a_pts), float)
-    return _conformal_residual(
-        f.grid, sqrt_det(phi).values, f.values, f.jet, phi_inv, np.asarray(psi(f.values), float),
-        s_vals, pref=np.exp(2.0 * s_vals + 2.0 * np.asarray(tau(f.values, y), float)),
-        u=np.einsum("...ae,...e->...a", phi_inv, A_vals),
-        v=central_partials(lambda v: tau(f.values, v), y, fd_step),
-        h_at_direction=lambda xv: np.exp(2.0 * np.asarray(tau(xv, y), float))[..., None, None]
-        * np.asarray(psi(xv), float),
-        fd_step=fd_step)
+    """Residual when the fiber is induced by a covector A on the source
+    (target connection block A_a d^k_i, independent of x) and the source
+    log factor depends on position only."""
+    pair = MetricPair.conformal(lambda a: phi.values, psi, sigma=lambda a, b: sigma_a(a), tau=tau)
+    return el_residual(f, pair, ConnectionTensor.covector_fiber(A), phi, fd_step)
 
 
 def el_residual_oneform_source(f: MapJet, sigma, tau_x, xi, phi: MetricField, psi,
                                fd_step: float = DEFAULT_FD_STEP) -> TensorField:
-    """Closed-form residual when the source argument is induced by a
-    one-form xi along the map (source connection block d^g_a xi_i) and the
-    target log factor depends on position only: b = phi^{-1} xi f,
-    u = phi^{-1} ds/db, v = xi and chain_i = u_d (dxi_p/dx^i) f^p_d in
-    ``_conformal_residual``."""
-    a_pts = f.grid.points()
-    phi_inv = invert_metric(phi).values
-    xi_vals = np.asarray(xi(f.values), float)
-    b = np.einsum("...gb,...i,...ib->...g", phi_inv, xi_vals, f.jet)
-    s_vals = np.asarray(sigma(a_pts, b), float)
-    ds_up = np.einsum("...de,...e->...d", phi_inv,
-                      central_partials(lambda v: sigma(a_pts, v), b, fd_step))
-    dxi_dx = central_partials(lambda xv: np.asarray(xi(xv), float), f.values, fd_step)
-    return _conformal_residual(
-        f.grid, sqrt_det(phi).values, f.values, f.jet, phi_inv, np.asarray(psi(f.values), float),
-        s_vals, pref=np.exp(2.0 * s_vals + 2.0 * np.asarray(tau_x(f.values), float)),
-        u=ds_up, v=xi_vals,
-        h_at_direction=lambda xv: np.exp(2.0 * np.asarray(tau_x(xv), float))[..., None, None]
-        * np.asarray(psi(xv), float),
-        chain=np.einsum("...d,...pi,...pd->...i", ds_up, dxi_dx, f.jet), fd_step=fd_step)
+    """Residual when the source argument is induced by a one-form xi along
+    the map (source connection block d^g_a xi_i(x)) and the target log
+    factor depends on position only."""
+    pair = MetricPair.conformal(lambda a: phi.values, psi, sigma=sigma, tau=lambda x, y: tau_x(x))
+    return el_residual(f, pair, ConnectionTensor.oneform_source(xi), phi, fd_step)

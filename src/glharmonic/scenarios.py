@@ -230,6 +230,15 @@ def _check_expr(errors, path, src, scalars, vectors=()):
         errors.append(f"{path}: {exc}")
 
 
+def _component_errors(errors, path, exprs, dim, names):
+    """Grammar check of a vector of expressions, and its length against
+    ``dim`` when that is known: the evaluators broadcast whatever they get."""
+    if dim and len(exprs) != dim:
+        errors.append(f"{path}: expected {dim} components, got {len(exprs)}")
+    for k, src in enumerate(exprs):
+        _check_expr(errors, f"{path}.{k}", src, names)
+
+
 def _chart_errors(errors, path, chart):
     dim = chart["dim"]
     if len(chart["extents"]) != dim:
@@ -323,9 +332,10 @@ def _semantic_errors(spec: dict) -> list[str]:
             errors.append("system: orbit systems need a one-dimensional source")
         if kind == "pfaff" and n_dim not in (None, 1):
             errors.append("system: Pfaff systems need a one-dimensional target")
-        for key, names in (("xi", x_names), ("A", a_names)):
-            for k, src in enumerate(system.get(key, [])):
-                _check_expr(errors, f"system.{key}.{k}", src, names)
+        # the builders read a missing space as dimension 1
+        for key, dim, names in (("xi", n_dim or 1, x_names), ("A", m_dim or 1, a_names)):
+            if key in system:
+                _component_errors(errors, f"system.{key}", system[key], dim, names)
         if "T" in system:
             # the builder reads T as an n x m array in a1..am and x1..xn,
             # with dimension 1 for a missing space
@@ -337,12 +347,10 @@ def _semantic_errors(spec: dict) -> list[str]:
                 for j, src in enumerate(row):
                     _check_expr(errors, f"system.T.{i}.{j}", src, t_names)
         for r, gen in enumerate(system.get("generators", [])):
-            for k, src in enumerate(gen["xi"]):
-                _check_expr(errors, f"system.generators.{r}.xi.{k}", src, x_names)
-            for k, src in enumerate(gen["A"]):
-                _check_expr(errors, f"system.generators.{r}.A.{k}", src, a_names)
-        if kind == "orbit" and n_dim and len(system.get("xi", [])) not in (0, n_dim):
-            errors.append(f"system.xi: expected {n_dim} components")
+            _component_errors(errors, f"system.generators.{r}.xi", gen["xi"], n_dim or 1,
+                              x_names)
+            _component_errors(errors, f"system.generators.{r}.A", gen["A"], m_dim or 1,
+                              a_names)
 
     conn = spec.get("connection")
     if conn:
@@ -350,10 +358,9 @@ def _semantic_errors(spec: dict) -> list[str]:
             errors.append("connection: covector_fiber requires A")
         if conn["kind"] == "oneform_source" and "xi" not in conn:
             errors.append("connection: oneform_source requires xi")
-        for k, src in enumerate(conn.get("A", [])):
-            _check_expr(errors, f"connection.A.{k}", src, a_names)
-        for k, src in enumerate(conn.get("xi", [])):
-            _check_expr(errors, f"connection.xi.{k}", src, x_names)
+        for key, dim, names in (("A", m_dim, a_names), ("xi", n_dim, x_names)):
+            if key in conn:
+                _component_errors(errors, f"connection.{key}", conn[key], dim, names)
 
     orbit = spec.get("orbit")
     if orbit:

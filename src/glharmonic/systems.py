@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .energy import ConnectionTensor, MapJet, MetricPair, _conformal_residual
+from .energy import ConnectionTensor, MapJet, MetricPair, constant_metric, el_residual
 from .errors import AdmissibilityError, SingularDirectionError, StepLimitError
 from .tensor_core import (
     ChartGrid,
@@ -27,6 +27,7 @@ from .tensor_core import (
     NodeMatrices,
     TensorField,
     fd_partial,
+    identity_metric,
     interior_mask,
     interval_grid,
     invert_metric,
@@ -280,24 +281,37 @@ def certify_minimizer(f: MapJet, system: FirstOrderSystem, phi: MetricField, psi
 # ---------------------------------------------------------------------------
 
 
+def _check_pairing(pairing, eps_sing: float, message: str, points, directions) -> None:
+    """Raise SingularDirectionError, with ``message`` and the first node's
+    point and direction, where a direction pairing is within eps_sing of 0."""
+    bad = np.abs(pairing) <= eps_sing
+    if np.any(bad):
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        points, directions = np.asarray(points), np.asarray(directions)
+        raise SingularDirectionError(
+            message, point=points[idx] if points.ndim > 1 else points,
+            direction=directions[idx] if directions.ndim > 1 else directions)
+
+
+def _orbit_factor(xi, psi, x_vals, y_vals, eps_sing: float, message: str):
+    """(psi, xi_flat, xi_flat(y), |xi|^2_psi) at (x, y), after checking that
+    the pairing xi_flat(y) does not vanish."""
+    psi_vals = np.asarray(psi(x_vals), float)
+    xi_vals = np.asarray(xi(x_vals), float)
+    xi_flat = np.einsum("...ij,...j->...i", psi_vals, xi_vals)
+    pairing = np.einsum("...i,...i->...", xi_flat, np.asarray(y_vals, float))
+    _check_pairing(pairing, eps_sing, message, x_vals, y_vals)
+    return psi_vals, xi_flat, pairing, np.einsum("...i,...i->...", xi_flat, xi_vals)
+
+
 def orbit_metric(xi, psi, eps_sing: float = DEFAULT_EPS_SING):
     """Direction-dependent target metric that turns orbits of xi into
     geodesics: h_ij(x, y) = |xi(x)|^2_psi / (xi_flat(y))^2 psi_ij(x)."""
 
     def h(x_vals, y_vals):
-        psi_vals = np.asarray(psi(x_vals), float)
-        xi_vals = np.asarray(xi(x_vals), float)
-        xi_flat = np.einsum("...ij,...j->...i", psi_vals, xi_vals)
-        pairing = np.einsum("...i,...i->...", xi_flat, np.asarray(y_vals, float))
-        norm2 = np.einsum("...i,...i->...", xi_flat, xi_vals)
-        bad = np.abs(pairing) <= eps_sing
-        if np.any(bad):
-            idx = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise SingularDirectionError(
-                "orbit metric queried where the direction pairing vanishes",
-                point=np.asarray(x_vals)[idx] if np.asarray(x_vals).ndim > 1 else x_vals,
-                direction=np.asarray(y_vals)[idx] if np.asarray(y_vals).ndim > 1 else y_vals,
-            )
+        psi_vals, _, pairing, norm2 = _orbit_factor(
+            xi, psi, x_vals, y_vals, eps_sing,
+            "orbit metric queried where the direction pairing vanishes")
         return (norm2 / pairing**2)[..., None, None] * psi_vals
 
     return h
@@ -309,30 +323,37 @@ def orbit_geodesic_residual(c: SampledCurve, xi, psi,
     """Residual of the geodesic equations of the orbit metric along a
     sampled curve, with the velocity as the direction argument.
 
-    This is the conformal residual of ``energy`` on a one-dimensional
-    source with phi = 1: the velocity is the jet, e^{2t} = |xi|^2_psi /
-    (xi_flat(cdot))^2, u = 1 and v = dt/dcdot = -xi_flat / (xi_flat(cdot)),
-    and dL/dc differentiates the orbit metric in position only.  Residual =
+    This is ``energy.el_residual`` on a one-dimensional source with
+    phi = 1, the velocity connection (the jet is the velocity) and the
+    conformal target factor tau = ln|xi|_psi - ln|xi_flat(cdot)|, whose
+    direction gradient -xi_flat / xi_flat(cdot) is exact: d/dt would
+    amplify the noise of a differenced one by 1/dt.  Residual =
     dL/dc - d/dt dL/dcdot, matching the energy-gradient sign convention.
     """
-    xvals, yvals = c.values, c.velocity
-    psi_vals = np.asarray(psi(xvals), float)
-    xi_vals = np.asarray(xi(xvals), float)
-    xi_flat = np.einsum("...ij,...j->...i", psi_vals, xi_vals)
-    pairing = np.einsum("...i,...i->...", xi_flat, yvals)
-    if np.any(np.abs(pairing) <= eps_sing):
-        idx = int(np.argwhere(np.abs(pairing) <= eps_sing)[0][0])
-        raise SingularDirectionError(
-            "orbit residual queried where the direction pairing vanishes",
-            point=xvals[idx], direction=yvals[idx])
-    norm2 = np.einsum("...i,...i->...", xi_flat, xi_vals)
-    h_eval = orbit_metric(xi, psi, eps_sing)
-    unit = np.ones(pairing.shape)
-    return _conformal_residual(
-        c.grid, unit, xvals, yvals[..., None], unit[..., None, None], psi_vals,
-        np.zeros(pairing.shape), pref=norm2 / pairing**2, u=unit[..., None],
-        v=-xi_flat / pairing[..., None], h_at_direction=lambda x: h_eval(x, yvals),
-        fd_step=x_step)
+    message = "orbit residual queried where the direction pairing vanishes"
+    last = {}
+
+    def fields(x_vals):
+        # el_residual evaluates psi(x) and then tau(x, y) at each position
+        # array (in h and at each x-step); tau needs psi(x) and xi(x) too
+        if last.get("x") is not x_vals:
+            last.update(x=x_vals, psi=psi(x_vals), xi=xi(x_vals))
+        return last["psi"], last["xi"]
+
+    psi_at, xi_at = (lambda x_vals: fields(x_vals)[0]), (lambda x_vals: fields(x_vals)[1])
+
+    def tau(x_vals, y_vals):
+        _, _, pairing, norm2 = _orbit_factor(xi_at, psi_at, x_vals, y_vals, eps_sing, message)
+        return 0.5 * np.log(norm2) - np.log(np.abs(pairing))
+
+    # el_residual asks for dtau/dy only at the curve itself, (c, cdot)
+    _, xi_flat, pairing, _ = _orbit_factor(xi_at, psi_at, c.values, c.velocity, eps_sing,
+                                           message)
+    dtau_dy = -xi_flat / pairing[..., None]
+    pair = MetricPair.conformal(constant_metric(np.eye(1)), psi_at, tau=tau,
+                                tau_dy=lambda x_vals, y_vals: dtau_dy)
+    f = MapJet(grid=c.grid, values=c.values, jet=c.velocity[..., None])
+    return el_residual(f, pair, ConnectionTensor.velocity(), identity_metric(c.grid), x_step)
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +369,7 @@ def _pfaff_factor(A, phi_eval, a_pts, b_vals, eps_sing: float, message: str):
     A_vals = np.asarray(A(a_pts), float)
     Ab = np.einsum("...a,...a->...", A_vals, np.asarray(b_vals, float))
     norm2 = np.einsum("...ab,...a,...b->...", phi_inv, A_vals, A_vals)
-    bad = np.abs(Ab) <= eps_sing
-    if np.any(bad):
-        idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise SingularDirectionError(
-            message,
-            point=np.asarray(a_pts)[idx] if np.asarray(a_pts).ndim > 1 else a_pts,
-            direction=np.asarray(b_vals)[idx] if np.asarray(b_vals).ndim > 1 else b_vals,
-        )
+    _check_pairing(Ab, eps_sing, message, a_pts, b_vals)
     return phi_vals, Ab, norm2
 
 

@@ -643,14 +643,15 @@ def test_density_partials_evaluates_phi_once_and_psi_2n_plus_1_times(m, n):
     # evaluation shared by all jet partials
     assert (calls["phi"], calls["psi"]) == (1, 2 * n + 1)
     ref = _loop_density_partials(f, pair, P, phi)
-    assert np.array_equal(got[0], ref[0])
-    # a conformal pair takes its jet partials in closed form; the
+    # a conformal pair takes both partials by the chain rule; the
     # difference path stays pinned through the same metrics as a general pair
-    scale = np.max(np.abs(ref[1]))
-    assert np.max(np.abs(got[1] - ref[1])) <= 1e-8 * max(1.0, scale)
+    for k in (0, 1):
+        scale = np.max(np.abs(ref[k]))
+        assert np.max(np.abs(got[k] - ref[k])) <= 1e-8 * max(1.0, scale)
     general = MetricPair.general(pair.g, pair.h)
-    assert np.array_equal(density_partials(f, general, P, phi)[1],
-                          _loop_density_partials(f, general, P, phi)[1])
+    for got_k, ref_k in zip(density_partials(f, general, P, phi),
+                            _loop_density_partials(f, general, P, phi)):
+        assert np.array_equal(got_k, ref_k)
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (2, 3), (3, 2)])
@@ -658,9 +659,31 @@ def test_conformal_density_partials_evaluate_sigma_and_tau_once_per_direction_st
     f, _, P, phi = _random_problem(m, n, seed=13)
     calls = {}
     density_partials(f, _counted_conformal_pair(m, n, calls), P, phi)
-    # sigma and tau: 2n value perturbations, one evaluation at (b, y), and
-    # the central partials in b (2m sigma calls) and in y (2n tau calls)
-    assert (calls["sigma"], calls["tau"]) == (2 * (m + n) + 1, 4 * n + 1)
+    # sigma: one evaluation at b and the central partials in b (2m calls);
+    # tau: one evaluation at y, the central partials in y (2n calls) and
+    # tau at fixed y in the 2n value perturbations
+    assert (calls["sigma"], calls["tau"]) == (2 * m + 1, 4 * n + 1)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (2, 3), (3, 2)])
+def test_conformal_density_partials_evaluate_x_free_blocks_once(m, n):
+    f, _, _, phi = _random_problem(m, n, seed=17)
+    r = np.random.default_rng(5)
+    S0, S1 = r.normal(size=(2, m, m, n))
+    calls = {"A": 0, "source": 0}
+
+    def A(a):
+        calls["A"] += 1
+        return 1.0 + 0.3 * np.sin(a)
+
+    def source(a, x):
+        calls["source"] += 1
+        return S0 + S1 * np.sin(x.sum(-1))[..., None, None, None]
+
+    pair = _counted_conformal_pair(m, n, {})
+    density_partials(f, pair, ConnectionTensor.covector_fiber(A, source=source), phi)
+    # the covector-fiber target does not depend on x; the given source does
+    assert calls == {"A": 1, "source": 2 * n + 1}
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -673,9 +696,9 @@ def test_conformal_jet_partials_match_general_difference_path(m, n, seed, sigma,
     pair = _counted_conformal_pair(m, n, {}, sigma, tau, seed=seed + 1)
     got = density_partials(f, pair, P, phi)
     ref = density_partials(f, MetricPair.general(pair.g, pair.h), P, phi)
-    assert np.array_equal(got[0], ref[0])
-    scale = np.max(np.abs(ref[1]))
-    assert np.max(np.abs(got[1] - ref[1])) <= 1e-8 * max(1.0, scale)
+    for k in (0, 1):
+        scale = np.max(np.abs(ref[k]))
+        assert np.max(np.abs(got[k] - ref[k])) <= 1e-8 * max(1.0, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +825,9 @@ def test_closed_form_residuals_match_general_in_every_dimension(m, n):
              ConnectionTensor.oneform_source(xi, m=m, n=n)),
         ]
         for special, conformal_pair, P in cases:
-            general = el_residual(f, conformal_pair, P, phi).values
+            # the difference path of the same g and h: an independent implementation
+            general_pair = MetricPair.general(conformal_pair.g, conformal_pair.h)
+            general = el_residual(f, general_pair, P, phi).values
             scale = np.max(np.abs(general))
             assert np.max(np.abs(special.values - general)) < 1e-8 * max(1.0, scale)
 
@@ -820,3 +845,83 @@ def test_central_partials_calls_fn_twice_per_coordinate():
     assert d.shape == (4, 5, 2, 3)
     assert np.allclose(d[..., 0, 0], pts[..., 1], atol=1e-8)
     assert np.allclose(d[..., 1, 2], np.cos(pts[..., 2]), atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the energy-gradient identity on random coupled conformal pairs
+# ---------------------------------------------------------------------------
+
+
+def _coupled_conformal_problem(m, n, seed, connection, exact_hook, free_block):
+    """A smooth map on an m-torus (every node interior) into n dimensions,
+    a conformal pair with b-dependent sigma and y-dependent tau (with or
+    without the exact dtau/dy hook), and a generic, covector-fiber
+    or one-form-source connection, whose free block is either the default
+    zero or an x-dependent block given by the caller."""
+    r = np.random.default_rng(seed)
+    grid = box_grid([(0.0, 2 * np.pi)] * m, [7] * m, periodic=True)
+    pts = grid.points()
+    vals = r.normal(size=n) + np.sin(pts @ r.normal(size=(m, n)) + r.uniform(0, 6, size=n))
+    phi = metric_field(grid, _spd(0.3 * r.normal(size=(m, m, 2 * m)), pts, 2.0 * pts))
+    gb, hb = 0.3 * r.normal(size=(m, m, 2 * m)), 0.3 * r.normal(size=(n, n, 2 * n))
+    ca, cb, cx, cy = r.normal(size=m), r.normal(size=m), r.normal(size=n), r.normal(size=n)
+
+    def sigma(a, b):
+        return 0.3 * np.sin(a @ ca + b @ cb)
+
+    def tau(x, y):
+        return 0.3 * np.cos(x @ cx - y @ cy)
+
+    def tau_dy(x, y):
+        return 0.3 * np.sin(x @ cx - y @ cy)[..., None] * cy
+
+    pair = MetricPair.conformal(lambda a: _spd(gb, a, 2.0 * a), lambda x: _spd(hb, x, 0.5 * x),
+                                sigma=sigma, tau=tau, tau_dy=tau_dy if exact_hook else None)
+
+    S0, S1 = 0.5 * r.normal(size=(2, m, m, n))
+    T0, T1 = 0.5 * r.normal(size=(2, n, m, n))
+    ka, kx = r.normal(size=m), r.normal(size=n)
+
+    def wave(a, x):
+        return np.sin(a @ ka + x @ kx)[..., None, None, None]
+
+    def source(a, x):
+        return S0 + S1 * wave(a, x)
+
+    def target(a, x):
+        return T0 + T1 * wave(a, x)
+
+    given_block = {}
+    if connection == "generic":
+        P = ConnectionTensor(source=source, target=target, m=m, n=n)
+    elif connection == "covector_fiber":
+        if free_block:
+            given_block = {"source": source}
+        P = ConnectionTensor.covector_fiber(lambda a: 1.0 + 0.3 * np.sin(a + ka), m=m, n=n,
+                                            **given_block)
+    else:
+        if free_block:
+            given_block = {"target": target}
+        P = ConnectionTensor.oneform_source(lambda x: 1.0 + 0.3 * np.cos(x + kx), m=m, n=n,
+                                            **given_block)
+    return grid, vals, pair, P, phi
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(m=_dims, n=_dims, seed=st.integers(0, 2**32 - 1),
+       connection=st.sampled_from(["generic", "covector_fiber", "oneform_source"]),
+       exact_hook=st.booleans(), free_block=st.booleans())
+def test_residual_is_the_discrete_energy_gradient_for_coupled_conformal_pairs(
+        m, n, seed, connection, exact_hook, free_block):
+    grid, vals, pair, P, phi = _coupled_conformal_problem(m, n, seed, connection,
+                                                          exact_hook, free_block)
+    residual = el_residual(MapJet.from_values(grid, vals), pair, P, phi).values
+    weight = grid.quadrature_weights()
+    scale = np.max(np.abs(weight[..., None] * residual))
+    r = np.random.default_rng(seed)
+    for _ in range(4):
+        node = tuple(int(r.integers(0, s)) for s in grid.shape)
+        i = int(r.integers(0, n))
+        grad = fd_energy_gradient(grid, vals, pair, P, phi, node, i)
+        pred = weight[node] * residual[node + (i,)]
+        assert abs(grad - pred) <= 1e-6 * max(abs(grad), scale), (node, i, grad, pred)

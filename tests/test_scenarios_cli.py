@@ -329,6 +329,32 @@ def test_validator_checks_the_general_system_tensor(T, error):
     assert validate_scenario(spec) == []
 
 
+@pytest.mark.parametrize("name, path, value, error", [
+    ("pfaff-exact", ("system", "A"), ["1", "2", "3"], "system.A: expected 2 components, got 3"),
+    ("pseudolinear-exp", ("system", "xi"), ["1", "0"], "system.xi: expected 1 components, got 2"),
+    ("orbit-rotation", ("system", "xi"), ["-x2"], "system.xi: expected 2 components, got 1"),
+    ("group-two-generators", ("system", "generators", 0, "xi"), ["1"],
+     "system.generators.0.xi: expected 2 components, got 1"),
+    ("group-two-generators", ("system", "generators", 1, "A"), ["1"],
+     "system.generators.1.A: expected 2 components, got 1"),
+    ("harmonic-identity", ("connection",), {"kind": "covector_fiber", "A": ["1"]},
+     "connection.A: expected 2 components, got 1"),
+    ("harmonic-identity", ("connection",), {"kind": "oneform_source", "xi": ["1", "0", "x1"]},
+     "connection.xi: expected 2 components, got 3"),
+])
+def test_validator_checks_component_counts(name, path, value, error, tmp_path):
+    # the evaluators broadcast whatever they get: a wrong count used to pass
+    # silently, fail a task on broadcast numbers, or raise inside a task
+    spec = json.loads(json.dumps(BUILTIN_SCENARIOS[name]))
+    parent = spec
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    assert validate_scenario(spec) == [error]
+    with pytest.raises(ScenarioValidationError):
+        run_scenario(spec, tmp_path)
+
+
 @pytest.mark.parametrize("rk4_step", [1e-320, 1e-9])
 def test_validator_rejects_orbits_beyond_the_substep_limit(rk4_step, tmp_path):
     # a half turn at 201 nodes: 1e-320 overflows the substep count, 1e-9

@@ -306,6 +306,19 @@ def test_orbit_beyond_the_substep_limit_raises_a_library_error(max_step):
         integrate_orbit(rotation_field, [1.0, 0.0], 0.0, np.pi, nodes=201, max_step=max_step)
 
 
+def test_orbit_residual_guard_names_point_and_direction():
+    # at t = 0 the velocity (1, 0) at (1, 0) is orthogonal to the rotation
+    # field (0, 1); the pairing t^2 + 2t is positive at every later node
+    grid = interval_grid(0.0, 1.0, 21)
+    t = grid.points()[..., 0]
+    curve = SampledCurve.from_values(grid, np.stack([1.0 + t, t * t], axis=-1))
+    with pytest.raises(SingularDirectionError) as info:
+        orbit_geodesic_residual(curve, rotation_field, eye2)
+    assert str(info.value) == "orbit residual queried where the direction pairing vanishes"
+    assert np.array_equal(info.value.point, curve.values[0])
+    assert np.array_equal(info.value.direction, curve.velocity[0])
+
+
 def test_reparametrized_circle_is_still_a_minimizer():
     # a speed-modulated circle keeps its velocity proportional to the
     # field, so it stays in the minimizer family and its residual is tiny
