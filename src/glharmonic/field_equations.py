@@ -6,11 +6,16 @@ components.
 
 Every quantity is direction-dependent and is evaluated at one fiber
 vector at a time; the h-/v- covariant derivatives come from gl_space
-(Berwald-type rules), with F and f evaluated together once at each
-point of the fiber stencil y, y +- h e_k.  The identities behind the first
-two cyclic residuals involve the curvature convention of the riemann
-module; on curved base metrics their magnitudes are reported rather than
-asserted.
+(Berwald-type rules).  Their fiber partials are exact on a space with the
+``sigma_jet`` hook (every scenario-built space): F and f come from one jet
+call, and their fiber partials from the product rule with
+d(g_ip y^p)/dy^k = 2 sigma_{y^k} g_ip y^p + g_ik, so the third cyclic
+residual vanishes up to round-off.  On a space built from a plain sigma
+callable, F and f are evaluated together once at each point of the fiber
+stencil y, y +- h e_k, (1 + 2n)^2 sigma calls per sample, and the outputs
+are defined by the fiber step.  The identities behind the first two
+cyclic residuals involve the curvature convention of the riemann module;
+on curved base metrics their magnitudes are reported rather than asserted.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .gl_space import (
     h_covariant,
     joint_fiber_partials,
     sigma_blocks,
+    sigma_gradient_partials,
     sigma_gradients,
 )
 from .tensor_core import LO, TensorField, contract_vector
@@ -59,16 +65,45 @@ class EinsteinSystem:
     y: np.ndarray
 
 
-def _em_values(space: ConformalLagrangeSpace, y: np.ndarray
+def _em_values(space: ConformalLagrangeSpace, y: np.ndarray,
+               n_conn: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """F, f, g_ip y^p and grad_v at one fiber from the gradient stage alone
-    (1 + 2n sigma calls); g = exp(2 sigma) gamma reuses its sigma value."""
-    s, gh, gv = sigma_gradients(space, y)
+    (one jet call, or 1 + 2n sigma calls)."""
+    s, gh, gv = sigma_gradients(space, y, n_conn)
+    F, f, gy, _ = _em_from(space, y, s, gh, gv)
+    return F, f, gy, gv
+
+
+def _em_from(space: ConformalLagrangeSpace, y: np.ndarray, s: np.ndarray,
+             gh: np.ndarray, gv: np.ndarray) -> tuple:
+    """F, f, g_ip y^p and g = exp(2 sigma) gamma from the gradient stage."""
     g = np.exp(2.0 * s)[..., None, None] * space.base.gamma.values
     gy = np.einsum("...ip,p->...i", g, y)
-    F = gy[..., :, None] * gh[..., None, :] - gy[..., None, :] * gh[..., :, None]
-    f = gy[..., :, None] * gv[..., None, :] - gy[..., None, :] * gv[..., :, None]
-    return F, f, gy, gv
+    return _wedge(gy, gh), _wedge(gy, gv), gy, g
+
+
+def _wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i b_j - a_j b_i."""
+    return a[..., :, None] * b[..., None, :] - a[..., None, :] * b[..., :, None]
+
+
+def _em_jet(space: ConformalLagrangeSpace, y: np.ndarray, n_conn: np.ndarray) -> tuple:
+    """F, f, their fiber partials dF, df (slot k last), g_ip y^p and grad_v
+    at one fiber, exactly, from the jet: with G_ik = d(g_ip y^p)/dy^k =
+    2 sigma_{y^k} g_ip y^p + g_ik,
+    dF_ijk = G_ik grad_h_j + g_ip y^p d grad_h_jk - (i <-> j), and df
+    likewise with grad_v and sigma_yy."""
+    s, gh, gv, d_gh, d_gv = sigma_gradient_partials(space, y, n_conn)
+    F, f, gy, g = _em_from(space, y, s, gh, gv)
+    G = 2.0 * gy[..., :, None] * gv[..., None, :] + g
+
+    def partial(grad, d_grad):
+        term = G[..., :, None, :] * grad[..., None, :, None] \
+            + gy[..., :, None, None] * d_grad[..., None, :, :]
+        return term - np.swapaxes(term, -3, -2)
+
+    return F, f, partial(gh, d_gh), partial(gv, d_gv), gy, gv
 
 
 def em_tensors(space: ConformalLagrangeSpace, y: np.ndarray) -> ElectromagneticTensors:
@@ -105,16 +140,22 @@ def maxwell_residuals(space: ConformalLagrangeSpace, y: np.ndarray
     third vanishes identically in the continuum; the first two depend on
     the base curvature convention on curved charts.
 
-    (F, f) is evaluated once at each of the 2n + 1 points y, y +- h e_k;
-    all four derivatives come from that stencil and the curvature term
-    reuses the centre point, (1 + 2n)^2 sigma calls in all.
+    With the jet hook, (F, f) and their fiber partials come in closed form
+    from one jet call.  Without it, (F, f) is evaluated once at each of the
+    2n + 1 points y, y +- h e_k; all four derivatives come from that
+    stencil and the curvature term reuses the centre point, (1 + 2n)^2
+    sigma calls in all.  N(y) is formed once and shared.
     """
     y = np.asarray(y, float)
     grid = space.grid
+    n_conn = space.nonlinear_connection(y)
 
-    F, f, gy, gv = _em_values(space, y)            # gy = g_ip y^p
-    dF, df = joint_fiber_partials(lambda yy: _em_values(space, yy)[:2], y,
-                                  space.dim, space.fiber_step_scale)
+    if space.sigma_jet is not None:
+        F, f, dF, df, gy, gv = _em_jet(space, y, n_conn)
+    else:
+        F, f, gy, gv = _em_values(space, y, n_conn)    # gy = g_ip y^p
+        dF, df = joint_fiber_partials(lambda yy: _em_values(space, yy)[:2], y,
+                                      space.dim, space.fiber_step_scale)
 
     riem = space.base.curvature.values             # (..., h, q, j, k)
     n = space.dim
@@ -124,8 +165,8 @@ def maxwell_residuals(space: ConformalLagrangeSpace, y: np.ndarray
     curv = contract_vector(curv.reshape(lead + (n, n, n)), y, -3)
     curv_term = gy[..., :, None, None] * curv[..., None, :, :]
 
-    res1 = _cyclic(h_covariant(F, dF, space, y)) - _cyclic(curv_term)
-    res2 = _cyclic(dF) + _cyclic(h_covariant(f, df, space, y))
+    res1 = _cyclic(h_covariant(F, dF, space, y, n_conn)) - _cyclic(curv_term)
+    res2 = _cyclic(dF) + _cyclic(h_covariant(f, df, space, y, n_conn))
     res3 = _cyclic(df)
     return (
         TensorField(grid, res1, COV3),

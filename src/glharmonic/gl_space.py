@@ -9,14 +9,28 @@ because the linear connection behind the h-/v- covariant rules is the
 Berwald-type pair (Gamma^i_{jk}, 0), whose vertical coefficients are zero.
 
 Direction-dependent quantities are evaluated one fiber vector at a time:
-a "fibered" field is a callable ``y -> grid samples``, and fiber partials
-are central differences with a relative step h = fiber_step(y).  Each
-fibered quantity is evaluated once at y and once at each of the 2n points
-y +- h e_k, and its h- and v-derivatives both come from that one stencil;
-several quantities share the stencil through :func:`joint_fiber_partials`.
-The gradient stage of the log factor, (sigma, grad_h, grad_v) at one
-fiber, costs 1 + 2n sigma calls, so its Hessian blocks, a Maxwell sample
-and an Einstein sample each cost (1 + 2n)^2.
+a "fibered" field is a callable ``y -> grid samples``.  Partials in x are
+grid stencils.  Fiber partials of the log factor come one of two ways:
+
+- With the ``sigma_jet`` hook (every scenario-built space: the runner
+  differentiates the sigma expression, ``scenarios.sigma_jet_evaluator``)
+  one jet call gives sigma and its exact first and second fiber
+  derivatives, and the derivative blocks, the electromagnetic tensors and
+  their fiber partials follow in closed form.  These outputs are
+  fiber-exact: they move with the grid, not with the fiber step, and no
+  sigma call is made.
+- Without it (a space built from a plain library callable) fiber partials
+  are central differences with a relative step h = fiber_step(y), and the
+  outputs are defined by that step.  Each fibered quantity is evaluated
+  once at y and once at each of the 2n points y +- h e_k, and its h- and
+  v-derivatives both come from that one stencil; several quantities share
+  the stencil through :func:`joint_fiber_partials`.  The gradient stage of
+  the log factor, (sigma, grad_h, grad_v) at one fiber, costs 1 + 2n sigma
+  calls, so its Hessian blocks, a Maxwell sample and an Einstein sample
+  each cost (1 + 2n)^2.
+
+:func:`delta_derivative` and :func:`hv_covariant` of other fibered fields
+always difference in the fiber.
 """
 
 from __future__ import annotations
@@ -50,21 +64,27 @@ def fiber_step(y: np.ndarray, scale: float = FIBER_STEP_SCALE) -> float:
     return scale * (1.0 + float(np.linalg.norm(y)))
 
 
+SigmaJet = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
 @dataclass(frozen=True)
 class ConformalLagrangeSpace:
     """(chart, gamma, sigma): all curvature data of gamma plus the log
-    conformal factor sigma(x, y) with optional analytic partials.
+    conformal factor sigma(x, y), optionally with its fiber jet.
 
     ``sigma`` is vectorized over grid points at one constant fiber vector:
-    ``sigma(points, y) -> scalars``.  When ``sigma_dx``/``sigma_dy`` are
-    omitted the partials fall back to grid stencils (base) and central
-    fiber differences (fiber).
+    ``sigma(points, y) -> scalars``.  ``sigma_jet(points, y)`` returns
+    (sigma, d sigma/dy^k, d^2 sigma/dy^j dy^k) with shapes (...), (..., n)
+    and (..., n, n); with it a derivative block or a Maxwell or Einstein
+    sample makes one jet call and no sigma call, and its fiber partials
+    are exact.  Without it they are central fiber differences,
+    (1 + 2n)^2 sigma calls per block or sample.  x-partials are grid
+    stencils either way.
     """
 
     base: RiemannPackage
     sigma: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    sigma_dx: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    sigma_dy: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    sigma_jet: SigmaJet | None = None
     fiber_step_scale: float = FIBER_STEP_SCALE
 
     @property
@@ -89,13 +109,20 @@ class ConformalLagrangeSpace:
         return contract_vector(self.base.christoffel.values, y, -1)
 
 
-def conformal_space(base: RiemannPackage, sigma, sigma_dx=None, sigma_dy=None,
+def conformal_space(base: RiemannPackage, sigma, sigma_jet=None,
                     fiber_step_scale=FIBER_STEP_SCALE) -> ConformalLagrangeSpace:
-    return ConformalLagrangeSpace(base, sigma, sigma_dx, sigma_dy, fiber_step_scale)
+    return ConformalLagrangeSpace(base, sigma, sigma_jet, fiber_step_scale)
 
 
 def zero_sigma(points: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.zeros(points.shape[:-1])
+
+
+def zero_sigma_jet(points: np.ndarray, y: np.ndarray):
+    """The jet of :func:`zero_sigma`: every entry 0."""
+    lead = points.shape[:-1]
+    n = len(y)
+    return np.zeros(lead), np.zeros(lead + (n,)), np.zeros(lead + (n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +201,14 @@ hv_covariant_cov2 = hv_covariant
 
 
 def h_covariant(vals: np.ndarray, dy: np.ndarray, space: ConformalLagrangeSpace,
-                y: np.ndarray) -> np.ndarray:
+                y: np.ndarray, n_conn: np.ndarray | None = None) -> np.ndarray:
     """h-covariant derivative of a fibered all-covariant tensor from its
     values at y and its fiber partials ``dy`` (the v-covariant derivative):
     delta/dx^k of the components minus one Gamma-term per slot; the new
     derivative slot is appended last.  A caller with several fibered
     tensors takes all their partials from one stencil with
-    :func:`joint_fiber_partials`."""
+    :func:`joint_fiber_partials`, and passes N(y) as ``n_conn`` when it
+    already holds it."""
     gd = space.grid.dim
     n = space.dim
     lead = space.grid.shape
@@ -188,7 +216,9 @@ def h_covariant(vals: np.ndarray, dy: np.ndarray, space: ConformalLagrangeSpace,
     field = TensorField(space.grid, vals, (LO,) * n_slots)
     delta_vals = _grid_partials(field)                             # (*grid, *slots, k)
     # N-correction: dy carries the fiber slot m last, N^m_k is (m, k)
-    correction = dy.reshape(lead + (-1, n)) @ space.nonlinear_connection(y)
+    if n_conn is None:
+        n_conn = space.nonlinear_connection(y)
+    correction = dy.reshape(lead + (-1, n)) @ n_conn
     delta_vals -= correction.reshape(delta_vals.shape)
     gam = space.base.christoffel.values.reshape(lead + (n, n * n))  # (*grid, m, ik)
     for slot in range(n_slots):
@@ -227,47 +257,92 @@ class ConformalFactorDerivatives:
     tr_v: TensorField
 
 
-def sigma_gradients(space: ConformalLagrangeSpace, y: np.ndarray
+def sigma_gradients(space: ConformalLagrangeSpace, y: np.ndarray,
+                    n_conn: np.ndarray | None = None
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradient stage of the log factor at one fiber: the samples of
     (sigma, grad_h, grad_v) with grad_v_i = d sigma/dy^i and
-    grad_h_i = d sigma/dx^i - N^j_i grad_v_j.  One sigma call for the
-    value and one fiber stencil (2n calls) shared by both gradients;
-    analytic partials replace the stencils when given."""
+    grad_h_i = d sigma/dx^i - N^j_i grad_v_j, d/dx^i a grid stencil.
+    grad_v is the jet's when the space has one; otherwise one sigma call
+    for the value and one fiber stencil (2n calls).  ``n_conn`` is N(y)
+    when the caller holds it."""
     y = np.asarray(y, float)
     pts = space.grid.points()
-    s = np.asarray(space.sigma(pts, y), float)
-    if space.sigma_dy is not None:
-        grad_v = np.asarray(space.sigma_dy(pts, y), float)
+    if n_conn is None:
+        n_conn = space.nonlinear_connection(y)
+    if space.sigma_jet is not None:
+        s, grad_v, _ = space.sigma_jet(pts, y)
     else:
+        s = np.asarray(space.sigma(pts, y), float)
         grad_v = fiber_partials(lambda yy: np.asarray(space.sigma(pts, yy), float), y,
                                 space.dim, space.fiber_step_scale)
-    if space.sigma_dx is not None:
-        dx = np.asarray(space.sigma_dx(pts, y), float)
-    else:
-        dx = _grid_partials(scalar_field(space.grid, s))
-    grad_h = dx - np.einsum("...ji,...j->...i", space.nonlinear_connection(y), grad_v)
-    return s, grad_h, grad_v
+    return s, _horizontal(s, grad_v, space, n_conn), grad_v
+
+
+def _horizontal(s: np.ndarray, grad_v: np.ndarray, space: ConformalLagrangeSpace,
+                n_conn: np.ndarray) -> np.ndarray:
+    """grad_h_i = d sigma/dx^i - N^j_i grad_v_j."""
+    # a jet may return a broadcast view, which np.roll in the stencil
+    # copies several times slower than a contiguous array
+    dx = _grid_partials(scalar_field(space.grid, np.ascontiguousarray(s)))
+    return dx - np.einsum("...ji,...j->...i", n_conn, grad_v)
+
+
+def sigma_gradient_partials(space: ConformalLagrangeSpace, y: np.ndarray,
+                            n_conn: np.ndarray | None = None) -> tuple:
+    """The gradient stage at one fiber and its fiber partials:
+    (sigma, grad_h, grad_v, d grad_h, d grad_v), the fiber slot last.
+
+    With the jet, in closed form from one jet call and grid partials of
+    sigma and of each d sigma/dy^k:
+    d grad_v = sigma_yy, and, since dN^j_i/dy^k = Gamma^j_{ik},
+    d grad_h_ik = d/dx^i (sigma_{y^k}) - Gamma^j_{ik} sigma_{y^j}
+    - N^j_i sigma_{y^j y^k}.
+    Without it, (grad_h, grad_v) is differenced over one stencil
+    y +- h e_k: (1 + 2n)^2 sigma calls."""
+    y = np.asarray(y, float)
+    if n_conn is None:
+        n_conn = space.nonlinear_connection(y)
+    if space.sigma_jet is None:
+        s, grad_h, grad_v = sigma_gradients(space, y, n_conn)
+        d_grad_h, d_grad_v = joint_fiber_partials(lambda yy: sigma_gradients(space, yy)[1:],
+                                                  y, space.dim, space.fiber_step_scale)
+        return s, grad_h, grad_v, d_grad_h, d_grad_v
+    s, s_y, s_yy = space.sigma_jet(space.grid.points(), y)
+    grad_h = _horizontal(s, s_y, space, n_conn)
+    # d/dx^i of each sigma_{y^k}, then the connection terms entry by entry:
+    # no temporary beyond one grid of values
+    s_y_field = TensorField(space.grid, np.ascontiguousarray(s_y), (LO,))
+    d_grad_h = np.stack([fd_partial(s_y_field, i).values for i in range(space.grid.dim)],
+                        axis=-2)                                       # (*grid, i, k)
+    gam = space.base.christoffel.values                               # (*grid, j, i, k)
+    n = space.dim
+    for i in range(n):
+        for k in range(n):
+            entry = d_grad_h[..., i, k]
+            for j in range(n):
+                entry -= s_y[..., j] * gam[..., j, i, k]
+                entry -= n_conn[..., j, i] * s_yy[..., j, k]
+    return s, grad_h, s_y, d_grad_h, s_yy
 
 
 def sigma_blocks(space: ConformalLagrangeSpace, y: np.ndarray) -> ConformalFactorDerivatives:
-    """All derivative blocks of the log factor at one fiber vector: the
-    gradient stage at y, then the Hessian stage, which differences the pair
-    (grad_h, grad_v) over one stencil y +- h e_k; (1 + 2n)^2 sigma calls."""
+    """All derivative blocks of the log factor at one fiber vector, from
+    :func:`sigma_gradient_partials`: one jet call with the jet hook,
+    (1 + 2n)^2 sigma calls without it."""
     y = np.asarray(y, float)
     grid = space.grid
     gamma = space.base.gamma.values
     gamma_inv = space.base.gamma_inv.values
 
-    _, grad_h, grad_v = sigma_gradients(space, y)
-    d_grad_h, d_grad_v = joint_fiber_partials(lambda yy: sigma_gradients(space, yy)[1:], y,
-                                              space.dim, space.fiber_step_scale)
+    n_conn = space.nonlinear_connection(y)
+    _, grad_h, grad_v, d_grad_h, d_grad_v = sigma_gradient_partials(space, y, n_conn)
 
     sq_h = np.einsum("...kl,...k,...l->...", gamma_inv, grad_h, grad_h)
     sq_v = np.einsum("...ab,...a,...b->...", gamma_inv, grad_v, grad_v)
 
     # horizontal covariant derivative of grad_h
-    hess_h = h_covariant(grad_h, d_grad_h, space, y) \
+    hess_h = h_covariant(grad_h, d_grad_h, space, y, n_conn) \
         + grad_h[..., :, None] * grad_h[..., None, :] - 0.5 * gamma * sq_h[..., None, None]
     # vertical derivative of grad_v (plain fiber partial, zero v-connection)
     hess_v = d_grad_v + grad_v[..., :, None] * grad_v[..., None, :] \

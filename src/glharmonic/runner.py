@@ -216,7 +216,7 @@ class _Context:
             gamma = sc.sampled_metric(grid, g.get("metric", "identity"), g["dim"], "x")
             base = curvature_package(gamma, g.get("ricci_convention", "last"))
             sigma = sc.scalar_evaluator_two_args(g["sigma"], g["dim"], "x", g["dim"], "y")
-            return conformal_space(base, sigma)
+            return conformal_space(base, sigma, sc.sigma_jet_evaluator(g["sigma"], g["dim"]))
         return self._memo("gl", build)
 
 
@@ -449,9 +449,9 @@ def _task_einstein(ctx: _Context, task: dict, out, dumps):
         scalars["scalar_curvature_error"] = err
         ok = ok and err <= task.get("scalar_tol", 1e-3)
     if task.get("check_sigma_zero_reduction"):
-        from .gl_space import zero_sigma
+        from .gl_space import zero_sigma, zero_sigma_jet
 
-        reduced = conformal_space(space.base, zero_sigma)
+        reduced = conformal_space(space.base, zero_sigma, zero_sigma_jet)
         sys0 = einstein_system(reduced, K, np.asarray(ctx.spec["samples"][0], float),
                                energy_momentum=False)
         match = float(np.max(np.abs(sys0.h_lhs.values - space.base.einstein_tensor().values)))

@@ -13,13 +13,14 @@ single chart whose coordinates are x1..xn.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Any, Callable
 
 import numpy as np
 
 from .errors import ScenarioValidationError, StepLimitError
-from .expressions import Expression, ExpressionError, component_env
+from .expressions import Expression, ExpressionError, component_env, derivative
 from .systems import DEFAULT_RK4_STEP, rk4_substeps
 from .tensor_core import ChartGrid, MetricField, box_grid, interval_grid, metric_field
 
@@ -473,6 +474,61 @@ def scalar_evaluator_two_args(src: str, d1: int, p1: str, d2: int, p2: str):
     return ev
 
 
+def sigma_jet_evaluator(src: str, dim: int):
+    """The log factor sigma(x, y) of a conformal space with its exact fiber
+    derivatives, for ``ConformalLagrangeSpace.sigma_jet``:
+    ``jet(points, y) -> (sigma, sigma_y, sigma_yy)`` at one fiber vector,
+    shapes (...), (..., n) and (..., n, n).
+
+    The list [sigma, d sigma/dy^k, d^2 sigma/dy^j dy^k (j <= k)] is
+    differentiated from the checked tree once and compiled into one
+    function; y enters it as scalars, so y-only terms are evaluated once.
+    A node where any entry of the jet is non-finite has no derivatives and
+    gets NaN in every entry, as a fiber difference through it would."""
+    args = (("x", dim), ("y", dim))
+    vectors = ("x", "y")
+    names = [f"{p}{k + 1}" for p, _ in args for k in range(dim)]
+    sigma = Expression(src, names, vectors).trees[0]
+    ys = names[dim:]
+    first = [derivative(sigma, v, vectors) for v in ys]
+    pairs = [(j, k) for j in range(dim) for k in range(j, dim)]
+    second = [derivative(first[j], ys[k], vectors) for j, k in pairs]
+    outputs = [sigma, *first, *second]
+    value = _Outputs(outputs, args, (len(outputs),), vectors=True)
+
+    first_slots = [[(k,)] for k in range(dim)]
+    second_slots = [[(j, k), (k, j)] for j, k in pairs]
+
+    def jet(points, y):
+        points = np.asarray(points, float)
+        cols = value.columns(points, np.asarray(y, float))
+        lead = points.shape[:-1]
+        s = np.broadcast_to(cols[0], lead)
+        s_y = _node_block(cols[1:1 + dim], first_slots, lead, (dim,))
+        s_yy = _node_block(cols[1 + dim:], second_slots, lead, (dim, dim))
+        finite = functools.reduce(np.logical_and, map(np.isfinite, cols))
+        if not np.all(finite):
+            finite = np.broadcast_to(finite, lead)
+            s = np.where(finite, s, np.nan)
+            s_y = np.where(finite[..., None], s_y, np.nan)
+            s_yy = np.where(finite[..., None, None], s_yy, np.nan)
+        return s, s_y, s_yy
+
+    return jet
+
+
+def _node_block(cols, slots, lead: tuple, shape: tuple) -> np.ndarray:
+    """A per-node block of ``shape`` with each column written at its slots.
+    When every column is free of the grid (0-d), the block is the same at
+    every node: one block, broadcast read-only over the nodes."""
+    grid_free = all(np.ndim(col) == 0 for col in cols)
+    out = np.empty(shape if grid_free else lead + shape)
+    for col, where in zip(cols, slots):
+        for index in where:
+            out[(...,) + index] = col
+    return np.broadcast_to(out, lead + shape) if grid_free else out
+
+
 class _Outputs:
     """One compiled function for a list of expressions in the components
     of stacked coordinate arguments, ``args`` = ((prefix, dim), ...), and
@@ -505,18 +561,23 @@ class _Outputs:
             block = self._at_point(values)
             if block is not None:
                 return block
+        lead = first.shape[:-1]
+        out = np.zeros(lead + self.shape)
+        flat = out.reshape(lead + (self.size,))
+        for j, value in enumerate(self.columns(first, second)):
+            flat[..., j] = value    # broadcasts constants
+        return out
+
+    def columns(self, first: np.ndarray, second: np.ndarray | None = None) -> tuple:
+        """The outputs on the array path, each as computed: an argument's
+        components enter as they are given, and a constant stays a float."""
         arrays = (first,) if second is None else (first, second)
         env = {}
         for (prefix, _), a in zip(self.args, arrays):
             env.update(component_env(prefix, a))
             if self.vectors:
                 env[prefix] = a
-        lead = first.shape[:-1]
-        out = np.zeros(lead + self.shape)
-        flat = out.reshape(lead + (self.size,))
-        for j, value in enumerate(self.expr(env)):
-            flat[..., j] = value    # broadcasts constants
-        return out
+        return self.expr(env)
 
     def _at_point(self, values: list) -> np.ndarray | None:
         form = self.expr.point_form

@@ -1,5 +1,6 @@
 import ast
 import builtins
+import importlib.util
 import warnings
 
 import numpy as np
@@ -225,3 +226,131 @@ def test_float_lowering_matches_array_path(sources, point):
     _assert_same(got, ref)
     if not np.all(np.isfinite(ref)):
         assert got_warnings == ref_warnings
+
+
+# ---------------------------------------------------------------------------
+# symbolic derivatives: folding, conventions, and sympy as the oracle
+# ---------------------------------------------------------------------------
+
+from glharmonic.expressions import derivative  # noqa: E402
+from glharmonic.scenarios import sigma_jet_evaluator  # noqa: E402
+
+_XY = ["x1", "x2", "x3", "y1", "y2", "y3"]
+
+
+def _d(source, name):
+    tree = Expression(source, scalars=_XY, vectors=["x", "y"]).trees[0]
+    return derivative(tree, name, ["x", "y"])
+
+
+@pytest.mark.parametrize("source", ["0", "3.5*sin(x1) + x2", "exp(dot(x, x))"])
+def test_derivative_of_a_variable_free_term_folds_to_zero(source):
+    assert ast.unparse(_d(source, "y2")) == "0.0"
+
+
+@pytest.mark.parametrize("source, name, expected", [
+    ("0.2*sin(x1) * (1 + 0.3*y1)", "y1", "0.2 * sin(x1) * 0.3"),
+    ("dot(x, y)", "y2", "x2"),
+    ("dot(y, x)", "y3", "x3"),
+    ("dot(y, y)", "y1", "2.0 * y1"),
+    ("abs(y1)", "y1", "sign(y1)"),
+    ("ln(y1) + y2", "y1", "1.0 / y1"),
+    ("-y1", "y1", "-1.0"),
+])
+def test_derivative_rules_and_folding(source, name, expected):
+    assert ast.unparse(_d(source, name)) == expected
+
+
+def test_sign_is_only_in_derivative_trees():
+    with pytest.raises(ExpressionError):
+        Expression("sign(x1)", scalars=["x1"])
+    # the derivative of abs at its kink is sign(0) = 0, the central difference
+    tree = _d("abs(y1 - x1)", "y1")
+    assert Expression(tree, scalars=_XY)({"x1": 0.5, "y1": 0.5}) == 0.0
+
+
+def test_shared_subtrees_are_bound_once():
+    # derivative trees share subtrees of their source: the compiled list
+    # binds each shared subtree to a local once, with the values of the
+    # same list without sharing
+    tree = Expression("exp(sin(x1) * y1)", scalars=_XY).trees[0]
+    first = derivative(tree, "y1")
+    trees = [tree, first, derivative(first, "y1")]
+    env = {"x1": np.array([0.3, 1.2]), "y1": np.array([0.7, -0.4])}
+    shared = Expression(trees, scalars=_XY)
+    unshared = Expression([ast.unparse(t) for t in trees], scalars=_XY)
+    for got, want in zip(shared(env), unshared(env)):
+        _assert_same(got, want)
+    assert shared._compiled.__code__.co_nlocals > unshared._compiled.__code__.co_nlocals == 1
+    point = shared.point_form(0.3, 0.0, 0.0, 0.7, 0.0, 0.0)
+    assert point == unshared.point_form(0.3, 0.0, 0.0, 0.7, 0.0, 0.0)
+
+
+def _sympy_strategy():
+    import sympy
+
+    symbols = {name: sympy.Symbol(name, real=True) for name in _XY}
+    x = [symbols[f"x{k}"] for k in (1, 2, 3)]
+    y = [symbols[f"y{k}"] for k in (1, 2, 3)]
+    literal = st.floats(0.1, 2.0).map(lambda v: (repr(v), sympy.Float(v, 17)))
+    leaves = st.one_of(
+        literal,
+        st.sampled_from([(name, symbols[name]) for name in _XY]),
+        st.just(("dot(x, y)", sum(a * b for a, b in zip(x, y)))),
+        st.just(("dot(y, y)", sum(b * b for b in y))),
+    )
+
+    def extend(inner):
+        def binary(t):
+            (a, sa), op, (b, sb) = t
+            if op == "/":
+                # a positive denominator
+                return f"({a}) / (1.5 + cos({b}))", sa / (sympy.Rational(3, 2) + sympy.cos(sb))
+            return f"({a}) {op} ({b})", {"+": sa + sb, "-": sa - sb, "*": sa * sb}[op]
+
+        unary = {
+            "-": lambda a, sa: (f"-({a})", -sa),
+            "exp": lambda a, sa: (f"exp(sin({a}))", sympy.exp(sympy.sin(sa))),
+            "ln": lambda a, sa: (f"ln(1 + ({a})*({a}))", sympy.log(1 + sa * sa)),
+            "sin": lambda a, sa: (f"sin({a})", sympy.sin(sa)),
+            "cos": lambda a, sa: (f"cos({a})", sympy.cos(sa)),
+            # sqrt(u^2): sympy cannot always prove u real, and then leaves
+            # the derivative of Abs(u) unevaluated
+            "abs": lambda a, sa: (f"abs({a})", sympy.sqrt(sa * sa)),
+        }
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(binary),
+            st.tuples(st.sampled_from(sorted(unary)), inner).map(
+                lambda t: unary[t[0]](*t[1])),
+        )
+
+    return sympy, symbols, st.recursive(leaves, extend, max_leaves=8)
+
+
+_SYMPY = _sympy_strategy() if importlib.util.find_spec("sympy") else None
+
+
+@pytest.mark.skipif(_SYMPY is None, reason="sympy is the oracle")
+@settings(max_examples=60, deadline=None, database=None)
+@given(pair=_SYMPY[2] if _SYMPY else st.nothing(),
+       seed=st.integers(0, 2**32 - 1))
+def test_fiber_jet_matches_sympy(pair, seed):
+    sympy, symbols, _ = _SYMPY
+    source, expr = pair
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-1.5, 1.5, size=(4, 3))
+    y = rng.uniform(-1.5, 1.5, size=3)
+    with np.errstate(all="ignore"):
+        s, s_y, s_yy = sigma_jet_evaluator(source, 3)(points, y)
+    args = [symbols[name] for name in _XY]
+    ys = [symbols[f"y{k}"] for k in (1, 2, 3)]
+    first = [sympy.diff(expr, v) for v in ys]
+    pairs = [(j, k) for j in range(3) for k in range(j, 3)]
+    oracle = [expr, *first, *(sympy.diff(first[j], ys[k]) for j, k in pairs)]
+    oracle = [e.replace(sympy.DiracDelta, lambda *a: sympy.Integer(0)) for e in oracle]
+    values = sympy.lambdify(args, oracle, modules="numpy")(*points.T, *np.tile(y, (4, 1)).T)
+    want = [np.broadcast_to(v, (4,)) for v in values]
+    got = [s, *(s_y[:, k] for k in range(3)), *(s_yy[:, j, k] for j, k in pairs)]
+    for g, w in zip(got, want):
+        assert np.all(np.abs(g - w) <= 1e-10 * np.maximum(1.0, np.abs(w))), (source, g, w)
+    assert np.array_equal(s_yy, np.swapaxes(s_yy, -1, -2))

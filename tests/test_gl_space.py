@@ -242,24 +242,29 @@ def test_fiber_partials_linear_exact():
 
 
 def test_analytic_partials_are_used_when_given():
+    # the sigma_jet hook supplies the fiber partials; the x-partials stay
+    # grid stencils on both paths
     A = np.array([1.0, 0.5])
 
     def sig(pts, y):
         return 0.3 * pts[..., 0] + np.log(abs(A @ y))
 
-    def sig_dx(pts, y):
-        out = np.zeros(pts.shape)
-        out[..., 0] = 0.3
-        return out
-
-    def sig_dy(pts, y):
-        return np.broadcast_to(A / (A @ y), pts.shape).copy()
+    def sig_jet(pts, y):
+        lead = pts.shape[:-1]
+        Ay = A @ y
+        return (sig(pts, y), np.broadcast_to(A / Ay, lead + (2,)),
+                np.broadcast_to(-np.outer(A, A) / Ay**2, lead + (2, 2)))
 
     space_fd = flat_space(sig)
-    space_an = flat_space(sig, sigma_dx=sig_dx, sigma_dy=sig_dy)
+    space_jet = flat_space(sig, sigma_jet=sig_jet)
     y = np.array([0.9, 1.4])
-    b_fd, b_an = sigma_blocks(space_fd, y), sigma_blocks(space_an, y)
-    assert np.max(np.abs(b_fd.grad_v.values - b_an.grad_v.values)) < 1e-7
-    assert np.max(np.abs(b_fd.hess_v.values - b_an.hess_v.values)) < 1e-6
-    # analytic path: grad_h is exactly 0.3 in the first slot
-    assert np.allclose(b_an.grad_h.values[..., 0], 0.3, atol=1e-14)
+    b_fd, b_jet = sigma_blocks(space_fd, y), sigma_blocks(space_jet, y)
+    assert np.max(np.abs(b_fd.grad_v.values - b_jet.grad_v.values)) < 1e-7
+    assert np.max(np.abs(b_fd.hess_v.values - b_jet.hess_v.values)) < 1e-6
+    # jet path: the fiber blocks are the jet's closed forms
+    Ay = A @ y
+    hess_v = -np.outer(A, A) / Ay**2 + np.outer(A, A) / Ay**2 - 0.5 * np.eye(2) * (A @ A) / Ay**2
+    assert np.allclose(b_jet.grad_v.values, A / Ay, rtol=0, atol=1e-14)
+    assert np.allclose(b_jet.hess_v.values, hess_v, rtol=0, atol=1e-14)
+    # N = 0 on a flat chart, so grad_h is the same grid stencil on both paths
+    assert np.array_equal(b_jet.grad_h.values, b_fd.grad_h.values)
