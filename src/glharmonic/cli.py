@@ -31,13 +31,8 @@ def main():
 def run(scenario, out_dir, stencil):
     """Run a scenario (bundled name or YAML file path)."""
     try:
-        spec = load_scenario(scenario)
-        errors = validate_scenario(spec)
-        if errors:
-            for msg in errors:
-                click.echo(f"invalid: {msg}", err=True)
-            sys.exit(2)
-        report = run_scenario(spec, out_dir, stencil_override=int(stencil) if stencil else None)
+        report = run_scenario(load_scenario(scenario), out_dir,
+                              stencil_override=int(stencil) if stencil else None)
     except ScenarioValidationError as exc:
         for msg in exc.messages:
             click.echo(f"invalid: {msg}", err=True)

@@ -14,6 +14,7 @@ import json
 import pathlib
 import time
 import traceback
+from functools import cached_property
 from itertools import product
 from typing import Any
 
@@ -28,7 +29,10 @@ from .riemann import curvature_package
 from .systems import (
     DEFAULT_RK4_STEP,
     FirstOrderSystem,
+    MinimizerCertificate,
+    SampledCurve,
     certify_minimizer,
+    group_system_lagrangian,
     integrate_orbit,
     level_set_geodesic_defect,
     orbit_geodesic_residual,
@@ -99,36 +103,26 @@ class _Context:
     def __init__(self, spec: dict, stencil_override: int | None):
         self.spec = spec
         self.stencil_override = stencil_override
-        self._cache: dict[str, Any] = {}
-        tol = dict(sc.DEFAULT_TOLERANCES)
-        tol.update(spec.get("tolerances", {}))
-        self.tol = tol
+        self.tol = {**sc.DEFAULT_TOLERANCES, **spec.get("tolerances", {})}
+        self._psi_checked: dict[int, np.ndarray] = {}
 
-    def _memo(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def m_grid(self) -> ChartGrid:
-        return self._memo("m_grid", lambda: sc.build_grid(self.spec["m_space"],
-                                                          self.stencil_override))
+        return sc.build_grid(self.spec["m_space"], self.stencil_override)
 
-    @property
+    @cached_property
     def phi(self):
-        return self._memo("phi", lambda: sample_metric(self.m_grid, self.phi_eval))
+        return sample_metric(self.m_grid, self.phi_eval)
 
-    @property
+    @cached_property
     def phi_eval(self):
         m = self.spec["m_space"]
-        return self._memo("phi_eval", lambda: sc.metric_evaluator(
-            m.get("metric", "identity"), m["dim"], "a"))
+        return sc.metric_evaluator(m.get("metric", "identity"), m["dim"], "a")
 
-    @property
+    @cached_property
     def psi_eval(self):
         n = self.spec["n_space"]
-        return self._memo("psi_eval", lambda: sc.metric_evaluator(
-            n.get("metric", "identity"), n["dim"], "x"))
+        return sc.metric_evaluator(n.get("metric", "identity"), n["dim"], "x")
 
     def checked_psi(self, f):
         """The target metric evaluator, after checking that psi is positive
@@ -136,88 +130,95 @@ class _Context:
         sampled curve) on its grid.  A failing node raises
         SingularMetricError naming the node.  Each array of values is
         checked once, so a curve and ``curve.as_map()`` share one check."""
-        def check():
+        if id(f.values) not in self._psi_checked:
             try:
                 metric_field(f.grid, self.psi_eval(f.values))
             except SingularMetricError as exc:
                 raise SingularMetricError(f"target metric psi: {exc}",
                                           node=exc.node) from None
-            return f.values     # held, so its id is not reused while cached
-        self._memo(("checked_psi", id(f.values)), check)
+            # held, so its id is not reused while recorded
+            self._psi_checked[id(f.values)] = f.values
         return self.psi_eval
 
-    @property
+    @cached_property
     def map_jet(self) -> MapJet:
-        def build():
-            values, linear_jet = sc.build_map_values(
-                self.spec["map"], self.m_grid, self.spec["n_space"]["dim"])
-            return MapJet.from_values(self.m_grid, values, linear_jet)
-        return self._memo("map_jet", build)
+        values, linear_jet = sc.build_map_values(
+            self.spec["map"], self.m_grid, self.spec["n_space"]["dim"])
+        return MapJet.from_values(self.m_grid, values, linear_jet)
 
-    @property
+    @cached_property
     def system(self) -> FirstOrderSystem:
-        def build():
-            spec = self.spec["system"]
-            kind = spec["kind"]
-            n_dim = self.spec.get("n_space", {}).get("dim", 1)
-            m_dim = self.spec.get("m_space", {}).get("dim", 1)
-            if kind == "orbit":
-                xi = sc.covector_evaluator(spec["xi"], n_dim, "x")
-                return FirstOrderSystem.orbit(xi)
-            if kind == "pfaff":
-                A = sc.covector_evaluator(spec["A"], m_dim, "a")
-                return FirstOrderSystem.pfaff(A)
-            if kind == "pseudolinear":
-                xi = sc.covector_evaluator(spec["xi"], n_dim, "x")
-                A = sc.covector_evaluator(spec["A"], m_dim, "a")
-                return FirstOrderSystem.pseudolinear(xi, A)
-            if kind == "group":
-                gens = [(sc.covector_evaluator(g["xi"], n_dim, "x"),
-                         sc.covector_evaluator(g["A"], m_dim, "a"))
-                        for g in spec["generators"]]
-                return FirstOrderSystem.group(gens)
-            return FirstOrderSystem.general(sc.system_matrix_evaluator(spec["T"], m_dim, n_dim))
-        return self._memo("system", build)
+        spec = self.spec["system"]
+        kind = spec["kind"]
+        n_dim = self.spec.get("n_space", {}).get("dim", 1)
+        m_dim = self.spec.get("m_space", {}).get("dim", 1)
+        if kind == "orbit":
+            xi = sc.covector_evaluator(spec["xi"], n_dim, "x")
+            return FirstOrderSystem.orbit(xi)
+        if kind == "pfaff":
+            A = sc.covector_evaluator(spec["A"], m_dim, "a")
+            return FirstOrderSystem.pfaff(A)
+        if kind == "pseudolinear":
+            xi = sc.covector_evaluator(spec["xi"], n_dim, "x")
+            A = sc.covector_evaluator(spec["A"], m_dim, "a")
+            return FirstOrderSystem.pseudolinear(xi, A)
+        if kind == "group":
+            gens = [(sc.covector_evaluator(g["xi"], n_dim, "x"),
+                     sc.covector_evaluator(g["A"], m_dim, "a"))
+                    for g in spec["generators"]]
+            return FirstOrderSystem.group(gens)
+        return FirstOrderSystem.general(sc.system_matrix_evaluator(spec["T"], m_dim, n_dim))
 
-    @property
+    @cached_property
     def metric_pair(self) -> MetricPair:
-        def build():
-            m_dim = self.spec["m_space"]["dim"]
-            n_dim = self.spec["n_space"]["dim"]
-            sigma = tau = None
-            if "sigma" in self.spec:
-                sigma = sc.scalar_evaluator_two_args(self.spec["sigma"], m_dim, "a", m_dim, "b")
-            if "tau" in self.spec:
-                tau = sc.scalar_evaluator_two_args(self.spec["tau"], n_dim, "x", n_dim, "y")
-            return MetricPair.conformal(self.phi_eval, self.checked_psi(self.map_jet),
-                                        sigma=sigma, tau=tau)
-        return self._memo("metric_pair", build)
+        m_dim = self.spec["m_space"]["dim"]
+        n_dim = self.spec["n_space"]["dim"]
+        sigma = tau = None
+        if "sigma" in self.spec:
+            sigma = sc.scalar_evaluator_two_args(self.spec["sigma"], m_dim, "a", m_dim, "b")
+        if "tau" in self.spec:
+            tau = sc.scalar_evaluator_two_args(self.spec["tau"], n_dim, "x", n_dim, "y")
+        return MetricPair.conformal(self.phi_eval, self.checked_psi(self.map_jet),
+                                    sigma=sigma, tau=tau)
 
-    @property
+    @cached_property
     def connection(self) -> ConnectionTensor:
-        def build():
-            spec = self.spec["connection"]
-            m_dim = self.spec["m_space"]["dim"]
-            n_dim = self.spec["n_space"]["dim"]
-            if spec["kind"] == "zero":
-                return ConnectionTensor.zero(m_dim, n_dim)
-            if spec["kind"] == "covector_fiber":
-                return ConnectionTensor.covector_fiber(
-                    sc.covector_evaluator(spec["A"], m_dim, "a"))
-            return ConnectionTensor.oneform_source(
-                sc.covector_evaluator(spec["xi"], n_dim, "x"))
-        return self._memo("connection", build)
+        spec = self.spec["connection"]
+        m_dim = self.spec["m_space"]["dim"]
+        n_dim = self.spec["n_space"]["dim"]
+        if spec["kind"] == "zero":
+            return ConnectionTensor.zero(m_dim, n_dim)
+        if spec["kind"] == "covector_fiber":
+            return ConnectionTensor.covector_fiber(
+                sc.covector_evaluator(spec["A"], m_dim, "a"))
+        return ConnectionTensor.oneform_source(
+            sc.covector_evaluator(spec["xi"], n_dim, "x"))
 
-    @property
+    @cached_property
     def gl(self):
-        def build():
-            g = self.spec["gl_space"]
-            grid = sc.build_grid(g, self.stencil_override)
-            gamma = sc.sampled_metric(grid, g.get("metric", "identity"), g["dim"], "x")
-            base = curvature_package(gamma, g.get("ricci_convention", "last"))
-            sigma = sc.scalar_evaluator_two_args(g["sigma"], g["dim"], "x", g["dim"], "y")
-            return conformal_space(base, sigma, sc.sigma_jet_evaluator(g["sigma"], g["dim"]))
-        return self._memo("gl", build)
+        g = self.spec["gl_space"]
+        grid = sc.build_grid(g, self.stencil_override)
+        gamma = sc.sampled_metric(grid, g.get("metric", "identity"), g["dim"], "x")
+        base = curvature_package(gamma, g.get("ricci_convention", "last"))
+        sigma = sc.scalar_evaluator_two_args(g["sigma"], g["dim"], "x", g["dim"], "y")
+        return conformal_space(base, sigma, sc.sigma_jet_evaluator(g["sigma"], g["dim"]))
+
+    @cached_property
+    def orbit_curve(self) -> SampledCurve:
+        o = self.spec["orbit"]
+        return integrate_orbit(self.system.xi, o["x0"], o["t0"], o["t1"], o["nodes"],
+                               o.get("rk4_step", DEFAULT_RK4_STEP),
+                               self.stencil_override or o.get("stencil_order", 4))
+
+    @cached_property
+    def map_certificate(self) -> MinimizerCertificate:
+        """The minimizer certificate of the scenario map, shared by the
+        certify_theorem, pfaff and pseudolinear tasks."""
+        return self.certify(self.map_jet, self.phi)
+
+    def certify(self, f, phi) -> MinimizerCertificate:
+        return certify_minimizer(f, self.system, phi, self.checked_psi(f), self.tol["tol_gap"],
+                                 self.tol["tol_defect"], self.tol["eps_sing"])
 
 
 # ---------------------------------------------------------------------------
@@ -261,40 +262,20 @@ def _certificate_record(cert):
     }
 
 
-def _orbit_curve(ctx: _Context):
-    def build():
-        o = ctx.spec["orbit"]
-        return integrate_orbit(ctx.system.xi, o["x0"], o["t0"], o["t1"], o["nodes"],
-                               o.get("rk4_step", DEFAULT_RK4_STEP),
-                               ctx.stencil_override or o.get("stencil_order", 4))
-    return ctx._memo("orbit_curve", build)
-
-
-def _certify(ctx: _Context, f, phi):
-    return certify_minimizer(f, ctx.system, phi, ctx.checked_psi(f), ctx.tol["tol_gap"],
-                             ctx.tol["tol_defect"], ctx.tol["eps_sing"])
-
-
-def _map_certificate(ctx: _Context):
-    """The minimizer certificate of the scenario map, shared by the
-    certify_theorem, pfaff and pseudolinear tasks."""
-    return ctx._memo("map_certificate", lambda: _certify(ctx, ctx.map_jet, ctx.phi))
-
-
 def _task_certify(ctx: _Context, task: dict, out, dumps):
     if "orbit" in ctx.spec and ctx.spec.get("system", {}).get("kind") == "orbit":
-        curve = _orbit_curve(ctx)
+        curve = ctx.orbit_curve
         grid = curve.grid
-        cert = _certify(ctx, curve.as_map(), identity_metric(grid))
+        cert = ctx.certify(curve.as_map(), identity_metric(grid))
     else:
-        grid, cert = ctx.m_grid, _map_certificate(ctx)
+        grid, cert = ctx.m_grid, ctx.map_certificate
     dump_name = "pfaff_best_fit_scale" if task["task"] == "pfaff" else "best_fit_scale"
     dumps.append((dump_name, grid, cert.kappa, "a"))
     return cert.verdict, {}, _certificate_record(cert)
 
 
 def _task_orbit(ctx: _Context, task: dict, out, dumps):
-    curve = _orbit_curve(ctx)
+    curve = ctx.orbit_curve
     res = orbit_geodesic_residual(curve, ctx.system.xi, ctx.checked_psi(curve),
                                   ctx.tol["eps_sing"])
     threshold = task.get("residual_threshold", 1e-4)
@@ -306,7 +287,7 @@ def _task_orbit(ctx: _Context, task: dict, out, dumps):
 
 
 def _task_pseudolinear(ctx: _Context, task: dict, out, dumps):
-    cert = _map_certificate(ctx)
+    cert = ctx.map_certificate
     scalars = {}
     ok = cert.verdict
     defect = level_set_geodesic_defect(ctx.map_jet)
@@ -328,8 +309,6 @@ def _task_pseudolinear(ctx: _Context, task: dict, out, dumps):
 
 
 def _task_group(ctx: _Context, task: dict, out, dumps):
-    from .systems import group_system_lagrangian
-
     gens = ctx.system.generators
     psi = ctx.checked_psi(ctx.map_jet)
     density = group_system_lagrangian(gens, ctx.map_jet, ctx.phi, psi, ctx.tol["eps_sing"])

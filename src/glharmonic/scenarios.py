@@ -199,6 +199,10 @@ _TASK_REQUIREMENTS = {
     "einstein": ("gl_space", "samples"),
 }
 
+# the system kind a construction task reads
+_TASK_SYSTEM_KIND = {"orbit": "orbit", "pfaff": "pfaff", "pseudolinear": "pseudolinear",
+                     "group_lagrangian": "group"}
+
 DEFAULT_TOLERANCES = {
     "tol_gap": 1e-6,
     "tol_defect": 1e-3,
@@ -394,17 +398,12 @@ def _semantic_errors(spec: dict) -> list[str]:
                 errors.append(f"tasks.{t} ({name}): scenario is missing required field {req!r}")
         if name == "einstein" and "K" not in spec and task.get("energy_momentum", False):
             errors.append(f"tasks.{t} (einstein): energy_momentum requires K")
-        if name == "orbit" and spec.get("system", {}).get("kind") != "orbit":
-            errors.append(f"tasks.{t} (orbit): system.kind must be 'orbit'")
-        if name == "pfaff" and spec.get("system", {}).get("kind") != "pfaff":
-            errors.append(f"tasks.{t} (pfaff): system.kind must be 'pfaff'")
-        if name == "pseudolinear" and spec.get("system", {}).get("kind") != "pseudolinear":
-            errors.append(f"tasks.{t} (pseudolinear): system.kind must be 'pseudolinear'")
+        needed = _TASK_SYSTEM_KIND.get(name)
+        if needed and spec.get("system", {}).get("kind") != needed:
+            errors.append(f"tasks.{t} ({name}): system.kind must be {needed!r}")
         if name == "pseudolinear" and n_dim not in (None, 1):
             errors.append(f"tasks.{t} (pseudolinear): the level-set check needs a "
                           f"one-dimensional target, n_space.dim is {n_dim}")
-        if name == "group_lagrangian" and spec.get("system", {}).get("kind") != "group":
-            errors.append(f"tasks.{t} (group_lagrangian): system.kind must be 'group'")
     return errors
 
 

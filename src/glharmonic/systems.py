@@ -1,8 +1,12 @@
 """First-order systems df = T and their geometry: the scalar product on
 sections, the Cauchy-Schwarz quotient functional whose global minimum is
 half the source volume, minimizer certificates, and the named
-constructions (orbits, Pfaff systems, pseudolinear maps, transformation
-group systems).
+constructions.
+
+Orbits, Pfaff systems, pseudolinear maps and transformation groups are
+one factorized form T = sum_r xi_r(x) (x) A^r(a), see FirstOrderSystem.
+Their attached energy is one construction over the summed generators: a
+conformal pair and a one-form-source connection.
 
 The quotient functional's integrand is a pointwise Cauchy-Schwarz ratio,
 so it is >= 1 at every node algebraically; its integral can only reach
@@ -14,12 +18,21 @@ proportional family, not only exact solutions.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .energy import ConnectionTensor, MapJet, MetricPair, constant_metric, el_residual
+from .energy import (
+    ConnectionTensor,
+    MapJet,
+    MetricPair,
+    constant_metric,
+    el_residual,
+    lagrangian_density,
+)
 from .errors import AdmissibilityError, SingularDirectionError, StepLimitError
 from .tensor_core import (
     ChartGrid,
@@ -47,52 +60,49 @@ MAX_RK4_SUBSTEPS = 10**6
 # ---------------------------------------------------------------------------
 
 
+def _unit(pts: np.ndarray) -> np.ndarray:
+    """The constant factor 1 of an orbit's or a Pfaff system's generator."""
+    return np.ones(pts.shape[:-1] + (1,))
+
+
+def _sum(terms):
+    """The left-to-right sum of the terms.  A single term is returned as it
+    is: 0 + x would turn -0.0 into 0.0."""
+    return functools.reduce(operator.add, terms)
+
+
 @dataclass(frozen=True)
 class FirstOrderSystem:
     """A tensor T^i_a(a, x) defining the system df^i/da^a = T^i_a.
 
-    ``T(a_pts, x_vals) -> (..., n, m)``.  The tag records how the system
-    was built; factorized kinds keep their ingredients for the
-    constructions that need them.
+    ``T(a_pts, x_vals) -> (..., n, m)``.  Every named system is the
+    factorized form T = sum_r xi_r(x) (x) A^r(a) and keeps its generators
+    (xi_r, A^r): an orbit is (xi, 1), a Pfaff system (1, A), a
+    pseudolinear system (xi, A) and a transformation group its list.  A
+    general system has none.
     """
 
     T: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    kind: str = "general"
-    xi: Callable[[np.ndarray], np.ndarray] | None = None
-    A: Callable[[np.ndarray], np.ndarray] | None = None
     generators: tuple = ()
 
     @classmethod
     def general(cls, T) -> "FirstOrderSystem":
-        return cls(T=T, kind="general")
+        return cls(T=T)
 
     @classmethod
     def orbit(cls, xi) -> "FirstOrderSystem":
         """dc/dt = xi(c) on a one-dimensional source."""
-
-        def T(a_pts, x_vals):
-            return np.asarray(xi(x_vals), float)[..., None]
-
-        return cls(T=T, kind="orbit", xi=xi)
+        return cls.group([(xi, _unit)])
 
     @classmethod
     def pfaff(cls, A) -> "FirstOrderSystem":
         """df = A for a scalar map and a covector A on the source."""
-
-        def T(a_pts, x_vals):
-            return np.asarray(A(a_pts), float)[..., None, :]
-
-        return cls(T=T, kind="pfaff", A=A)
+        return cls.group([(_unit, A)])
 
     @classmethod
     def pseudolinear(cls, xi, A) -> "FirstOrderSystem":
         """Factorized system T^k_b = xi^k(x) A_b(a)."""
-
-        def T(a_pts, x_vals):
-            return np.asarray(xi(x_vals), float)[..., :, None] \
-                * np.asarray(A(a_pts), float)[..., None, :]
-
-        return cls(T=T, kind="pseudolinear", xi=xi, A=A)
+        return cls.group([(xi, A)])
 
     @classmethod
     def group(cls, generators: Sequence[tuple]) -> "FirstOrderSystem":
@@ -100,14 +110,22 @@ class FirstOrderSystem:
         gens = tuple(generators)
 
         def T(a_pts, x_vals):
-            out = None
-            for xi_r, A_r in gens:
-                term = np.asarray(xi_r(x_vals), float)[..., :, None] \
-                    * np.asarray(A_r(a_pts), float)[..., None, :]
-                out = term if out is None else out + term
-            return out
+            return _sum(np.asarray(xi_r(x_vals), float)[..., :, None]
+                        * np.asarray(A_r(a_pts), float)[..., None, :] for xi_r, A_r in gens)
 
-        return cls(T=T, kind="group", generators=gens)
+        return cls(T=T, generators=gens)
+
+    @property
+    def xi(self) -> Callable[[np.ndarray], np.ndarray]:
+        """xi of the single generator (ValueError unless there is one)."""
+        (xi, _), = self.generators
+        return xi
+
+    @property
+    def A(self) -> Callable[[np.ndarray], np.ndarray]:
+        """A of the single generator (ValueError unless there is one)."""
+        (_, A), = self.generators
+        return A
 
 
 @dataclass(frozen=True)
@@ -386,23 +404,25 @@ def pfaff_metric(A, phi_eval, eps_sing: float = DEFAULT_EPS_SING):
     return g
 
 
-def pseudolinear_scenario(xi, A, phi_eval, psi_eval,
-                          eps_sing: float = DEFAULT_EPS_SING
-                          ) -> tuple[MetricPair, ConnectionTensor, FirstOrderSystem]:
-    """Everything needed to treat the factorized system T = xi (x) A as a
-    harmonic-map problem:
+def _attached_energy(generators: Sequence[tuple], phi_eval, psi_eval, eps_sing: float
+                     ) -> tuple[MetricPair, ConnectionTensor]:
+    """The conformal pair and connection attached to T = sum_r xi_r (x) A^r,
+    built over the summed generators xi_flat = sum_r psi xi_r,
+    |xi|^2 = sum_r |xi_r|^2_psi and A = sum_r A^r:
 
-    - target metric h_ij(x) = |xi|^2_psi psi_ij(x)  (log factor ln|xi|)
+    - target metric h_ij(x) = |xi|^2 psi_ij(x)  (log factor ln|xi|)
     - source metric from the Pfaff construction on A
-    - connection source block d^g_b (psi xi)_i, so the induced source
-      argument pairs the jet with xi
-    - the system itself.
+    - connection source block d^g_b xi_flat_i, so the induced source
+      argument pairs the jet with xi_flat.
     """
+    gens = tuple(generators)
 
-    def norm_xi2(x_vals):
+    def A(a_pts):
+        return _sum(np.asarray(A_r(a_pts), float) for _, A_r in gens)
+
+    def over_xi(x_vals, term):
         psi_vals = np.asarray(psi_eval(x_vals), float)
-        xi_vals = np.asarray(xi(x_vals), float)
-        return np.einsum("...ij,...i,...j->...", psi_vals, xi_vals, xi_vals)
+        return _sum(term(psi_vals, np.asarray(xi_r(x_vals), float)) for xi_r, _ in gens)
 
     def sigma(a_pts, b_vals):
         _, Ab, norm2 = _pfaff_factor(A, phi_eval, a_pts, b_vals, eps_sing,
@@ -410,57 +430,35 @@ def pseudolinear_scenario(xi, A, phi_eval, psi_eval,
         return 0.5 * np.log(norm2) - np.log(np.abs(Ab))
 
     def tau(x_vals, y_vals):
-        return 0.5 * np.log(np.maximum(norm_xi2(x_vals), 1e-300))
-
-    pair = MetricPair.conformal(phi_eval, psi_eval, sigma=sigma, tau=tau)
+        norm2 = over_xi(x_vals, lambda psi, xi: np.einsum("...ij,...i,...j->...", psi, xi, xi))
+        return 0.5 * np.log(np.maximum(norm2, 1e-300))
 
     def xi_flat(x_vals):
-        psi_vals = np.asarray(psi_eval(x_vals), float)
-        return np.einsum("...ij,...j->...i", psi_vals, np.asarray(xi(x_vals), float))
+        return over_xi(x_vals, lambda psi, xi: np.einsum("...ij,...j->...i", psi, xi))
 
-    P = ConnectionTensor.oneform_source(xi_flat)
-    system = FirstOrderSystem.pseudolinear(xi, A)
-    return pair, P, system
+    pair = MetricPair.conformal(phi_eval, psi_eval, sigma=sigma, tau=tau)
+    return pair, ConnectionTensor.oneform_source(xi_flat)
+
+
+def pseudolinear_scenario(xi, A, phi_eval, psi_eval,
+                          eps_sing: float = DEFAULT_EPS_SING
+                          ) -> tuple[MetricPair, ConnectionTensor, FirstOrderSystem]:
+    """Everything needed to treat the factorized system T = xi (x) A as a
+    harmonic-map problem: the attached pair and connection (see
+    ``_attached_energy``) and the system itself."""
+    pair, P = _attached_energy([(xi, A)], phi_eval, psi_eval, eps_sing)
+    return pair, P, FirstOrderSystem.pseudolinear(xi, A)
 
 
 def group_system_lagrangian(generators: Sequence[tuple], f: MapJet,
                             phi: MetricField, psi_eval,
                             eps_sing: float = DEFAULT_EPS_SING) -> TensorField:
     """Density of the energy attached to the summed system
-    T^i_a = sum_r xi_r^i(x) A^r_a(a), built per generator exactly like the
-    pseudolinear case and then summed: the source argument pairs the jet
-    with the summed lowered generators, the fiber with the summed
-    covectors, the target factor adds the generator norms and the source
-    factor uses the summed covector."""
-    gens = tuple(generators)
-    a_pts = f.grid.points()
-    phi_inv = invert_metric(phi).values
-    psi_vals = np.asarray(psi_eval(f.values), float)
-
-    xi_flat_sum = None
-    norm_sum = None
-    A_sum = None
-    for xi_r, A_r in gens:
-        xi_vals = np.asarray(xi_r(f.values), float)
-        flat = np.einsum("...ij,...j->...i", psi_vals, xi_vals)
-        norm = np.einsum("...i,...i->...", flat, xi_vals)
-        A_vals = np.asarray(A_r(a_pts), float)
-        xi_flat_sum = flat if xi_flat_sum is None else xi_flat_sum + flat
-        norm_sum = norm if norm_sum is None else norm_sum + norm
-        A_sum = A_vals if A_sum is None else A_sum + A_vals
-
-    b = np.einsum("...gb,...i,...ib->...g", phi_inv, xi_flat_sum, f.jet)
-
-    Ab = np.einsum("...a,...a->...", A_sum, b)
-    normA2 = np.einsum("...ab,...a,...b->...", phi_inv, A_sum, A_sum)
-    if np.any(np.abs(Ab) <= eps_sing):
-        nodes = [tuple(int(i) for i in idx) for idx in np.argwhere(np.abs(Ab) <= eps_sing)[:5]]
-        raise SingularDirectionError(
-            f"summed covector vanishes on the induced argument at {nodes}")
-    ginv_vals = (normA2 / Ab**2)[..., None, None] * phi_inv
-    h_vals = norm_sum[..., None, None] * psi_vals
-    density = 0.5 * np.einsum("...gm,...kl,...kg,...lm->...", ginv_vals, h_vals, f.jet, f.jet)
-    return scalar_field(f.grid, density)
+    T^i_a = sum_r xi_r^i(x) A^r_a(a): the pseudolinear construction over the
+    summed generators.  Where the summed covector vanishes on the induced
+    argument it raises SingularDirectionError."""
+    pair, P = _attached_energy(generators, lambda a_pts: phi.values, psi_eval, eps_sing)
+    return lagrangian_density(f, pair, P, phi)
 
 
 # ---------------------------------------------------------------------------

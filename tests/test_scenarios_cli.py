@@ -355,6 +355,89 @@ def test_validator_checks_component_counts(name, path, value, error, tmp_path):
         run_scenario(spec, tmp_path)
 
 
+_DELETE = object()
+_UNIT_SQUARE = {"dim": 2, "extents": [[0.0, 1.0], [0.0, 1.0]], "nodes": [9, 9]}
+
+
+@pytest.mark.parametrize("name, edits, error", [
+    ("pfaff-exact", [(("map", "components"), ["a1", "a2"])],
+     "map.components: expected 1 entries for the target dimension, got 2"),
+    ("harmonic-identity", [(("map", "linear_jet"), [[1, 0]])],
+     "map.linear_jet: expected a 2x2 numeric array"),
+    ("harmonic-identity", [(("sigma",), "zzz")],
+     "sigma: unknown name 'zzz'; scalars: ['a1', 'a2', 'b1', 'b2'], vectors: ['a', 'b']"),
+    ("harmonic-identity", [(("tau",), "b1")],
+     "tau: unknown name 'b1'; scalars: ['x1', 'x2', 'y1', 'y2'], vectors: ['x', 'y']"),
+    ("orbit-rotation", [(("m_space",), _UNIT_SQUARE)],
+     "system: orbit systems need a one-dimensional source"),
+    ("group-two-generators", [(("system",), {"kind": "pfaff", "A": ["1", "1"]}),
+                              (("tasks",), [{"task": "certify_theorem"}])],
+     "system: Pfaff systems need a one-dimensional target"),
+    ("harmonic-identity", [(("connection",), {"kind": "covector_fiber"})],
+     "connection: covector_fiber requires A"),
+    ("harmonic-identity", [(("connection",), {"kind": "oneform_source"})],
+     "connection: oneform_source requires xi"),
+    ("orbit-rotation", [(("orbit", "x0"), [1.0])], "orbit.x0: expected 2 components, got 1"),
+    ("orbit-rotation", [(("orbit", "t1"), 0.0)], "orbit: t1 must exceed t0"),
+    ("maxwell-logconformal", [(("samples",), [[1.1, 0.6]])],
+     "samples.0: expected 3 components, got 2"),
+    ("orbit-rotation", [(("orbit",), _DELETE), (("tasks",), [{"task": "certify_theorem"}])],
+     "tasks.0 (certify_theorem): scenario needs m_space and map or orbit"),
+    ("einstein-2d", [(("K",), _DELETE), (("tasks", 0, "energy_momentum"), True)],
+     "tasks.0 (einstein): energy_momentum requires K"),
+    ("orbit-rotation", [(("system",), {"kind": "general", "T": [["-x2"], ["x1"]]})],
+     "tasks.0 (orbit): system.kind must be 'orbit'"),
+    ("pfaff-exact", [(("system",), {"kind": "general", "T": [["1", "2"]]})],
+     "tasks.0 (pfaff): system.kind must be 'pfaff'"),
+    ("pseudolinear-exp", [(("system", "kind"), "pfaff"), (("system", "xi"), _DELETE)],
+     "tasks.0 (pseudolinear): system.kind must be 'pseudolinear'"),
+    ("group-two-generators",
+     [(("system",), {"kind": "pseudolinear", "xi": ["1", "0"], "A": ["1", "1"]})],
+     "tasks.0 (group_lagrangian): system.kind must be 'group'"),
+])
+def test_validator_branch_messages(name, edits, error, tmp_path):
+    # one change of a bundled spec per semantic check: exactly its message,
+    # and the runner refuses the spec before it writes anything
+    spec = json.loads(json.dumps(BUILTIN_SCENARIOS[name]))
+    for path, value in edits:
+        parent = spec
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    assert validate_scenario(spec) == [error]
+    with pytest.raises(ScenarioValidationError):
+        run_scenario(spec, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_invalid_run_prints_every_error_and_exits_2(tmp_path):
+    spec = json.loads(json.dumps(BUILTIN_SCENARIOS["orbit-rotation"]))
+    spec["orbit"].update(x0=[1.0], t1=0.0)
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(spec))
+    result = runner.invoke(main, ["run", str(path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == ["invalid: orbit.x0: expected 2 components, got 1",
+                                          "invalid: orbit: t1 must exceed t0"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_general_system_certifies_like_its_pfaff_system(tmp_path):
+    # T = [A] is the Pfaff system df = A written out as a general tensor
+    pfaff = json.loads(json.dumps(BUILTIN_SCENARIOS["pfaff-exact"]))
+    pfaff["tasks"] = [{"task": "certify_theorem"}]
+    general = json.loads(json.dumps(pfaff))
+    general["name"] = "pfaff-as-general"
+    general["system"] = {"kind": "general", "T": [pfaff["system"]["A"]]}
+    (want,), (got,) = (run_scenario(spec, tmp_path)["tasks"] for spec in (pfaff, general))
+    assert want["status"] == got["status"] == "pass"
+    assert got["certificate"] == want["certificate"]
+
+
 @pytest.mark.parametrize("rk4_step", [1e-320, 1e-9])
 def test_validator_rejects_orbits_beyond_the_substep_limit(rk4_step, tmp_path):
     # a half turn at 201 nodes: 1e-320 overflows the substep count, 1e-9

@@ -44,6 +44,42 @@ def rotation_field(x):
 
 
 # ---------------------------------------------------------------------------
+# the factorized form T = sum_r xi_r (x) A^r
+# ---------------------------------------------------------------------------
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_single_generator_systems_are_their_one_term():
+    # one generator gives the term itself (no 0 + term), so -0.0 stays -0.0
+    xi = lambda x: -x
+    A = lambda a: a * np.array([1.0, -0.0])
+    a2 = np.array([[0.2, 0.0], [-0.5, 1.5]])
+    a1, x1 = a2[:, :1], np.array([[0.0], [-3.0]])
+    x2 = np.array([[0.0, 1.5], [2.0, -0.25]])
+    assert _same_bits(FirstOrderSystem.orbit(xi).T(a1, x2), xi(x2)[..., None])
+    assert _same_bits(FirstOrderSystem.pfaff(A).T(a2, x1), A(a2)[..., None, :])
+    assert _same_bits(FirstOrderSystem.pseudolinear(xi, A).T(a2, x2),
+                      xi(x2)[..., :, None] * A(a2)[..., None, :])
+    two = FirstOrderSystem.group([(xi, A), (rotation_field, A)]).T(a2, x2)
+    outer = lambda u, v: u[..., :, None] * v[..., None, :]
+    assert _same_bits(two, outer(xi(x2), A(a2)) + outer(rotation_field(x2), A(a2)))
+
+
+def test_single_generator_properties():
+    xi, A = rotation_field, (lambda a: a)
+    pl = FirstOrderSystem.pseudolinear(xi, A)
+    assert pl.generators == ((xi, A),) and pl.xi is xi and pl.A is A
+    assert FirstOrderSystem.orbit(xi).xi is xi
+    assert FirstOrderSystem.pfaff(A).A is A
+    for system in (FirstOrderSystem.group([(xi, A)] * 2), FirstOrderSystem.general(None)):
+        with pytest.raises(ValueError, match="values to unpack"):
+            system.xi
+
+
+# ---------------------------------------------------------------------------
 # scalar product and Cauchy-Schwarz
 # ---------------------------------------------------------------------------
 
