@@ -180,10 +180,10 @@ class ConnectionTensor:
                    source_depends_on_x=True, target_depends_on_x=target is not None)
 
     @classmethod
-    def velocity(cls, n: int = -1, source: Callable | None = None) -> "ConnectionTensor":
+    def velocity(cls, n: int = -1) -> "ConnectionTensor":
         """One-dimensional source with unit covector: the induced fiber is
         the curve velocity."""
-        return cls.covector_fiber(lambda a: np.ones(a.shape[:-1] + (1,)), source, 1, n)
+        return cls.covector_fiber(lambda a: np.ones(a.shape[:-1] + (1,)), None, 1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -497,19 +497,17 @@ def el_residual(f: MapJet, pair: MetricPair, P: ConnectionTensor, phi: MetricFie
 # ---------------------------------------------------------------------------
 
 
-def el_residual_fiber_covector(f: MapJet, sigma_a, tau, A, phi: MetricField, psi,
-                               fd_step: float = DEFAULT_FD_STEP) -> TensorField:
+def el_residual_fiber_covector(f: MapJet, sigma_a, tau, A, phi: MetricField, psi) -> TensorField:
     """Residual when the fiber is induced by a covector A on the source
     (target connection block A_a d^k_i, independent of x) and the source
     log factor depends on position only."""
     pair = MetricPair.conformal(lambda a: phi.values, psi, sigma=lambda a, b: sigma_a(a), tau=tau)
-    return el_residual(f, pair, ConnectionTensor.covector_fiber(A), phi, fd_step)
+    return el_residual(f, pair, ConnectionTensor.covector_fiber(A), phi)
 
 
-def el_residual_oneform_source(f: MapJet, sigma, tau_x, xi, phi: MetricField, psi,
-                               fd_step: float = DEFAULT_FD_STEP) -> TensorField:
+def el_residual_oneform_source(f: MapJet, sigma, tau_x, xi, phi: MetricField, psi) -> TensorField:
     """Residual when the source argument is induced by a one-form xi along
     the map (source connection block d^g_a xi_i(x)) and the target log
     factor depends on position only."""
     pair = MetricPair.conformal(lambda a: phi.values, psi, sigma=sigma, tau=lambda x, y: tau_x(x))
-    return el_residual(f, pair, ConnectionTensor.oneform_source(xi), phi, fd_step)
+    return el_residual(f, pair, ConnectionTensor.oneform_source(xi), phi)

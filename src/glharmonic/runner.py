@@ -37,6 +37,7 @@ from .systems import (
     level_set_geodesic_defect,
     orbit_geodesic_residual,
     pseudolinear_scenario,
+    unit,
 )
 from .tensor_core import ChartGrid, identity_metric, metric_field, sample_metric, volume_integral
 
@@ -148,26 +149,18 @@ class _Context:
 
     @cached_property
     def system(self) -> FirstOrderSystem:
+        """A general system from T, any other kind as the group of its
+        generators; a factor the kind does not read is the unit factor."""
         spec = self.spec["system"]
-        kind = spec["kind"]
         n_dim = self.spec.get("n_space", {}).get("dim", 1)
         m_dim = self.spec.get("m_space", {}).get("dim", 1)
-        if kind == "orbit":
-            xi = sc.covector_evaluator(spec["xi"], n_dim, "x")
-            return FirstOrderSystem.orbit(xi)
-        if kind == "pfaff":
-            A = sc.covector_evaluator(spec["A"], m_dim, "a")
-            return FirstOrderSystem.pfaff(A)
-        if kind == "pseudolinear":
-            xi = sc.covector_evaluator(spec["xi"], n_dim, "x")
-            A = sc.covector_evaluator(spec["A"], m_dim, "a")
-            return FirstOrderSystem.pseudolinear(xi, A)
-        if kind == "group":
-            gens = [(sc.covector_evaluator(g["xi"], n_dim, "x"),
-                     sc.covector_evaluator(g["A"], m_dim, "a"))
-                    for g in spec["generators"]]
-            return FirstOrderSystem.group(gens)
-        return FirstOrderSystem.general(sc.system_matrix_evaluator(spec["T"], m_dim, n_dim))
+        if spec["kind"] == "general":
+            return FirstOrderSystem.general(sc.system_matrix_evaluator(spec["T"], m_dim, n_dim))
+        read = {key: spec[key] for key in sc.SYSTEM_FIELDS[spec["kind"]]}
+        return FirstOrderSystem.group(
+            [(sc.covector_evaluator(g["xi"], n_dim, "x") if "xi" in g else unit,
+              sc.covector_evaluator(g["A"], m_dim, "a") if "A" in g else unit)
+             for g in read.get("generators", [read])])
 
     @cached_property
     def metric_pair(self) -> MetricPair:
@@ -458,12 +451,14 @@ _TASK_RUNNERS = {
 
 
 def run_scenario(spec: dict, out_dir, stencil_override: int | None = None) -> dict:
-    """Execute all tasks of a validated scenario; write report + CSV dumps.
+    """Validate a scenario, execute all its tasks, write report + CSV dumps.
+    The tasks build from the checked copy of ``require_valid``, so each
+    expression source is parsed once; ``spec`` itself is not changed.
 
     Returns the report dict; report["status"] is "pass" only if every task
     passed.
     """
-    sc.require_valid(spec)
+    spec = sc.require_valid(spec)
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ctx = _Context(spec, stencil_override)

@@ -13,6 +13,8 @@ single chart whose coordinates are x1..xn.
 
 from __future__ import annotations
 
+import ast
+import copy
 import functools
 import math
 from typing import Any, Callable
@@ -199,6 +201,10 @@ _TASK_REQUIREMENTS = {
     "einstein": ("gl_space", "samples"),
 }
 
+# the fields each system kind reads
+SYSTEM_FIELDS = {"general": ("T",), "orbit": ("xi",), "pfaff": ("A",),
+                 "pseudolinear": ("xi", "A"), "group": ("generators",)}
+
 # the system kind a construction task reads
 _TASK_SYSTEM_KIND = {"orbit": "orbit", "pfaff": "pfaff", "pseudolinear": "pseudolinear",
                      "group_lagrangian": "group"}
@@ -213,7 +219,13 @@ DEFAULT_TOLERANCES = {
 
 def validate_scenario(spec: Any) -> list[str]:
     """All schema and semantic problems of a scenario spec, with paths.
-    Empty list means valid."""
+    Empty list means valid.  The spec is left as it is."""
+    return _checked(spec)[0]
+
+
+def _checked(spec: Any) -> tuple[list[str], dict | None]:
+    """The problems of a spec, and its checked copy: a deep copy in which
+    every expression source that passed is its checked tree."""
     import jsonschema
 
     validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
@@ -222,15 +234,16 @@ def validate_scenario(spec: Any) -> list[str]:
         path = ".".join(str(p) for p in err.absolute_path) or "<root>"
         errors.append(f"{path}: {err.message}")
     if errors:
-        return errors  # structural problems make semantic checks unreliable
+        return errors, None  # structural problems make semantic checks unreliable
 
-    errors.extend(_semantic_errors(spec))
-    return errors
+    checked = copy.deepcopy(spec)
+    return _semantic_errors(checked), checked
 
 
-def _check_expr(errors, path, src, scalars, vectors=()):
+def _check_expr(errors, path, holder, key, scalars, vectors=()):
+    """Check ``holder[key]`` against the grammar; its checked tree replaces it."""
     try:
-        Expression(src, scalars=scalars, vectors=vectors)
+        holder[key] = Expression(holder[key], scalars=scalars, vectors=vectors).trees[0]
     except ExpressionError as exc:
         errors.append(f"{path}: {exc}")
 
@@ -240,8 +253,8 @@ def _component_errors(errors, path, exprs, dim, names):
     ``dim`` when that is known: the evaluators broadcast whatever they get."""
     if dim and len(exprs) != dim:
         errors.append(f"{path}: expected {dim} components, got {len(exprs)}")
-    for k, src in enumerate(exprs):
-        _check_expr(errors, f"{path}.{k}", src, names)
+    for k in range(len(exprs)):
+        _check_expr(errors, f"{path}.{k}", exprs, k, names)
 
 
 def _chart_errors(errors, path, chart):
@@ -267,15 +280,15 @@ def _metric_errors(errors, path, spec, dim, names):
     if "diag" in spec:
         if len(spec["diag"]) != dim:
             errors.append(f"{path}.diag: expected {dim} entries, got {len(spec['diag'])}")
-        for k, src in enumerate(spec["diag"]):
-            _check_expr(errors, f"{path}.diag.{k}", src, names)
+        for k in range(len(spec["diag"])):
+            _check_expr(errors, f"{path}.diag.{k}", spec["diag"], k, names)
     elif "matrix" in spec:
         rows = spec["matrix"]
         if len(rows) != dim or any(len(r) != dim for r in rows):
             errors.append(f"{path}.matrix: expected a {dim}x{dim} array of expressions")
         for i, row in enumerate(rows):
-            for j, src in enumerate(row):
-                _check_expr(errors, f"{path}.matrix.{i}.{j}", src, names)
+            for j in range(len(row)):
+                _check_expr(errors, f"{path}.matrix.{i}.{j}", row, j, names)
     else:
         errors.append(f"{path}: needs diag or matrix (or the string 'identity')")
 
@@ -302,7 +315,7 @@ def _semantic_errors(spec: dict) -> list[str]:
         gy_names = [f"y{k + 1}" for k in range(gl["dim"])]
         _metric_errors(errors, "gl_space.metric", gl.get("metric", "identity"),
                        gl["dim"], g_names)
-        _check_expr(errors, "gl_space.sigma", gl["sigma"], g_names + gy_names,
+        _check_expr(errors, "gl_space.sigma", gl, "sigma", g_names + gy_names,
                     vectors=("x", "y"))
 
     mp = spec.get("map")
@@ -311,26 +324,25 @@ def _semantic_errors(spec: dict) -> list[str]:
             errors.append(
                 f"map.components: expected {n_dim} entries for the target dimension, "
                 f"got {len(mp['components'])}")
-        for k, src in enumerate(mp["components"]):
-            _check_expr(errors, f"map.components.{k}", src, a_names, vectors=("a",))
+        for k in range(len(mp["components"])):
+            _check_expr(errors, f"map.components.{k}", mp["components"], k, a_names,
+                        vectors=("a",))
         lj = mp.get("linear_jet")
         if lj is not None and m_dim and n_dim:
             if len(lj) != n_dim or any(len(row) != m_dim for row in lj):
                 errors.append(f"map.linear_jet: expected a {n_dim}x{m_dim} numeric array")
 
     if "sigma" in spec:
-        _check_expr(errors, "sigma", spec["sigma"],
+        _check_expr(errors, "sigma", spec, "sigma",
                     a_names + [f"b{k + 1}" for k in range(m_dim or 0)], vectors=("a", "b"))
     if "tau" in spec:
-        _check_expr(errors, "tau", spec["tau"],
+        _check_expr(errors, "tau", spec, "tau",
                     x_names + [f"y{k + 1}" for k in range(n_dim or 0)], vectors=("x", "y"))
 
     system = spec.get("system")
     if system:
         kind = system["kind"]
-        need = {"general": ("T",), "orbit": ("xi",), "pfaff": ("A",),
-                "pseudolinear": ("xi", "A"), "group": ("generators",)}[kind]
-        for key in need:
+        for key in SYSTEM_FIELDS[kind]:
             if key not in system:
                 errors.append(f"system: kind {kind!r} requires {key!r}")
         if kind == "orbit" and m and m_dim != 1:
@@ -349,8 +361,8 @@ def _semantic_errors(spec: dict) -> list[str]:
                 errors.append(f"system.T: expected a {t_n}x{t_m} array of expressions")
             t_names = [f"a{k + 1}" for k in range(t_m)] + [f"x{k + 1}" for k in range(t_n)]
             for i, row in enumerate(rows):
-                for j, src in enumerate(row):
-                    _check_expr(errors, f"system.T.{i}.{j}", src, t_names)
+                for j in range(len(row)):
+                    _check_expr(errors, f"system.T.{i}.{j}", row, j, t_names)
         for r, gen in enumerate(system.get("generators", [])):
             _component_errors(errors, f"system.generators.{r}.xi", gen["xi"], n_dim or 1,
                               x_names)
@@ -407,10 +419,14 @@ def _semantic_errors(spec: dict) -> list[str]:
     return errors
 
 
-def require_valid(spec: Any) -> None:
-    errors = validate_scenario(spec)
+def require_valid(spec: Any) -> dict:
+    """The checked copy of a valid spec (see ``_checked``), whose trees the
+    builders compile without parsing; ScenarioValidationError with every
+    message of :func:`validate_scenario` otherwise."""
+    errors, checked = _checked(spec)
     if errors:
         raise ScenarioValidationError(errors)
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +442,8 @@ def build_grid(chart: dict, stencil_override: int | None = None) -> ChartGrid:
 
 def metric_evaluator(spec_metric, dim: int, prefix: str) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized metric evaluator from 'identity', {'diag': ...} or
-    {'matrix': ...} with expressions in prefix1..prefixD."""
+    {'matrix': ...} with expressions (sources or checked trees) in
+    prefix1..prefixD."""
     if spec_metric in (None, "identity"):
         def identity(pts):
             return np.broadcast_to(np.eye(dim), pts.shape[:-1] + (dim, dim)).copy()
@@ -435,7 +452,8 @@ def metric_evaluator(spec_metric, dim: int, prefix: str) -> Callable[[np.ndarray
 
     if "diag" in spec_metric:
         diag = spec_metric["diag"]
-        return _Outputs([diag[i] if i == j else "0" for i in range(dim) for j in range(dim)],
+        return _Outputs([diag[i] if i == j else ast.Constant(0)
+                         for i in range(dim) for j in range(dim)],
                         ((prefix, dim),), (dim, dim))
 
     entries = _Outputs([src for row in spec_metric["matrix"] for src in row],
@@ -459,21 +477,13 @@ def covector_evaluator(exprs, dim: int, prefix: str):
     return _Outputs(exprs, ((prefix, dim),), (len(exprs),))
 
 
-def scalar_evaluator_two_args(src: str, d1: int, p1: str, d2: int, p2: str):
-    """Expression over two stacked arguments, e.g. sigma(x, y)."""
-    value = _Outputs([src], ((p1, d1), (p2, d2)), (), vectors=True)
-
-    def ev(first, second):
-        first = np.asarray(first, float)
-        second = np.asarray(second, float)
-        if second.ndim == 1 and first.ndim > 1:
-            second = np.broadcast_to(second, first.shape[:-1] + second.shape)
-        return value(first, second)
-
-    return ev
+def scalar_evaluator_two_args(src, d1: int, p1: str, d2: int, p2: str):
+    """Expression over two stacked arguments, e.g. sigma(x, y); a single
+    point of the second broadcasts against the first."""
+    return _Outputs([src], ((p1, d1), (p2, d2)), (), vectors=True)
 
 
-def sigma_jet_evaluator(src: str, dim: int):
+def sigma_jet_evaluator(src, dim: int):
     """The log factor sigma(x, y) of a conformal space with its exact fiber
     derivatives, for ``ConformalLagrangeSpace.sigma_jet``:
     ``jet(points, y) -> (sigma, sigma_y, sigma_yy)`` at one fiber vector,
@@ -595,10 +605,9 @@ class _Outputs:
 _FLOAT = np.dtype(float)
 
 
-def sampled_metric(grid: ChartGrid, spec_metric, dim: int, prefix: str,
-                   definite: str = "riemannian") -> MetricField:
+def sampled_metric(grid: ChartGrid, spec_metric, dim: int, prefix: str) -> MetricField:
     ev = metric_evaluator(spec_metric, dim, prefix)
-    return metric_field(grid, ev(grid.points()), definite=definite)
+    return metric_field(grid, ev(grid.points()))
 
 
 def build_map_values(spec_map: dict, grid: ChartGrid, n_dim: int):

@@ -60,7 +60,7 @@ MAX_RK4_SUBSTEPS = 10**6
 # ---------------------------------------------------------------------------
 
 
-def _unit(pts: np.ndarray) -> np.ndarray:
+def unit(pts: np.ndarray) -> np.ndarray:
     """The constant factor 1 of an orbit's or a Pfaff system's generator."""
     return np.ones(pts.shape[:-1] + (1,))
 
@@ -92,12 +92,12 @@ class FirstOrderSystem:
     @classmethod
     def orbit(cls, xi) -> "FirstOrderSystem":
         """dc/dt = xi(c) on a one-dimensional source."""
-        return cls.group([(xi, _unit)])
+        return cls.group([(xi, unit)])
 
     @classmethod
     def pfaff(cls, A) -> "FirstOrderSystem":
         """df = A for a scalar map and a covector A on the source."""
-        return cls.group([(_unit, A)])
+        return cls.group([(unit, A)])
 
     @classmethod
     def pseudolinear(cls, xi, A) -> "FirstOrderSystem":
@@ -336,8 +336,7 @@ def orbit_metric(xi, psi, eps_sing: float = DEFAULT_EPS_SING):
 
 
 def orbit_geodesic_residual(c: SampledCurve, xi, psi,
-                            eps_sing: float = DEFAULT_EPS_SING,
-                            x_step: float = 1e-6) -> TensorField:
+                            eps_sing: float = DEFAULT_EPS_SING) -> TensorField:
     """Residual of the geodesic equations of the orbit metric along a
     sampled curve, with the velocity as the direction argument.
 
@@ -371,7 +370,7 @@ def orbit_geodesic_residual(c: SampledCurve, xi, psi,
     pair = MetricPair.conformal(constant_metric(np.eye(1)), psi_at, tau=tau,
                                 tau_dy=lambda x_vals, y_vals: dtau_dy)
     f = MapJet(grid=c.grid, values=c.values, jet=c.velocity[..., None])
-    return el_residual(f, pair, ConnectionTensor.velocity(), identity_metric(c.grid), x_step)
+    return el_residual(f, pair, ConnectionTensor.velocity(), identity_metric(c.grid))
 
 
 # ---------------------------------------------------------------------------

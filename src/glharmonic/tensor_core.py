@@ -37,6 +37,9 @@ LO = "lo"
 
 _MIN_NODES = 5
 
+# the largest condition number invert_metric accepts at a node
+COND_BOUND = 1e12
+
 
 @dataclass(frozen=True)
 class ChartGrid:
@@ -242,21 +245,17 @@ def _first_false(mask: np.ndarray) -> tuple[int, ...]:
     return tuple(int(i) for i in np.unravel_index(int(np.argmin(mask)), mask.shape))
 
 
-def metric_field(grid: ChartGrid, values: np.ndarray, contravariant: bool = False,
-                 definite: str = "riemannian") -> MetricField:
-    kinds = (UP, UP) if contravariant else (LO, LO)
-    return MetricField(grid, values, kinds, definite)
+def metric_field(grid: ChartGrid, values: np.ndarray, definite: str = "riemannian") -> MetricField:
+    return MetricField(grid, values, (LO, LO), definite)
 
 
-def sample_metric(grid: ChartGrid, fn: Callable[[np.ndarray], np.ndarray],
-                  definite: str = "riemannian") -> MetricField:
-    return metric_field(grid, np.asarray(fn(grid.points()), dtype=float), definite=definite)
+def sample_metric(grid: ChartGrid, fn: Callable[[np.ndarray], np.ndarray]) -> MetricField:
+    return metric_field(grid, np.asarray(fn(grid.points()), dtype=float))
 
 
-def identity_metric(grid: ChartGrid, dim: int | None = None) -> MetricField:
-    n = dim if dim is not None else grid.dim
-    values = np.broadcast_to(np.eye(n), grid.shape + (n, n)).copy()
-    return metric_field(grid, values)
+def identity_metric(grid: ChartGrid) -> MetricField:
+    n = grid.dim
+    return metric_field(grid, np.broadcast_to(np.eye(n), grid.shape + (n, n)).copy())
 
 
 @dataclass(frozen=True)
@@ -334,27 +333,25 @@ def _derivative_1d(values: np.ndarray, axis: int, h: float, order: int, periodic
     return out
 
 
-def fd_partial(f: TensorField, axis: int, order: int | None = None) -> TensorField:
+def fd_partial(f: TensorField, axis: int) -> TensorField:
     """Partial derivative of a sampled field along one grid axis.
 
-    Central differences of the requested order in the interior; periodic
+    Central differences of the grid's stencil order in the interior; periodic
     axes wrap, interval axes fall back to one-sided stencils of the same
     order at the boundary.  The derivative lives on the same grid with the
     same slots.
     """
     if not 0 <= axis < f.grid.dim:
         raise ValueError(f"axis {axis} out of range for a {f.grid.dim}-dimensional grid")
-    order = f.grid.stencil_order if order is None else order
-    out = _derivative_1d(f.values, axis, f.grid.spacing[axis], order, f.grid.periodic[axis])
+    out = _derivative_1d(f.values, axis, f.grid.spacing[axis], f.grid.stencil_order,
+                         f.grid.periodic[axis])
     return TensorField(f.grid, out, f.index_kinds)
 
 
-def interior_mask(grid: ChartGrid, margin: int | None = None) -> np.ndarray:
-    """Boolean mask of nodes at least ``margin`` nodes away from any
-    non-periodic boundary.  Default margin covers the reach of the
-    one-sided boundary stencils at the grid's order."""
-    if margin is None:
-        margin = 3 if grid.stencil_order == 2 else 6
+def interior_mask(grid: ChartGrid) -> np.ndarray:
+    """Boolean mask of nodes beyond the reach of the one-sided boundary
+    stencils at the grid's order from any non-periodic boundary."""
+    margin = 3 if grid.stencil_order == 2 else 6
     mask = np.ones(grid.shape, dtype=bool)
     for k in range(grid.dim):
         if grid.periodic[k]:
@@ -475,15 +472,15 @@ class NodeMatrices:
             return ok.reshape(finite.shape)
 
 
-def invert_metric(g: MetricField, cond_bound: float = 1e12) -> MetricField:
+def invert_metric(g: MetricField) -> MetricField:
     """Pointwise matrix inverse with flipped variance.
 
-    Nodes whose condition number exceeds ``cond_bound``, or is NaN, raise
+    Nodes whose condition number exceeds ``COND_BOUND``, or is NaN, raise
     a singular-metric error naming the first offending node.
     """
     mats = NodeMatrices(g.values)
     cond = mats.cond
-    bad = ~(cond <= cond_bound)
+    bad = ~(cond <= COND_BOUND)
     if np.any(bad):
         node = tuple(int(i) for i in np.argwhere(bad)[0])
         raise SingularMetricError(

@@ -1,3 +1,5 @@
+import ast
+import copy
 import json
 
 import numpy as np
@@ -746,3 +748,61 @@ def test_group_loop_oracle_matches_per_node_loop():
     args = (ctx.system.generators, ctx.map_jet, ctx.phi, ctx.psi_eval)
     ref = _per_node_group_oracle(*args)
     assert np.max(np.abs(_group_loop_oracle(*args) - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+_EXPRESSION_FIELDS = {"diag", "matrix", "components", "xi", "A", "T", "sigma", "tau"}
+
+
+def _expression_sources(node, field=None) -> list:
+    """Every expression source of a spec: the strings held, at any depth,
+    under a metric's diag or matrix, map components, xi, A, T, sigma or tau."""
+    if isinstance(node, str):
+        return [node] if field in _EXPRESSION_FIELDS else []
+    if isinstance(node, dict):
+        return [src for key, value in node.items() for src in _expression_sources(value, key)]
+    if isinstance(node, list):
+        return [src for value in node for src in _expression_sources(value, field)]
+    return []
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_run_parses_each_expression_source_once(name, tmp_path, monkeypatch):
+    # the builders compile the trees the validator checked; the grammar
+    # parses in eval mode, so other parses (e.g. inspect's) are not counted
+    parsed = []
+    original = ast.parse
+
+    def counted(source, *args, mode="exec", **kwargs):
+        if mode == "eval":
+            parsed.append(source)
+        return original(source, *args, mode=mode, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counted)
+    spec = BUILTIN_SCENARIOS[name]
+    report = run_scenario(spec, tmp_path)
+    assert report["status"] == "pass"
+    sources = _expression_sources(spec)
+    assert sources
+    assert sorted(parsed) == sorted(sources)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_run_leaves_its_spec_unchanged(name, tmp_path):
+    # the runner builds from the validator's checked copy: the bundled spec
+    # (a module global) still holds its sources after a run
+    spec = BUILTIN_SCENARIOS[name]
+    before = copy.deepcopy(spec)
+    run_scenario(spec, tmp_path)
+    assert spec == before
+    assert validate_scenario(spec) == []
+
+
+def test_system_fields_a_kind_does_not_read_are_ignored(tmp_path):
+    # an orbit is the generator (xi, 1) whatever else the system holds
+    spec = json.loads(json.dumps(BUILTIN_SCENARIOS["orbit-rotation"]))
+    ref = run_scenario(spec, tmp_path / "ref")
+    spec["system"]["A"] = ["2"]
+    got = run_scenario(spec, tmp_path / "got")
+    for task in ref["tasks"] + got["tasks"]:
+        task.pop("wall_time_s")
+    assert got["tasks"] == ref["tasks"]
