@@ -20,10 +20,13 @@ builtins that holds only the grammar's functions:
   (same values and warnings as on 0-d arrays) with the result converted
   to a float.  A list that uses dot has no float lowering.
 
-An evaluator takes the float lowering when it is given one point (every
-argument 1-D).  Where that raises ZeroDivisionError or gives a non-finite
-value it returns the array path's result for the point instead, so the
-values are bit-identical on both paths, and numpy's warnings for a
+A scenario evaluator has one float entry, ``at_point``, which takes the
+float lowering: the scalars of one point as Python floats in, a tuple of
+floats out.  The RK4 orbit calls it directly; an evaluator called on one
+point as 1-D arrays goes through it too.  Where the float lowering raises
+ZeroDivisionError or gives a non-finite value, ``at_point`` returns the
+array path's result for the point instead, so the values are
+bit-identical on both paths, and numpy's warnings for a
 non-finite result are the array path's (a ufunc warning the float path
 already gave is then given twice).  The one difference: an intermediate
 overflow in ``+ - * /`` whose result still ends finite gives no overflow

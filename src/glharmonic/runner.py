@@ -219,7 +219,7 @@ class _Context:
 # ---------------------------------------------------------------------------
 
 
-def _task_energy(ctx: _Context, task: dict, out: pathlib.Path, dumps: list):
+def _task_energy(ctx: _Context, task: dict, dumps: list):
     density = lagrangian_density(ctx.map_jet, ctx.metric_pair, ctx.connection, ctx.phi)
     E = volume_integral(density, ctx.phi)
     scalars = {"energy": E}
@@ -232,7 +232,7 @@ def _task_energy(ctx: _Context, task: dict, out: pathlib.Path, dumps: list):
     return ok, scalars, {}
 
 
-def _task_el_residual(ctx: _Context, task: dict, out, dumps):
+def _task_el_residual(ctx: _Context, task: dict, dumps):
     res = el_residual(ctx.map_jet, ctx.metric_pair, ctx.connection, ctx.phi,
                       ctx.tol["fd_step"])
     scalars: dict = {}
@@ -255,7 +255,7 @@ def _certificate_record(cert):
     }
 
 
-def _task_certify(ctx: _Context, task: dict, out, dumps):
+def _task_certify(ctx: _Context, task: dict, dumps):
     if "orbit" in ctx.spec and ctx.spec.get("system", {}).get("kind") == "orbit":
         curve = ctx.orbit_curve
         grid = curve.grid
@@ -267,7 +267,7 @@ def _task_certify(ctx: _Context, task: dict, out, dumps):
     return cert.verdict, {}, _certificate_record(cert)
 
 
-def _task_orbit(ctx: _Context, task: dict, out, dumps):
+def _task_orbit(ctx: _Context, task: dict, dumps):
     curve = ctx.orbit_curve
     res = orbit_geodesic_residual(curve, ctx.system.xi, ctx.checked_psi(curve),
                                   ctx.tol["eps_sing"])
@@ -279,7 +279,7 @@ def _task_orbit(ctx: _Context, task: dict, out, dumps):
     return _all_finite(scalars) and scalars["max_residual"] <= threshold, scalars, {}
 
 
-def _task_pseudolinear(ctx: _Context, task: dict, out, dumps):
+def _task_pseudolinear(ctx: _Context, task: dict, dumps):
     cert = ctx.map_certificate
     scalars = {}
     ok = cert.verdict
@@ -301,7 +301,7 @@ def _task_pseudolinear(ctx: _Context, task: dict, out, dumps):
     return ok, scalars, _certificate_record(cert)
 
 
-def _task_group(ctx: _Context, task: dict, out, dumps):
+def _task_group(ctx: _Context, task: dict, dumps):
     gens = ctx.system.generators
     psi = ctx.checked_psi(ctx.map_jet)
     density = group_system_lagrangian(gens, ctx.map_jet, ctx.phi, psi, ctx.tol["eps_sing"])
@@ -380,7 +380,7 @@ def _all_finite(scalars: dict) -> bool:
     return not any(v for k, v in scalars.items() if k.endswith("_nonfinite"))
 
 
-def _task_maxwell(ctx: _Context, task: dict, out, dumps):
+def _task_maxwell(ctx: _Context, task: dict, dumps):
     space = ctx.gl
     scalars: dict = {}
     first = True
@@ -398,7 +398,7 @@ def _task_maxwell(ctx: _Context, task: dict, out, dumps):
     return ok, scalars, {}
 
 
-def _task_einstein(ctx: _Context, task: dict, out, dumps):
+def _task_einstein(ctx: _Context, task: dict, dumps):
     space = ctx.gl
     K = ctx.spec.get("K", 0.0)
     with_em = task.get("energy_momentum", "K" in ctx.spec)
@@ -489,7 +489,7 @@ def run_scenario(spec: dict, out_dir, stencil_override: int | None = None) -> di
         record: dict[str, Any] = {"task": name}
         start = time.perf_counter()
         try:
-            ok, scalars, certificate = _TASK_RUNNERS[name](ctx, task, out, dumps)
+            ok, scalars, certificate = _TASK_RUNNERS[name](ctx, task, dumps)
             record["status"] = "pass" if ok else "fail"
             record["scalars"] = {k: _jsonify(v) for k, v in scalars.items()}
             if certificate:

@@ -545,11 +545,11 @@ class _Outputs:
     block of ``shape``.  With ``vectors`` each prefix is also declared as a
     vector for dot.
 
-    Called on one point, every argument a 1-D float64 array of its
-    dimension, it takes the float lowering.  It returns the array path's
-    result for that point instead when the float lowering raises
-    ZeroDivisionError or gives a non-finite value, so those values and
-    numpy's warnings for them are the array path's."""
+    ``at_point`` is the one single-point entry: Python floats in, a tuple
+    of Python floats out, by the float lowering.  Called on one point,
+    every argument a 1-D float64 array of its dimension, the evaluator
+    returns that tuple as an array of ``shape``; any other call takes the
+    array path."""
 
     def __init__(self, sources, args, shape: tuple, vectors: bool = False):
         self.args = tuple(args)
@@ -560,22 +560,36 @@ class _Outputs:
         self.shape = shape
         self.size = math.prod(shape)
         self._point_shapes = tuple((dim,) for _, dim in self.args)
-        self._flat = shape == (self.size,)
 
     def __call__(self, first: np.ndarray, second: np.ndarray | None = None) -> np.ndarray:
         shapes = self._point_shapes
         if first.shape == shapes[0] and first.dtype is _FLOAT and (
                 second is None or second.shape == shapes[1] and second.dtype is _FLOAT):
             values = first.tolist() if second is None else first.tolist() + second.tolist()
-            block = self._at_point(values)
-            if block is not None:
-                return block
+            return np.array(self.at_point(*values)).reshape(self.shape)
         lead = first.shape[:-1]
         out = np.zeros(lead + self.shape)
         flat = out.reshape(lead + (self.size,))
         for j, value in enumerate(self.columns(first, second)):
             flat[..., j] = value    # broadcasts constants
         return out
+
+    def at_point(self, *values: float) -> tuple:
+        """The outputs at one point, the arguments' components in order as
+        Python floats, as a tuple of floats in row-major order.  Where the
+        float lowering raises ZeroDivisionError, gives a non-finite value or
+        does not exist (dot), it is the array path's result for the point."""
+        form = self.expr.point_form
+        if form is not None:
+            try:
+                outputs = form(*values)
+                if all(map(math.isfinite, outputs)):
+                    return outputs
+            except ZeroDivisionError:
+                pass
+        split = self.args[0][1]
+        batch = (np.array([values[:split]]), np.array([values[split:]]))[:len(self.args)]
+        return tuple(self(*batch)[0].ravel().tolist())
 
     def columns(self, first: np.ndarray, second: np.ndarray | None = None) -> tuple:
         """The outputs on the array path, each as computed: an argument's
@@ -587,19 +601,6 @@ class _Outputs:
             if self.vectors:
                 env[prefix] = a
         return self.expr(env)
-
-    def _at_point(self, values: list) -> np.ndarray | None:
-        form = self.expr.point_form
-        if form is None:
-            return None
-        try:
-            outputs = form(*values)
-        except ZeroDivisionError:
-            return None
-        if not all(map(math.isfinite, outputs)):
-            return None
-        block = np.array(outputs)
-        return block if self._flat else block.reshape(self.shape)
 
 
 _FLOAT = np.dtype(float)

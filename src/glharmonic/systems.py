@@ -169,13 +169,18 @@ def integrate_orbit(xi, x0, t0: float, t1: float, nodes: int,
     """Fixed-step classical fourth-order Runge-Kutta orbit of a vector
     field, landing exactly on the curve grid nodes (each grid interval is
     split into equal substeps no longer than ``max_step``, see
-    :func:`rk4_substeps`)."""
+    :func:`rk4_substeps`).  A scenario evaluator is called through its float
+    entry ``at_point``, any other callable on one point as an array."""
     grid = interval_grid(t0, t1, nodes, stencil_order=stencil_order)
     k = rk4_substeps(grid, max_step)
     h = grid.spacing[0] / k
     half_h, sixth_h = 0.5 * h, h / 6.0
 
+    at_point = getattr(xi, "at_point", None)
+
     def slope(point):
+        if at_point is not None:
+            return at_point(*point)
         return np.asarray(xi(np.array(point)), float).tolist()
 
     # The stages are combined in Python floats: the same IEEE operations in

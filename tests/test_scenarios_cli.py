@@ -285,7 +285,7 @@ def test_nonfinite_orbit_residual_fails_the_task(tmp_path, monkeypatch):
 def test_unexpected_exception_becomes_error_record(tmp_path, monkeypatch):
     import glharmonic.runner as runner_module
 
-    def broken_task(ctx, task, out, dumps):
+    def broken_task(ctx, task, dumps):
         raise ValueError("not a library error")
 
     monkeypatch.setitem(runner_module._TASK_RUNNERS, "energy", broken_task)
@@ -669,30 +669,81 @@ def _same_bytes(got, ref):
     assert got.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("x", [[0.3, -1.7], [0.0, 2.0], [-0.0, np.inf]])
-def test_single_point_evaluators_match_the_array_path(x):
-    # one point takes the float lowering, unless the list uses dot or a
-    # value is non-finite; the same point as a batch of one takes the
-    # array path
+def _single_point_cases(x):
+    """(evaluator, one point's arguments) over the evaluator factories."""
     a, x = np.array([0.8, -0.4]), np.array(x)
-    evaluators = [
+    return [
         (metric_evaluator({"diag": ["1 + x1*x1", "exp(x2)"]}, 2, "x"), (x,)),
         (metric_evaluator({"matrix": [["2", "0.1*x1"], ["0.3*x2", "1/x1"]]}, 2, "x"), (x,)),
         (system_matrix_evaluator([["a1*x1", "a2"], ["x2", "sin(a1)/x1"], ["-x2", "1"]], 2, 2),
          (a, x)),
         (scalar_evaluator_two_args("0.3*x1*y2 - ln(abs(y1))", 2, "x", 2, "y"), (x, a)),
         (scalar_evaluator_two_args("ln(abs(dot(x, y)))", 2, "x", 2, "y"), (x, a)),
+        (covector_evaluator(["-x2", "1/x1", "exp(x2)"], 2, "x"), (x,)),
     ]
+
+
+POINTS = [[0.3, -1.7], [0.0, 2.0], [-0.0, np.inf]]
+
+
+@pytest.mark.parametrize("x", POINTS)
+def test_single_point_evaluators_match_the_array_path(x):
+    # one point takes the float lowering, unless the list uses dot or a
+    # value is non-finite; the same point as a batch of one takes the
+    # array path
     with np.errstate(all="ignore"):
-        for ev, args in evaluators:
+        for ev, args in _single_point_cases(x):
             _same_bytes(ev(*args), ev(*(v[None] for v in args))[0])
 
 
+@pytest.mark.parametrize("x", POINTS)
+def test_float_entry_matches_the_array_path(x):
+    # the outputs in row-major order as Python floats, the array path's
+    # where the float lowering divides by zero, overflows or meets dot
+    cases = [(ev, args) for ev, args in _single_point_cases(x) if hasattr(ev, "at_point")]
+    assert len(cases) == 5
+    with np.errstate(all="ignore"):
+        for ev, args in cases:
+            got = ev.at_point(*(v for arg in args for v in arg.tolist()))
+            assert type(got) is tuple and all(type(v) is float for v in got)
+            _same_bytes(np.array(got), ev(*(v[None] for v in args))[0].ravel())
+
+
+def test_float_entry_warns_as_the_array_path_on_a_non_finite_value():
+    # Python floats overflow silently; the array path's result comes with
+    # numpy's overflow warning
+    ev = covector_evaluator(["x1*x1", "1"], 1, "x")
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert ev.at_point(1e200) == (np.inf, 1.0)
+
+
+def _orbit_pair(exprs, x0, t1):
+    xi = covector_evaluator(exprs, 2, "x")
+    curve = integrate_orbit(xi, x0, 0.0, t1, nodes=101)
+    ref = integrate_orbit(lambda pts: xi(pts[None])[0], x0, 0.0, t1, nodes=101)
+    return curve.values, ref.values
+
+
 def test_transcendental_orbit_matches_the_array_path():
-    xi = covector_evaluator(["-x2 + 0.1*sin(x1)", "x1*exp(-0.05*x2)"], 2, "x")
-    curve = integrate_orbit(xi, [1.0, 0.0], 0.0, np.pi, nodes=101)
-    ref = integrate_orbit(lambda pts: xi(pts[None])[0], [1.0, 0.0], 0.0, np.pi, nodes=101)
-    _same_bytes(curve.values, ref.values)
+    _same_bytes(*_orbit_pair(["-x2 + 0.1*sin(x1)", "x1*exp(-0.05*x2)"], [1.0, 0.0], np.pi))
+
+
+@pytest.mark.parametrize("float_lowering", [True, False])
+def test_orbit_float_entry_falls_back_to_the_array_path(float_lowering, monkeypatch):
+    if not float_lowering:
+        monkeypatch.setattr(Expression, "point_form", None)
+    # every stage divides by zero on the float path; the array path gives
+    # 1/(1/0) = 1/inf = 0
+    with np.errstate(divide="ignore"):
+        curve, ref = _orbit_pair(["1", "1/(1/x2)"], [0.0, 0.0], 1.0)
+    _same_bytes(curve, ref)
+    assert np.all(curve[:, 1] == 0.0)
+    # the second component overflows to inf once x1 passes ln(max float)/1000
+    # (and the curve's velocity stencil meets inf - inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        curve, ref = _orbit_pair(["1", "exp(1000*x1)"], [0.0, 0.0], 1.0)
+    _same_bytes(curve, ref)
+    assert np.isinf(curve[-1, 1]) and np.all(np.isfinite(curve[:50]))
 
 
 def _per_node_group_oracle(gens, f, phi, psi_eval):
