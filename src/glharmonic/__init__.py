@@ -15,7 +15,6 @@ from .energy import (
 )
 from .errors import (
     AdmissibilityError,
-    ContractionError,
     DivisionGuardError,
     GLHarmonicError,
     ScenarioValidationError,
@@ -61,10 +60,8 @@ from .systems import (
 from .tensor_core import (
     ChartGrid,
     MetricField,
-    TangentSample,
     TensorField,
     box_grid,
-    contract,
     fd_partial,
     identity_metric,
     interval_grid,

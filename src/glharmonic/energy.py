@@ -7,16 +7,29 @@ The density is L = g^{gm}(a, b) h_{kl}(f(a), y) f^k_g f^l_m / 2, the energy
 its integral against the source volume weight, and a map is harmonic when
 the discrete energy gradient vanishes.
 
-Evaluation.  Per node, b and y are one matrix-vector product each of P's
-flattened blocks with w_{bi} = phi^{ab} f^i_a, and the density is
-g^{gm} (f^T h f)_{gm} / 2.  A general pair's residual differences the
-density by central steps in each map value and each jet entry.  A
-conformal pair g = e^{-2 sigma(a,b)} phi(a), h = e^{2 tau(x,y)} psi(x)
-takes both partials by the chain rule (``_conformal_partials``): L scales
-as e^{2 sigma + 2 tau}, so one pair of direction gradients dsigma/db and
-dtau/dy serves both (central differences, or the pair's exact ``tau_dy``).
-sigma and g are evaluated and guard-inverted once; only psi, tau at fixed
-y and the connection blocks that depend on x are differenced in x.  The
+Evaluation.  One first-stage evaluation of a pair at a map
+(``DensityEvaluation``) holds P's flattened blocks, b and y (one
+matrix-vector product each of the blocks with w_{bi} = phi^{ab} f^i_a),
+the guarded g^{-1}(a, b), h(f, y) and L = g^{gm} (f^T h f)_{gm} / 2;
+``lagrangian_density`` and ``density_partials`` both read it, so the
+energy and the residual of one map share it.  A general pair's residual
+differences the density by central steps in each map value and each jet
+entry.  A conformal pair g = e^{-2 sigma(a,b)} phi(a), h = e^{2 tau(x,y)}
+psi(x) takes both partials by the chain rule (``_conformal_partials``): L
+scales as e^{2 sigma + 2 tau}, so one pair of direction gradients
+dsigma/db and dtau/dy serves both, and dL/df needs the x-partials of psi,
+of tau at fixed y and of the connection blocks that depend on x.
+
+Exact and differenced partials.  Each of those partials is exact where
+the pair or P carries its hook (``MetricPair.conformal``'s ``sigma_db``,
+``tau_dy``, ``tau_dx`` and ``psi_dx``, ``ConnectionTensor``'s
+``source_dx`` and ``target_dx``).  The scenario builders compile every
+hook from the expression grammar, so a scenario-built conformal residual
+differences nothing pointwise: only the divergence in
+``assemble_residual`` is a grid stencil, and its per-node products go
+entry by entry.  A pair of library callables without hooks takes the
+central differences of ``central_partials`` with the relative step
+``fd_step`` and keeps batched ``@``, so its residual keeps its bits.  The
 fiber-covector, one-form-source and orbit-geodesic residuals are
 (pair, P) constructions over this one path.
 
@@ -30,7 +43,8 @@ the two Euler-Lagrange terms: the derivative term enters with a minus).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -108,7 +122,11 @@ class ConnectionTensor:
     [upper, lower-source, lower-target].  ``source_depends_on_x`` and
     ``target_depends_on_x`` say whether a block depends on x; a block that
     does not is never re-evaluated at perturbed map values.  Both default
-    to True, which is always correct.
+    to True, which is always correct.  ``source_dx(a_pts, x_vals) -> (...,
+    m, m, n, n)`` and ``target_dx(a_pts, x_vals) -> (..., n, m, n, n)`` are
+    optional exact x-partials of the blocks, the derivative axis last (the
+    layout of ``central_partials``); an x-dependent block without one is
+    differenced.
     """
 
     source: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -117,6 +135,8 @@ class ConnectionTensor:
     n: int
     source_depends_on_x: bool = True
     target_depends_on_x: bool = True
+    source_dx: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    target_dx: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     @classmethod
     def zero(cls, m: int, n: int) -> "ConnectionTensor":
@@ -160,24 +180,32 @@ class ConnectionTensor:
 
     @classmethod
     def oneform_source(cls, xi: Callable[[np.ndarray], np.ndarray],
-                       target: Callable | None = None, m: int = -1, n: int = -1
+                       target: Callable | None = None, m: int = -1, n: int = -1,
+                       xi_dx: Callable[[np.ndarray], np.ndarray] | None = None
                        ) -> "ConnectionTensor":
         """Source block d^g_a xi_i(x) (the induced source argument is the
         xi-weighted jet, raised); target block free, defaulting to zero.
         The source depends on x, the default target does not; a given
-        target is taken to."""
+        target is taken to.  ``xi_dx(x) -> (..., n, n)``, the exact
+        partials d xi_i / d x^j, gives the source its x-partials."""
 
         def source(a_pts, x_vals):
             xivals = np.asarray(xi(x_vals), float)   # (..., n)
             eye = np.eye(a_pts.shape[-1])
             return eye[:, :, None] * xivals[..., None, None, :]
 
+        def source_dx(a_pts, x_vals):
+            dxi = np.asarray(xi_dx(x_vals), float)   # (..., n, n)
+            eye = np.eye(a_pts.shape[-1])
+            return eye[:, :, None, None] * dxi[..., None, None, :, :]
+
         def zero_target(a_pts, x_vals):
             mm, nn = a_pts.shape[-1], x_vals.shape[-1]
             return np.zeros(a_pts.shape[:-1] + (nn, mm, nn))
 
         return cls(source=source, target=target or zero_target, m=m, n=n,
-                   source_depends_on_x=True, target_depends_on_x=target is not None)
+                   source_depends_on_x=True, target_depends_on_x=target is not None,
+                   source_dx=None if xi_dx is None else source_dx)
 
     @classmethod
     def velocity(cls, n: int = -1) -> "ConnectionTensor":
@@ -238,7 +266,8 @@ def induced_arguments(f: MapJet, P: ConnectionTensor, phi_inv: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Direction arguments manufactured from the jet:
     b^g = phi^{ab} f^i_a P^g_{bi}(a, f) and y^k = phi^{ab} f^i_a P^k_{bi}(a, f)."""
-    return _arguments(_connection_blocks(P, f.grid.points(), f.values), f.jet, phi_inv)
+    blocks = _connection_blocks(P, f.grid.points(), f.values)
+    return _arguments(blocks, _raised_jet(f.jet, phi_inv))
 
 
 def _connection_blocks(P: ConnectionTensor, a_pts: np.ndarray, f_vals: np.ndarray
@@ -250,13 +279,17 @@ def _connection_blocks(P: ConnectionTensor, a_pts: np.ndarray, f_vals: np.ndarra
     return (src.reshape(src.shape[:-2] + (-1,)), tgt.reshape(tgt.shape[:-2] + (-1,)))
 
 
-def _arguments(blocks: tuple[np.ndarray, np.ndarray], jet_vals: np.ndarray,
-               phi_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """b and y from flattened connection blocks and a jet."""
+def _raised_jet(jet_vals: np.ndarray, phi_inv: np.ndarray) -> np.ndarray:
+    """w_{bi} = phi^{ab} f^i_a per node, (..., m, n)."""
+    return np.swapaxes(jet_vals @ phi_inv, -1, -2)
+
+
+def _arguments(blocks: tuple[np.ndarray, np.ndarray], w: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """b and y from flattened connection blocks and the raised jet w."""
     src, tgt = blocks
-    # w_{bi} = phi^{ab} f^i_a, flattened like the blocks' lower slots
-    w = np.swapaxes(jet_vals @ phi_inv, -1, -2).reshape(jet_vals.shape[:-2] + (-1, 1))
-    return (src @ w)[..., 0], (tgt @ w)[..., 0]
+    flat = w.reshape(w.shape[:-2] + (-1, 1))     # flattened like the blocks' lower slots
+    return (src @ flat)[..., 0], (tgt @ flat)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +305,11 @@ class MetricPair:
     ``h(x_vals, y) -> (..., n, n)`` along the map.  Conformal pairs carry
     their ingredients so the residual can take its partials by the chain
     rule: g = exp(-2 sigma(a,b)) phi(a) and h = exp(2 tau(x,y)) psi(x).
-    ``tau_dy(x, y) -> (..., n)`` is an optional exact direction gradient of
-    tau; without it dtau/dy is differenced.
+    The optional hooks are exact partials of the ingredients, the
+    derivative axis last: ``sigma_db(a, b) -> (..., m)``,
+    ``tau_dy(x, y)`` and ``tau_dx(x, y) -> (..., n)`` and
+    ``psi_dx(x) -> (..., n, n, n)``.  Without one, the partial it stands
+    for is differenced.
     """
 
     g: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -284,6 +320,9 @@ class MetricPair:
     sigma: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     tau: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     tau_dy: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    sigma_db: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    tau_dx: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    psi_dx: Callable[[np.ndarray], np.ndarray] | None = None
 
     @classmethod
     def general(cls, g, h) -> "MetricPair":
@@ -295,23 +334,26 @@ class MetricPair:
         return cls.conformal(phi, psi)
 
     @classmethod
-    def conformal(cls, phi, psi, sigma=None, tau=None, tau_dy=None) -> "MetricPair":
+    def conformal(cls, phi, psi, sigma=None, tau=None, tau_dy=None, sigma_db=None,
+                  tau_dx=None, psi_dx=None) -> "MetricPair":
         def g(a, b):
-            base = np.asarray(phi(a), float)
-            if sigma is None:
-                return base
-            s = np.asarray(sigma(a, b), float)
-            return np.exp(-2.0 * s)[..., None, None] * base
+            return _scaled(phi(a), None if sigma is None else sigma(a, b), -2.0)[0]
 
         def h(x, y):
-            base = np.asarray(psi(x), float)
-            if tau is None:
-                return base
-            t = np.asarray(tau(x, y), float)
-            return np.exp(2.0 * t)[..., None, None] * base
+            return _scaled(psi(x), None if tau is None else tau(x, y), 2.0)[0]
 
         return cls(g=g, h=h, kind="conformal", phi=phi, psi=psi, sigma=sigma, tau=tau,
-                   tau_dy=tau_dy)
+                   tau_dy=tau_dy, sigma_db=sigma_db, tau_dx=tau_dx, psi_dx=psi_dx)
+
+
+def _scaled(base, log_factor, weight: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """(e^{weight * log_factor} base, e^{weight * log_factor}) per node, or
+    (base, None) without a log factor."""
+    base = np.asarray(base, float)
+    if log_factor is None:
+        return base, None
+    scale = np.exp(weight * np.asarray(log_factor, float))
+    return scale[..., None, None] * base, scale
 
 
 def _inverse_with_guard(mats: np.ndarray, what: str, grid_dim: int) -> np.ndarray:
@@ -333,33 +375,116 @@ def _inverse_with_guard(mats: np.ndarray, what: str, grid_dim: int) -> np.ndarra
     return inv
 
 
+def _node_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B per node, entry by entry.  Batched ``@`` makes one BLAS call
+    per node, which on small matrices costs several times the arithmetic."""
+    rows, inner, cols = A.shape[-2], A.shape[-1], B.shape[-1]
+    out = np.empty(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (rows, cols))
+    for i in range(rows):
+        for j in range(cols):
+            acc = A[..., i, 0] * B[..., 0, j]
+            for k in range(1, inner):
+                acc += A[..., i, k] * B[..., k, j]
+            out[..., i, j] = acc
+    return out
+
+
 # ---------------------------------------------------------------------------
 # density, energy, residuals
 # ---------------------------------------------------------------------------
 
 
+class _Stage(NamedTuple):
+    """The first stage of the density at one map: the raised jet w, the
+    induced arguments, g^{-1}(a, b), h(x, y), e^{2 tau} (None without tau
+    or for a general pair) and L, per node."""
+
+    w: np.ndarray
+    b: np.ndarray
+    y: np.ndarray
+    ginv: np.ndarray
+    h: np.ndarray
+    tau_scale: np.ndarray | None
+    density: np.ndarray
+
+
+def _first_stage(a_pts: np.ndarray, f_vals: np.ndarray, jet_vals: np.ndarray,
+                 pair: MetricPair, blocks: tuple[np.ndarray, np.ndarray],
+                 phi_inv: np.ndarray, grid_dim: int) -> _Stage:
+    """The density and its intermediates with b and y recomputed from the
+    given jet (their dependence on the map is part of the variational
+    structure); ``blocks`` are the flattened connection blocks at
+    (a, f_vals).  A conformal pair is evaluated from its ingredients, so
+    e^{2 tau} is kept; g and h are the bits ``pair.g`` and ``pair.h``
+    give."""
+    w = _raised_jet(jet_vals, phi_inv)
+    b, y = _arguments(blocks, w)
+    conformal = pair.kind == "conformal"
+    if conformal:
+        gmat = _scaled(pair.phi(a_pts), None if pair.sigma is None else pair.sigma(a_pts, b),
+                       -2.0)[0]
+    else:
+        gmat = np.asarray(pair.g(a_pts, b), float)
+    ginv = _inverse_with_guard(gmat, "source metric g(a, b)", grid_dim)
+    if conformal:
+        hmat, scale = _scaled(pair.psi(f_vals), None if pair.tau is None else pair.tau(f_vals, y),
+                              2.0)
+    else:
+        hmat, scale = np.asarray(pair.h(f_vals, y), float), None
+    pulled = np.swapaxes(jet_vals, -1, -2) @ hmat @ jet_vals    # f^k_g h_kl f^l_m
+    return _Stage(w, b, y, ginv, hmat, scale, 0.5 * (ginv * pulled).sum((-2, -1)))
+
+
 def _density_values(a_pts: np.ndarray, f_vals: np.ndarray, jet_vals: np.ndarray,
                     pair: MetricPair, blocks: tuple[np.ndarray, np.ndarray],
                     phi_inv: np.ndarray, grid_dim: int) -> np.ndarray:
-    """Pointwise density with b and y recomputed from the given jet (their
-    dependence on the map is part of the variational structure); ``blocks``
-    are the flattened connection blocks at (a, f_vals)."""
-    b, y = _arguments(blocks, jet_vals, phi_inv)
-    gmat = np.asarray(pair.g(a_pts, b), float)
-    ginv = _inverse_with_guard(gmat, "source metric g(a, b)", grid_dim)
-    hmat = np.asarray(pair.h(f_vals, y), float)
-    pulled = np.swapaxes(jet_vals, -1, -2) @ hmat @ jet_vals    # f^k_g h_kl f^l_m
-    return 0.5 * (ginv * pulled).sum((-2, -1))
+    """Pointwise density of ``_first_stage``."""
+    return _first_stage(a_pts, f_vals, jet_vals, pair, blocks, phi_inv, grid_dim).density
+
+
+class DensityEvaluation:
+    """The first-stage evaluation of a pair's density at a map, each part
+    computed on first use: phi^{-1} and sqrt(phi) of the sampled source
+    metric, P's flattened blocks at (a, f) and the ``_Stage`` (b, y, the
+    guarded g^{-1}, h, e^{2 tau} and L).  ``lagrangian_density``,
+    ``density_partials`` and ``el_residual`` take one as ``evaluation``,
+    so the energy and the residual of a map evaluate the pair there once.
+    Only the pair's metrics and log factors are read, not its hooks."""
+
+    def __init__(self, f: MapJet, pair: MetricPair, P: ConnectionTensor, phi: MetricField):
+        self.f, self.pair, self.P, self.phi = f, pair, P, phi
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        return self.f.grid.points()
+
+    @cached_property
+    def phi_inv(self) -> np.ndarray:
+        return invert_metric(self.phi).values
+
+    @cached_property
+    def sqrt_phi(self) -> np.ndarray:
+        return sqrt_det(self.phi).values
+
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        return _connection_blocks(self.P, self.points, self.f.values)
+
+    @cached_property
+    def stage(self) -> _Stage:
+        f = self.f
+        return _first_stage(self.points, f.values, f.jet, self.pair, self.blocks,
+                            self.phi_inv, f.grid.dim)
 
 
 def lagrangian_density(f: MapJet, pair: MetricPair, P: ConnectionTensor,
-                       phi: MetricField) -> TensorField:
-    """The density L = g^{gm}(a,b) h_{kl}(f,y) f^k_g f^l_m / 2 per node."""
-    a_pts = f.grid.points()
-    phi_inv = invert_metric(phi).values
-    blocks = _connection_blocks(P, a_pts, f.values)
-    vals = _density_values(a_pts, f.values, f.jet, pair, blocks, phi_inv, f.grid.dim)
-    return scalar_field(f.grid, vals)
+                       phi: MetricField, evaluation: DensityEvaluation | None = None
+                       ) -> TensorField:
+    """The density L = g^{gm}(a,b) h_{kl}(f,y) f^k_g f^l_m / 2 per node,
+    from ``evaluation`` (a ``DensityEvaluation`` of these arguments) when
+    given."""
+    ev = evaluation or DensityEvaluation(f, pair, P, phi)
+    return scalar_field(f.grid, ev.stage.density)
 
 
 def energy(f: MapJet, pair: MetricPair, P: ConnectionTensor, phi: MetricField) -> float:
@@ -368,20 +493,22 @@ def energy(f: MapJet, pair: MetricPair, P: ConnectionTensor, phi: MetricField) -
 
 
 def density_partials(f: MapJet, pair: MetricPair, P: ConnectionTensor,
-                     phi: MetricField, fd_step: float = DEFAULT_FD_STEP
+                     phi: MetricField, fd_step: float = DEFAULT_FD_STEP,
+                     evaluation: DensityEvaluation | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise partials of the density with respect to map values and
     jet entries.  A general pair takes both by nodewise central differences
     with relative steps; a conformal pair takes them by the chain rule
-    (``_conformal_partials``).
+    (``_conformal_partials``).  ``evaluation`` is a ``DensityEvaluation``
+    of these arguments to reuse.
 
     Returns (dL/df^i of shape (*grid, n), dL/df^i_a of shape (*grid, n, m)).
     """
-    grid = f.grid
-    a_pts = grid.points()
-    phi_inv = invert_metric(phi).values
+    ev = evaluation or DensityEvaluation(f, pair, P, phi)
     if pair.kind == "conformal":
-        return _conformal_partials(a_pts, f.values, f.jet, pair, P, phi_inv, grid.dim, fd_step)
+        return _conformal_partials(ev, pair, P, fd_step)
+    grid = f.grid
+    a_pts, phi_inv = ev.points, ev.phi_inv
     n = f.target_dim
     m = grid.dim
     dLdf = central_partials(
@@ -390,16 +517,25 @@ def density_partials(f: MapJet, pair: MetricPair, P: ConnectionTensor,
         f.values, fd_step)
     # P depends on (a, f) only: one evaluation serves every jet partial.
     # The jet is differenced as n*m coordinates per node, entry (i, a) at i*m + a.
-    blocks = _connection_blocks(P, a_pts, f.values)
     dLdjet = central_partials(
         lambda jv: _density_values(a_pts, f.values, jv.reshape(jv.shape[:-1] + (n, m)),
-                                   pair, blocks, phi_inv, grid.dim),
+                                   pair, ev.blocks, phi_inv, grid.dim),
         f.jet.reshape(grid.shape + (n * m,)), fd_step)
     return dLdf, dLdjet.reshape(grid.shape + (n, m))
 
 
-def _conformal_partials(a_pts: np.ndarray, x: np.ndarray, jet: np.ndarray, pair: MetricPair,
-                        P: ConnectionTensor, phi_inv: np.ndarray, grid_dim: int,
+def _exact(pair: MetricPair, P: ConnectionTensor) -> bool:
+    """Whether the conformal pair and P carry a hook for every partial the
+    chain rule takes."""
+    source_ok = not P.source_depends_on_x or P.source_dx is not None
+    target_ok = not P.target_depends_on_x or P.target_dx is not None
+    return (pair.psi_dx is not None
+            and (pair.sigma is None or pair.sigma_db is not None and source_ok)
+            and (pair.tau is None or pair.tau_dy is not None and pair.tau_dx is not None
+                 and target_ok))
+
+
+def _conformal_partials(ev: DensityEvaluation, pair: MetricPair, P: ConnectionTensor,
                         fd_step: float) -> tuple[np.ndarray, np.ndarray]:
     """dL/df^i (..., n) and dL/df^i_a (..., n, m) of a conformal pair by
     the chain rule:
@@ -411,66 +547,86 @@ def _conformal_partials(a_pts: np.ndarray, x: np.ndarray, jet: np.ndarray, pair:
 
     where S, T are P's flattened blocks and b = S w, y = T w with
     w = vec((J phi^{-1})^T).  L scales as e^{2 sigma + 2 tau}, so its
-    direction partials are 2L dsigma/db and 2L dtau/dy; dsigma/db comes
-    from ``central_partials`` (2m sigma calls), dtau/dy from the pair's
-    ``tau_dy`` hook or else from ``central_partials`` (2n tau calls).
-
-    dL/df is the central partial in x of one scalar per node: the density
-    with g^{-1} and y held fixed and h(x, y) re-evaluated (the last two
-    terms), plus each x-dependent block contracted with 2L dsigma/db or
-    2L dtau/dy and w; an x-free block is not re-evaluated.  g^{-1} is the
+    direction partials are 2L dsigma/db and 2L dtau/dy.  g^{-1} is the
     guarded inverse of g(a, b) itself: ``pair.phi`` need not be the metric
     whose inverse ``phi_inv`` defines w.  A missing sigma or tau drops its
     terms.
-    """
-    dLdjet, y, pulled, in_x = _conformal_jet_partials(a_pts, x, jet, pair, P, phi_inv,
-                                                      grid_dim, fd_step)
+
+    dsigma/db and dtau/dy come from the pair's hooks, or else from
+    ``central_partials`` (2m sigma, 2n tau calls).  With every hook (see
+    ``_exact``), dL/df is the formula above term by term and the per-node
+    products go entry by entry.  Otherwise dL/df is the central partial in
+    x of one scalar per node: the density with g^{-1} and y held fixed and
+    h(x, y) re-evaluated, plus each x-dependent block contracted with
+    2L dsigma/db or 2L dtau/dy and w (an x-free block is not
+    re-evaluated); the products stay batched ``@``, so a pair of library
+    callables keeps its bits."""
+    exact = _exact(pair, P)
+    dLdjet, two_L, spread, in_x = _conformal_jet_partials(
+        ev, pair, P, _node_product if exact else np.matmul, fd_step)
+    st, a_pts, x = ev.stage, ev.points, ev.f.values
+    if exact:
+        dpsi = np.asarray(pair.psi_dx(x), float)
+        n = x.shape[-1]
+        dLdf = np.empty(x.shape)
+        for j in range(n):
+            # tr(J g^{-1} J^T d psi / dx^j) / 2, entry by entry
+            acc = spread[..., 0, 0] * dpsi[..., 0, 0, j]
+            for k, l in np.ndindex(n, n):
+                if k or l:
+                    acc += spread[..., l, k] * dpsi[..., k, l, j]
+            dLdf[..., j] = 0.5 * acc
+        if st.tau_scale is not None:
+            dLdf = (st.tau_scale[..., None] * dLdf
+                    + two_L[..., None] * np.asarray(pair.tau_dx(x, st.y), float))
+        for _, block_dx, coef in in_x:
+            dLdf = dLdf + np.einsum("...gbi,...gbij->...j", coef,
+                                    np.asarray(block_dx(a_pts, x), float))
+        return dLdf, dLdjet
 
     def at_fixed_direction(xv):
-        out = 0.5 * np.einsum("...kl,...lk->...", pulled, np.asarray(pair.psi(xv), float))
+        out = 0.5 * np.einsum("...kl,...lk->...", spread, np.asarray(pair.psi(xv), float))
         if pair.tau is not None:
-            out = np.exp(2.0 * np.asarray(pair.tau(xv, y), float)) * out
-        for block, coef in in_x:
+            out = np.exp(2.0 * np.asarray(pair.tau(xv, st.y), float)) * out
+        for block, _, coef in in_x:
             out = out + np.einsum("...gbi,...gbi->...", coef, np.asarray(block(a_pts, xv), float))
         return out
 
     return central_partials(at_fixed_direction, x, fd_step), dLdjet
 
 
-def _conformal_jet_partials(a_pts: np.ndarray, x: np.ndarray, jet: np.ndarray,
-                            pair: MetricPair, P: ConnectionTensor, phi_inv: np.ndarray,
-                            grid_dim: int, fd_step: float):
-    """dL/dJ of a conformal pair and what its dL/df reuses: y, J g^{-1} J^T
-    (L = e^{2 tau} tr(J g^{-1} J^T psi) / 2) and each x-dependent block with
-    its coefficient 2L dlog/darg (x) w.  The intermediates are freed on
-    return, before the x-differences run."""
-    src, tgt = blocks = _connection_blocks(P, a_pts, x)
-    b, y = _arguments(blocks, jet, phi_inv)
-    ginv = _inverse_with_guard(np.asarray(pair.g(a_pts, b), float), "source metric g(a, b)",
-                               grid_dim)
+def _conformal_jet_partials(ev: DensityEvaluation, pair: MetricPair, P: ConnectionTensor,
+                            product, fd_step: float):
+    """dL/dJ of a conformal pair by ``product`` (per-node @), with what its
+    dL/df reuses: 2L, J g^{-1} J^T and each x-dependent block with its
+    x-partials hook and its coefficient 2L dlog/darg (x) w.  The other
+    intermediates are freed on return."""
+    st, a_pts, x, jet = ev.stage, ev.points, ev.f.values, ev.f.jet
+    src, tgt = ev.blocks
     jet_t = np.swapaxes(jet, -1, -2)
-    hj = np.asarray(pair.h(x, y), float) @ jet
-    dLdjet = hj @ ginv
-    two_L = (ginv * (jet_t @ hj)).sum((-2, -1))
-    w = np.swapaxes(jet @ phi_inv, -1, -2)[..., None, :, :]    # w_{bi}, unflattened
+    hj = product(st.h, jet)
+    dLdjet = product(hj, st.ginv)
+    two_L = (st.ginv * product(jet_t, hj)).sum((-2, -1))
+    w = st.w[..., None, :, :]
     R = 0.0
     in_x = []
     if pair.sigma is not None:
-        ds = central_partials(lambda u: pair.sigma(a_pts, u), b, fd_step)
-        R = ds[..., None, :] @ src
+        ds = (central_partials(lambda u: pair.sigma(a_pts, u), st.b, fd_step)
+              if pair.sigma_db is None else np.asarray(pair.sigma_db(a_pts, st.b), float))
+        R = product(ds[..., None, :], src)
         if P.source_depends_on_x:
-            in_x.append((P.source, (two_L[..., None] * ds)[..., None, None] * w))
+            in_x.append((P.source, P.source_dx, (two_L[..., None] * ds)[..., None, None] * w))
     if pair.tau is not None:
-        dt = (central_partials(lambda u: pair.tau(x, u), y, fd_step) if pair.tau_dy is None
-              else np.asarray(pair.tau_dy(x, y), float))
-        R = R + dt[..., None, :] @ tgt
+        dt = (central_partials(lambda u: pair.tau(x, u), st.y, fd_step) if pair.tau_dy is None
+              else np.asarray(pair.tau_dy(x, st.y), float))
+        R = R + product(dt[..., None, :], tgt)
         if P.target_depends_on_x:
-            in_x.append((P.target, (two_L[..., None] * dt)[..., None, None] * w))
+            in_x.append((P.target, P.target_dx, (two_L[..., None] * dt)[..., None, None] * w))
     if pair.sigma is not None or pair.tau is not None:
         n, m = jet.shape[-2:]
-        raised = phi_inv @ R.reshape(R.shape[:-2] + (m, n))     # (..., a, i)
+        raised = product(ev.phi_inv, R.reshape(R.shape[:-2] + (m, n)))     # (..., a, i)
         dLdjet += two_L[..., None, None] * np.swapaxes(raised, -1, -2)
-    return dLdjet, y, jet @ ginv @ jet_t, in_x
+    return dLdjet, two_L, product(product(jet, st.ginv), jet_t), in_x
 
 
 def assemble_residual(grid: ChartGrid, sqrt_phi: np.ndarray, dLdf: np.ndarray,
@@ -485,11 +641,14 @@ def assemble_residual(grid: ChartGrid, sqrt_phi: np.ndarray, dLdf: np.ndarray,
 
 
 def el_residual(f: MapJet, pair: MetricPair, P: ConnectionTensor, phi: MetricField,
-                fd_step: float = DEFAULT_FD_STEP) -> TensorField:
+                fd_step: float = DEFAULT_FD_STEP,
+                evaluation: DensityEvaluation | None = None) -> TensorField:
     """Euler-Lagrange residual of the energy; zero residual characterizes
-    discrete harmonic maps."""
-    dLdf, dLdjet = density_partials(f, pair, P, phi, fd_step)
-    return assemble_residual(f.grid, sqrt_det(phi).values, dLdf, dLdjet)
+    discrete harmonic maps.  ``evaluation`` is a ``DensityEvaluation`` of
+    these arguments to reuse."""
+    ev = evaluation or DensityEvaluation(f, pair, P, phi)
+    dLdf, dLdjet = density_partials(f, pair, P, phi, fd_step, ev)
+    return assemble_residual(f.grid, ev.sqrt_phi, dLdf, dLdjet)
 
 
 # ---------------------------------------------------------------------------

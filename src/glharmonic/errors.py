@@ -17,10 +17,6 @@ class SingularMetricError(GLHarmonicError):
         self.node = node
 
 
-class ContractionError(GLHarmonicError):
-    """Slot pairing in a tensor contraction is malformed (variance or shape)."""
-
-
 class SingularDirectionError(GLHarmonicError):
     """A direction-dependent metric was queried where its defining pairing vanishes."""
 

@@ -11,6 +11,7 @@ environment metadata).
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import time
 import traceback
@@ -21,7 +22,15 @@ from typing import Any
 import numpy as np
 
 from . import scenarios as sc
-from .energy import ConnectionTensor, MapJet, MetricPair, el_residual, energy, lagrangian_density
+from .energy import (
+    ConnectionTensor,
+    DensityEvaluation,
+    MapJet,
+    MetricPair,
+    el_residual,
+    energy,
+    lagrangian_density,
+)
 from .errors import GLHarmonicError, SingularMetricError
 from .field_equations import einstein_system, maxwell_residuals
 from .gl_space import conformal_space
@@ -105,7 +114,10 @@ class _Context:
         self.spec = spec
         self.stencil_override = stencil_override
         self.tol = {**sc.DEFAULT_TOLERANCES, **spec.get("tolerances", {})}
-        self._psi_checked: dict[int, np.ndarray] = {}
+        self._psi_checked: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # the exact partials of the energy's ingredients are compiled only
+        # for a residual
+        self.exact_partials = any(task["task"] == "el_residual" for task in spec["tasks"])
 
     @cached_property
     def m_grid(self) -> ChartGrid:
@@ -130,16 +142,21 @@ class _Context:
         definite where it is sampled: at the values of ``f`` (a map jet or a
         sampled curve) on its grid.  A failing node raises
         SingularMetricError naming the node.  Each array of values is
-        checked once, so a curve and ``curve.as_map()`` share one check."""
+        checked once, so a curve and ``curve.as_map()`` share one check,
+        and the evaluator returned gives the checked values back when it is
+        called on that array itself: psi is evaluated once at a map."""
         if id(f.values) not in self._psi_checked:
+            values = self.psi_eval(f.values)
             try:
-                metric_field(f.grid, self.psi_eval(f.values))
+                metric_field(f.grid, values)
             except SingularMetricError as exc:
                 raise SingularMetricError(f"target metric psi: {exc}",
                                           node=exc.node) from None
             # held, so its id is not reused while recorded
-            self._psi_checked[id(f.values)] = f.values
-        return self.psi_eval
+            self._psi_checked[id(f.values)] = (f.values, values)
+        held, values = self._psi_checked[id(f.values)]
+        psi_eval = self.psi_eval
+        return lambda x: values if x is held else psi_eval(x)
 
     @cached_property
     def map_jet(self) -> MapJet:
@@ -164,15 +181,30 @@ class _Context:
 
     @cached_property
     def metric_pair(self) -> MetricPair:
-        m_dim = self.spec["m_space"]["dim"]
-        n_dim = self.spec["n_space"]["dim"]
-        sigma = tau = None
-        if "sigma" in self.spec:
-            sigma = sc.scalar_evaluator_two_args(self.spec["sigma"], m_dim, "a", m_dim, "b")
-        if "tau" in self.spec:
-            tau = sc.scalar_evaluator_two_args(self.spec["tau"], n_dim, "x", n_dim, "y")
-        return MetricPair.conformal(self.phi_eval, self.checked_psi(self.map_jet),
-                                    sigma=sigma, tau=tau)
+        """The conformal pair, phi read from the sampled source metric; with
+        a residual task, with the exact partials of sigma, tau and psi as
+        its hooks."""
+        spec = self.spec
+        m_dim = spec["m_space"]["dim"]
+        n_dim = spec["n_space"]["dim"]
+        source_args, target_args = (("a", m_dim), ("b", m_dim)), (("x", n_dim), ("y", n_dim))
+        parts = {}
+        if "sigma" in spec:
+            parts["sigma"] = sc.scalar_evaluator_two_args(spec["sigma"], m_dim, "a", m_dim, "b")
+        if "tau" in spec:
+            parts["tau"] = sc.scalar_evaluator_two_args(spec["tau"], n_dim, "x", n_dim, "y")
+        if self.exact_partials:
+            parts["psi_dx"] = sc.metric_gradient_evaluator(
+                spec["n_space"].get("metric", "identity"), n_dim, "x")
+            if "sigma" in spec:
+                parts["sigma_db"] = sc.gradient_evaluator([spec["sigma"]], source_args, "b",
+                                                          vectors=True)
+            if "tau" in spec:
+                for wrt in ("y", "x"):
+                    parts[f"tau_d{wrt}"] = sc.gradient_evaluator([spec["tau"]], target_args, wrt,
+                                                                 vectors=True)
+        phi = self.phi.values
+        return MetricPair.conformal(lambda a: phi, self.checked_psi(self.map_jet), **parts)
 
     @cached_property
     def connection(self) -> ConnectionTensor:
@@ -184,8 +216,18 @@ class _Context:
         if spec["kind"] == "covector_fiber":
             return ConnectionTensor.covector_fiber(
                 sc.covector_evaluator(spec["A"], m_dim, "a"))
+        xi_dx = None
+        if self.exact_partials:
+            xi_dx = sc.gradient_evaluator(spec["xi"], (("x", n_dim),), "x", (n_dim,))
         return ConnectionTensor.oneform_source(
-            sc.covector_evaluator(spec["xi"], n_dim, "x"))
+            sc.covector_evaluator(spec["xi"], n_dim, "x"), xi_dx=xi_dx)
+
+    @cached_property
+    def evaluation(self) -> DensityEvaluation:
+        """The pair's first-stage evaluation at the map, with phi^{-1} and
+        sqrt(phi), shared by the energy and el_residual tasks; each part is
+        computed by the first task that reads it."""
+        return DensityEvaluation(self.map_jet, self.metric_pair, self.connection, self.phi)
 
     @cached_property
     def gl(self):
@@ -220,7 +262,8 @@ class _Context:
 
 
 def _task_energy(ctx: _Context, task: dict, dumps: list):
-    density = lagrangian_density(ctx.map_jet, ctx.metric_pair, ctx.connection, ctx.phi)
+    density = lagrangian_density(ctx.map_jet, ctx.metric_pair, ctx.connection, ctx.phi,
+                                 ctx.evaluation)
     E = volume_integral(density, ctx.phi)
     scalars = {"energy": E}
     _fold_max_abs(scalars, "density_max", "density_nonfinite", density.values)
@@ -234,7 +277,7 @@ def _task_energy(ctx: _Context, task: dict, dumps: list):
 
 def _task_el_residual(ctx: _Context, task: dict, dumps):
     res = el_residual(ctx.map_jet, ctx.metric_pair, ctx.connection, ctx.phi,
-                      ctx.tol["fd_step"])
+                      ctx.tol["fd_step"], ctx.evaluation)
     scalars: dict = {}
     _fold_max_abs(scalars, "max_residual", "residual_nonfinite", res.values)
     ok = _all_finite(scalars)
@@ -259,7 +302,9 @@ def _task_certify(ctx: _Context, task: dict, dumps):
     if "orbit" in ctx.spec and ctx.spec.get("system", {}).get("kind") == "orbit":
         curve = ctx.orbit_curve
         grid = curve.grid
-        cert = ctx.certify(curve.as_map(), identity_metric(grid))
+        # non-finite orbit nodes give a non-finite certificate, which fails
+        with np.errstate(all="ignore"):
+            cert = ctx.certify(curve.as_map(), identity_metric(grid))
     else:
         grid, cert = ctx.m_grid, ctx.map_certificate
     dump_name = "pfaff_best_fit_scale" if task["task"] == "pfaff" else "best_fit_scale"
@@ -269,8 +314,11 @@ def _task_certify(ctx: _Context, task: dict, dumps):
 
 def _task_orbit(ctx: _Context, task: dict, dumps):
     curve = ctx.orbit_curve
-    res = orbit_geodesic_residual(curve, ctx.system.xi, ctx.checked_psi(curve),
-                                  ctx.tol["eps_sing"])
+    # an orbit that leaves the domain of xi has non-finite nodes: the task
+    # counts them, numpy need not warn of them
+    with np.errstate(all="ignore"):
+        res = orbit_geodesic_residual(curve, ctx.system.xi, ctx.checked_psi(curve),
+                                      ctx.tol["eps_sing"])
     threshold = task.get("residual_threshold", 1e-4)
     scalars = {"threshold": threshold}
     _fold_max_abs(scalars, "max_residual", "residual_nonfinite", res.values)
@@ -367,13 +415,16 @@ def _group_loop_oracle(gens, f, phi, psi_eval):
 
 
 def _fold_max_abs(scalars: dict, max_key: str, count_key: str, values: np.ndarray) -> None:
-    """Fold one sample into ``scalars[max_key]`` (largest finite |value|)
-    and ``scalars[count_key]`` (number of nan/inf values)."""
+    """Fold one sample into ``scalars[max_key]`` (largest finite |value|,
+    NaN while no value is finite) and ``scalars[count_key]`` (number of
+    nan/inf values)."""
     mag = np.abs(values)
     finite = np.isfinite(mag)
-    scalars[max_key] = max(scalars.get(max_key, 0.0),
-                           float(np.max(mag, where=finite, initial=0.0)))
-    scalars[count_key] = scalars.get(count_key, 0) + int(mag.size - np.count_nonzero(finite))
+    count = int(np.count_nonzero(finite))
+    top = float(np.max(mag, where=finite, initial=0.0)) if count else math.nan
+    # fmax takes the other operand where one is NaN
+    scalars[max_key] = np.fmax(scalars.get(max_key, math.nan), top).item()
+    scalars[count_key] = scalars.get(count_key, 0) + int(mag.size - count)
 
 
 def _all_finite(scalars: dict) -> bool:

@@ -213,6 +213,9 @@ DEFAULT_TOLERANCES = {
     "tol_gap": 1e-6,
     "tol_defect": 1e-3,
     "eps_sing": 1e-8,
+    # the relative step of energy.central_partials, which differences only
+    # general pairs and pairs of library callables: a scenario-built
+    # conformal residual takes every pointwise partial exactly
     "fd_step": 1e-6,
 }
 
@@ -450,20 +453,41 @@ def metric_evaluator(spec_metric, dim: int, prefix: str) -> Callable[[np.ndarray
 
         return identity
 
+    entries = _Outputs(_metric_entries(spec_metric, dim), ((prefix, dim),), (dim, dim))
     if "diag" in spec_metric:
-        diag = spec_metric["diag"]
-        return _Outputs([diag[i] if i == j else ast.Constant(0)
-                         for i in range(dim) for j in range(dim)],
-                        ((prefix, dim),), (dim, dim))
-
-    entries = _Outputs([src for row in spec_metric["matrix"] for src in row],
-                       ((prefix, dim),), (dim, dim))
+        return entries
 
     def matrix_eval(pts):
         out = entries(pts)
         return 0.5 * (out + np.swapaxes(out, -1, -2))
 
     return matrix_eval
+
+
+def metric_gradient_evaluator(spec_metric, dim: int, prefix: str):
+    """The exact partials of :func:`metric_evaluator`'s metric in its
+    coordinates, ``grad(pts) -> (..., dim, dim, dim)`` with the derivative
+    axis last; a matrix metric's are symmetrized as the metric is."""
+    if spec_metric in (None, "identity"):
+        return lambda pts: np.zeros(pts.shape[:-1] + (dim, dim, dim))
+    grad = gradient_evaluator(_metric_entries(spec_metric, dim), ((prefix, dim),), prefix,
+                              (dim, dim))
+    if "diag" in spec_metric:
+        return grad
+
+    def matrix_grad(pts):
+        out = grad(pts)
+        return 0.5 * (out + np.swapaxes(out, -3, -2))
+
+    return matrix_grad
+
+
+def _metric_entries(spec_metric, dim: int) -> list:
+    """The entries of a diag or matrix metric spec in row-major order."""
+    if "diag" in spec_metric:
+        diag = spec_metric["diag"]
+        return [diag[i] if i == j else ast.Constant(0) for i in range(dim) for j in range(dim)]
+    return [src for row in spec_metric["matrix"] for src in row]
 
 
 def system_matrix_evaluator(rows, m_dim: int, n_dim: int):
@@ -481,6 +505,22 @@ def scalar_evaluator_two_args(src, d1: int, p1: str, d2: int, p2: str):
     """Expression over two stacked arguments, e.g. sigma(x, y); a single
     point of the second broadcasts against the first."""
     return _Outputs([src], ((p1, d1), (p2, d2)), (), vectors=True)
+
+
+def gradient_evaluator(sources, args, wrt: str, shape: tuple = (), vectors: bool = False):
+    """The exact partials of a list of expressions (sources or checked
+    trees) over the stacked arguments ``args`` in the components of the
+    argument ``wrt``: ``grad(first[, second]) -> (..., *shape, dim)``, the
+    sources making up ``shape`` in row-major order and the derivative axis
+    last, as ``energy.central_partials`` lays it out.  Each partial is
+    differentiated from the checked tree by ``expressions.derivative``,
+    and the list is compiled into one function, as the sigma jet is."""
+    names = [f"{p}{k + 1}" for p, dim in args for k in range(dim)]
+    declared = [p for p, _ in args] if vectors else []
+    trees = Expression(list(sources), names, declared).trees
+    wrt_names = [f"{wrt}{k + 1}" for k in range(dict(args)[wrt])]
+    return _Outputs([derivative(tree, v, declared) for tree in trees for v in wrt_names],
+                    args, tuple(shape) + (len(wrt_names),), vectors)
 
 
 def sigma_jet_evaluator(src, dim: int):

@@ -170,7 +170,10 @@ def integrate_orbit(xi, x0, t0: float, t1: float, nodes: int,
     field, landing exactly on the curve grid nodes (each grid interval is
     split into equal substeps no longer than ``max_step``, see
     :func:`rk4_substeps`).  A scenario evaluator is called through its float
-    entry ``at_point``, any other callable on one point as an array."""
+    entry ``at_point``, any other callable on one point as an array.
+    numpy's floating-point warnings are silenced here, in the stages and
+    in the velocity stencil: an orbit that leaves the domain of xi gives
+    non-finite samples, which callers count."""
     grid = interval_grid(t0, t1, nodes, stencil_order=stencil_order)
     k = rk4_substeps(grid, max_step)
     h = grid.spacing[0] / k
@@ -189,15 +192,17 @@ def integrate_orbit(xi, x0, t0: float, t1: float, nodes: int,
     # overhead on a handful of components.
     x = np.asarray(x0, dtype=float).tolist()
     samples = [x]
-    for _ in range(nodes - 1):
-        for _ in range(k):
-            k1 = slope(x)
-            k2 = slope([a + half_h * b for a, b in zip(x, k1)])
-            k3 = slope([a + half_h * b for a, b in zip(x, k2)])
-            k4 = slope([a + h * b for a, b in zip(x, k3)])
-            x = [a + sixth_h * (p + 2 * q + 2 * r + s) for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
-        samples.append(x)
-    return SampledCurve.from_values(grid, np.array(samples))
+    with np.errstate(all="ignore"):
+        for _ in range(nodes - 1):
+            for _ in range(k):
+                k1 = slope(x)
+                k2 = slope([a + half_h * b for a, b in zip(x, k1)])
+                k3 = slope([a + half_h * b for a, b in zip(x, k2)])
+                k4 = slope([a + h * b for a, b in zip(x, k3)])
+                x = [a + sixth_h * (p + 2 * q + 2 * r + s)
+                     for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
+            samples.append(x)
+        return SampledCurve.from_values(grid, np.array(samples))
 
 
 # ---------------------------------------------------------------------------

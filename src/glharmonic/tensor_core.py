@@ -9,8 +9,9 @@ Nodewise contractions in ``riemann``, ``gl_space`` and ``field_equations``
 are batched ``@`` on contiguous reshapes; a slot contracted against a
 vector that is the same at every node (the fiber vector y) goes through
 :func:`contract_vector`.  einsum remains for matrix-vector products per
-node, quadratic forms and traces, :func:`contract`, and in ``energy`` and
-``systems``.
+node, quadratic forms and traces, and in ``energy`` and ``systems``;
+``energy`` takes the per-node products of an exact conformal residual
+entry by entry.
 
 Pointwise linear algebra of per-node matrices (determinant, inverse,
 2-norm condition number, positive-definiteness) goes through
@@ -23,14 +24,13 @@ large batches of tiny matrices; for n >= 3 it calls ``np.linalg``.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractionError, SingularMetricError, StencilSupportError
+from .errors import SingularMetricError, StencilSupportError
 
 UP = "up"
 LO = "lo"
@@ -256,24 +256,6 @@ def sample_metric(grid: ChartGrid, fn: Callable[[np.ndarray], np.ndarray]) -> Me
 def identity_metric(grid: ChartGrid) -> MetricField:
     n = grid.dim
     return metric_field(grid, np.broadcast_to(np.eye(n), grid.shape + (n, n)).copy())
-
-
-@dataclass(frozen=True)
-class TangentSample:
-    """A point of a chart together with one tangent vector over it."""
-
-    base_point: np.ndarray
-    fiber: np.ndarray
-
-    def __post_init__(self):
-        base = np.asarray(self.base_point, dtype=float)
-        fib = np.asarray(self.fiber, dtype=float)
-        object.__setattr__(self, "base_point", base)
-        object.__setattr__(self, "fiber", fib)
-        if fib.shape != base.shape:
-            raise ValueError(
-                f"fiber length {fib.shape} does not match chart dimension {base.shape}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -521,42 +503,3 @@ def contract_vector(values: np.ndarray, vec: np.ndarray, axis: int) -> np.ndarra
     for k in range(1, vec.shape[0]):
         out += vec[k] * slices[k]
     return out
-
-
-def contract(t1: TensorField, t2: TensorField,
-             slot_pairs: Sequence[tuple[int, int]]) -> TensorField:
-    """Nodewise Einstein summation over paired slots of two fields.
-
-    Each pair names one slot of ``t1`` and one of ``t2``; the paired slots
-    must have opposite variance and equal dimension.  Unpaired slots are
-    kept, those of ``t1`` first.
-    """
-    if t1.grid != t2.grid:
-        raise ContractionError("fields live on different grids")
-    pairs = [(int(i), int(j)) for i, j in slot_pairs]
-    for i, j in pairs:
-        if not (0 <= i < t1.arity and 0 <= j < t2.arity):
-            raise ContractionError(f"slot pair ({i}, {j}) out of range")
-        if t1.index_kinds[i] == t2.index_kinds[j]:
-            raise ContractionError(
-                f"slot {i} of the first field and slot {j} of the second have the "
-                f"same variance ({t1.index_kinds[i]}); contraction needs one up, one lo"
-            )
-        if t1.slot_dims[i] != t2.slot_dims[j]:
-            raise ContractionError(
-                f"paired slots have dimensions {t1.slot_dims[i]} != {t2.slot_dims[j]}"
-            )
-    letters = iter(string.ascii_lowercase)
-    sub1 = [next(letters) for _ in range(t1.arity)]
-    sub2 = [next(letters) for _ in range(t2.arity)]
-    for i, j in pairs:
-        sub2[j] = sub1[i]
-    paired1 = {i for i, _ in pairs}
-    paired2 = {j for _, j in pairs}
-    out_sub = [s for k, s in enumerate(sub1) if k not in paired1] + \
-              [s for k, s in enumerate(sub2) if k not in paired2]
-    spec = f"...{''.join(sub1)},...{''.join(sub2)}->...{''.join(out_sub)}"
-    values = np.einsum(spec, t1.values, t2.values)
-    kinds = tuple(k for i, k in enumerate(t1.index_kinds) if i not in paired1) + \
-            tuple(k for j, k in enumerate(t2.index_kinds) if j not in paired2)
-    return TensorField(t1.grid, values, kinds)

@@ -3,18 +3,27 @@ of the bundled scenarios and of the benchmark workload specs at seeds 1
 and 7, run through ``run_scenario``.
 
 Regenerate ``tests/data/numeric_baseline.json`` only on purpose, when a
-change is meant to move numbers, and say in the change which moved:
+change is meant to move numbers, and say in the change which moved.  List
+them first, against the committed file, with ``--diff`` (it writes
+nothing):
 
+    PYTHONPATH=src python tests/numeric_baseline.py --diff
     PYTHONPATH=src python tests/numeric_baseline.py
 
-``tests/test_numeric_baseline.py`` compares a fresh run against the file.
+``tests/test_numeric_baseline.py`` compares a fresh run against the file
+with the gate defined here: 1e-12 relative, and an absolute floor for the
+keys whose value is round-off (a difference of O(1) quantities that the
+theory makes zero); every other key, an exact zero included, has no
+floor.  Statuses, counts and verdicts must be equal.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import importlib.util
 import json
+import math
 import pathlib
 import re
 import tempfile
@@ -28,6 +37,47 @@ ROOT = pathlib.Path(__file__).parents[1]
 BASELINE = pathlib.Path(__file__).parent / "data" / "numeric_baseline.json"
 SEEDS = (1, 7)
 _COORDINATE = re.compile(r"[a-z]\d+")
+
+REL = 1e-12
+
+# Absolute floors of round-off-valued task scalars, by field.
+SCALAR_FLOORS = {
+    # functional value minus half volume, both O(1): 1e-16 to 2e-10
+    "certificate.gap": 1e-12,
+    # |quotient - energy| / energy, both O(1): 0 to 2e-16
+    "scalars.equality_rel_gap": 1e-12,
+    # spread of the primitive on a level set of O(1) values: 0 to 4e-13
+    "scalars.level_set_defect": 1e-12,
+    # closed-loop oracle minus the Lagrangian integral, both O(1): ~7e-16
+    "scalars.loop_oracle_gap": 1e-12,
+    # the third cyclic Maxwell residual, zero in the continuum: 0 to 3e-16
+    "scalars.residual3": 1e-12,
+}
+
+# Absolute floors of round-off-valued dumps, by dump name, on max |v|
+# (and count * floor^2 on the sum of v^2).
+DUMP_FLOORS = {
+    "maxwell_residual3": 1e-12,
+}
+
+
+def close(new, old, floor: float) -> bool:
+    """Whether ``new`` passes the gate against the baseline value ``old``."""
+    if isinstance(old, bool) or not isinstance(old, (int, float)):
+        return new == old
+    if isinstance(new, bool) or not isinstance(new, (int, float)):
+        return False
+    return math.isclose(new, old, rel_tol=REL, abs_tol=floor)
+
+
+def scalar_floor(name: str) -> float:
+    """The floor of a scalar key ``<task>.<part>.<field>``."""
+    return SCALAR_FLOORS.get(name.split(".", 1)[1], 0.0)
+
+
+def dump_floor(name: str) -> float:
+    """The floor of a dump file ``<scenario>__<task>__<dump>.csv``."""
+    return DUMP_FLOORS.get(name.rsplit("__", 1)[1].removesuffix(".csv"), 0.0)
 
 
 def _workloads():
@@ -103,9 +153,56 @@ def generate(work_dir: pathlib.Path) -> dict:
     return result
 
 
+def moved(new: dict, old: dict) -> list[str]:
+    """One line per scalar and dump digest value of ``new`` that fails the
+    gate against ``old`` (both in the baseline's form), with its relative
+    move; a key on one side only is listed as added or missing."""
+    lines = []
+
+    def compare(where: str, got: dict, want: dict, floor_of) -> None:
+        for name in sorted(set(got) | set(want)):
+            if name not in want or name not in got:
+                lines.append(f"{where}{name}: {'added' if name in got else 'missing'}")
+                continue
+            g, w = got[name], want[name]
+            if isinstance(w, dict):     # a dump digest
+                floor = floor_of(name)
+                floors = {"count": 0.0, "nonfinite": 0.0, "max_abs": floor,
+                          "sum_sq": w["count"] * floor * floor}
+                lines.extend(_line(f"{where}{name} {field}", g[field], w[field])
+                             for field, field_floor in floors.items()
+                             if not close(g[field], w[field], field_floor))
+            elif not close(g, w, floor_of(name)):
+                lines.append(_line(f"{where}{name}", g, w))
+
+    for key in sorted(set(new) | set(old)):
+        if key not in old or key not in new:
+            lines.append(f"{key}: {'added' if key in new else 'missing'}")
+            continue
+        compare(f"{key} ", new[key]["scalars"], old[key]["scalars"], scalar_floor)
+        compare(f"{key} ", new[key]["dumps"], old[key]["dumps"], dump_floor)
+    return lines
+
+
+def _line(name: str, new, old) -> str:
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (new, old)):
+        rel = abs(new - old) / abs(old) if old else math.inf if new else 0.0
+        return f"{name}: {old!r} -> {new!r} (relative move {rel:.2e})"
+    return f"{name}: {old!r} -> {new!r}"
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--diff", action="store_true",
+                        help="print every value that moved beyond the gate against the "
+                             "committed baseline, and write nothing")
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         data = generate(pathlib.Path(tmp))
+    if args.diff:
+        lines = moved(data, json.loads(BASELINE.read_text(encoding="utf-8")))
+        print("\n".join(lines) if lines else "no value moved beyond the gate")
+        return
     BASELINE.parent.mkdir(exist_ok=True)
     with open(BASELINE, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1, sort_keys=True, allow_nan=False)

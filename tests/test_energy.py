@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -852,12 +854,26 @@ def test_central_partials_calls_fn_twice_per_coordinate():
 # ---------------------------------------------------------------------------
 
 
-def _coupled_conformal_problem(m, n, seed, connection, exact_hook, free_block):
+def _spd_dx(base, x):
+    """The x-partials of ``_spd(base, x, 0.5 * x)``, (..., d, d, n) with
+    the derivative axis last."""
+    n = x.shape[-1]
+    feats = np.concatenate([np.sin(x), np.cos(0.5 * x)], axis=-1)
+    M = np.einsum("dek,...k->...de", base, feats)
+    eye = np.eye(n)
+    dfeats = np.concatenate([np.cos(x)[..., :, None] * eye,
+                             -0.5 * np.sin(0.5 * x)[..., :, None] * eye], axis=-2)
+    dM = np.einsum("dek,...kj->...dej", base, dfeats)
+    return np.einsum("...dfj,...ef->...dej", dM, M) + np.einsum("...df,...efj->...dej", M, dM)
+
+
+def _coupled_conformal_problem(m, n, seed, connection, hooks, free_block):
     """A smooth map on an m-torus (every node interior) into n dimensions,
-    a conformal pair with b-dependent sigma and y-dependent tau (with or
-    without the exact dtau/dy hook), and a generic, covector-fiber
-    or one-form-source connection, whose free block is either the default
-    zero or an x-dependent block given by the caller."""
+    a conformal pair with b-dependent sigma and y-dependent tau, and a
+    generic, covector-fiber or one-form-source connection, whose free
+    block is either the default zero or an x-dependent block given by the
+    caller.  ``hooks`` is "none", "tau_dy" (the exact dtau/dy only) or
+    "all" (every exact partial the chain rule takes, on the pair and on P)."""
     r = np.random.default_rng(seed)
     grid = box_grid([(0.0, 2 * np.pi)] * m, [7] * m, periodic=True)
     pts = grid.points()
@@ -872,11 +888,15 @@ def _coupled_conformal_problem(m, n, seed, connection, exact_hook, free_block):
     def tau(x, y):
         return 0.3 * np.cos(x @ cx - y @ cy)
 
-    def tau_dy(x, y):
-        return 0.3 * np.sin(x @ cx - y @ cy)[..., None] * cy
-
+    exact = {
+        "tau_dy": lambda x, y: 0.3 * np.sin(x @ cx - y @ cy)[..., None] * cy,
+        "sigma_db": lambda a, b: 0.3 * np.cos(a @ ca + b @ cb)[..., None] * cb,
+        "tau_dx": lambda x, y: -0.3 * np.sin(x @ cx - y @ cy)[..., None] * cx,
+        "psi_dx": lambda x: _spd_dx(hb, x),
+    }
+    given = {"none": [], "tau_dy": ["tau_dy"], "all": list(exact)}[hooks]
     pair = MetricPair.conformal(lambda a: _spd(gb, a, 2.0 * a), lambda x: _spd(hb, x, 0.5 * x),
-                                sigma=sigma, tau=tau, tau_dy=tau_dy if exact_hook else None)
+                                sigma=sigma, tau=tau, **{k: exact[k] for k in given})
 
     S0, S1 = 0.5 * r.normal(size=(2, m, m, n))
     T0, T1 = 0.5 * r.normal(size=(2, n, m, n))
@@ -885,36 +905,53 @@ def _coupled_conformal_problem(m, n, seed, connection, exact_hook, free_block):
     def wave(a, x):
         return np.sin(a @ ka + x @ kx)[..., None, None, None]
 
+    def wave_dx(a, x):
+        return np.cos(a @ ka + x @ kx)[..., None, None, None, None] * kx
+
     def source(a, x):
         return S0 + S1 * wave(a, x)
 
     def target(a, x):
         return T0 + T1 * wave(a, x)
 
+    block_dx = {}
+    if hooks == "all":
+        block_dx = {"source_dx": lambda a, x: S1[..., None] * wave_dx(a, x),
+                    "target_dx": lambda a, x: T1[..., None] * wave_dx(a, x)}
     given_block = {}
     if connection == "generic":
-        P = ConnectionTensor(source=source, target=target, m=m, n=n)
+        P = ConnectionTensor(source=source, target=target, m=m, n=n, **block_dx)
     elif connection == "covector_fiber":
         if free_block:
             given_block = {"source": source}
         P = ConnectionTensor.covector_fiber(lambda a: 1.0 + 0.3 * np.sin(a + ka), m=m, n=n,
                                             **given_block)
+        if free_block and hooks == "all":
+            P = replace(P, source_dx=block_dx["source_dx"])
     else:
         if free_block:
             given_block = {"target": target}
+        xi_dx = None
+        if hooks == "all":
+            def xi_dx(x):
+                return -0.3 * np.sin(x + kx)[..., :, None] * np.eye(n)
         P = ConnectionTensor.oneform_source(lambda x: 1.0 + 0.3 * np.cos(x + kx), m=m, n=n,
-                                            **given_block)
+                                            xi_dx=xi_dx, **given_block)
+        if free_block and hooks == "all":
+            P = replace(P, target_dx=block_dx["target_dx"])
     return grid, vals, pair, P, phi
 
 
+_connections = st.sampled_from(["generic", "covector_fiber", "oneform_source"])
+
+
 @settings(max_examples=40, deadline=None, database=None)
-@given(m=_dims, n=_dims, seed=st.integers(0, 2**32 - 1),
-       connection=st.sampled_from(["generic", "covector_fiber", "oneform_source"]),
-       exact_hook=st.booleans(), free_block=st.booleans())
+@given(m=_dims, n=_dims, seed=st.integers(0, 2**32 - 1), connection=_connections,
+       hooks=st.sampled_from(["none", "tau_dy", "all"]), free_block=st.booleans())
 def test_residual_is_the_discrete_energy_gradient_for_coupled_conformal_pairs(
-        m, n, seed, connection, exact_hook, free_block):
+        m, n, seed, connection, hooks, free_block):
     grid, vals, pair, P, phi = _coupled_conformal_problem(m, n, seed, connection,
-                                                          exact_hook, free_block)
+                                                          hooks, free_block)
     residual = el_residual(MapJet.from_values(grid, vals), pair, P, phi).values
     weight = grid.quadrature_weights()
     scale = np.max(np.abs(weight[..., None] * residual))
@@ -925,3 +962,35 @@ def test_residual_is_the_discrete_energy_gradient_for_coupled_conformal_pairs(
         grad = fd_energy_gradient(grid, vals, pair, P, phi, node, i)
         pred = weight[node] * residual[node + (i,)]
         assert abs(grad - pred) <= 1e-6 * max(abs(grad), scale), (node, i, grad, pred)
+
+
+def _counting(pair, P, calls):
+    """The pair and P with sigma, tau, psi and P's blocks counting their
+    calls in ``calls``."""
+    def counted(name, fn):
+        def ev(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return ev
+
+    pair = replace(pair, sigma=counted("sigma", pair.sigma), tau=counted("tau", pair.tau),
+                   psi=counted("psi", pair.psi))
+    return pair, replace(P, source=counted("source", P.source), target=counted("target", P.target))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(m=_dims, n=_dims, seed=st.integers(0, 2**32 - 1), connection=_connections,
+       free_block=st.booleans())
+def test_exact_partials_match_the_difference_path(m, n, seed, connection, free_block):
+    grid, vals, pair, P, phi = _coupled_conformal_problem(m, n, seed, connection, "all",
+                                                          free_block)
+    f = MapJet.from_values(grid, vals)
+    calls = {}
+    got = density_partials(f, *_counting(pair, P, calls), phi)
+    # every partial is exact: sigma, tau, psi and each block once, at the map
+    assert calls == {"sigma": 1, "tau": 1, "psi": 1, "source": 1, "target": 1}
+    bare = replace(pair, sigma_db=None, tau_dy=None, tau_dx=None, psi_dx=None)
+    want = density_partials(f, bare, replace(P, source_dx=None, target_dx=None), phi)
+    for k in (0, 1):
+        scale = np.max(np.abs(want[k]))
+        assert np.max(np.abs(got[k] - want[k])) <= 1e-8 * max(1.0, scale)

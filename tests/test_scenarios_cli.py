@@ -282,6 +282,22 @@ def test_nonfinite_orbit_residual_fails_the_task(tmp_path, monkeypatch):
         assert (tmp_path / dump).read_bytes() == (tmp_path / "array-path" / dump).read_bytes()
 
 
+def test_orbit_leaving_the_domain_reports_a_nan_maximum(tmp_path):
+    # exp(1000*x1) overflows once the orbit moves right: every node after
+    # the first is non-finite.  The maximum of no finite value is NaN, not
+    # 0, and no numpy warning leaves the run (the suite turns
+    # RuntimeWarnings into errors, which would make the tasks errors)
+    spec = json.loads(json.dumps(BUILTIN_SCENARIOS["orbit-rotation"]))
+    spec["name"] = "overflowing-orbit"
+    spec["system"]["xi"] = ["1", "exp(1000*x1)"]
+    report = run_scenario(spec, tmp_path)
+    orbit, certify = report["tasks"]
+    assert orbit["status"] == "fail" and certify["status"] == "fail"
+    assert orbit["scalars"]["residual_nonfinite"] == 402
+    assert orbit["scalars"]["max_residual"] == "nan"
+    assert certify["certificate"]["verdict"] is False
+
+
 def test_unexpected_exception_becomes_error_record(tmp_path, monkeypatch):
     import glharmonic.runner as runner_module
 
@@ -510,13 +526,14 @@ def test_energy_task_evaluates_the_density_once(tmp_path, monkeypatch):
     # the package exports the function ``energy`` under the module's name
     energy_module = importlib.import_module("glharmonic.energy")
     calls = []
-    original = energy_module._density_values
+    original = energy_module._first_stage
 
     def counted(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(energy_module, "_density_values", counted)
+    # the one evaluation of the density and its intermediates
+    monkeypatch.setattr(energy_module, "_first_stage", counted)
     spec = json.loads(json.dumps(BUILTIN_SCENARIOS["harmonic-identity"]))
     spec["tasks"] = spec["tasks"][:1]
     report = run_scenario(spec, tmp_path)

@@ -3,15 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glharmonic.errors import ContractionError, SingularMetricError
+from glharmonic.errors import SingularMetricError
 from glharmonic.tensor_core import (
-    LO,
     UP,
     NodeMatrices,
-    TensorField,
     box_grid,
-    contract,
-    covector_field,
     fd_partial,
     identity_metric,
     interval_grid,
@@ -21,7 +17,6 @@ from glharmonic.tensor_core import (
     sample_metric,
     sample_scalar,
     scalar_field,
-    vector_field,
 )
 
 rng = np.random.default_rng(20240817)
@@ -353,79 +348,6 @@ def test_quadrature_constant_times_volume():
 
 
 # ---------------------------------------------------------------------------
-# contract
-# ---------------------------------------------------------------------------
-
-
-def test_contract_delta_with_vector():
-    grid = interval_grid(0, 1, 5)
-    delta = TensorField(grid, np.broadcast_to(np.eye(3), (5, 3, 3)).copy(), (UP, LO))
-    v = vector_field(grid, rng.normal(size=(5, 3)))
-    out = contract(delta, v, [(1, 0)])
-    assert out.index_kinds == (UP,)
-    assert np.allclose(out.values, v.values)
-
-
-def test_contract_metric_with_inverse_gives_delta():
-    grid = interval_grid(0, 1, 6)
-    a = rng.normal(size=(6, 2, 2))
-    g = metric_field(grid, np.einsum("...ij,...kj->...ik", a, a) + 2 * np.eye(2))
-    ginv = invert_metric(g)
-    out = contract(ginv, g, [(1, 0)])
-    assert np.max(np.abs(out.values - np.eye(2))) < 1e-12
-
-
-def test_contract_full_against_loop_oracle():
-    grid = box_grid([(0, 1), (0, 1)], [5, 5])
-    m, n = 2, 3
-    g_up = TensorField(grid, rng.normal(size=(5, 5, m, m)), (UP, UP))
-    h_lo = TensorField(grid, rng.normal(size=(5, 5, n, n)), (LO, LO))
-    T = TensorField(grid, rng.normal(size=(5, 5, n, m)), (UP, LO))
-    gh = contract(g_up, h_lo, [])
-    gT = contract(gh, T, [(0, 1), (2, 0)])  # g^{ab} h_{ij} T^i_a -> slots (b, j)
-    full = contract(gT, T, [(0, 1), (1, 0)])
-    oracle = np.zeros((5, 5))
-    for a in range(m):
-        for b_ in range(m):
-            for i in range(n):
-                for j in range(n):
-                    oracle += (
-                        g_up.values[..., a, b_]
-                        * h_lo.values[..., i, j]
-                        * T.values[..., i, a]
-                        * T.values[..., j, b_]
-                    )
-    assert np.max(np.abs(full.values - oracle)) < 1e-12
-
-
-def test_contract_is_multilinear():
-    grid = interval_grid(0, 1, 5)
-    t1 = covector_field(grid, rng.normal(size=(5, 3)))
-    t1p = covector_field(grid, rng.normal(size=(5, 3)))
-    t2 = vector_field(grid, rng.normal(size=(5, 3)))
-    alpha, beta = 1.7, -0.4
-    lhs = contract(alpha * t1 + beta * t1p, t2, [(0, 0)])
-    rhs = alpha * contract(t1, t2, [(0, 0)]) + beta * contract(t1p, t2, [(0, 0)])
-    assert np.allclose(lhs.values, rhs.values, atol=1e-13)
-
-
-def test_contract_variance_mismatch_raises():
-    grid = interval_grid(0, 1, 5)
-    v = vector_field(grid, rng.normal(size=(5, 3)))
-    w = vector_field(grid, rng.normal(size=(5, 3)))
-    with pytest.raises(ContractionError):
-        contract(v, w, [(0, 0)])
-
-
-def test_contract_dimension_mismatch_raises():
-    grid = interval_grid(0, 1, 5)
-    v = vector_field(grid, rng.normal(size=(5, 3)))
-    w = covector_field(grid, rng.normal(size=(5, 2)))
-    with pytest.raises(ContractionError):
-        contract(v, w, [(0, 0)])
-
-
-# ---------------------------------------------------------------------------
 # grids
 # ---------------------------------------------------------------------------
 
@@ -447,12 +369,3 @@ def test_sample_metric_shape_checks():
     grid = box_grid([(0, 1), (0, 1)], [5, 5])
     g = sample_metric(grid, lambda p: np.broadcast_to(np.eye(2), p.shape[:-1] + (2, 2)).copy())
     assert g.slot_dims == (2, 2)
-
-
-def test_tangent_sample_invariant():
-    from glharmonic.tensor_core import TangentSample
-
-    s = TangentSample([0.1, 0.2], [1.0, -1.0])
-    assert s.fiber.shape == s.base_point.shape
-    with pytest.raises(ValueError):
-        TangentSample([0.1, 0.2], [1.0, -1.0, 0.5])
