@@ -23,13 +23,15 @@ of tau at fixed y and of the connection blocks that depend on x.
 Exact and differenced partials.  Each of those partials is exact where
 the pair or P carries its hook (``MetricPair.conformal``'s ``sigma_db``,
 ``tau_dy``, ``tau_dx`` and ``psi_dx``, ``ConnectionTensor``'s
-``source_dx`` and ``target_dx``).  The scenario builders compile every
-hook from the expression grammar, so a scenario-built conformal residual
-differences nothing pointwise: only the divergence in
-``assemble_residual`` is a grid stencil, and its per-node products go
-entry by entry.  A pair of library callables without hooks takes the
-central differences of ``central_partials`` with the relative step
-``fd_step`` and keeps batched ``@``, so its residual keeps its bits.  The
+``source_dx``); a target block that depends on x has no hook and sends
+the pair down the difference path.  The scenario builders compile every
+hook from the expression grammar, and their target blocks are x-free, so
+a scenario-built conformal residual differences nothing pointwise: only
+the divergence in ``assemble_residual`` is a grid stencil, and its
+per-node products go entry by entry.  A pair of library callables
+without hooks takes the central differences of ``central_partials`` with
+the relative step ``fd_step`` and keeps batched ``@``, so its residual
+keeps its bits.  The
 fiber-covector, one-form-source and orbit-geodesic residuals are
 (pair, P) constructions over this one path.
 
@@ -123,10 +125,9 @@ class ConnectionTensor:
     ``target_depends_on_x`` say whether a block depends on x; a block that
     does not is never re-evaluated at perturbed map values.  Both default
     to True, which is always correct.  ``source_dx(a_pts, x_vals) -> (...,
-    m, m, n, n)`` and ``target_dx(a_pts, x_vals) -> (..., n, m, n, n)`` are
-    optional exact x-partials of the blocks, the derivative axis last (the
-    layout of ``central_partials``); an x-dependent block without one is
-    differenced.
+    m, m, n, n)`` is the optional exact x-partial of the source block, the
+    derivative axis last (the layout of ``central_partials``); an
+    x-dependent block without one is differenced.
     """
 
     source: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -136,7 +137,6 @@ class ConnectionTensor:
     source_depends_on_x: bool = True
     target_depends_on_x: bool = True
     source_dx: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    target_dx: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     @classmethod
     def zero(cls, m: int, n: int) -> "ConnectionTensor":
@@ -395,11 +395,10 @@ def _node_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 class _Stage(NamedTuple):
-    """The first stage of the density at one map: the raised jet w, the
-    induced arguments, g^{-1}(a, b), h(x, y), e^{2 tau} (None without tau
-    or for a general pair) and L, per node."""
+    """The first stage of the density at one map: the induced arguments,
+    g^{-1}(a, b), h(x, y), e^{2 tau} (None without tau or for a general
+    pair) and L, per node."""
 
-    w: np.ndarray
     b: np.ndarray
     y: np.ndarray
     ginv: np.ndarray
@@ -417,8 +416,7 @@ def _first_stage(a_pts: np.ndarray, f_vals: np.ndarray, jet_vals: np.ndarray,
     (a, f_vals).  A conformal pair is evaluated from its ingredients, so
     e^{2 tau} is kept; g and h are the bits ``pair.g`` and ``pair.h``
     give."""
-    w = _raised_jet(jet_vals, phi_inv)
-    b, y = _arguments(blocks, w)
+    b, y = _arguments(blocks, _raised_jet(jet_vals, phi_inv))
     conformal = pair.kind == "conformal"
     if conformal:
         gmat = _scaled(pair.phi(a_pts), None if pair.sigma is None else pair.sigma(a_pts, b),
@@ -432,7 +430,7 @@ def _first_stage(a_pts: np.ndarray, f_vals: np.ndarray, jet_vals: np.ndarray,
     else:
         hmat, scale = np.asarray(pair.h(f_vals, y), float), None
     pulled = np.swapaxes(jet_vals, -1, -2) @ hmat @ jet_vals    # f^k_g h_kl f^l_m
-    return _Stage(w, b, y, ginv, hmat, scale, 0.5 * (ginv * pulled).sum((-2, -1)))
+    return _Stage(b, y, ginv, hmat, scale, 0.5 * (ginv * pulled).sum((-2, -1)))
 
 
 def _density_values(a_pts: np.ndarray, f_vals: np.ndarray, jet_vals: np.ndarray,
@@ -448,7 +446,8 @@ class DensityEvaluation:
     metric, P's flattened blocks at (a, f) and the ``_Stage`` (b, y, the
     guarded g^{-1}, h, e^{2 tau} and L).  ``lagrangian_density``,
     ``density_partials`` and ``el_residual`` take one as ``evaluation``,
-    so the energy and the residual of a map evaluate the pair there once.
+    so the energy and the residual of a map evaluate the pair there once;
+    it must be an evaluation of the very (f, pair, P, phi) they are given.
     Only the pair's metrics and log factors are read, not its hooks."""
 
     def __init__(self, f: MapJet, pair: MetricPair, P: ConnectionTensor, phi: MetricField):
@@ -477,13 +476,25 @@ class DensityEvaluation:
                             self.phi_inv, f.grid.dim)
 
 
+def _evaluation_of(f: MapJet, pair: MetricPair, P: ConnectionTensor, phi: MetricField,
+                   evaluation: DensityEvaluation | None) -> DensityEvaluation:
+    """``evaluation`` after checking that it evaluates exactly these
+    arguments, or a new evaluation of them."""
+    if evaluation is None:
+        return DensityEvaluation(f, pair, P, phi)
+    given = (evaluation.f, evaluation.pair, evaluation.P, evaluation.phi)
+    if any(e is not a for e, a in zip(given, (f, pair, P, phi))):
+        raise ValueError("evaluation is of another map, pair, connection or source metric")
+    return evaluation
+
+
 def lagrangian_density(f: MapJet, pair: MetricPair, P: ConnectionTensor,
                        phi: MetricField, evaluation: DensityEvaluation | None = None
                        ) -> TensorField:
     """The density L = g^{gm}(a,b) h_{kl}(f,y) f^k_g f^l_m / 2 per node,
     from ``evaluation`` (a ``DensityEvaluation`` of these arguments) when
     given."""
-    ev = evaluation or DensityEvaluation(f, pair, P, phi)
+    ev = _evaluation_of(f, pair, P, phi, evaluation)
     return scalar_field(f.grid, ev.stage.density)
 
 
@@ -504,7 +515,7 @@ def density_partials(f: MapJet, pair: MetricPair, P: ConnectionTensor,
 
     Returns (dL/df^i of shape (*grid, n), dL/df^i_a of shape (*grid, n, m)).
     """
-    ev = evaluation or DensityEvaluation(f, pair, P, phi)
+    ev = _evaluation_of(f, pair, P, phi, evaluation)
     if pair.kind == "conformal":
         return _conformal_partials(ev, pair, P, fd_step)
     grid = f.grid
@@ -526,13 +537,12 @@ def density_partials(f: MapJet, pair: MetricPair, P: ConnectionTensor,
 
 def _exact(pair: MetricPair, P: ConnectionTensor) -> bool:
     """Whether the conformal pair and P carry a hook for every partial the
-    chain rule takes."""
+    chain rule takes; an x-dependent target block has none."""
     source_ok = not P.source_depends_on_x or P.source_dx is not None
-    target_ok = not P.target_depends_on_x or P.target_dx is not None
     return (pair.psi_dx is not None
             and (pair.sigma is None or pair.sigma_db is not None and source_ok)
             and (pair.tau is None or pair.tau_dy is not None and pair.tau_dx is not None
-                 and target_ok))
+                 and not P.target_depends_on_x))
 
 
 def _conformal_partials(ev: DensityEvaluation, pair: MetricPair, P: ConnectionTensor,
@@ -566,16 +576,8 @@ def _conformal_partials(ev: DensityEvaluation, pair: MetricPair, P: ConnectionTe
         ev, pair, P, _node_product if exact else np.matmul, fd_step)
     st, a_pts, x = ev.stage, ev.points, ev.f.values
     if exact:
-        dpsi = np.asarray(pair.psi_dx(x), float)
-        n = x.shape[-1]
-        dLdf = np.empty(x.shape)
-        for j in range(n):
-            # tr(J g^{-1} J^T d psi / dx^j) / 2, entry by entry
-            acc = spread[..., 0, 0] * dpsi[..., 0, 0, j]
-            for k, l in np.ndindex(n, n):
-                if k or l:
-                    acc += spread[..., l, k] * dpsi[..., k, l, j]
-            dLdf[..., j] = 0.5 * acc
+        dLdf = _half_trace(spread, np.asarray(pair.psi_dx(x), float))
+        del spread
         if st.tau_scale is not None:
             dLdf = (st.tau_scale[..., None] * dLdf
                     + two_L[..., None] * np.asarray(pair.tau_dx(x, st.y), float))
@@ -595,37 +597,60 @@ def _conformal_partials(ev: DensityEvaluation, pair: MetricPair, P: ConnectionTe
     return central_partials(at_fixed_direction, x, fd_step), dLdjet
 
 
+def _half_trace(spread: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
+    """tr(J g^{-1} J^T d psi / dx^j) / 2 per node and j, entry by entry,
+    from spread = J g^{-1} J^T (..., n, n) and dpsi (..., n, n, n)."""
+    n = dpsi.shape[-1]
+    out = np.empty(dpsi.shape[:-3] + (n,))
+    for j in range(n):
+        acc = spread[..., 0, 0] * dpsi[..., 0, 0, j]
+        for k, l in np.ndindex(n, n):
+            if k or l:
+                acc += spread[..., l, k] * dpsi[..., k, l, j]
+        out[..., j] = 0.5 * acc
+    return out
+
+
 def _conformal_jet_partials(ev: DensityEvaluation, pair: MetricPair, P: ConnectionTensor,
                             product, fd_step: float):
     """dL/dJ of a conformal pair by ``product`` (per-node @), with what its
     dL/df reuses: 2L, J g^{-1} J^T and each x-dependent block with its
-    x-partials hook and its coefficient 2L dlog/darg (x) w.  The other
-    intermediates are freed on return."""
+    x-partials hook (None for the target) and its coefficient
+    2L dlog/darg (x) w.  Each intermediate is freed once read, so little
+    besides the evaluation is held at once."""
     st, a_pts, x, jet = ev.stage, ev.points, ev.f.values, ev.f.jet
     src, tgt = ev.blocks
     jet_t = np.swapaxes(jet, -1, -2)
     hj = product(st.h, jet)
     dLdjet = product(hj, st.ginv)
     two_L = (st.ginv * product(jet_t, hj)).sum((-2, -1))
-    w = st.w[..., None, :, :]
+    del hj
     R = 0.0
     in_x = []
+    if (pair.sigma is not None and P.source_depends_on_x
+            or pair.tau is not None and P.target_depends_on_x):
+        w = _raised_jet(jet, ev.phi_inv)[..., None, :, :]
     if pair.sigma is not None:
         ds = (central_partials(lambda u: pair.sigma(a_pts, u), st.b, fd_step)
               if pair.sigma_db is None else np.asarray(pair.sigma_db(a_pts, st.b), float))
         R = product(ds[..., None, :], src)
         if P.source_depends_on_x:
             in_x.append((P.source, P.source_dx, (two_L[..., None] * ds)[..., None, None] * w))
+        del ds
     if pair.tau is not None:
         dt = (central_partials(lambda u: pair.tau(x, u), st.y, fd_step) if pair.tau_dy is None
               else np.asarray(pair.tau_dy(x, st.y), float))
         R = R + product(dt[..., None, :], tgt)
         if P.target_depends_on_x:
-            in_x.append((P.target, P.target_dx, (two_L[..., None] * dt)[..., None, None] * w))
+            in_x.append((P.target, None, (two_L[..., None] * dt)[..., None, None] * w))
+        del dt
     if pair.sigma is not None or pair.tau is not None:
         n, m = jet.shape[-2:]
         raised = product(ev.phi_inv, R.reshape(R.shape[:-2] + (m, n)))     # (..., a, i)
-        dLdjet += two_L[..., None, None] * np.swapaxes(raised, -1, -2)
+        del R
+        raised *= two_L[..., None, None]
+        dLdjet += np.swapaxes(raised, -1, -2)
+        del raised
     return dLdjet, two_L, product(product(jet, st.ginv), jet_t), in_x
 
 
@@ -646,7 +671,7 @@ def el_residual(f: MapJet, pair: MetricPair, P: ConnectionTensor, phi: MetricFie
     """Euler-Lagrange residual of the energy; zero residual characterizes
     discrete harmonic maps.  ``evaluation`` is a ``DensityEvaluation`` of
     these arguments to reuse."""
-    ev = evaluation or DensityEvaluation(f, pair, P, phi)
+    ev = _evaluation_of(f, pair, P, phi, evaluation)
     dLdf, dLdjet = density_partials(f, pair, P, phi, fd_step, ev)
     return assemble_residual(f.grid, ev.sqrt_phi, dLdf, dLdjet)
 

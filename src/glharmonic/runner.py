@@ -10,6 +10,7 @@ environment metadata).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import pathlib
@@ -51,6 +52,11 @@ from .systems import (
 from .tensor_core import ChartGrid, identity_metric, metric_field, sample_metric, volume_integral
 
 FORMAT = "%.17g"
+# the tasks that read the pair's first-stage evaluation at the map, and
+# those that read the checked psi values at the map
+_EVALUATION_TASKS = {"energy", "el_residual"}
+_MAP_PSI_TASKS = _EVALUATION_TASKS | {"certify_theorem", "pfaff", "pseudolinear",
+                                      "group_lagrangian"}
 # Rows formatted and written per block.  It bounds the transient memory of a
 # dump (value deduplication, cell array, block string): at 257^2 nodes with
 # four components 2048 rows wrote as fast as 4096 with half the peak memory.
@@ -229,6 +235,17 @@ class _Context:
         computed by the first task that reads it."""
         return DensityEvaluation(self.map_jet, self.metric_pair, self.connection, self.phi)
 
+    def release(self, later_tasks: list[dict]) -> None:
+        """Free what no later task reads: the map's first-stage evaluation
+        and the pair after the last energy or el_residual task, and the
+        checked psi values at the map after the last task that reads them."""
+        later = {task["task"] for task in later_tasks}
+        if not later & _EVALUATION_TASKS:
+            for name in ("evaluation", "metric_pair"):
+                self.__dict__.pop(name, None)
+            if not later & _MAP_PSI_TASKS and "map_jet" in self.__dict__:
+                self._psi_checked.pop(id(self.map_jet.values), None)
+
     @cached_property
     def gl(self):
         g = self.spec["gl_space"]
@@ -277,7 +294,7 @@ def _task_energy(ctx: _Context, task: dict, dumps: list):
 
 def _task_el_residual(ctx: _Context, task: dict, dumps):
     res = el_residual(ctx.map_jet, ctx.metric_pair, ctx.connection, ctx.phi,
-                      ctx.tol["fd_step"], ctx.evaluation)
+                      evaluation=ctx.evaluation)
     scalars: dict = {}
     _fold_max_abs(scalars, "max_residual", "residual_nonfinite", res.values)
     ok = _all_finite(scalars)
@@ -303,7 +320,7 @@ def _task_certify(ctx: _Context, task: dict, dumps):
         curve = ctx.orbit_curve
         grid = curve.grid
         # non-finite orbit nodes give a non-finite certificate, which fails
-        with np.errstate(all="ignore"):
+        with _quiet_if_nonfinite(curve.values):
             cert = ctx.certify(curve.as_map(), identity_metric(grid))
     else:
         grid, cert = ctx.m_grid, ctx.map_certificate
@@ -316,7 +333,7 @@ def _task_orbit(ctx: _Context, task: dict, dumps):
     curve = ctx.orbit_curve
     # an orbit that leaves the domain of xi has non-finite nodes: the task
     # counts them, numpy need not warn of them
-    with np.errstate(all="ignore"):
+    with _quiet_if_nonfinite(curve.values):
         res = orbit_geodesic_residual(curve, ctx.system.xi, ctx.checked_psi(curve),
                                       ctx.tol["eps_sing"])
     threshold = task.get("residual_threshold", 1e-4)
@@ -325,6 +342,12 @@ def _task_orbit(ctx: _Context, task: dict, dumps):
     dumps.append(("orbit_curve", curve.grid, curve.values, "t"))
     dumps.append(("orbit_residual", curve.grid, res.values, "t"))
     return _all_finite(scalars) and scalars["max_residual"] <= threshold, scalars, {}
+
+
+def _quiet_if_nonfinite(values: np.ndarray):
+    """A context that silences numpy's warnings when ``values`` has a
+    non-finite entry, and leaves them on otherwise."""
+    return contextlib.nullcontext() if np.isfinite(values).all() else np.errstate(all="ignore")
 
 
 def _task_pseudolinear(ctx: _Context, task: dict, dumps):
@@ -534,7 +557,7 @@ def run_scenario(spec: dict, out_dir, stencil_override: int | None = None) -> di
     }
 
     all_ok = True
-    for task in spec["tasks"]:
+    for index, task in enumerate(spec["tasks"]):
         name = task["task"]
         dumps: list = []
         record: dict[str, Any] = {"task": name}
@@ -561,6 +584,7 @@ def run_scenario(spec: dict, out_dir, stencil_override: int | None = None) -> di
         record["wall_time_s"] = round(time.perf_counter() - start, 6)
         all_ok = all_ok and record["status"] == "pass"
         report["tasks"].append(record)
+        ctx.release(spec["tasks"][index + 1:])
 
         for dump_name, grid, values, prefix in dumps:
             dump_field_csv(out / f"{spec['name']}__{name}__{dump_name}.csv",

@@ -173,6 +173,9 @@ SCENARIO_SCHEMA = {
                 "tol_gap": {"type": "number", "exclusiveMinimum": 0},
                 "tol_defect": {"type": "number", "exclusiveMinimum": 0},
                 "eps_sing": {"type": "number", "exclusiveMinimum": 0},
+                # accepted so older spec files stay valid; it has no effect:
+                # every scenario-built residual takes its pointwise partials
+                # exactly
                 "fd_step": {"type": "number", "exclusiveMinimum": 0},
             },
         },
@@ -213,10 +216,6 @@ DEFAULT_TOLERANCES = {
     "tol_gap": 1e-6,
     "tol_defect": 1e-3,
     "eps_sing": 1e-8,
-    # the relative step of energy.central_partials, which differences only
-    # general pairs and pairs of library callables: a scenario-built
-    # conformal residual takes every pointwise partial exactly
-    "fd_step": 1e-6,
 }
 
 

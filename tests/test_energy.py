@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from glharmonic.energy import (
     DEFAULT_FD_STEP,
     ConnectionTensor,
+    DensityEvaluation,
     MapJet,
     MetricPair,
     _connection_blocks,
@@ -871,9 +872,11 @@ def _coupled_conformal_problem(m, n, seed, connection, hooks, free_block):
     """A smooth map on an m-torus (every node interior) into n dimensions,
     a conformal pair with b-dependent sigma and y-dependent tau, and a
     generic, covector-fiber or one-form-source connection, whose free
-    block is either the default zero or an x-dependent block given by the
-    caller.  ``hooks`` is "none", "tau_dy" (the exact dtau/dy only) or
-    "all" (every exact partial the chain rule takes, on the pair and on P)."""
+    block is either the default zero or a block given by the caller.
+    ``hooks`` is "none", "tau_dy" (the exact dtau/dy only) or "all" (every
+    exact partial the chain rule takes, on the pair and on P).  Every block
+    depends on x except a target block under "all", which depends on a
+    only: an x-dependent target has no exact hook."""
     r = np.random.default_rng(seed)
     grid = box_grid([(0.0, 2 * np.pi)] * m, [7] * m, periodic=True)
     pts = grid.points()
@@ -912,12 +915,14 @@ def _coupled_conformal_problem(m, n, seed, connection, hooks, free_block):
         return S0 + S1 * wave(a, x)
 
     def target(a, x):
+        if hooks == "all":
+            return T0 + T1 * wave(a, np.zeros_like(x))
         return T0 + T1 * wave(a, x)
 
     block_dx = {}
     if hooks == "all":
         block_dx = {"source_dx": lambda a, x: S1[..., None] * wave_dx(a, x),
-                    "target_dx": lambda a, x: T1[..., None] * wave_dx(a, x)}
+                    "target_depends_on_x": False}
     given_block = {}
     if connection == "generic":
         P = ConnectionTensor(source=source, target=target, m=m, n=n, **block_dx)
@@ -938,7 +943,7 @@ def _coupled_conformal_problem(m, n, seed, connection, hooks, free_block):
         P = ConnectionTensor.oneform_source(lambda x: 1.0 + 0.3 * np.cos(x + kx), m=m, n=n,
                                             xi_dx=xi_dx, **given_block)
         if free_block and hooks == "all":
-            P = replace(P, target_dx=block_dx["target_dx"])
+            P = replace(P, target_depends_on_x=False)
     return grid, vals, pair, P, phi
 
 
@@ -990,7 +995,39 @@ def test_exact_partials_match_the_difference_path(m, n, seed, connection, free_b
     # every partial is exact: sigma, tau, psi and each block once, at the map
     assert calls == {"sigma": 1, "tau": 1, "psi": 1, "source": 1, "target": 1}
     bare = replace(pair, sigma_db=None, tau_dy=None, tau_dx=None, psi_dx=None)
-    want = density_partials(f, bare, replace(P, source_dx=None, target_dx=None), phi)
+    want = density_partials(f, bare, replace(P, source_dx=None), phi)
     for k in (0, 1):
         scale = np.max(np.abs(want[k]))
         assert np.max(np.abs(got[k] - want[k])) <= 1e-8 * max(1.0, scale)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 3)])
+def test_an_x_dependent_target_block_takes_the_difference_path(m, n):
+    # a target block has no exact hook: every pair hook given, an
+    # x-dependent target is still differenced in x (2n calls) besides its
+    # evaluation at the map
+    grid, vals, pair, P, phi = _coupled_conformal_problem(m, n, 5, "generic", "all", False)
+    x_free = P.target
+
+    def target(a, x):
+        return x_free(a, x) * (1.0 + 0.1 * np.sin(x.sum(-1)))[..., None, None, None]
+
+    P = replace(P, target=target, target_depends_on_x=True)
+    calls = {}
+    density_partials(MapJet.from_values(grid, vals), *_counting(pair, P, calls), phi)
+    assert calls["target"] == 2 * n + 1
+
+
+def test_an_evaluation_of_other_arguments_is_rejected():
+    f, pair, P, phi = _random_problem(2, 2, seed=3)
+    ev = DensityEvaluation(f, pair, P, phi)
+    assert np.array_equal(lagrangian_density(f, pair, P, phi, ev).values,
+                          lagrangian_density(f, pair, P, phi).values)
+    other = MetricPair.general(pair.g, pair.h)
+    copy = MapJet(f.grid, f.values.copy(), f.jet.copy())
+    for call in (lambda: lagrangian_density(f, other, P, phi, ev),
+                 lambda: lagrangian_density(copy, pair, P, phi, ev),
+                 lambda: density_partials(f, other, P, phi, evaluation=ev),
+                 lambda: el_residual(f, pair, replace(P), phi, evaluation=ev)):
+        with pytest.raises(ValueError, match="evaluation is of another"):
+            call()

@@ -175,3 +175,33 @@ def test_energy_only_spec_builds_no_derivative_list(monkeypatch, tmp_path):
         assert run_scenario(spec, tmp_path / spec["name"])["status"] == "pass"
     assert "derivative lists" not in counts
     assert counts["sigma"] == counts["tau"] == 2
+
+
+def _without_wall_times(report):
+    for task in report["tasks"]:
+        task.pop("wall_time_s")
+    return report
+
+
+def test_a_spec_setting_fd_step_gets_the_same_report(tmp_path):
+    # fd_step is accepted so older spec files stay valid, and ignored: the
+    # residual takes no difference step
+    _, spec = COUPLED[0]
+    stepped = {**spec, "tolerances": {**spec.get("tolerances", {}), "fd_step": 1e-3}}
+    want = _without_wall_times(run_scenario(spec, tmp_path / "plain"))
+    assert _without_wall_times(run_scenario(stepped, tmp_path / "stepped")) == want
+    dump = f"{spec['name']}__el_residual__el_residual.csv"
+    assert (tmp_path / "stepped" / dump).read_bytes() == (tmp_path / "plain" / dump).read_bytes()
+
+
+def test_the_context_frees_the_evaluation_after_its_last_reader():
+    _, spec = COUPLED[0]
+    ctx = _Context(require_valid(spec), None)
+    ev = ctx.evaluation
+    ctx.release([{"task": "el_residual"}])
+    assert ctx.evaluation is ev
+    ctx.release([{"task": "group_lagrangian"}])
+    assert "evaluation" not in vars(ctx) and "metric_pair" not in vars(ctx)
+    assert id(ctx.map_jet.values) in ctx._psi_checked
+    ctx.release([])
+    assert ctx._psi_checked == {}

@@ -874,3 +874,19 @@ def test_system_fields_a_kind_does_not_read_are_ignored(tmp_path):
     for task in ref["tasks"] + got["tasks"]:
         task.pop("wall_time_s")
     assert got["tasks"] == ref["tasks"]
+
+
+def test_certify_on_a_finite_orbit_leaves_numpy_warnings_on(tmp_path, monkeypatch):
+    # only an orbit with non-finite nodes silences numpy in its tasks
+    import glharmonic.runner as runner_module
+
+    original = runner_module.certify_minimizer
+
+    def dividing(*args):
+        np.divide(1.0, np.zeros(1))
+        return original(*args)
+
+    monkeypatch.setattr(runner_module, "certify_minimizer", dividing)
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        report = run_scenario(BUILTIN_SCENARIOS["orbit-rotation"], tmp_path)
+    assert report["status"] == "pass"
