@@ -20,12 +20,20 @@ closed forms (the adjugate inverse, Blinn's closed-form 2x2 SVD for the
 condition number, the Cholesky recurrence for definiteness), because
 numpy's batched LAPACK calls cost far more than the arithmetic on
 large batches of tiny matrices; for n >= 3 it calls ``np.linalg``.
+
+The metric checks cost about what their arithmetic costs.  Symmetry and
+finiteness are taken entry by entry over the n x n slots, not over
+whole-grid copies.  ``invert_metric`` screens each node with the
+inverse it returns anyway, ||A||_F ||A^-1||_F, an upper bound of the
+2-norm condition number, and computes the condition number itself (an
+SVD for n >= 3) only at the nodes the screen does not clear.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -213,7 +221,9 @@ def sample_scalar(grid: ChartGrid, fn: Callable[[np.ndarray], np.ndarray]) -> Te
 class MetricField(TensorField):
     """Symmetric two-slot field: a metric (``lo,lo``) or its inverse
     (``up,up``).  Every metric is checked finite at every node, before
-    symmetry; Riemannian metrics also positive definite."""
+    symmetry; Riemannian metrics also positive definite.  The symmetry
+    defect is the largest |g_ij - g_ji| over the pairs i < j, taken one
+    pair at a time."""
 
     index_kinds: tuple[str, str] = (LO, LO)
     definite: str = field(default="riemannian", compare=False)
@@ -225,15 +235,19 @@ class MetricField(TensorField):
         n1, n2 = self.slot_dims
         if n1 != n2:
             raise ValueError("metric slots must have equal dimension")
-        scale = float(np.max(np.abs(self.values)))    # nan or inf iff an entry is
+        v = self.values
+        # max |v| without a whole-grid |v|: nan or inf iff an entry is
+        scale = float(np.maximum(np.max(v), -np.min(v)))
         if not np.isfinite(scale):
-            node = _first_false(np.isfinite(self.values).all(axis=(-2, -1)))
+            node = _first_false(np.isfinite(v).all(axis=(-2, -1)))
             raise SingularMetricError(f"metric is not finite at node {node}", node=node)
-        sym_defect = np.max(np.abs(self.values - np.swapaxes(self.values, -1, -2)))
+        # |a - b| == |b - a| exactly, and the diagonal adds zeros
+        sym_defect = max((np.max(np.abs(v[..., i, j] - v[..., j, i]))
+                          for i in range(n1) for j in range(i + 1, n1)), default=0.0)
         if not sym_defect <= 1e-10 * max(1.0, scale):
             raise ValueError(f"metric is not symmetric (max defect {sym_defect:.3e})")
         if self.definite == "riemannian":
-            ok = NodeMatrices(self.values).positive_definite
+            ok = NodeMatrices(v).positive_definite
             if not ok.all():
                 node = _first_false(ok)
                 raise SingularMetricError(f"metric is not positive definite at node {node}",
@@ -432,7 +446,10 @@ class NodeMatrices:
         then a22 - l21^2 > 0), so on finite input it agrees with
         ``np.linalg.cholesky`` succeeding; NaN fails each comparison."""
         m = self.mats
-        finite = np.isfinite(m).all(axis=(-2, -1))
+        finite = np.isfinite(m[..., 0, 0])
+        for i, j in product(range(self.n), repeat=2):
+            if i or j:
+                finite &= np.isfinite(m[..., i, j])
         a = m[..., 0, 0]
         if self.n == 1:
             return finite & (a > 0)
@@ -457,19 +474,40 @@ class NodeMatrices:
 def invert_metric(g: MetricField) -> MetricField:
     """Pointwise matrix inverse with flipped variance.
 
-    Nodes whose condition number exceeds ``COND_BOUND``, or is NaN, raise
-    a singular-metric error naming the first offending node.
+    Nodes whose 2-norm condition number exceeds ``COND_BOUND``, or is NaN,
+    raise a singular-metric error naming the first offending node.  The
+    condition number is computed only at the nodes the screen
+    ||A||_F ||A^-1||_F <= COND_BOUND / 2 does not clear.  The screen is at
+    least the condition number and at most n times it, and its factor-2
+    margin covers the eps * cond rounding of both the screen and the
+    condition number, so every node it clears passes the bound.  A NaN or
+    overflowing screen clears nothing, and neither does an inverse that
+    raises ``np.linalg.LinAlgError``.
     """
     mats = NodeMatrices(g.values)
-    cond = mats.cond
-    bad = ~(cond <= COND_BOUND)
-    if np.any(bad):
-        node = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise SingularMetricError(
-            f"metric condition number {cond[bad].max():.3e} exceeds bound at node {node}",
-            node=node,
-        )
-    inv = mats.inv
+    try:
+        inv = mats.inv
+    except np.linalg.LinAlgError:
+        inv = None
+    if inv is None:
+        doubtful = np.ones(g.values.shape[:-2], dtype=bool)
+    else:
+        with np.errstate(all="ignore"):
+            screen = (np.einsum("...ij,...ij->...", g.values, g.values)
+                      * np.einsum("...ij,...ij->...", inv, inv))
+        doubtful = ~(screen <= (0.5 * COND_BOUND) ** 2)
+    if doubtful.any():
+        nodes = np.flatnonzero(doubtful)
+        cond = NodeMatrices(g.values[doubtful]).cond
+        bad = ~(cond <= COND_BOUND)
+        if bad.any():
+            node = tuple(int(i) for i in np.unravel_index(nodes[np.argmax(bad)], doubtful.shape))
+            raise SingularMetricError(
+                f"metric condition number {cond[bad].max():.3e} exceeds bound at node {node}",
+                node=node,
+            )
+    if inv is None:
+        inv = mats.inv
     inv = 0.5 * (inv + np.swapaxes(inv, -1, -2))
     kinds = (UP, UP) if g.index_kinds == (LO, LO) else (LO, LO)
     return MetricField(g.grid, inv, kinds, definite="pseudo")

@@ -1,5 +1,7 @@
-"""The block-formatted CSV writer against the original per-row writer."""
+"""The block-formatted CSV writer against the original per-row writer, and
+the runner's reuse of an earlier dump of the very same array."""
 
+import copy
 from itertools import product
 
 import numpy as np
@@ -7,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glharmonic.runner import DUMP_BLOCK_ROWS, FORMAT, dump_field_csv
+from glharmonic import runner
+from glharmonic.runner import DUMP_BLOCK_ROWS, FORMAT, dump_field_csv, run_scenario
+from glharmonic.scenarios import BUILTIN_SCENARIOS
 from glharmonic.tensor_core import box_grid
 
 B = DUMP_BLOCK_ROWS
@@ -104,3 +108,53 @@ def test_block_writer_matches_row_writer_at_257_squared(tmp_path):
     grid = box_grid([(0.0, 2 * np.pi), (0.0, 1.0)], [257, 257], [True, False])
     values = _values(rng, (257, 257, 2, 2), 0.01, 0.3)
     _assert_same_bytes(tmp_path, grid, values, "x", "einstein_h_lhs")
+
+
+# ---------------------------------------------------------------------------
+# a repeated dump copies the rows of the earlier one
+# ---------------------------------------------------------------------------
+
+
+def _spy_dumps(monkeypatch):
+    """Record (value_name, values) of every dump_field_csv call of the runner."""
+    calls = []
+
+    def spy(path, grid, values, coord_prefix, value_name):
+        calls.append((value_name, values))
+        dump_field_csv(path, grid, values, coord_prefix, value_name)
+
+    monkeypatch.setattr(runner, "dump_field_csv", spy)
+    return calls
+
+
+def test_repeated_kappa_dump_copies_the_rows(tmp_path, monkeypatch):
+    # pfaff and certify_theorem both dump the certificate's kappa; a small
+    # copy block makes the copy take several blocks
+    monkeypatch.setattr(runner, "COPY_BLOCK_BYTES", 4096)
+    calls = _spy_dumps(monkeypatch)
+    spec = BUILTIN_SCENARIOS["pfaff-exact"]
+    assert [t["task"] for t in spec["tasks"]] == ["pfaff", "certify_theorem"]
+    run_scenario(spec, tmp_path)
+    assert [name for name, _ in calls] == ["pfaff_best_fit_scale"]
+    kappa = calls[0][1]
+    grid = box_grid([(0.0, 1.0), (0.0, 1.0)], [65, 65])
+    for task, name in [("pfaff", "pfaff_best_fit_scale"), ("certify_theorem", "best_fit_scale")]:
+        ref = tmp_path / f"ref_{name}.csv"
+        dump_field_csv(ref, grid, kappa, "a", name)
+        got = (tmp_path / f"pfaff-exact__{task}__{name}.csv").read_bytes()
+        assert got.split(b"\n", 1)[0] == f"a1,a2,{name}".encode()
+        assert len(got) > 4 * 4096
+        assert got == ref.read_bytes()
+
+
+def test_equal_but_distinct_values_are_formatted_afresh(tmp_path, monkeypatch):
+    # each group_lagrangian task computes its density anew: equal values in
+    # a distinct array
+    calls = _spy_dumps(monkeypatch)
+    spec = copy.deepcopy(BUILTIN_SCENARIOS["group-two-generators"])
+    spec["tasks"] = spec["tasks"] * 2
+    report = run_scenario(spec, tmp_path)
+    assert [t["status"] for t in report["tasks"]] == ["pass", "pass"]
+    (first, a), (second, b) = calls
+    assert first == second == "group_density"
+    assert a is not b and np.array_equal(a, b)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from glharmonic.errors import SingularMetricError
 from glharmonic.tensor_core import (
+    COND_BOUND,
     UP,
     NodeMatrices,
     box_grid,
@@ -195,23 +196,38 @@ def _rotations(r, count):
     return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
 
 
-def _matrices(n, family, log_cond, log_scale, seed):
+def _orthogonals(r, n):
+    if n == 2:
+        return _rotations(r, BATCH)
+    q, _ = np.linalg.qr(r.standard_normal((BATCH, n, n)))
+    return q
+
+
+def _matrices(n, family, log_cond, log_scale, seed, min_log_cond=0.0):
     """A batch of BATCH n x n matrices of the given family, condition
-    numbers up to 10**log_cond and entries of size about 10**log_scale."""
+    numbers between 10**min_log_cond and 10**log_cond and entries of size
+    about 10**log_scale."""
     r = np.random.default_rng(seed)
     scale = 10.0 ** log_scale
     big = scale * r.uniform(0.5, 2.0, BATCH)
     if n == 1:
         sign = 1.0 if family == "spd" else r.choice([-1.0, 1.0], BATCH)
         return (sign * big).reshape(BATCH, 1, 1)
-    small = big * 10.0 ** -r.uniform(0.0, log_cond, BATCH)
-    U = _rotations(r, BATCH)
+    small = big * 10.0 ** -r.uniform(min_log_cond, log_cond, BATCH)
+    if n == 2:
+        sv = np.stack([big, small], -1)
+    else:
+        # the other singular values log-uniform between small and big
+        between = np.sort(r.uniform(0.0, 1.0, (BATCH, n - 2)), axis=-1)
+        frac = np.concatenate([np.zeros((BATCH, 1)), between, np.ones((BATCH, 1))], -1)
+        sv = big[:, None] * (small / big)[:, None] ** frac
+    U = _orthogonals(r, n)
     if family == "general":
-        V = _rotations(r, BATCH) * r.choice([-1.0, 1.0], (BATCH, 1, 1))
-        return np.einsum("...ij,...j,...kj->...ik", U, np.stack([big, small], -1), V)
+        V = _orthogonals(r, n) * r.choice([-1.0, 1.0], (BATCH, 1, 1))
+        return np.einsum("...ij,...j,...kj->...ik", U, sv, V)
     if family == "indefinite":
-        small = -small
-    m = np.einsum("...ij,...j,...kj->...ik", U, np.stack([big, small], -1), U)
+        sv[..., -1] = -sv[..., -1]
+    m = np.einsum("...ij,...j,...kj->...ik", U, sv, U)
     m = 0.5 * (m + np.swapaxes(m, -1, -2))
     if family == "near_symmetric":
         skew = 1e-11 * big * r.uniform(-1.0, 1.0, BATCH)
@@ -315,6 +331,119 @@ def test_order_three_and_up_is_numpy_linalg_bit_for_bit(n):
     expected = [_cholesky_succeeds(x) and np.isfinite(x).all() for x in indefinite.reshape(-1, n, n)]
     assert ok.reshape(-1).tolist() == expected
     assert not ok[2, 3] and not ok[5, 0] and ok.sum() == 33
+
+
+# ---------------------------------------------------------------------------
+# invert_metric's screen against the condition number at every node
+# ---------------------------------------------------------------------------
+
+
+def _gate_at_every_node(g):
+    """invert_metric with the condition number computed at every node."""
+    mats = NodeMatrices(g.values)
+    cond = mats.cond
+    bad = ~(cond <= COND_BOUND)
+    if np.any(bad):
+        node = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise SingularMetricError(
+            f"metric condition number {cond[bad].max():.3e} exceeds bound at node {node}",
+            node=node,
+        )
+    inv = mats.inv
+    return 0.5 * (inv + np.swapaxes(inv, -1, -2))
+
+
+def _outcome(invert, g):
+    try:
+        return "inverse", invert(g).tobytes()
+    except SingularMetricError as exc:
+        return "singular", (str(exc), exc.node)
+    except np.linalg.LinAlgError as exc:
+        return "linalg", str(exc)
+
+
+def _metric_holding(m):
+    """A pseudo metric on an 8 x 6 grid whose node matrices are ``m``,
+    symmetric or not: construction checks symmetry, so the checked field
+    is overwritten in place."""
+    n = m.shape[-1]
+    g = metric_field(box_grid([(0, 1), (0, 1)], [8, 6]),
+                     np.broadcast_to(np.eye(n), (8, 6, n, n)).copy(), definite="pseudo")
+    g.values[...] = m.reshape(8, 6, n, n)
+    return g
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(n=st.sampled_from([1, 2, 3, 4]),
+       family=st.sampled_from(["spd", "indefinite", "general", "near_symmetric"]),
+       band=st.sampled_from(["up_to_1e15", "across_the_bound", "below_the_bound"]),
+       log_cond=st.floats(0.0, 15.0), log_scale=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_screened_gate_matches_the_gate_at_every_node(n, family, band, log_cond, log_scale,
+                                                      seed):
+    # the band [COND_BOUND / (2n), 2 COND_BOUND] holds the nodes the screen
+    # does not clear and the bound itself
+    lo, hi = {"up_to_1e15": (0.0, log_cond),
+              "across_the_bound": (np.log10(COND_BOUND / (2 * n)), np.log10(2 * COND_BOUND)),
+              "below_the_bound": (np.log10(COND_BOUND / (2 * n)), np.log10(COND_BOUND) - 0.01),
+              }[band]
+    g = _metric_holding(_matrices(n, family, hi, log_scale, seed, min_log_cond=lo))
+    got = _outcome(lambda g: invert_metric(g).values, g)
+    assert got == _outcome(_gate_at_every_node, g)
+
+
+def test_no_condition_number_where_every_node_clears(monkeypatch):
+    sizes = []
+    cond = NodeMatrices.cond
+
+    def spy(self):
+        sizes.append(self.mats.shape[:-2])
+        return cond.func(self)
+
+    monkeypatch.setattr(NodeMatrices, "cond", property(spy))
+    for n in (1, 2, 3):
+        a = rng.normal(size=(7, 5, n, n))
+        g = metric_field(box_grid([(0, 1), (0, 1)], [7, 5]),
+                         np.einsum("...ij,...kj->...ik", a, a) + np.eye(n))
+        invert_metric(g)
+        assert sizes == []
+        # one node the screen cannot clear: the condition number is taken
+        # there alone
+        g.values[3, 1] = np.diag(10.0 ** (-13.0 * np.arange(n)))
+        if n > 1:
+            with pytest.raises(SingularMetricError) as err:
+                invert_metric(g)
+            assert err.value.node == (3, 1) and sizes == [(1,)]
+        sizes.clear()
+
+
+def test_symmetry_defect_message():
+    grid = box_grid([(0, 1), (0, 1)], [6, 5])
+    vals = np.broadcast_to(np.diag([1.0, 2.0, 3.0]), (6, 5, 3, 3)).copy()
+    vals[4, 1, 0, 2] += 1e-9
+    vals[2, 3, 2, 1] -= 5e-10
+    defect = np.max(np.abs(vals - np.swapaxes(vals, -1, -2)))
+    with pytest.raises(ValueError) as err:
+        metric_field(grid, vals)
+    assert str(err.value) == f"metric is not symmetric (max defect {defect:.3e})"
+    assert str(err.value) == "metric is not symmetric (max defect 1.000e-09)"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_definiteness_with_non_finite_entries_off_the_diagonal(n):
+    a = rng.normal(size=(6, 5, n, n))
+    m = np.einsum("...ij,...kj->...ik", a, a) + 0.5 * np.eye(n)
+    # above and below the diagonal: the 2x2 recurrence reads only the lower
+    # triangle
+    for node, (i, j), bad in [((0, 1), (0, 1), np.inf), ((2, 2), (1, 0), -np.inf),
+                              ((3, 4), (0, n - 1), np.nan), ((5, 0), (n - 1, 0), np.nan),
+                              ((4, 3), (n - 2, n - 1), np.inf)]:
+        m[node][i, j] = bad
+    ok = NodeMatrices(m).positive_definite
+    expected = np.isfinite(m).all(axis=(-2, -1)) & np.array(
+        [_cholesky_succeeds(x) for x in m.reshape(-1, n, n)]).reshape(6, 5)
+    assert ok.tolist() == expected.tolist()
+    assert ok.sum() == 25
 
 
 # ---------------------------------------------------------------------------
