@@ -120,10 +120,11 @@ def dump_field_csv(path: pathlib.Path, grid: ChartGrid, values: np.ndarray,
 
 def _copy_dump_rows(source: pathlib.Path, path: pathlib.Path, grid: ChartGrid,
                     values: np.ndarray, coord_prefix: str, value_name: str) -> None:
-    """Write the dump of ``values`` when ``source`` is a dump of the same
-    values on the same grid with the same coordinate prefix: its own header
-    line, then the rows of ``source`` copied in blocks of COPY_BLOCK_BYTES.
-    The file is byte-identical to the one ``dump_field_csv`` writes."""
+    """Write the dump of ``values`` when ``source``, another file, is a dump
+    of the same values on the same grid: its own header line, then the rows
+    of ``source`` copied in blocks of COPY_BLOCK_BYTES.  The rows hold no
+    coordinate prefix, so the file is byte-identical to the one
+    ``dump_field_csv`` writes."""
     with open(source, "rb") as src, open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(_csv_headers(grid, values, coord_prefix, value_name)) + "\n")
         fh.flush()
@@ -580,9 +581,9 @@ def run_scenario(spec: dict, out_dir, stencil_override: int | None = None) -> di
     }
 
     all_ok = True
-    # (values, grid, coordinate prefix, path) of each dump written; the
-    # values by weak reference, so a dump keeps no array alive
-    written: list = []
+    # path -> (values, grid) of the last dump written there; the values by
+    # weak reference, so a dump keeps no array alive
+    written: dict = {}
     for index, task in enumerate(spec["tasks"]):
         name = task["task"]
         dumps: list = []
@@ -616,14 +617,15 @@ def run_scenario(spec: dict, out_dir, stencil_override: int | None = None) -> di
             path = out / f"{spec['name']}__{name}__{dump_name}.csv"
             values = np.asarray(values)
             # the very array of an earlier dump (pfaff and certify_theorem
-            # both dump the certificate's kappa) has the same rows
-            source = next((p for ref, g, pre, p in written
-                           if ref() is values and g == grid and pre == prefix), None)
+            # both dump the certificate's kappa) has the same rows; a file
+            # is never its own source, since opening it for writing empties it
+            source = next((p for p, (ref, g) in written.items()
+                           if p != path and ref() is values and g == grid), None)
             if source is None:
                 dump_field_csv(path, grid, values, prefix, dump_name)
             else:
                 _copy_dump_rows(source, path, grid, values, prefix, dump_name)
-            written.append((weakref.ref(values), grid, prefix, path))
+            written[path] = (weakref.ref(values), grid)
 
     report["status"] = "pass" if all_ok else "fail"
     with open(out / f"{spec['name']}__report.json", "w", encoding="utf-8") as fh:

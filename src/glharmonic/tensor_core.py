@@ -471,6 +471,21 @@ class NodeMatrices:
             return ok.reshape(finite.shape)
 
 
+def _condition_gate(values: np.ndarray, doubtful: np.ndarray) -> None:
+    """Raise a singular-metric error at the first node of the mask
+    ``doubtful`` whose 2-norm condition number exceeds ``COND_BOUND`` or is
+    NaN; the condition number is computed at those nodes only."""
+    cond = NodeMatrices(values[doubtful]).cond
+    bad = ~(cond <= COND_BOUND)
+    if bad.any():
+        flat = np.flatnonzero(doubtful)[np.argmax(bad)]
+        node = tuple(int(i) for i in np.unravel_index(flat, doubtful.shape))
+        raise SingularMetricError(
+            f"metric condition number {cond[bad].max():.3e} exceeds bound at node {node}",
+            node=node,
+        )
+
+
 def invert_metric(g: MetricField) -> MetricField:
     """Pointwise matrix inverse with flipped variance.
 
@@ -484,30 +499,17 @@ def invert_metric(g: MetricField) -> MetricField:
     overflowing screen clears nothing, and neither does an inverse that
     raises ``np.linalg.LinAlgError``.
     """
-    mats = NodeMatrices(g.values)
     try:
-        inv = mats.inv
+        inv = NodeMatrices(g.values).inv
     except np.linalg.LinAlgError:
-        inv = None
-    if inv is None:
-        doubtful = np.ones(g.values.shape[:-2], dtype=bool)
-    else:
-        with np.errstate(all="ignore"):
-            screen = (np.einsum("...ij,...ij->...", g.values, g.values)
-                      * np.einsum("...ij,...ij->...", inv, inv))
-        doubtful = ~(screen <= (0.5 * COND_BOUND) ** 2)
+        _condition_gate(g.values, np.ones(g.values.shape[:-2], dtype=bool))
+        raise
+    with np.errstate(all="ignore"):
+        screen = (np.einsum("...ij,...ij->...", g.values, g.values)
+                  * np.einsum("...ij,...ij->...", inv, inv))
+    doubtful = ~(screen <= (0.5 * COND_BOUND) ** 2)
     if doubtful.any():
-        nodes = np.flatnonzero(doubtful)
-        cond = NodeMatrices(g.values[doubtful]).cond
-        bad = ~(cond <= COND_BOUND)
-        if bad.any():
-            node = tuple(int(i) for i in np.unravel_index(nodes[np.argmax(bad)], doubtful.shape))
-            raise SingularMetricError(
-                f"metric condition number {cond[bad].max():.3e} exceeds bound at node {node}",
-                node=node,
-            )
-    if inv is None:
-        inv = mats.inv
+        _condition_gate(g.values, doubtful)
     inv = 0.5 * (inv + np.swapaxes(inv, -1, -2))
     kinds = (UP, UP) if g.index_kinds == (LO, LO) else (LO, LO)
     return MetricField(g.grid, inv, kinds, definite="pseudo")

@@ -158,3 +158,26 @@ def test_equal_but_distinct_values_are_formatted_afresh(tmp_path, monkeypatch):
     (first, a), (second, b) = calls
     assert first == second == "group_density"
     assert a is not b and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("scenario, tasks", [
+    ("pfaff-exact", ["certify_theorem"]),
+    ("pfaff-exact", ["pfaff"]),
+    ("pfaff-exact", ["pfaff", "certify_theorem"]),
+    ("orbit-rotation", ["orbit"]),
+])
+def test_a_task_run_twice_rewrites_its_dumps_whole(tmp_path, scenario, tasks):
+    # the second run of a task dumps the very array of the first to the same
+    # file, which must not serve as its own source
+    spec = copy.deepcopy(BUILTIN_SCENARIOS[scenario])
+    spec["tasks"] = [t for t in spec["tasks"] if t["task"] in tasks]
+    run_scenario(spec, tmp_path / "once")
+    spec["tasks"] = spec["tasks"] * 2
+    report = run_scenario(spec, tmp_path / "twice")
+    assert all(t["status"] == "pass" for t in report["tasks"])
+    once = sorted(p.name for p in (tmp_path / "once").glob("*.csv"))
+    assert once and once == sorted(p.name for p in (tmp_path / "twice").glob("*.csv"))
+    for name in once:
+        got = (tmp_path / "twice" / name).read_bytes()
+        assert got.count(b"\n") > 1
+        assert got == (tmp_path / "once" / name).read_bytes()
