@@ -13,14 +13,20 @@ d(g_ip y^p)/dy^k = 2 sigma_{y^k} g_ip y^p + g_ik, so the third cyclic
 residual vanishes up to round-off.  On a space built from a plain sigma
 callable, F and f are evaluated together once at each point of the fiber
 stencil y, y +- h e_k, (1 + 2n)^2 sigma calls per sample, and the outputs
-are defined by the fiber step.  The identities behind the first two
-cyclic residuals involve the curvature convention of the riemann module;
-on curved base metrics their magnitudes are reported rather than asserted.
+are defined by the fiber step.
+
+The first two cyclic residuals are 3-forms: their h-covariant derivatives
+and fiber partials are taken only at the C(n, 3) independent components
+(none for n = 2), while the curvature term of the first and the whole
+third residual stay full cyclic sums.  The identities behind the first two
+involve the curvature convention of the riemann module; on curved base
+metrics their magnitudes are reported rather than asserted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -28,13 +34,12 @@ from .errors import DivisionGuardError
 from .gl_space import (
     ConformalFactorDerivatives,
     ConformalLagrangeSpace,
-    h_covariant,
     joint_fiber_partials,
     sigma_blocks,
     sigma_gradient_partials,
     sigma_gradients,
 )
-from .tensor_core import LO, TensorField, contract_vector
+from .tensor_core import LO, TensorField, contract_vector, fd_partial, scalar_field
 
 COV2 = (LO, LO)
 COV3 = (LO, LO, LO)
@@ -89,21 +94,22 @@ def _wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _em_jet(space: ConformalLagrangeSpace, y: np.ndarray, n_conn: np.ndarray) -> tuple:
-    """F, f, their fiber partials dF, df (slot k last), g_ip y^p and grad_v
-    at one fiber, exactly, from the jet: with G_ik = d(g_ip y^p)/dy^k =
-    2 sigma_{y^k} g_ip y^p + g_ik,
-    dF_ijk = G_ik grad_h_j + g_ip y^p d grad_h_jk - (i <-> j), and df
-    likewise with grad_v and sigma_yy."""
+    """F, f, a function of index arrays (a, b) giving the fiber partials
+    dF_abk (slot k last), the full df, g_ip y^p and grad_v at one fiber,
+    exactly, from the jet: with G_ik = d(g_ip y^p)/dy^k =
+    2 sigma_{y^k} g_ip y^p + g_ik, dF_ijk = term_ijk - term_jik where
+    term_ijk = G_ik grad_h_j + g_ip y^p d grad_h_jk, and df likewise with
+    grad_v and sigma_yy.  dF is formed only at the rows asked for."""
     s, gh, gv, d_gh, d_gv = sigma_gradient_partials(space, y, n_conn)
     F, f, gy, g = _em_from(space, y, s, gh, gv)
     G = 2.0 * gy[..., :, None] * gv[..., None, :] + g
 
-    def partial(grad, d_grad):
-        term = G[..., :, None, :] * grad[..., None, :, None] \
-            + gy[..., :, None, None] * d_grad[..., None, :, :]
-        return term - np.swapaxes(term, -3, -2)
+    def term(i, j):
+        return G[..., i, :] * gh[..., j, None] + gy[..., i, None] * d_gh[..., j, :]
 
-    return F, f, partial(gh, d_gh), partial(gv, d_gv), gy, gv
+    # df in full, for residual3, with the products of term at every entry
+    t = G[..., :, None, :] * gv[..., None, :, None] + gy[..., :, None, None] * d_gv[..., None, :, :]
+    return F, f, lambda a, b: term(a, b) - term(b, a), t - np.swapaxes(t, -3, -2), gy, gv
 
 
 def em_tensors(space: ConformalLagrangeSpace, y: np.ndarray) -> ElectromagneticTensors:
@@ -140,39 +146,107 @@ def maxwell_residuals(space: ConformalLagrangeSpace, y: np.ndarray
     third vanishes identically in the continuum; the first two depend on
     the base curvature convention on curved charts.
 
+    F and f are antisymmetric, so residual2 and the first sum of residual1
+    are 3-forms: each is taken only at its C(n, 3) components i < j < k, as
+    X_ijk + X_jki + X_kij, and written with its sign into the six
+    permutations of a zero array.  Each F_ab|c and f_ab|c there is one grid
+    stencil of F_ab along axis c minus the N-term and the two Gamma-terms.
+    The curvature term and residual3 stay full cyclic sums.  Every
+    residual1 and residual2 entry of a node is NaN where one of the node's
+    components is not finite; for n = 2, which has none, where F, f or a
+    fiber partial of them is not.
+
     With the jet hook, (F, f) and their fiber partials come in closed form
-    from one jet call.  Without it, (F, f) is evaluated once at each of the
-    2n + 1 points y, y +- h e_k; all four derivatives come from that
-    stencil and the curvature term reuses the centre point, (1 + 2n)^2
-    sigma calls in all.  N(y) is formed once and shared.
+    from one jet call, dF only at the rows the components read.  Without
+    it, (F, f) is evaluated once at each of the 2n + 1 points
+    y, y +- h e_k; all four derivatives come from that stencil and the
+    curvature term reuses the centre point, (1 + 2n)^2 sigma calls in all.
+    N(y) is formed once and shared.
     """
     y = np.asarray(y, float)
     grid = space.grid
+    n = space.dim
+    lead = grid.shape
     n_conn = space.nonlinear_connection(y)
 
     if space.sigma_jet is not None:
-        F, f, dF, df, gy, gv = _em_jet(space, y, n_conn)
+        F, f, dF_rows, df, gy, gv = _em_jet(space, y, n_conn)
     else:
         F, f, gy, gv = _em_values(space, y, n_conn)    # gy = g_ip y^p
         dF, df = joint_fiber_partials(lambda yy: _em_values(space, yy)[:2], y,
                                       space.dim, space.fiber_step_scale)
 
+        def dF_rows(a, b):
+            return dF[..., a, b, :]
+
     riem = space.base.curvature.values             # (..., h, q, j, k)
-    n = space.dim
-    lead = space.grid.shape
     # sdot_h first, against the contiguous (h, qjk) layout, then y^q
     curv = gv[..., None, :] @ riem.reshape(lead + (n, n ** 3))
     curv = contract_vector(curv.reshape(lead + (n, n, n)), y, -3)
     curv_term = gy[..., :, None, None] * curv[..., None, :, :]
 
-    res1 = _cyclic(h_covariant(F, dF, space, y, n_conn)) - _cyclic(curv_term)
-    res2 = _cyclic(dF) + _cyclic(h_covariant(f, df, space, y, n_conn))
+    if n >= 3:
+        a, b, c = _rotations(n)
+        rows = dF_rows(a, b)                       # dF_abm, (..., rotation, m)
+        X1 = _h_components(F, rows, space, n_conn, a, b, c)
+        X2 = rows[..., np.arange(len(c)), c] \
+            + _h_components(f, df[..., a, b, :], space, n_conn, a, b, c)
+        comp1, comp2 = (X[..., 0::3] + X[..., 1::3] + X[..., 2::3] for X in (X1, X2))
+        # the components read all of F and f at their node and the rows
+        # (a, b) of dF and df, whose other rows are negatives or x - x of
+        # the same products; a non-finite operand stays non-finite
+        checked = (comp1, comp2)
+    else:
+        comp1 = comp2 = np.zeros(lead + (0,))
+        checked = (F, f, dF_rows([0], [1]), df)
+    bad = np.zeros(lead, dtype=bool)
+    for arr in checked:
+        bad |= ~np.isfinite(arr.reshape(lead + (-1,))).all(-1)
+    res1 = _three_form(comp1, n) - _cyclic(curv_term)
+    res2 = _three_form(comp2, n)
+    res1[bad] = res2[bad] = np.nan
     res3 = _cyclic(df)
     return (
         TensorField(grid, res1, COV3),
         TensorField(grid, res2, COV3),
         TensorField(grid, res3, COV3),
     )
+
+
+def _h_components(vals: np.ndarray, rows: np.ndarray, space: ConformalLagrangeSpace,
+                  n_conn: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray
+                  ) -> np.ndarray:
+    """vals_ab|c at the index arrays (a, b, c), shape (..., len(a)): the grid
+    stencil of vals_ab along axis c, minus N^m_c rows_m with ``rows`` the
+    fiber partials d vals_ab/dy^m, (..., len(a), m), minus
+    Gamma^m_ac vals_mb and Gamma^m_bc vals_am."""
+    out = np.stack([fd_partial(scalar_field(space.grid, vals[..., i, j]), k).values
+                    for i, j, k in zip(a, b, c)], axis=-1)
+    gam = space.base.christoffel.values            # (..., m, i, k)
+    out -= np.einsum("...pm,...mp->...p", rows, n_conn[..., :, c])
+    out -= np.einsum("...mp,...mp->...p", gam[..., :, a, c], vals[..., :, b])
+    out -= np.einsum("...mp,...pm->...p", gam[..., :, b, c], vals[..., a, :])
+    return out
+
+
+def _rotations(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays (a, b, c) of the rotations (i, j, k), (j, k, i),
+    (k, i, j) of each triple i < j < k in the order of combinations."""
+    rot = [t[r:] + t[:r] for t in combinations(range(n), 3) for r in range(3)]
+    return tuple(np.array([r[s] for r in rot], dtype=np.intp) for s in range(3))
+
+
+def _three_form(comp: np.ndarray, n: int) -> np.ndarray:
+    """The totally antisymmetric (..., n, n, n) array with components
+    ``comp`` (..., triple) at i < j < k, in the order of combinations."""
+    out = np.zeros(comp.shape[:-1] + (n, n, n))
+    i, j, k = (s[0::3] for s in _rotations(n))
+    for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+        out[..., p, q, r] = comp
+    neg = -comp
+    for p, q, r in ((j, i, k), (i, k, j), (k, j, i)):
+        out[..., p, q, r] = neg
+    return out
 
 
 def deflection_tensor(space: ConformalLagrangeSpace, y: np.ndarray,

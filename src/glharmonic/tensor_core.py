@@ -510,7 +510,11 @@ def invert_metric(g: MetricField) -> MetricField:
     doubtful = ~(screen <= (0.5 * COND_BOUND) ** 2)
     if doubtful.any():
         _condition_gate(g.values, doubtful)
-    inv = 0.5 * (inv + np.swapaxes(inv, -1, -2))
+    # for n <= 2 the adjugate inverse of an exactly symmetric input is
+    # exactly symmetric already, and averaging it would return it unchanged
+    n = g.values.shape[-1]
+    if n > 2 or (n == 2 and not np.array_equal(g.values[..., 0, 1], g.values[..., 1, 0])):
+        inv = 0.5 * (inv + np.swapaxes(inv, -1, -2))
     kinds = (UP, UP) if g.index_kinds == (LO, LO) else (LO, LO)
     return MetricField(g.grid, inv, kinds, definite="pseudo")
 

@@ -3,6 +3,7 @@ forms they replaced, on random non-symmetric Christoffel and curvature
 arrays.  The einsum functions below are the references; they are kept
 verbatim from the per-node formulas and must not be rewritten."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -10,14 +11,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glharmonic import riemann
-from glharmonic.field_equations import _cyclic, _deflection, _em_values, maxwell_residuals
+from glharmonic.field_equations import (
+    _cyclic,
+    _deflection,
+    _em_jet,
+    _em_values,
+    maxwell_residuals,
+)
 from glharmonic.gl_space import (
     ConformalFactorDerivatives,
     conformal_space,
     h_covariant,
     joint_fiber_partials,
+    sigma_gradient_partials,
 )
 from glharmonic.riemann import RiemannPackage, christoffel, curvature_package
+from glharmonic.scenarios import sigma_jet_evaluator
 from glharmonic.tensor_core import (
     LO,
     UP,
@@ -31,7 +40,7 @@ from glharmonic.tensor_core import (
 )
 
 RTOL = 1e-13
-SHAPES = {2: (6, 5), 3: (5, 6, 5)}
+SHAPES = {2: (6, 5), 3: (5, 6, 5), 4: (5, 5, 5, 5)}
 
 oracle_settings = settings(max_examples=12, deadline=None, database=None)
 cases = st.tuples(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
@@ -66,6 +75,12 @@ def random_package(rng, n) -> RiemannPackage:
 
 def smooth_sigma(pts, y):
     return 0.1 * np.sin(pts[..., 0]) * (1 + 0.2 * y[0] * y[-1]) + 0.05 * np.log1p(y @ y)
+
+
+def smooth_sigma_jet(n):
+    """The exact fiber jet of :func:`smooth_sigma` in n dimensions."""
+    squares = " + ".join(f"y{k}*y{k}" for k in range(1, n + 1))
+    return sigma_jet_evaluator(f"0.1*sin(x1)*(1 + 0.2*y1*y{n}) + 0.05*ln(1 + {squares})", n)
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +149,33 @@ def deflection_reference(space, y, blocks):
             "ricci_vector_part": term3, "curvature_mixed_part": term4}
 
 
-def maxwell_reference(space, y):
-    F, f, gy, gv = _em_values(space, y)
-    dF, df = joint_fiber_partials(lambda yy: _em_values(space, yy)[:2], y,
-                                  space.dim, space.fiber_step_scale)
+def em_jet_reference(space, y):
+    """F, f, their fiber partials, g_ip y^p and grad_v from the jet, by the
+    product rule with d(g_ip y^p)/dy^k = 2 sigma_{y^k} g_ip y^p + g_ik."""
+    s, gh, gv, d_gh, d_gv = sigma_gradient_partials(space, y)
+    g = np.exp(2.0 * s)[..., None, None] * space.base.gamma.values
+    gy = np.einsum("...ip,p->...i", g, y)
+    G = 2.0 * np.einsum("...i,...k->...ik", gy, gv) + g
+
+    def wedge(grad):
+        return np.einsum("...i,...j->...ij", gy, grad) - np.einsum("...j,...i->...ij", gy, grad)
+
+    def wedge_partials(grad, d_grad):
+        term = np.einsum("...ik,...j->...ijk", G, grad) + np.einsum("...i,...jk->...ijk", gy, d_grad)
+        return term - np.einsum("...jik->...ijk", term)
+
+    return wedge(gh), wedge(gv), wedge_partials(gh, d_gh), wedge_partials(gv, d_gv), gy, gv
+
+
+def maxwell_reference(space, y, em=None):
+    """The three residuals from the fiber stencil of (F, f), or from ``em``
+    = (F, f, dF, df, g_ip y^p, grad_v) when given."""
+    if em is None:
+        F, f, gy, gv = _em_values(space, y)
+        dF, df = joint_fiber_partials(lambda yy: _em_values(space, yy)[:2], y,
+                                      space.dim, space.fiber_step_scale)
+    else:
+        F, f, dF, df, gy, gv = em
     curv = np.einsum("...hqjk,q,...h->...jk", space.base.curvature.values, y, gv)
     curv_term = gy[..., :, None, None] * curv[..., None, :, :]
     return (
@@ -241,3 +279,51 @@ def test_maxwell_curvature_term_matches_einsum(case):
     scale = max(float(np.max(np.abs(want))) for want in expected)
     for got, want in zip(maxwell_residuals(space, y), expected):
         assert_close(got.values, want, scale)
+
+
+SIGNED_PERMUTATIONS = (((1, 2, 0), 1), ((2, 0, 1), 1),
+                       ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1))
+
+
+def assert_three_form(vals):
+    """Totally antisymmetric in the last three axes, bit for bit."""
+    lead = tuple(range(vals.ndim - 3))
+    for perm, sign in SIGNED_PERMUTATIONS:
+        axes = lead + tuple(len(lead) + p for p in perm)
+        assert np.array_equal(np.transpose(vals, axes), sign * vals)
+
+
+@oracle_settings
+@given(st.sampled_from([2, 3, 4]), st.booleans(), st.integers(0, 2**32 - 1))
+def test_maxwell_residuals_are_three_forms_at_their_components(n, jet, seed):
+    # n = 4 has four triples i < j < k; with the jet the fiber partials are
+    # exact, and the reference takes them from the product rule
+    rng = np.random.default_rng(seed)
+    package = random_package(rng, n)
+    space = conformal_space(package, smooth_sigma, smooth_sigma_jet(n) if jet else None)
+    y = rng.uniform(0.3, 1.2, n) * rng.choice([-1.0, 1.0], n)
+    r1, r2, r3 = (r.values for r in maxwell_residuals(space, y))
+
+    assert_three_form(r2)
+    # (x - c) + c need not be x in floating point: residual1 plus its
+    # curvature term is checked bit for bit where that term is zero, and
+    # the components do not involve the curvature
+    flat = replace(space, base=replace(package, curvature=TensorField(
+        space.grid, np.zeros_like(package.curvature.values), package.curvature.index_kinds)))
+    forms1 = maxwell_residuals(flat, y)[0].values
+    assert_three_form(forms1)
+
+    if jet:
+        em = em_jet_reference(space, y)
+        df = _em_jet(space, y, space.nonlinear_connection(y))[3]
+    else:
+        em = None
+        df = joint_fiber_partials(lambda yy: _em_values(space, yy)[:2], y,
+                                  n, space.fiber_step_scale)[1]
+    assert np.array_equal(r3, _cyclic(df))
+
+    want = maxwell_reference(space, y, em)
+    scale = max(float(np.max(np.abs(w))) for w in want)
+    for got, ref in zip((r1, r2, r3), want):
+        assert_close(got, ref, scale)
+    assert_close(forms1, maxwell_reference(flat, y, em)[0], scale)

@@ -228,6 +228,23 @@ def test_nonfinite_field_fails_the_task(tmp_path):
         assert maxwell["scalars"][f"residual{k}_nonfinite"] == nodes * 8
 
 
+def test_nonfinite_nodes_fail_every_maxwell_entry_3d(tmp_path):
+    # ln(sin(x1)) has no value on the 8 of 15 x1 planes where sin(x1) <= 0;
+    # the order-2 stencil reaches one plane beyond them on each side, and
+    # every residual1 and residual2 entry of a node with a non-finite
+    # component is non-finite, so 10 planes of 27 entries a node
+    spec = json.loads(json.dumps(BUILTIN_SCENARIOS["maxwell-logconformal"]))
+    spec["name"] = "nan-planes"
+    spec["gl_space"]["sigma"] = "ln(sin(x1)) * (1 + y1)"
+    with np.errstate(all="ignore"):
+        report = run_scenario(spec, tmp_path)
+    assert report["status"] == "fail"
+    scalars = report["tasks"][0]["scalars"]
+    assert scalars["residual1_nonfinite"] == scalars["residual2_nonfinite"] == 10 * 15 * 15 * 27
+    # residual3 is pointwise in the fiber partials: the 8 planes alone
+    assert scalars["residual3_nonfinite"] == 8 * 15 * 15 * 27 == 48600
+
+
 def test_finite_fields_report_zero_nonfinite_counts(tmp_path):
     report = run_scenario(BUILTIN_SCENARIOS["flat-vacuum"], tmp_path)
     assert report["status"] == "pass"
