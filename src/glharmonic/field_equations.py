@@ -15,12 +15,10 @@ callable, F and f are evaluated together once at each point of the fiber
 stencil y, y +- h e_k, (1 + 2n)^2 sigma calls per sample, and the outputs
 are defined by the fiber step.
 
-The first two cyclic residuals are 3-forms: their h-covariant derivatives
-and fiber partials are taken only at the C(n, 3) independent components
-(none for n = 2), while the curvature term of the first and the whole
-third residual stay full cyclic sums.  The identities behind the first two
-involve the curvature convention of the riemann module; on curved base
-metrics their magnitudes are reported rather than asserted.
+All three cyclic residuals are 3-forms, taken only at their C(n, 3)
+independent components and so zero for n < 3.  The identities behind the
+first two involve the curvature convention of the riemann module; on
+curved base metrics their magnitudes are reported rather than asserted.
 """
 
 from __future__ import annotations
@@ -94,22 +92,24 @@ def _wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _em_jet(space: ConformalLagrangeSpace, y: np.ndarray, n_conn: np.ndarray) -> tuple:
-    """F, f, a function of index arrays (a, b) giving the fiber partials
-    dF_abk (slot k last), the full df, g_ip y^p and grad_v at one fiber,
-    exactly, from the jet: with G_ik = d(g_ip y^p)/dy^k =
-    2 sigma_{y^k} g_ip y^p + g_ik, dF_ijk = term_ijk - term_jik where
-    term_ijk = G_ik grad_h_j + g_ip y^p d grad_h_jk, and df likewise with
-    grad_v and sigma_yy.  dF is formed only at the rows asked for."""
+    """F, f, their fiber partials as functions of index arrays (a, b) giving
+    rows dF_abk and df_abk (slot k last), g_ip y^p and grad_v at one fiber,
+    exactly, from the jet (:func:`_wedge_partials`)."""
     s, gh, gv, d_gh, d_gv = sigma_gradient_partials(space, y, n_conn)
     F, f, gy, g = _em_from(space, y, s, gh, gv)
     G = 2.0 * gy[..., :, None] * gv[..., None, :] + g
+    return F, f, _wedge_partials(G, gy, gh, d_gh), _wedge_partials(G, gy, gv, d_gv), gy, gv
 
+
+def _wedge_partials(G: np.ndarray, gy: np.ndarray, grad: np.ndarray, d_grad: np.ndarray):
+    """The fiber partials of gy_i grad_j - gy_j grad_i at rows (a, b), as a
+    function of index arrays: with G_ik = d(g_ip y^p)/dy^k =
+    2 sigma_{y^k} g_ip y^p + g_ik, d_ijk = term_ijk - term_jik where
+    term_ijk = G_ik grad_j + g_ip y^p d grad_jk."""
     def term(i, j):
-        return G[..., i, :] * gh[..., j, None] + gy[..., i, None] * d_gh[..., j, :]
+        return G[..., i, :] * grad[..., j, None] + gy[..., i, None] * d_grad[..., j, :]
 
-    # df in full, for residual3, with the products of term at every entry
-    t = G[..., :, None, :] * gv[..., None, :, None] + gy[..., :, None, None] * d_gv[..., None, :, :]
-    return F, f, lambda a, b: term(a, b) - term(b, a), t - np.swapaxes(t, -3, -2), gy, gv
+    return lambda a, b: term(a, b) - term(b, a)
 
 
 def em_tensors(space: ConformalLagrangeSpace, y: np.ndarray) -> ElectromagneticTensors:
@@ -121,16 +121,6 @@ def em_tensors(space: ConformalLagrangeSpace, y: np.ndarray) -> ElectromagneticT
         F=TensorField(space.grid, F, COV2),
         f=TensorField(space.grid, f, COV2),
         y=y,
-    )
-
-
-def _cyclic(vals: np.ndarray) -> np.ndarray:
-    """Sum over cyclic permutations of the last three axes:
-    X_ijk + X_jki + X_kij."""
-    return (
-        vals
-        + np.einsum("...jki->...ijk", vals)
-        + np.einsum("...kij->...ijk", vals)
     )
 
 
@@ -146,19 +136,23 @@ def maxwell_residuals(space: ConformalLagrangeSpace, y: np.ndarray
     third vanishes identically in the continuum; the first two depend on
     the base curvature convention on curved charts.
 
-    F and f are antisymmetric, so residual2 and the first sum of residual1
-    are 3-forms: each is taken only at its C(n, 3) components i < j < k, as
-    X_ijk + X_jki + X_kij, and written with its sign into the six
-    permutations of a zero array.  Each F_ab|c and f_ab|c there is one grid
+    All three are 3-forms: F, f and their fiber partials are antisymmetric
+    in their first two slots, and the curvature r^h_{qjk} in (j, k), as
+    every ``curvature_package`` result is exactly.  Each residual is taken
+    only at its C(n, 3) components i < j < k, as X_ijk + X_jki + X_kij
+    with X1 = F_ab|c - g_ap y^p r^h_{qbc} sdot_h y^q,
+    X2 = F_ab[v_c] + f_ab|c and X3 = f_ab[v_c], and written with its sign
+    into the six permutations of a zero array; for n < 3, which has no
+    components, all three are zero.  Each F_ab|c and f_ab|c is one grid
     stencil of F_ab along axis c minus the N-term and the two Gamma-terms.
-    The curvature term and residual3 stay full cyclic sums.  Every
-    residual1 and residual2 entry of a node is NaN where one of the node's
-    components is not finite; for n = 2, which has none, where F, f or a
-    fiber partial of them is not.
+    Every residual1 and residual2 entry of a node is NaN where one of
+    their components there is not finite, and every residual3 entry where
+    its own is; for n < 3, every entry of all three where F, f or a fiber
+    partial of them is not finite.
 
     With the jet hook, (F, f) and their fiber partials come in closed form
-    from one jet call, dF only at the rows the components read.  Without
-    it, (F, f) is evaluated once at each of the 2n + 1 points
+    from one jet call, dF and df only at the rows the components read.
+    Without it, (F, f) is evaluated once at each of the 2n + 1 points
     y, y +- h e_k; all four derivatives come from that stencil and the
     curvature term reuses the centre point, (1 + 2n)^2 sigma calls in all.
     N(y) is formed once and shared.
@@ -170,47 +164,46 @@ def maxwell_residuals(space: ConformalLagrangeSpace, y: np.ndarray
     n_conn = space.nonlinear_connection(y)
 
     if space.sigma_jet is not None:
-        F, f, dF_rows, df, gy, gv = _em_jet(space, y, n_conn)
+        F, f, dF_rows, df_rows, gy, gv = _em_jet(space, y, n_conn)
     else:
         F, f, gy, gv = _em_values(space, y, n_conn)    # gy = g_ip y^p
-        dF, df = joint_fiber_partials(lambda yy: _em_values(space, yy)[:2], y,
-                                      space.dim, space.fiber_step_scale)
+        dF_rows, df_rows = ((lambda a, b, d=d: d[..., a, b, :]) for d in joint_fiber_partials(
+            lambda yy: _em_values(space, yy)[:2], y, space.dim, space.fiber_step_scale))
 
-        def dF_rows(a, b):
-            return dF[..., a, b, :]
-
-    riem = space.base.curvature.values             # (..., h, q, j, k)
-    # sdot_h first, against the contiguous (h, qjk) layout, then y^q
-    curv = gv[..., None, :] @ riem.reshape(lead + (n, n ** 3))
-    curv = contract_vector(curv.reshape(lead + (n, n, n)), y, -3)
-    curv_term = gy[..., :, None, None] * curv[..., None, :, :]
+    def nonfinite(*arrays):
+        bad = np.zeros(lead, dtype=bool)
+        for arr in arrays:
+            bad |= ~np.isfinite(arr.reshape(lead + (-1,))).all(-1)
+        return bad
 
     if n >= 3:
+        riem = space.base.curvature.values         # (..., h, q, j, k)
+        # sdot_h first, against the contiguous (h, qjk) layout, then y^q
+        curv = gv[..., None, :] @ riem.reshape(lead + (n, n ** 3))
+        curv = contract_vector(curv.reshape(lead + (n, n, n)), y, -3)
         a, b, c = _rotations(n)
-        rows = dF_rows(a, b)                       # dF_abm, (..., rotation, m)
-        X1 = _h_components(F, rows, space, n_conn, a, b, c)
-        X2 = rows[..., np.arange(len(c)), c] \
-            + _h_components(f, df[..., a, b, :], space, n_conn, a, b, c)
-        comp1, comp2 = (X[..., 0::3] + X[..., 1::3] + X[..., 2::3] for X in (X1, X2))
-        # the components read all of F and f at their node and the rows
-        # (a, b) of dF and df, whose other rows are negatives or x - x of
-        # the same products; a non-finite operand stays non-finite
-        checked = (comp1, comp2)
+        at_c = (Ellipsis, np.arange(len(c)), c)
+        dF_ab, df_ab = dF_rows(a, b), df_rows(a, b)    # (..., rotation, m)
+        X1 = _h_components(F, dF_ab, space, n_conn, a, b, c) - gy[..., a] * curv[..., b, c]
+        X2 = dF_ab[at_c] + _h_components(f, df_ab, space, n_conn, a, b, c)
+        comps = [X[..., 0::3] + X[..., 1::3] + X[..., 2::3] for X in (X1, X2, df_ab[at_c])]
+        # the components of 1 and 2 read all of F and f at their node and
+        # the rows (a, b) of dF and df, whose other rows are negatives or
+        # x - x of the same products; a non-finite operand stays non-finite
+        bad12 = nonfinite(comps[0], comps[1])
+        bads = (bad12, bad12, nonfinite(comps[2]))
     else:
-        comp1 = comp2 = np.zeros(lead + (0,))
-        checked = (F, f, dF_rows([0], [1]), df)
-    bad = np.zeros(lead, dtype=bool)
-    for arr in checked:
-        bad |= ~np.isfinite(arr.reshape(lead + (-1,))).all(-1)
-    res1 = _three_form(comp1, n) - _cyclic(curv_term)
-    res2 = _three_form(comp2, n)
-    res1[bad] = res2[bad] = np.nan
-    res3 = _cyclic(df)
-    return (
-        TensorField(grid, res1, COV3),
-        TensorField(grid, res2, COV3),
-        TensorField(grid, res3, COV3),
-    )
+        # no components: the zero 3-form, NaN where F, f or a fiber partial
+        # is (the row (0, 1) at n = 2, none at n = 1)
+        p, q = np.triu_indices(n, 1)
+        comps = [np.zeros(lead + (0,))] * 3
+        bads = (nonfinite(F, f, dF_rows(p, q), df_rows(p, q)),) * 3
+    out = []
+    for comp, bad in zip(comps, bads):
+        res = _three_form(comp, n)
+        res[bad] = np.nan
+        out.append(TensorField(grid, res, COV3))
+    return tuple(out)
 
 
 def _h_components(vals: np.ndarray, rows: np.ndarray, space: ConformalLagrangeSpace,

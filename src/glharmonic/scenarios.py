@@ -173,10 +173,6 @@ SCENARIO_SCHEMA = {
                 "tol_gap": {"type": "number", "exclusiveMinimum": 0},
                 "tol_defect": {"type": "number", "exclusiveMinimum": 0},
                 "eps_sing": {"type": "number", "exclusiveMinimum": 0},
-                # accepted so older spec files stay valid; it has no effect:
-                # every scenario-built residual takes its pointwise partials
-                # exactly
-                "fd_step": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "tasks": {

@@ -175,41 +175,9 @@ class TensorField:
     def slot_dims(self) -> tuple[int, ...]:
         return self.values.shape[self.grid.dim:]
 
-    def __add__(self, other: "TensorField") -> "TensorField":
-        self._check_compatible(other)
-        return TensorField(self.grid, self.values + other.values, self.index_kinds)
-
-    def __sub__(self, other: "TensorField") -> "TensorField":
-        self._check_compatible(other)
-        return TensorField(self.grid, self.values - other.values, self.index_kinds)
-
-    def __mul__(self, factor) -> "TensorField":
-        if isinstance(factor, TensorField):
-            if factor.arity != 0:
-                raise ValueError("can only multiply by a scalar field")
-            extra = (1,) * self.arity
-            return TensorField(self.grid, self.values * factor.values.reshape(factor.values.shape + extra),
-                               self.index_kinds)
-        return TensorField(self.grid, self.values * float(factor), self.index_kinds)
-
-    __rmul__ = __mul__
-
-    def _check_compatible(self, other: "TensorField"):
-        if self.grid != other.grid or self.index_kinds != other.index_kinds \
-                or self.values.shape != other.values.shape:
-            raise ValueError("fields are not defined on the same grid with the same slots")
-
 
 def scalar_field(grid: ChartGrid, values: np.ndarray) -> TensorField:
     return TensorField(grid, values, ())
-
-
-def vector_field(grid: ChartGrid, values: np.ndarray) -> TensorField:
-    return TensorField(grid, values, (UP,))
-
-
-def covector_field(grid: ChartGrid, values: np.ndarray) -> TensorField:
-    return TensorField(grid, values, (LO,))
 
 
 def sample_scalar(grid: ChartGrid, fn: Callable[[np.ndarray], np.ndarray]) -> TensorField:

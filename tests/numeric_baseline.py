@@ -5,7 +5,8 @@ and 7, run through ``run_scenario``.
 Regenerate ``tests/data/numeric_baseline.json`` only on purpose, when a
 change is meant to move numbers, and say in the change which moved.  List
 them first, against the committed file, with ``--diff`` (it writes
-nothing):
+nothing; it also lists each dump whose sha256 changed while its digest
+passes the gate):
 
     PYTHONPATH=src python tests/numeric_baseline.py --diff
     PYTHONPATH=src python tests/numeric_baseline.py
@@ -163,17 +164,11 @@ def moved(new: dict, old: dict) -> list[str]:
         for name in sorted(set(got) | set(want)):
             if name not in want or name not in got:
                 lines.append(f"{where}{name}: {'added' if name in got else 'missing'}")
-                continue
-            g, w = got[name], want[name]
-            if isinstance(w, dict):     # a dump digest
-                floor = floor_of(name)
-                floors = {"count": 0.0, "nonfinite": 0.0, "max_abs": floor,
-                          "sum_sq": w["count"] * floor * floor}
-                lines.extend(_line(f"{where}{name} {field}", g[field], w[field])
-                             for field, field_floor in floors.items()
-                             if not close(g[field], w[field], field_floor))
-            elif not close(g, w, floor_of(name)):
-                lines.append(_line(f"{where}{name}", g, w))
+            elif isinstance(want[name], dict):      # a dump digest
+                lines.extend(_digest_moves(f"{where}{name}", got[name], want[name],
+                                           floor_of(name)))
+            elif not close(got[name], want[name], floor_of(name)):
+                lines.append(_line(f"{where}{name}", got[name], want[name]))
 
     for key in sorted(set(new) | set(old)):
         if key not in old or key not in new:
@@ -182,6 +177,26 @@ def moved(new: dict, old: dict) -> list[str]:
         compare(f"{key} ", new[key]["scalars"], old[key]["scalars"], scalar_floor)
         compare(f"{key} ", new[key]["dumps"], old[key]["dumps"], dump_floor)
     return lines
+
+
+def rehashed(new: dict, old: dict) -> list[str]:
+    """One line per dump of both ``new`` and ``old`` whose bytes changed
+    while its digest passes the gate: a digit moved within the gate."""
+    return [f"{key} {name} sha256: {want['sha256']} -> {got['sha256']}"
+            for key in sorted(set(new) & set(old))
+            for name, want in sorted(old[key]["dumps"].items())
+            if (got := new[key]["dumps"].get(name)) is not None
+            and got["sha256"] != want["sha256"]
+            and not _digest_moves(name, got, want, dump_floor(name))]
+
+
+def _digest_moves(name: str, got: dict, want: dict, floor: float) -> list[str]:
+    """The lines of the digest fields of one dump that fail the gate."""
+    floors = {"count": 0.0, "nonfinite": 0.0, "max_abs": floor,
+              "sum_sq": want["count"] * floor * floor}
+    return [_line(f"{name} {field}", got[field], want[field])
+            for field, field_floor in floors.items()
+            if not close(got[field], want[field], field_floor)]
 
 
 def _line(name: str, new, old) -> str:
@@ -195,13 +210,17 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--diff", action="store_true",
                         help="print every value that moved beyond the gate against the "
-                             "committed baseline, and write nothing")
+                             "committed baseline, then every dump whose bytes changed "
+                             "within it, and write nothing")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         data = generate(pathlib.Path(tmp))
     if args.diff:
-        lines = moved(data, json.loads(BASELINE.read_text(encoding="utf-8")))
+        baseline = json.loads(BASELINE.read_text(encoding="utf-8"))
+        lines = moved(data, baseline)
         print("\n".join(lines) if lines else "no value moved beyond the gate")
+        print("\n".join(rehashed(data, baseline)
+                        or ["no dump changed its bytes within the gate"]))
         return
     BASELINE.parent.mkdir(exist_ok=True)
     with open(BASELINE, "w", encoding="utf-8") as fh:

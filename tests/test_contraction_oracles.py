@@ -4,6 +4,7 @@ arrays.  The einsum functions below are the references; they are kept
 verbatim from the per-node formulas and must not be rewritten."""
 
 from dataclasses import replace
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -11,13 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glharmonic import riemann
-from glharmonic.field_equations import (
-    _cyclic,
-    _deflection,
-    _em_jet,
-    _em_values,
-    maxwell_residuals,
-)
+from glharmonic.field_equations import _deflection, _em_jet, _em_values, maxwell_residuals
 from glharmonic.gl_space import (
     ConformalFactorDerivatives,
     conformal_space,
@@ -73,6 +68,16 @@ def random_package(rng, n) -> RiemannPackage:
     )
 
 
+def maxwell_package(rng, n) -> RiemannPackage:
+    """:func:`random_package` with its curvature r - r^T over the last two
+    slots: antisymmetric there, as every ``curvature_package`` result is and
+    as ``maxwell_residuals`` takes it to be."""
+    package = random_package(rng, n)
+    r = package.curvature
+    return replace(package, curvature=TensorField(
+        r.grid, r.values - np.swapaxes(r.values, -1, -2), r.index_kinds))
+
+
 def smooth_sigma(pts, y):
     return 0.1 * np.sin(pts[..., 0]) * (1 + 0.2 * y[0] * y[-1]) + 0.05 * np.log1p(y @ y)
 
@@ -91,6 +96,16 @@ def smooth_sigma_jet(n):
 def _partials(values, grid):
     field = TensorField(grid, values, (LO,) * (values.ndim - grid.dim))
     return np.stack([fd_partial(field, k).values for k in range(grid.dim)], axis=-1)
+
+
+def cyclic(vals):
+    """Sum over cyclic permutations of the last three axes:
+    X_ijk + X_jki + X_kij."""
+    return (
+        vals
+        + np.einsum("...jki->...ijk", vals)
+        + np.einsum("...kij->...ijk", vals)
+    )
 
 
 def christoffel_reference(gamma, gamma_inv):
@@ -179,9 +194,9 @@ def maxwell_reference(space, y, em=None):
     curv = np.einsum("...hqjk,q,...h->...jk", space.base.curvature.values, y, gv)
     curv_term = gy[..., :, None, None] * curv[..., None, :, :]
     return (
-        _cyclic(h_covariant_reference(F, dF, space, y)) - _cyclic(curv_term),
-        _cyclic(dF) + _cyclic(h_covariant_reference(f, df, space, y)),
-        _cyclic(df),
+        cyclic(h_covariant_reference(F, dF, space, y)) - cyclic(curv_term),
+        cyclic(dF) + cyclic(h_covariant_reference(f, df, space, y)),
+        cyclic(df),
     )
 
 
@@ -271,14 +286,9 @@ def test_deflection_terms_match_einsum(case):
 def test_maxwell_curvature_term_matches_einsum(case):
     n, seed = case
     rng = np.random.default_rng(seed)
-    space = conformal_space(random_package(rng, n), smooth_sigma)
+    space = conformal_space(maxwell_package(rng, n), smooth_sigma)
     y = rng.uniform(0.3, 1.2, n) * rng.choice([-1.0, 1.0], n)
-    expected = maxwell_reference(space, y)
-    # in two dimensions residuals 2 and 3 cancel to round-off, so all three
-    # are held to the scale of the largest
-    scale = max(float(np.max(np.abs(want))) for want in expected)
-    for got, want in zip(maxwell_residuals(space, y), expected):
-        assert_close(got.values, want, scale)
+    assert_maxwell_matches_reference(space, y)
 
 
 SIGNED_PERMUTATIONS = (((1, 2, 0), 1), ((2, 0, 1), 1),
@@ -293,37 +303,46 @@ def assert_three_form(vals):
         assert np.array_equal(np.transpose(vals, axes), sign * vals)
 
 
+def assert_maxwell_matches_reference(space, y, em=None):
+    """Each residual is a 3-form bit for bit, the zero one for n = 2, and
+    matches :func:`maxwell_reference` at its components i < j < k, all
+    three held to the scale of the largest.  The reference sums the other
+    entries in another order, so there their round-off is relative to
+    |df|, not to the residual.  Returns the three residual arrays."""
+    got = [r.values for r in maxwell_residuals(space, y)]
+    for vals in got:
+        assert_three_form(vals)
+    if space.dim < 3:
+        assert not any(np.any(vals) for vals in got)
+        return got
+    i, j, k = np.array(list(combinations(range(space.dim), 3))).T
+    want = [w[..., i, j, k] for w in maxwell_reference(space, y, em)]
+    scale = max(float(np.max(np.abs(w))) for w in want)
+    for vals, w in zip(got, want):
+        assert_close(vals[..., i, j, k], w, scale)
+    return got
+
+
 @oracle_settings
 @given(st.sampled_from([2, 3, 4]), st.booleans(), st.integers(0, 2**32 - 1))
 def test_maxwell_residuals_are_three_forms_at_their_components(n, jet, seed):
     # n = 4 has four triples i < j < k; with the jet the fiber partials are
     # exact, and the reference takes them from the product rule
     rng = np.random.default_rng(seed)
-    package = random_package(rng, n)
-    space = conformal_space(package, smooth_sigma, smooth_sigma_jet(n) if jet else None)
+    space = conformal_space(maxwell_package(rng, n), smooth_sigma,
+                            smooth_sigma_jet(n) if jet else None)
     y = rng.uniform(0.3, 1.2, n) * rng.choice([-1.0, 1.0], n)
-    r1, r2, r3 = (r.values for r in maxwell_residuals(space, y))
+    r3 = assert_maxwell_matches_reference(space, y, em_jet_reference(space, y) if jet else None)[2]
 
-    assert_three_form(r2)
-    # (x - c) + c need not be x in floating point: residual1 plus its
-    # curvature term is checked bit for bit where that term is zero, and
-    # the components do not involve the curvature
-    flat = replace(space, base=replace(package, curvature=TensorField(
-        space.grid, np.zeros_like(package.curvature.values), package.curvature.index_kinds)))
-    forms1 = maxwell_residuals(flat, y)[0].values
-    assert_three_form(forms1)
-
+    # residual3 is df_ijk + df_jki + df_kij of the rows that residual2 reads
     if jet:
-        em = em_jet_reference(space, y)
         df = _em_jet(space, y, space.nonlinear_connection(y))[3]
     else:
-        em = None
-        df = joint_fiber_partials(lambda yy: _em_values(space, yy)[:2], y,
-                                  n, space.fiber_step_scale)[1]
-    assert np.array_equal(r3, _cyclic(df))
+        full = joint_fiber_partials(lambda yy: _em_values(space, yy)[:2], y,
+                                    n, space.fiber_step_scale)[1]
 
-    want = maxwell_reference(space, y, em)
-    scale = max(float(np.max(np.abs(w))) for w in want)
-    for got, ref in zip((r1, r2, r3), want):
-        assert_close(got, ref, scale)
-    assert_close(forms1, maxwell_reference(flat, y, em)[0], scale)
+        def df(a, b):
+            return full[..., a, b, :]
+    for i, j, k in combinations(range(n), 3):
+        want = df([i], [j])[..., 0, k] + df([j], [k])[..., 0, i] + df([k], [i])[..., 0, j]
+        assert np.array_equal(r3[..., i, j, k], want)

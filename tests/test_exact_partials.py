@@ -14,7 +14,7 @@ import pytest
 import glharmonic.scenarios as scenarios_module
 from glharmonic.energy import density_partials, el_residual
 from glharmonic.runner import _Context, run_scenario
-from glharmonic.scenarios import BUILTIN_SCENARIOS, require_valid
+from glharmonic.scenarios import BUILTIN_SCENARIOS, require_valid, validate_scenario
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_workloads", pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py")
@@ -177,21 +177,15 @@ def test_energy_only_spec_builds_no_derivative_list(monkeypatch, tmp_path):
     assert counts["sigma"] == counts["tau"] == 2
 
 
-def _without_wall_times(report):
-    for task in report["tasks"]:
-        task.pop("wall_time_s")
-    return report
-
-
-def test_a_spec_setting_fd_step_gets_the_same_report(tmp_path):
-    # fd_step is accepted so older spec files stay valid, and ignored: the
-    # residual takes no difference step
+def test_a_spec_setting_fd_step_is_rejected():
+    # every scenario-built residual takes its pointwise partials exactly, so
+    # no task has a difference step to set
     _, spec = COUPLED[0]
     stepped = {**spec, "tolerances": {**spec.get("tolerances", {}), "fd_step": 1e-3}}
-    want = _without_wall_times(run_scenario(spec, tmp_path / "plain"))
-    assert _without_wall_times(run_scenario(stepped, tmp_path / "stepped")) == want
-    dump = f"{spec['name']}__el_residual__el_residual.csv"
-    assert (tmp_path / "stepped" / dump).read_bytes() == (tmp_path / "plain" / dump).read_bytes()
+    assert validate_scenario(spec) == []
+    errors = validate_scenario(stepped)
+    assert len(errors) == 1
+    assert errors[0].startswith("tolerances: ") and "'fd_step'" in errors[0]
 
 
 def test_the_context_frees_the_evaluation_after_its_last_reader():

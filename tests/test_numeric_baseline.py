@@ -3,8 +3,9 @@ benchmark workload specs at seeds 1 and 7 against the recorded baseline
 ``tests/data/numeric_baseline.json`` (regenerated by
 ``tests/numeric_baseline.py``), under the gate and floors that module
 defines.  A dump whose bytes changed while its count, non-finite count,
-max |v| and sum of v^2 pass is reported as a warning, not failed: the
-digests gate the numbers, the hash shows that a digit moved.
+max |v| and sum of v^2 pass is reported as a warning, not failed, and
+``--diff`` lists it: the digests gate the numbers, the hash shows that a
+digit moved.
 """
 
 import json
@@ -12,7 +13,16 @@ import warnings
 
 import pytest
 
-from numeric_baseline import BASELINE, close, dump_floor, record, scalar_floor, specs
+from numeric_baseline import (
+    BASELINE,
+    close,
+    dump_floor,
+    moved,
+    record,
+    rehashed,
+    scalar_floor,
+    specs,
+)
 
 _BASELINE = json.loads(BASELINE.read_text(encoding="utf-8"))
 _SPECS = specs()
@@ -45,3 +55,16 @@ def test_numbers_match_the_baseline(key, tmp_path):
             (name, got, digest)
         if got["sha256"] != digest["sha256"]:
             warnings.warn(f"{key} {name}: dump bytes changed, digests within tolerance")
+
+
+def test_diff_lists_dumps_whose_bytes_moved_within_the_gate():
+    # a round-off dump whose max |v| doubles at 1e-16 passes under its floor
+    # and is listed by its hash; a dump without a floor that moves fails
+    digest = {"sha256": "a", "count": 4, "nonfinite": 0, "max_abs": 1e-16, "sum_sq": 4e-32}
+    floored, plain = "s__maxwell__maxwell_residual3.csv", "s__maxwell__maxwell_residual1.csv"
+    old = {"s": {"scalars": {}, "dumps": {floored: digest, plain: digest}}}
+    new = {"s": {"scalars": {}, "dumps": {floored: {**digest, "sha256": "b", "max_abs": 2e-16},
+                                          plain: {**digest, "sha256": "c", "max_abs": 2e-16}}}}
+    assert [line.split(":")[0] for line in moved(new, old)] == [f"s {plain} max_abs"]
+    assert rehashed(new, old) == [f"s {floored} sha256: a -> b"]
+    assert moved(old, old) == rehashed(old, old) == []

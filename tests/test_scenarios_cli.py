@@ -245,6 +245,24 @@ def test_nonfinite_nodes_fail_every_maxwell_entry_3d(tmp_path):
     assert scalars["residual3_nonfinite"] == 8 * 15 * 15 * 27 == 48600
 
 
+def test_one_dimensional_maxwell_is_the_zero_three_form(tmp_path):
+    # a 3-form on a line has no components and no pair (a, b) of rows to
+    # check: the task passes with zero residuals and zero dumps
+    spec = json.loads(json.dumps(BUILTIN_SCENARIOS["maxwell-logconformal"]))
+    spec["name"] = "maxwell-line"
+    spec["gl_space"] = {"dim": 1, "extents": [[0.5, 2.5]], "nodes": [9],
+                        "sigma": "ln(x1) * (1 + y1*y1)"}
+    spec["samples"] = [[0.7]]
+    report = run_scenario(spec, tmp_path)
+    assert report["status"] == "pass"
+    scalars = report["tasks"][0]["scalars"]
+    for k in (1, 2, 3):
+        assert scalars[f"residual{k}"] == 0.0 and scalars[f"residual{k}_nonfinite"] == 0
+    dump = np.loadtxt(tmp_path / "maxwell-line__maxwell__maxwell_residual3.csv",
+                      delimiter=",", skiprows=1)
+    assert dump.shape == (9, 2) and not np.any(dump[:, 1])
+
+
 def test_finite_fields_report_zero_nonfinite_counts(tmp_path):
     report = run_scenario(BUILTIN_SCENARIOS["flat-vacuum"], tmp_path)
     assert report["status"] == "pass"
