@@ -20,20 +20,20 @@ scales as e^{2 sigma + 2 tau}, so one pair of direction gradients
 dsigma/db and dtau/dy serves both, and dL/df needs the x-partials of psi,
 of tau at fixed y and of the connection blocks that depend on x.
 
-Exact and differenced partials.  Each of those partials is exact where
-the pair or P carries its hook (``MetricPair.conformal``'s ``sigma_db``,
+Hooks and differences.  Each of those partials is exact where the pair
+or P carries its hook (``MetricPair.conformal``'s ``sigma_db``,
 ``tau_dy``, ``tau_dx`` and ``psi_dx``, ``ConnectionTensor``'s
-``source_dx``); a target block that depends on x has no hook and sends
-the pair down the difference path.  The scenario builders compile every
-hook from the expression grammar, and their target blocks are x-free, so
-a scenario-built conformal residual differences nothing pointwise: only
-the divergence in ``assemble_residual`` is a grid stencil, and its
-per-node products go entry by entry.  A pair of library callables
-without hooks takes the central differences of ``central_partials`` with
-the relative step ``fd_step`` and keeps batched ``@``, so its residual
-keeps its bits.  The
-fiber-covector, one-form-source and orbit-geodesic residuals are
-(pair, P) constructions over this one path.
+``source_dx``); a partial without one, and the x-partials of a target
+block that depends on x, are central differences of that ingredient
+alone (``central_partials``, relative step ``fd_step``), and the hooks
+the pair does carry are still used.  The scenario builders compile every
+hook from the expression grammar, and their target blocks are x-free,
+so a scenario-built conformal residual differences nothing pointwise:
+only the divergence in ``assemble_residual`` is a grid stencil (the
+orbit-geodesic residual carries ``tau_dy`` only).  Every
+conformal per-node product goes entry by entry.  The fiber-covector,
+one-form-source and orbit-geodesic residuals are (pair, P) constructions
+over this one path.
 
 Sign convention.  The residual returned here *is* the nodewise density
 form of the discrete energy gradient: at interior nodes of the grid,
@@ -58,6 +58,7 @@ from .tensor_core import (
     NodeMatrices,
     TensorField,
     fd_partial,
+    grid_partials,
     invert_metric,
     scalar_field,
     sqrt_det,
@@ -253,8 +254,7 @@ class MapJet:
             resid = values - np.einsum("km,...m->...k", linear_jet, pts)
             extra = linear_jet
         field = TensorField(grid, resid, (LO,))  # variance irrelevant for stencils
-        jet = np.stack([fd_partial(field, ax).values for ax in range(grid.dim)], axis=-1)
-        jet = jet + extra
+        jet = grid_partials(field) + extra
         return cls(grid=grid, values=values, jet=jet)
 
     @property
@@ -535,16 +535,6 @@ def density_partials(f: MapJet, pair: MetricPair, P: ConnectionTensor,
     return dLdf, dLdjet.reshape(grid.shape + (n, m))
 
 
-def _exact(pair: MetricPair, P: ConnectionTensor) -> bool:
-    """Whether the conformal pair and P carry a hook for every partial the
-    chain rule takes; an x-dependent target block has none."""
-    source_ok = not P.source_depends_on_x or P.source_dx is not None
-    return (pair.psi_dx is not None
-            and (pair.sigma is None or pair.sigma_db is not None and source_ok)
-            and (pair.tau is None or pair.tau_dy is not None and pair.tau_dx is not None
-                 and not P.target_depends_on_x))
-
-
 def _conformal_partials(ev: DensityEvaluation, pair: MetricPair, P: ConnectionTensor,
                         fd_step: float) -> tuple[np.ndarray, np.ndarray]:
     """dL/df^i (..., n) and dL/df^i_a (..., n, m) of a conformal pair by
@@ -552,49 +542,40 @@ def _conformal_partials(ev: DensityEvaluation, pair: MetricPair, P: ConnectionTe
 
     dL/dJ   = h J g^{-1} + 2L (phi^{-1} R)^T,
     R_{bi}  = S^g_{bi} dsigma/db^g + T^k_{bi} dtau/dy^k,
-    dL/df^i = 2L (dsigma/db . (d_i S) w + dtau/dy . (d_i T) w + d_i tau|_y)
-              + e^{2 tau} tr(g^{-1} J^T d_i psi J) / 2,
+    dL/df^i = e^{2 tau} tr(g^{-1} J^T d_i psi J) / 2 + 2L d_i tau|_y
+              + 2L (dsigma/db . (d_i S) w + dtau/dy . (d_i T) w),
 
     where S, T are P's flattened blocks and b = S w, y = T w with
     w = vec((J phi^{-1})^T).  L scales as e^{2 sigma + 2 tau}, so its
     direction partials are 2L dsigma/db and 2L dtau/dy.  g^{-1} is the
     guarded inverse of g(a, b) itself: ``pair.phi`` need not be the metric
     whose inverse ``phi_inv`` defines w.  A missing sigma or tau drops its
-    terms.
+    terms, and so does a block that does not depend on x.
 
-    dsigma/db and dtau/dy come from the pair's hooks, or else from
-    ``central_partials`` (2m sigma, 2n tau calls).  With every hook (see
-    ``_exact``), dL/df is the formula above term by term and the per-node
-    products go entry by entry.  Otherwise dL/df is the central partial in
-    x of one scalar per node: the density with g^{-1} and y held fixed and
-    h(x, y) re-evaluated, plus each x-dependent block contracted with
-    2L dsigma/db or 2L dtau/dy and w (an x-free block is not
-    re-evaluated); the products stay batched ``@``, so a pair of library
-    callables keeps its bits."""
-    exact = _exact(pair, P)
-    dLdjet, two_L, spread, in_x = _conformal_jet_partials(
-        ev, pair, P, _node_product if exact else np.matmul, fd_step)
+    Each of the five partials (dsigma/db, dtau/dy, d psi/dx, dtau/dx at
+    fixed y and the x-partials of a block) is the pair's or P's hook where
+    one is given, and otherwise the central partials of its own ingredient
+    (``_partials``); the per-node products go entry by entry."""
+    dLdjet, two_L, spread, in_x = _conformal_jet_partials(ev, pair, P, fd_step)
     st, a_pts, x = ev.stage, ev.points, ev.f.values
-    if exact:
-        dLdf = _half_trace(spread, np.asarray(pair.psi_dx(x), float))
-        del spread
-        if st.tau_scale is not None:
-            dLdf = (st.tau_scale[..., None] * dLdf
-                    + two_L[..., None] * np.asarray(pair.tau_dx(x, st.y), float))
-        for _, block_dx, coef in in_x:
-            dLdf = dLdf + np.einsum("...gbi,...gbij->...j", coef,
-                                    np.asarray(block_dx(a_pts, x), float))
-        return dLdf, dLdjet
+    dLdf = _half_trace(spread, _partials(pair.psi, pair.psi_dx, (x,), 0, fd_step))
+    del spread
+    if st.tau_scale is not None:
+        dLdf = (st.tau_scale[..., None] * dLdf
+                + two_L[..., None] * _partials(pair.tau, pair.tau_dx, (x, st.y), 0, fd_step))
+    for block, block_dx, coef in in_x:
+        dLdf = dLdf + np.einsum("...gbi,...gbij->...j", coef,
+                                _partials(block, block_dx, (a_pts, x), 1, fd_step))
+    return dLdf, dLdjet
 
-    def at_fixed_direction(xv):
-        out = 0.5 * np.einsum("...kl,...lk->...", spread, np.asarray(pair.psi(xv), float))
-        if pair.tau is not None:
-            out = np.exp(2.0 * np.asarray(pair.tau(xv, st.y), float)) * out
-        for block, _, coef in in_x:
-            out = out + np.einsum("...gbi,...gbi->...", coef, np.asarray(block(a_pts, xv), float))
-        return out
 
-    return central_partials(at_fixed_direction, x, fd_step), dLdjet
+def _partials(fn, hook, args: tuple, k: int, fd_step: float) -> np.ndarray:
+    """The partials of ``fn(*args)`` in its argument k, the derivative axis
+    last: the exact ``hook(*args)`` where it is given, else the central
+    partials in that argument (2 d calls of ``fn`` for a d-vector)."""
+    if hook is not None:
+        return np.asarray(hook(*args), float)
+    return central_partials(lambda u: fn(*args[:k], u, *args[k + 1:]), args[k], fd_step)
 
 
 def _half_trace(spread: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
@@ -612,18 +593,18 @@ def _half_trace(spread: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
 
 
 def _conformal_jet_partials(ev: DensityEvaluation, pair: MetricPair, P: ConnectionTensor,
-                            product, fd_step: float):
-    """dL/dJ of a conformal pair by ``product`` (per-node @), with what its
-    dL/df reuses: 2L, J g^{-1} J^T and each x-dependent block with its
-    x-partials hook (None for the target) and its coefficient
-    2L dlog/darg (x) w.  Each intermediate is freed once read, so little
-    besides the evaluation is held at once."""
+                            fd_step: float):
+    """dL/dJ of a conformal pair, with what its dL/df reuses: 2L,
+    J g^{-1} J^T and each x-dependent block with its x-partials hook (None
+    for the target) and its coefficient 2L dlog/darg (x) w.  Each
+    intermediate is freed once read, so little besides the evaluation is
+    held at once."""
     st, a_pts, x, jet = ev.stage, ev.points, ev.f.values, ev.f.jet
     src, tgt = ev.blocks
     jet_t = np.swapaxes(jet, -1, -2)
-    hj = product(st.h, jet)
-    dLdjet = product(hj, st.ginv)
-    two_L = (st.ginv * product(jet_t, hj)).sum((-2, -1))
+    hj = _node_product(st.h, jet)
+    dLdjet = _node_product(hj, st.ginv)
+    two_L = (st.ginv * _node_product(jet_t, hj)).sum((-2, -1))
     del hj
     R = 0.0
     in_x = []
@@ -631,27 +612,25 @@ def _conformal_jet_partials(ev: DensityEvaluation, pair: MetricPair, P: Connecti
             or pair.tau is not None and P.target_depends_on_x):
         w = _raised_jet(jet, ev.phi_inv)[..., None, :, :]
     if pair.sigma is not None:
-        ds = (central_partials(lambda u: pair.sigma(a_pts, u), st.b, fd_step)
-              if pair.sigma_db is None else np.asarray(pair.sigma_db(a_pts, st.b), float))
-        R = product(ds[..., None, :], src)
+        ds = _partials(pair.sigma, pair.sigma_db, (a_pts, st.b), 1, fd_step)
+        R = _node_product(ds[..., None, :], src)
         if P.source_depends_on_x:
             in_x.append((P.source, P.source_dx, (two_L[..., None] * ds)[..., None, None] * w))
         del ds
     if pair.tau is not None:
-        dt = (central_partials(lambda u: pair.tau(x, u), st.y, fd_step) if pair.tau_dy is None
-              else np.asarray(pair.tau_dy(x, st.y), float))
-        R = R + product(dt[..., None, :], tgt)
+        dt = _partials(pair.tau, pair.tau_dy, (x, st.y), 1, fd_step)
+        R = R + _node_product(dt[..., None, :], tgt)
         if P.target_depends_on_x:
             in_x.append((P.target, None, (two_L[..., None] * dt)[..., None, None] * w))
         del dt
     if pair.sigma is not None or pair.tau is not None:
         n, m = jet.shape[-2:]
-        raised = product(ev.phi_inv, R.reshape(R.shape[:-2] + (m, n)))     # (..., a, i)
+        raised = _node_product(ev.phi_inv, R.reshape(R.shape[:-2] + (m, n)))     # (..., a, i)
         del R
         raised *= two_L[..., None, None]
         dLdjet += np.swapaxes(raised, -1, -2)
         del raised
-    return dLdjet, two_L, product(product(jet, st.ginv), jet_t), in_x
+    return dLdjet, two_L, _node_product(_node_product(jet, st.ginv), jet_t), in_x
 
 
 def assemble_residual(grid: ChartGrid, sqrt_phi: np.ndarray, dLdf: np.ndarray,

@@ -47,6 +47,7 @@ from .tensor_core import (
     TensorField,
     contract_vector,
     fd_partial,
+    grid_partials,
     scalar_field,
 )
 
@@ -159,10 +160,6 @@ def joint_fiber_partials(make_values: Callable[[np.ndarray], tuple], y: np.ndarr
     return tuple(np.stack(c, axis=-1) for c in zip(*cols))
 
 
-def _grid_partials(field: TensorField) -> np.ndarray:
-    return np.stack([fd_partial(field, k).values for k in range(field.grid.dim)], axis=-1)
-
-
 def delta_derivative(F: Callable[[np.ndarray, np.ndarray], np.ndarray],
                      space: ConformalLagrangeSpace, y: np.ndarray) -> TensorField:
     """Horizontal derivative of a scalar on the tangent bundle along the
@@ -170,7 +167,7 @@ def delta_derivative(F: Callable[[np.ndarray, np.ndarray], np.ndarray],
     y = np.asarray(y, float)
     pts = space.grid.points()
     sampled = scalar_field(space.grid, np.asarray(F(pts, y), float))
-    dx = _grid_partials(sampled)                      # (..., i)
+    dx = grid_partials(sampled)                       # (..., i)
     dy = fiber_partials(lambda yy: np.asarray(F(pts, yy), float), y,
                         space.dim, space.fiber_step_scale)
     n_conn = space.nonlinear_connection(y)            # (..., j, i)
@@ -214,7 +211,7 @@ def h_covariant(vals: np.ndarray, dy: np.ndarray, space: ConformalLagrangeSpace,
     lead = space.grid.shape
     n_slots = vals.ndim - gd
     field = TensorField(space.grid, vals, (LO,) * n_slots)
-    delta_vals = _grid_partials(field)                             # (*grid, *slots, k)
+    delta_vals = grid_partials(field)                              # (*grid, *slots, k)
     # N-correction: dy carries the fiber slot m last, N^m_k is (m, k)
     if n_conn is None:
         n_conn = space.nonlinear_connection(y)
@@ -284,7 +281,7 @@ def _horizontal(s: np.ndarray, grad_v: np.ndarray, space: ConformalLagrangeSpace
     """grad_h_i = d sigma/dx^i - N^j_i grad_v_j."""
     # a jet may return a broadcast view, which np.roll in the stencil
     # copies several times slower than a contiguous array
-    dx = _grid_partials(scalar_field(space.grid, np.ascontiguousarray(s)))
+    dx = grid_partials(scalar_field(space.grid, np.ascontiguousarray(s)))
     return dx - np.einsum("...ji,...j->...i", n_conn, grad_v)
 
 

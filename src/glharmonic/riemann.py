@@ -22,6 +22,7 @@ from .tensor_core import (
     MetricField,
     TensorField,
     fd_partial,
+    grid_partials,
     invert_metric,
     metric_field,
     scalar_field,
@@ -60,7 +61,7 @@ def christoffel(gamma: MetricField, gamma_inv: MetricField | None = None) -> Ten
     """
     if gamma_inv is None:
         gamma_inv = invert_metric(gamma)
-    dg = _metric_partials(gamma)  # (..., m, k, j) = d_j gamma_{mk}
+    dg = grid_partials(gamma)  # (..., m, k, j) = d_j gamma_{mk}
     n = dg.shape[-1]
     term = (
         dg.swapaxes(-2, -1)           # d_j gamma_{mk}
@@ -70,12 +71,6 @@ def christoffel(gamma: MetricField, gamma_inv: MetricField | None = None) -> Ten
     vals = gamma_inv.values @ term.reshape(term.shape[:-3] + (n, n * n))
     vals *= 0.5
     return TensorField(gamma.grid, vals.reshape(term.shape), (UP, LO, LO))
-
-
-def _metric_partials(gamma: MetricField) -> np.ndarray:
-    """Stack d_j gamma_{mk} as (..., m, k, j)."""
-    parts = [fd_partial(gamma, axis).values for axis in range(gamma.grid.dim)]
-    return np.stack(parts, axis=-1)
 
 
 def curvature_package(gamma: MetricField, ricci_convention: str = "last") -> RiemannPackage:

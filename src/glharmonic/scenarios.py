@@ -223,7 +223,8 @@ def validate_scenario(spec: Any) -> list[str]:
 
 def _checked(spec: Any) -> tuple[list[str], dict | None]:
     """The problems of a spec, and its checked copy: a deep copy in which
-    every expression source that passed is its checked tree."""
+    every expression source that passed is its checked tree and every
+    integer-typed field an ``int``."""
     import jsonschema
 
     validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
@@ -234,8 +235,27 @@ def _checked(spec: Any) -> tuple[list[str], dict | None]:
     if errors:
         return errors, None  # structural problems make semantic checks unreliable
 
-    checked = copy.deepcopy(spec)
+    checked = _with_integers(SCENARIO_SCHEMA, copy.deepcopy(spec))
     return _semantic_errors(checked), checked
+
+
+def _with_integers(schema: dict, value: Any) -> Any:
+    """``value``, valid against ``schema``, with every float the schema
+    types as an integer (``"type": "integer"`` or an enum of ints) made an
+    ``int``, in place: JSON Schema accepts 2.0 there, ``range`` does not.
+    Every ``oneOf`` branch is applied; no branch holds an integer field."""
+    for branch in schema.get("oneOf", ()):
+        value = _with_integers(branch, value)
+    if isinstance(value, float) and (schema.get("type") == "integer" or schema.get("enum")
+                                     and all(type(e) is int for e in schema["enum"])):
+        return int(value)
+    if isinstance(value, dict):
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                value[key] = _with_integers(sub, value[key])
+    elif isinstance(value, list) and "items" in schema:
+        value[:] = [_with_integers(schema["items"], item) for item in value]
+    return value
 
 
 def _check_expr(errors, path, holder, key, scalars, vectors=()):

@@ -40,6 +40,7 @@ from .tensor_core import (
     NodeMatrices,
     TensorField,
     fd_partial,
+    grid_partials,
     identity_metric,
     interior_mask,
     interval_grid,
@@ -361,8 +362,9 @@ def orbit_geodesic_residual(c: SampledCurve, xi, psi,
     last = {}
 
     def fields(x_vals):
-        # el_residual evaluates psi(x) and then tau(x, y) at each position
-        # array (in h and at each x-step); tau needs psi(x) and xi(x) too
+        # el_residual evaluates psi(x) and then tau(x, y) on the curve itself
+        # (in h), and tau needs psi(x) and xi(x) there too; the x-partials of
+        # psi and of tau are each differenced on a stencil of its own
         if last.get("x") is not x_vals:
             last.update(x=x_vals, psi=psi(x_vals), xi=xi(x_vals))
         return last["psi"], last["xi"]
@@ -488,7 +490,7 @@ def level_set_geodesic_defect(f: MapJet) -> float:
     unit = grad / norm[..., None]
     grid = f.grid
     unit_field = TensorField(grid, unit, ("lo",))
-    jac = np.stack([fd_partial(unit_field, k).values for k in range(grid.dim)], axis=-1)
+    jac = grid_partials(unit_field)
     proj = np.broadcast_to(np.eye(grid.dim), grid.shape + (grid.dim, grid.dim)) \
         - unit[..., :, None] * unit[..., None, :]
     shape_op = np.einsum("...im,...mk,...kj->...ij", proj, jac, proj)

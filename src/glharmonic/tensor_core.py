@@ -312,6 +312,12 @@ def fd_partial(f: TensorField, axis: int) -> TensorField:
     return TensorField(f.grid, out, f.index_kinds)
 
 
+def grid_partials(f: TensorField) -> np.ndarray:
+    """``fd_partial`` along every grid axis, stacked with the derivative
+    axis last: (*grid, *slots, dim)."""
+    return np.stack([fd_partial(f, k).values for k in range(f.grid.dim)], axis=-1)
+
+
 def interior_mask(grid: ChartGrid) -> np.ndarray:
     """Boolean mask of nodes beyond the reach of the one-sided boundary
     stencils at the grid's order from any non-periodic boundary."""

@@ -1018,6 +1018,37 @@ def test_an_x_dependent_target_block_takes_the_difference_path(m, n):
     assert calls["target"] == 2 * n + 1
 
 
+_HOOKS = ("sigma_db", "tau_dy", "tau_dx", "psi_dx", "source_dx")
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(m=_dims, n=_dims, seed=st.integers(0, 2**32 - 1), connection=_connections,
+       free_block=st.booleans(), hooks=st.sets(st.sampled_from(_HOOKS)))
+def test_each_given_hook_is_used_and_each_missing_one_differenced(
+        m, n, seed, connection, free_block, hooks):
+    # any subset of the hooks: each missing partial is the central difference
+    # of its own ingredient, and every hook given replaces its difference
+    grid, vals, pair, P, phi = _coupled_conformal_problem(m, n, seed, connection, "all",
+                                                          free_block)
+    f = MapJet.from_values(grid, vals)
+    want = density_partials(f, pair, P, phi)
+    dropped = {k: None for k in _HOOKS[:4] if k not in hooks}
+    some_P = P if "source_dx" in hooks else replace(P, source_dx=None)
+    calls = {}
+    got = density_partials(f, *_counting(replace(pair, **dropped), some_P, calls), phi)
+    for k in (0, 1):
+        scale = np.max(np.abs(want[k]))
+        assert np.max(np.abs(got[k] - want[k])) <= 1e-8 * max(1.0, scale)
+    missing = {k: k not in hooks for k in _HOOKS}
+    assert calls == {
+        "sigma": 1 + 2 * m * missing["sigma_db"],
+        "tau": 1 + 2 * n * (missing["tau_dy"] + missing["tau_dx"]),
+        "psi": 1 + 2 * n * missing["psi_dx"],
+        "source": 1 + 2 * n * (P.source_depends_on_x and missing["source_dx"]),
+        "target": 1,
+    }
+
+
 def test_an_evaluation_of_other_arguments_is_rejected():
     f, pair, P, phi = _random_problem(2, 2, seed=3)
     ev = DensityEvaluation(f, pair, P, phi)

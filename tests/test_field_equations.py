@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from glharmonic.errors import DivisionGuardError
@@ -337,7 +337,10 @@ def _oracle_sigma(pts, y):
 MAXWELL_ORACLE_SPACE = curved_space_3d(_oracle_sigma, n=7)
 
 
-@settings(max_examples=20, deadline=None, database=None)
+# no shrink phase: each example runs two fiber stencils on a 7^3 space, and
+# shrinking a failure through them took minutes to report it
+@settings(max_examples=20, deadline=None, database=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 @given(st.tuples(*[st.floats(-1.5, 1.5)] * 3).filter(
     lambda y: abs(A3 @ np.array(y)) >= 0.3))
 def test_maxwell_matches_two_pass_composition(y):

@@ -17,6 +17,7 @@ from glharmonic.scenarios import (
     covector_evaluator,
     load_scenario,
     metric_evaluator,
+    require_valid,
     scalar_evaluator_two_args,
     system_matrix_evaluator,
     validate_scenario,
@@ -687,6 +688,68 @@ def test_validator_rejects_pseudo_metric_key():
     errors = validate_scenario(spec)
     assert len(errors) == 1
     assert errors[0].startswith("m_space.metric: ")
+
+
+_INTEGRAL_FLOATS = [
+    ("harmonic-identity", [(("m_space", "dim"), 2.0)]),
+    ("harmonic-identity", [(("n_space", "dim"), 2.0), (("m_space", "nodes"), [33.0, 33.0])]),
+    ("orbit-rotation", [(("orbit", "nodes"), 201.0), (("orbit", "stencil_order"), 4.0)]),
+    ("sphere-curvature", [(("gl_space", "nodes"), [64.0, 64]),
+                          (("gl_space", "stencil_order"), 4.0)]),
+]
+
+
+def _edited(name, edits):
+    spec = json.loads(json.dumps(BUILTIN_SCENARIOS[name]))
+    for path, value in edits:
+        parent = spec
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    return spec
+
+
+def _ints_only(tree):
+    """Whether no float with an integral value sits anywhere in ``tree``."""
+    if isinstance(tree, dict):
+        return all(_ints_only(v) for v in tree.values())
+    if isinstance(tree, list):
+        return all(_ints_only(v) for v in tree)
+    return not (isinstance(tree, float) and tree.is_integer())
+
+
+@pytest.mark.parametrize("name, edits", _INTEGRAL_FLOATS)
+def test_integral_floats_run_as_the_integers_they_validate_as(name, edits, tmp_path):
+    # JSON Schema counts 2.0 as an integer: the checked copy stores it as one,
+    # so the semantic checks, the builders and the report all see an int
+    spec = _edited(name, edits)
+    assert validate_scenario(spec) == []
+    checked = require_valid(spec)
+    for path, value in edits:
+        held = checked
+        for key in path:
+            held = held[key]
+        assert held == value and _ints_only(held)
+    assert json.dumps(spec) == json.dumps(_edited(name, edits))  # left as it is
+    report = run_scenario(spec, tmp_path)
+    assert [task["status"] for task in report["tasks"]] == ["pass"] * len(spec["tasks"])
+    assert _ints_only(report["environment"])
+
+
+def test_cli_runs_integral_floats_and_rejects_fractional_ones(tmp_path):
+    path = tmp_path / "floats.yaml"
+    path.write_text(yaml.safe_dump(_edited(*_INTEGRAL_FLOATS[0])))
+    result = runner.invoke(main, ["validate", str(path)])
+    assert result.exit_code == 0, result.output
+    assert "harmonic-identity: valid" in result.output
+    result = runner.invoke(main, ["run", str(path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    path.write_text(yaml.safe_dump(_edited("harmonic-identity", [(("m_space", "dim"), 2.5)])))
+    for command in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "bad")]):
+        result = runner.invoke(main, command)
+        assert result.exit_code == 2
+        assert "invalid: m_space.dim: 2.5 is not of type 'integer'" in result.output
+    assert not (tmp_path / "bad").exists()
 
 
 def _stacked_covector_evaluator(exprs, dim, prefix):
