@@ -30,8 +30,9 @@ the pair does carry are still used.  The scenario builders compile every
 hook from the expression grammar, and their target blocks are x-free,
 so a scenario-built conformal residual differences nothing pointwise:
 only the divergence in ``assemble_residual`` is a grid stencil (the
-orbit-geodesic residual carries ``tau_dy`` only).  Every
-conformal per-node product goes entry by entry.  The fiber-covector,
+orbit-geodesic residual carries ``tau_dy``, and ``tau_dx`` and ``psi_dx``
+when it is given the partials of xi and psi, as the runner gives them).
+Every conformal per-node product goes entry by entry.  The fiber-covector,
 one-form-source and orbit-geodesic residuals are (pair, P) constructions
 over this one path.
 

@@ -355,11 +355,15 @@ def _task_certify(ctx: _Context, task: dict, dumps):
 
 def _task_orbit(ctx: _Context, task: dict, dumps):
     curve = ctx.orbit_curve
+    n = ctx.spec["n_space"]
+    xi_dx = sc.gradient_evaluator(ctx.spec["system"]["xi"], (("x", n["dim"]),), "x",
+                                  (n["dim"],))
+    psi_dx = sc.metric_gradient_evaluator(n.get("metric", "identity"), n["dim"], "x")
     # an orbit that leaves the domain of xi has non-finite nodes: the task
     # counts them, numpy need not warn of them
     with _quiet_if_nonfinite(curve.values):
         res = orbit_geodesic_residual(curve, ctx.system.xi, ctx.checked_psi(curve),
-                                      ctx.tol["eps_sing"])
+                                      ctx.tol["eps_sing"], xi_dx=xi_dx, psi_dx=psi_dx)
     threshold = task.get("residual_threshold", 1e-4)
     scalars = {"threshold": threshold}
     _fold_max_abs(scalars, "max_residual", "residual_nonfinite", res.values)

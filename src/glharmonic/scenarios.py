@@ -4,6 +4,9 @@ from declarative specs, and the bundled catalog.
 A scenario is a YAML mapping validated against SCENARIO_SCHEMA plus
 semantic checks (expression grammar, dimension consistency, per-task
 requirements).  All validation errors are collected and reported at once.
+The schema is checked in this module (``_schema_problems``), for the
+keyword subset it uses, with jsonschema's messages and order; jsonschema
+itself is only the test oracle of that checker.
 
 Variable naming in expressions: source-chart quantities use a1..am (and
 b1..bm for the induced source direction), target quantities use x1..xn
@@ -17,6 +20,8 @@ import ast
 import copy
 import functools
 import math
+import numbers
+import operator
 from typing import Any, Callable
 
 import numpy as np
@@ -225,37 +230,124 @@ def _checked(spec: Any) -> tuple[list[str], dict | None]:
     """The problems of a spec, and its checked copy: a deep copy in which
     every expression source that passed is its checked tree and every
     integer-typed field an ``int``."""
-    import jsonschema
+    problems, integral = [], []
+    _schema_problems(SCENARIO_SCHEMA, spec, (), problems, integral)
+    if problems:  # structural problems make semantic checks unreliable
+        problems.sort(key=lambda problem: problem[0])
+        return [f"{'.'.join(map(str, path)) or '<root>'}: {message}"
+                for path, message in problems], None
 
-    validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
-    errors = []
-    for err in sorted(validator.iter_errors(spec), key=lambda e: list(e.absolute_path)):
-        path = ".".join(str(p) for p in err.absolute_path) or "<root>"
-        errors.append(f"{path}: {err.message}")
-    if errors:
-        return errors, None  # structural problems make semantic checks unreliable
-
-    checked = _with_integers(SCENARIO_SCHEMA, copy.deepcopy(spec))
+    checked = copy.deepcopy(spec)
+    # JSON Schema accepts 2.0 as an integer, ``range`` does not
+    for path in integral:
+        holder = functools.reduce(operator.getitem, path[:-1], checked)
+        holder[path[-1]] = int(holder[path[-1]])
     return _semantic_errors(checked), checked
 
 
-def _with_integers(schema: dict, value: Any) -> Any:
-    """``value``, valid against ``schema``, with every float the schema
-    types as an integer (``"type": "integer"`` or an enum of ints) made an
-    ``int``, in place: JSON Schema accepts 2.0 there, ``range`` does not.
-    Every ``oneOf`` branch is applied; no branch holds an integer field."""
-    for branch in schema.get("oneOf", ()):
-        value = _with_integers(branch, value)
-    if isinstance(value, float) and (schema.get("type") == "integer" or schema.get("enum")
-                                     and all(type(e) is int for e in schema["enum"])):
-        return int(value)
-    if isinstance(value, dict):
-        for key, sub in schema.get("properties", {}).items():
-            if key in value:
-                value[key] = _with_integers(sub, value[key])
-    elif isinstance(value, list) and "items" in schema:
-        value[:] = [_with_integers(schema["items"], item) for item in value]
-    return value
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Number) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "boolean": lambda value: isinstance(value, bool),
+    "number": _is_number,
+    "integer": lambda value: _is_number(value) and (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()),
+}
+
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum of"),
+    "maximum": (operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+}
+
+
+def _equal(a, b) -> bool:
+    """jsonschema's equality for the scalar members of an enum or const:
+    a bool equals only a bool, so True is not 1."""
+    return a is b or isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _schema_problems(schema: dict, value: Any, path: tuple, problems: list,
+                     integral: list) -> None:
+    """Append to ``problems`` the (path, message) of each way ``value`` at
+    ``path`` breaks ``schema``, and to ``integral`` the path of each float
+    it accepts as an integer.
+
+    The keywords are the subset SCENARIO_SCHEMA uses, with the rules and
+    messages of jsonschema's Draft 2020-12 validator: a bool is neither an
+    integer nor a number, an integral float is an integer, only a list is
+    an array and only a dict an object.  They are checked in the schema's
+    order, as jsonschema yields them, so a stable sort by path gives its
+    order."""
+    for key, arg in schema.items():
+        if key == "type":
+            if not _TYPES[arg](value):
+                problems.append((path, f"{value!r} is not of type {arg!r}"))
+            elif arg == "integer" and isinstance(value, float):
+                integral.append(path)
+        elif key == "enum":
+            if not any(_equal(option, value) for option in arg):
+                problems.append((path, f"{value!r} is not one of {arg!r}"))
+            elif isinstance(value, float) and all(type(option) is int for option in arg):
+                integral.append(path)
+        elif key == "const":
+            if not _equal(arg, value):
+                problems.append((path, f"{arg!r} was expected"))
+        elif key == "oneOf":
+            valid = []
+            for branch in arg:
+                branch_problems, branch_integral = [], []
+                _schema_problems(branch, value, path, branch_problems, branch_integral)
+                if not branch_problems:
+                    valid.append((branch, branch_integral))
+            if not valid:
+                problems.append((path, f"{value!r} is not valid under any of the given schemas"))
+            elif len(valid) > 1:
+                reprs = ", ".join(repr(branch) for branch, _ in valid[1:] + valid[:1])
+                problems.append((path, f"{value!r} is valid under each of {reprs}"))
+            else:
+                integral += valid[0][1]
+        elif key in _BOUNDS:
+            beyond, words = _BOUNDS[key]
+            if _is_number(value) and beyond(value, arg):
+                problems.append((path, f"{value!r} is {words} {arg!r}"))
+        elif key == "maxItems":
+            if isinstance(value, list) and len(value) > arg:
+                long = "is expected to be empty" if arg == 0 else "is too long"
+                problems.append((path, f"{value!r} {long}"))
+        elif key in ("minItems", "minLength"):
+            if isinstance(value, list if key == "minItems" else str) and len(value) < arg:
+                short = "should be non-empty" if arg == 1 else "is too short"
+                problems.append((path, f"{value!r} {short}"))
+        elif key == "items":
+            if isinstance(value, list):
+                for k, item in enumerate(value):
+                    _schema_problems(arg, item, path + (k,), problems, integral)
+        elif key == "required":
+            if isinstance(value, dict):
+                problems += [(path, f"{name!r} is a required property")
+                             for name in arg if name not in value]
+        elif key == "properties":
+            if isinstance(value, dict):
+                for name, sub in arg.items():
+                    if name in value:
+                        _schema_problems(sub, value[name], path + (name,), problems, integral)
+        elif key == "additionalProperties" and arg is False:
+            if isinstance(value, dict):
+                known = schema.get("properties", {})
+                extras = sorted(set(name for name in value if name not in known), key=str)
+                if extras:
+                    names = ", ".join(map(repr, extras))
+                    verb = "was" if len(extras) == 1 else "were"
+                    problems.append(
+                        (path, f"Additional properties are not allowed ({names} {verb} unexpected)"))
+        else:
+            raise ValueError(f"schema keyword {key!r} is not checked")
 
 
 def _check_expr(errors, path, holder, key, scalars, vectors=()):

@@ -346,8 +346,8 @@ def orbit_metric(xi, psi, eps_sing: float = DEFAULT_EPS_SING):
     return h
 
 
-def orbit_geodesic_residual(c: SampledCurve, xi, psi,
-                            eps_sing: float = DEFAULT_EPS_SING) -> TensorField:
+def orbit_geodesic_residual(c: SampledCurve, xi, psi, eps_sing: float = DEFAULT_EPS_SING,
+                            xi_dx=None, psi_dx=None) -> TensorField:
     """Residual of the geodesic equations of the orbit metric along a
     sampled curve, with the velocity as the direction argument.
 
@@ -357,14 +357,20 @@ def orbit_geodesic_residual(c: SampledCurve, xi, psi,
     direction gradient -xi_flat / xi_flat(cdot) is exact: d/dt would
     amplify the noise of a differenced one by 1/dt.  Residual =
     dL/dc - d/dt dL/dcdot, matching the energy-gradient sign convention.
+
+    With both hooks, the exact partials ``xi_dx(x) -> (..., n, n)`` and
+    ``psi_dx(x) -> (..., n, n, n)`` (derivative axis last), the
+    x-partials of psi and of tau at fixed y are exact too:
+    dtau/dx = (xi^T psi dxi + xi^T dpsi xi / 2) / |xi|^2_psi
+              - y^T (dpsi xi + psi dxi) / xi_flat(y).
+    Without them, each is differenced on a stencil of its own.
     """
     message = "orbit residual queried where the direction pairing vanishes"
     last = {}
 
     def fields(x_vals):
         # el_residual evaluates psi(x) and then tau(x, y) on the curve itself
-        # (in h), and tau needs psi(x) and xi(x) there too; the x-partials of
-        # psi and of tau are each differenced on a stencil of its own
+        # (in h), and tau needs psi(x) and xi(x) there too
         if last.get("x") is not x_vals:
             last.update(x=x_vals, psi=psi(x_vals), xi=xi(x_vals))
         return last["psi"], last["xi"]
@@ -375,12 +381,23 @@ def orbit_geodesic_residual(c: SampledCurve, xi, psi,
         _, _, pairing, norm2 = _orbit_factor(xi_at, psi_at, x_vals, y_vals, eps_sing, message)
         return 0.5 * np.log(norm2) - np.log(np.abs(pairing))
 
-    # el_residual asks for dtau/dy only at the curve itself, (c, cdot)
-    _, xi_flat, pairing, _ = _orbit_factor(xi_at, psi_at, c.values, c.velocity, eps_sing,
-                                           message)
+    # el_residual asks for the partials of tau and psi only at the curve
+    # itself, (c, cdot)
+    psi_vals, xi_flat, pairing, norm2 = _orbit_factor(xi_at, psi_at, c.values, c.velocity,
+                                                      eps_sing, message)
     dtau_dy = -xi_flat / pairing[..., None]
+    hooks = {}
+    if xi_dx is not None and psi_dx is not None:
+        dxi, dpsi = np.asarray(xi_dx(c.values), float), np.asarray(psi_dx(c.values), float)
+        xi_vals, y = xi_at(c.values), c.velocity
+        half_dnorm2 = (np.einsum("...i,...ij->...j", xi_flat, dxi)
+                       + 0.5 * np.einsum("...k,...klj,...l->...j", xi_vals, dpsi, xi_vals))
+        dpairing = (np.einsum("...k,...klj,...l->...j", y, dpsi, xi_vals)
+                    + np.einsum("...k,...kl,...lj->...j", y, psi_vals, dxi))
+        dtau_dx = half_dnorm2 / norm2[..., None] - dpairing / pairing[..., None]
+        hooks = {"tau_dx": lambda x_vals, y_vals: dtau_dx, "psi_dx": lambda x_vals: dpsi}
     pair = MetricPair.conformal(constant_metric(np.eye(1)), psi_at, tau=tau,
-                                tau_dy=lambda x_vals, y_vals: dtau_dy)
+                                tau_dy=lambda x_vals, y_vals: dtau_dy, **hooks)
     f = MapJet(grid=c.grid, values=c.values, jet=c.velocity[..., None])
     return el_residual(f, pair, ConnectionTensor.velocity(), identity_metric(c.grid))
 

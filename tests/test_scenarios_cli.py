@@ -1,12 +1,17 @@
 import ast
 import copy
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
+import glharmonic
 from glharmonic.cli import main
 from glharmonic.errors import ScenarioValidationError
 from glharmonic.expressions import Expression, component_env
@@ -988,3 +993,33 @@ def test_certify_on_a_finite_orbit_leaves_numpy_warnings_on(tmp_path, monkeypatc
     with pytest.warns(RuntimeWarning, match="divide by zero"):
         report = run_scenario(BUILTIN_SCENARIOS["orbit-rotation"], tmp_path)
     assert report["status"] == "pass"
+
+
+def _without_jsonschema(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh interpreter in which importing jsonschema fails."""
+    src = str(pathlib.Path(glharmonic.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.modules['jsonschema'] = None\n{code}", *args],
+        capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_validation_and_runs_need_no_jsonschema(tmp_path):
+    # jsonschema is only the test oracle of the schema checker
+    result = _without_jsonschema(
+        "from glharmonic.scenarios import BUILTIN_SCENARIOS, validate_scenario\n"
+        "assert all(validate_scenario(s) == [] for s in BUILTIN_SCENARIOS.values())")
+    assert result.returncode == 0, result.stderr
+    cli = "from glharmonic.cli import main; main()"
+    result = _without_jsonschema(cli, "validate", "harmonic-identity")
+    assert (result.returncode, result.stdout) == (0, "harmonic-identity: valid\n"), result.stderr
+    bad = _edited("harmonic-identity", [(("m_space", "dim"), True), (("tasks",), [])])
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(bad))
+    result = _without_jsonschema(cli, "validate", str(path))
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [f"invalid: {msg}" for msg in validate_scenario(bad)]
+    result = _without_jsonschema(cli, "run", "flat-vacuum", "--out", str(tmp_path / "out"))
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out" / "flat-vacuum__report.json").exists()

@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from glharmonic import systems
 from glharmonic.energy import (
     MapJet,
+    central_partials,
     constant_metric,
     el_residual_fiber_covector,
     energy,
 )
 from glharmonic.errors import AdmissibilityError, SingularDirectionError, StepLimitError
+from glharmonic.scenarios import (
+    covector_evaluator,
+    gradient_evaluator,
+    metric_evaluator,
+    metric_gradient_evaluator,
+)
 from glharmonic.systems import (
     FirstOrderSystem,
     SampledCurve,
@@ -398,6 +406,52 @@ def test_orbit_residual_agrees_with_energy_residual():
     # tau's fiber partials are bumped numerically in one path and analytic
     # in the other; agreement is limited by that step
     assert np.max(np.abs(res_energy.values - res_direct.values)) < 1e-4 * max(1.0, scale) + 1e-6
+
+
+_XI = ["-x2 + 0.3*x1*x1", "x1 + 0.2*sin(x2)"]
+_PSI = {"matrix": [["1 + 0.2*x1*x1", "0.1*x1*x2"], ["0.1*x1*x2", "1.5 + 0.3*sin(x2)"]]}
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(x=st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=5, max_size=5),
+       turn=st.lists(st.floats(-0.5, 0.5), min_size=5, max_size=5),
+       scale=st.floats(0.5, 2.0))
+def test_orbit_hooks_match_central_differences(x, turn, scale):
+    # the exact tau_dx and psi_dx the orbit residual passes on, at drawn
+    # points and directions, against central differences of its tau and psi
+    xi = covector_evaluator(_XI, 2, "x")
+    psi = metric_evaluator(_PSI, 2, "x")
+    x = np.array(x)
+    xi_x = xi(x)
+    assume(np.all(np.linalg.norm(xi_x, axis=-1) > 0.2))
+    # a direction turned off xi by at most about 27 degrees: the pairing stays away from 0
+    y = scale * (xi_x + np.array(turn)[:, None] * np.stack([-xi_x[:, 1], xi_x[:, 0]], -1))
+    curve = SampledCurve(grid=interval_grid(0.0, 1.0, 5), values=x, velocity=y)
+    pairs = []
+    original = systems.el_residual
+    systems.el_residual = lambda f, pair, *rest: pairs.append(pair)
+    try:
+        orbit_geodesic_residual(
+            curve, xi, psi, xi_dx=gradient_evaluator(_XI, (("x", 2),), "x", (2,)),
+            psi_dx=metric_gradient_evaluator(_PSI, 2, "x"))
+    finally:
+        systems.el_residual = original
+    (pair,) = pairs
+    for exact, differenced in ((pair.tau_dx(x, y), central_partials(lambda u: pair.tau(u, y), x)),
+                               (pair.psi_dx(x), central_partials(psi, x))):
+        assert np.max(np.abs(exact - differenced)) <= 1e-6 * np.max(np.abs(exact))
+
+
+def test_orbit_residual_hooks_move_it_by_difference_noise_only():
+    # the hooks only replace differenced x-partials: the residual of the
+    # rotation orbit moves by far less than the 1e-4 it is checked against
+    curve = integrate_orbit(rotation_field, [1.0, 0.0], 0.0, np.pi / 2, nodes=101)
+    zero = lambda x: np.zeros(x.shape[:-1] + (2, 2, 2))
+    turn = lambda x: np.broadcast_to(np.array([[0.0, -1.0], [1.0, 0.0]]), x.shape[:-1] + (2, 2))
+    plain = orbit_geodesic_residual(curve, rotation_field, eye2).values
+    exact = orbit_geodesic_residual(curve, rotation_field, eye2, xi_dx=turn, psi_dx=zero).values
+    assert np.max(np.abs(plain - exact)) < 1e-8
+    assert not np.array_equal(plain, exact)
 
 
 # ---------------------------------------------------------------------------
