@@ -53,7 +53,6 @@ import numpy as np
 
 from .errors import SingularMetricError
 from .tensor_core import (
-    LO,
     ChartGrid,
     MetricField,
     NodeMatrices,
@@ -254,7 +253,7 @@ class MapJet:
             pts = grid.points()
             resid = values - np.einsum("km,...m->...k", linear_jet, pts)
             extra = linear_jet
-        field = TensorField(grid, resid, (LO,))  # variance irrelevant for stencils
+        field = TensorField(grid, resid)
         jet = grid_partials(field) + extra
         return cls(grid=grid, values=values, jet=jet)
 
@@ -640,9 +639,9 @@ def assemble_residual(grid: ChartGrid, sqrt_phi: np.ndarray, dLdf: np.ndarray,
     nodewise density form of the discrete energy gradient."""
     res = sqrt_phi[..., None] * dLdf
     for al in range(grid.dim):
-        flux = TensorField(grid, sqrt_phi[..., None] * dLdjet[..., al], (LO,))
+        flux = TensorField(grid, sqrt_phi[..., None] * dLdjet[..., al])
         res = res - fd_partial(flux, al).values
-    return TensorField(grid, res, (LO,))
+    return TensorField(grid, res)
 
 
 def el_residual(f: MapJet, pair: MetricPair, P: ConnectionTensor, phi: MetricField,

@@ -37,10 +37,7 @@ from .gl_space import (
     sigma_gradient_partials,
     sigma_gradients,
 )
-from .tensor_core import LO, TensorField, contract_vector, fd_partial, scalar_field
-
-COV2 = (LO, LO)
-COV3 = (LO, LO, LO)
+from .tensor_core import TensorField, contract_vector, fd_partial, scalar_field
 
 
 @dataclass(frozen=True)
@@ -118,8 +115,8 @@ def em_tensors(space: ConformalLagrangeSpace, y: np.ndarray) -> ElectromagneticT
     y = np.asarray(y, float)
     F, f, _, _ = _em_values(space, y)
     return ElectromagneticTensors(
-        F=TensorField(space.grid, F, COV2),
-        f=TensorField(space.grid, f, COV2),
+        F=TensorField(space.grid, F),
+        f=TensorField(space.grid, f),
         y=y,
     )
 
@@ -202,7 +199,7 @@ def maxwell_residuals(space: ConformalLagrangeSpace, y: np.ndarray
     for comp, bad in zip(comps, bads):
         res = _three_form(comp, n)
         res[bad] = np.nan
-        out.append(TensorField(grid, res, COV3))
+        out.append(TensorField(grid, res))
     return tuple(out)
 
 
@@ -280,13 +277,13 @@ def _deflection(space: ConformalLagrangeSpace, y: np.ndarray,
     mixed = contract_vector(mixed.reshape(lead + (n, n, n)), y, -2)
     term4 = -(gamma @ mixed)
 
-    total = TensorField(space.grid, term1 + term2 + term3 + term4, COV2)
+    total = TensorField(space.grid, term1 + term2 + term3 + term4)
     if return_terms:
         terms = {
-            "trace_part": TensorField(space.grid, term1, COV2),
-            "ricci_scalar_part": TensorField(space.grid, term2, COV2),
-            "ricci_vector_part": TensorField(space.grid, term3, COV2),
-            "curvature_mixed_part": TensorField(space.grid, term4, COV2),
+            "trace_part": TensorField(space.grid, term1),
+            "ricci_scalar_part": TensorField(space.grid, term2),
+            "ricci_vector_part": TensorField(space.grid, term3),
+            "curvature_mixed_part": TensorField(space.grid, term4),
         }
         return total, terms
     return total
@@ -306,15 +303,15 @@ def einstein_system(space: ConformalLagrangeSpace, K: float, y: np.ndarray,
     h_vals = base.ricci.values - 0.5 * base.scalar.values[..., None, None] * base.gamma.values \
         + t_field.values
     v_vals = (2.0 - n) * (blocks.hess_v.values - blocks.tr_v.values[..., None, None] * base.gamma.values)
-    h_lhs = TensorField(space.grid, h_vals, COV2)
-    v_lhs = TensorField(space.grid, v_vals, COV2)
+    h_lhs = TensorField(space.grid, h_vals)
+    v_lhs = TensorField(space.grid, v_vals)
 
     TH = TV = None
     if energy_momentum:
         if K == 0.0:
             raise DivisionGuardError(
                 "energy-momentum components require a nonzero gravific constant")
-        TH = TensorField(space.grid, h_vals / K, COV2)
-        TV = TensorField(space.grid, v_vals / K, COV2)
+        TH = TensorField(space.grid, h_vals / K)
+        TV = TensorField(space.grid, v_vals / K)
     return EinsteinSystem(h_lhs=h_lhs, v_lhs=v_lhs, t_field=t_field, K=float(K),
                           TH=TH, TV=TV, y=y)

@@ -42,7 +42,6 @@ import numpy as np
 
 from .riemann import RiemannPackage
 from .tensor_core import (
-    LO,
     ChartGrid,
     TensorField,
     contract_vector,
@@ -172,7 +171,7 @@ def delta_derivative(F: Callable[[np.ndarray, np.ndarray], np.ndarray],
                         space.dim, space.fiber_step_scale)
     n_conn = space.nonlinear_connection(y)            # (..., j, i)
     vals = dx - np.einsum("...ji,...j->...i", n_conn, dy)
-    return TensorField(space.grid, vals, (LO,))
+    return TensorField(space.grid, vals)
 
 
 def hv_covariant(X: Callable[[np.ndarray], np.ndarray],
@@ -189,9 +188,8 @@ def hv_covariant(X: Callable[[np.ndarray], np.ndarray],
     vals = np.asarray(X(y), float)
     dy = fiber_partials(lambda yy: np.asarray(X(yy), float), y, space.dim,
                         space.fiber_step_scale)
-    kinds = (LO,) * (vals.ndim - space.grid.dim + 1)
-    return (TensorField(space.grid, h_covariant(vals, dy, space, y), kinds),
-            TensorField(space.grid, dy, kinds))
+    return (TensorField(space.grid, h_covariant(vals, dy, space, y)),
+            TensorField(space.grid, dy))
 
 
 hv_covariant_cov2 = hv_covariant
@@ -210,7 +208,7 @@ def h_covariant(vals: np.ndarray, dy: np.ndarray, space: ConformalLagrangeSpace,
     n = space.dim
     lead = space.grid.shape
     n_slots = vals.ndim - gd
-    field = TensorField(space.grid, vals, (LO,) * n_slots)
+    field = TensorField(space.grid, vals)
     delta_vals = grid_partials(field)                              # (*grid, *slots, k)
     # N-correction: dy carries the fiber slot m last, N^m_k is (m, k)
     if n_conn is None:
@@ -309,7 +307,7 @@ def sigma_gradient_partials(space: ConformalLagrangeSpace, y: np.ndarray,
     grad_h = _horizontal(s, s_y, space, n_conn)
     # d/dx^i of each sigma_{y^k}, then the connection terms entry by entry:
     # no temporary beyond one grid of values
-    s_y_field = TensorField(space.grid, np.ascontiguousarray(s_y), (LO,))
+    s_y_field = TensorField(space.grid, np.ascontiguousarray(s_y))
     d_grad_h = np.stack([fd_partial(s_y_field, i).values for i in range(space.grid.dim)],
                         axis=-2)                                       # (*grid, i, k)
     gam = space.base.christoffel.values                               # (*grid, j, i, k)
@@ -349,12 +347,12 @@ def sigma_blocks(space: ConformalLagrangeSpace, y: np.ndarray) -> ConformalFacto
     tr_v = np.einsum("...ab,...ab->...", gamma_inv, hess_v)
 
     return ConformalFactorDerivatives(
-        grad_h=TensorField(grid, grad_h, (LO,)),
-        grad_v=TensorField(grid, grad_v, (LO,)),
+        grad_h=TensorField(grid, grad_h),
+        grad_v=TensorField(grid, grad_v),
         sq_h=scalar_field(grid, sq_h),
-        hess_h=TensorField(grid, hess_h, (LO, LO)),
+        hess_h=TensorField(grid, hess_h),
         tr_h=scalar_field(grid, tr_h),
         sq_v=scalar_field(grid, sq_v),
-        hess_v=TensorField(grid, hess_v, (LO, LO)),
+        hess_v=TensorField(grid, hess_v),
         tr_v=scalar_field(grid, tr_v),
     )

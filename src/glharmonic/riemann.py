@@ -16,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor_core import (
-    LO,
-    UP,
     ChartGrid,
     MetricField,
     TensorField,
@@ -51,7 +49,7 @@ class RiemannPackage:
     def einstein_tensor(self) -> TensorField:
         """r_ij - r gamma_ij / 2 as a (0,2) field."""
         vals = self.ricci.values - 0.5 * self.scalar.values[..., None, None] * self.gamma.values
-        return TensorField(self.grid, vals, (LO, LO))
+        return TensorField(self.grid, vals)
 
 
 def christoffel(gamma: MetricField, gamma_inv: MetricField | None = None) -> TensorField:
@@ -70,7 +68,7 @@ def christoffel(gamma: MetricField, gamma_inv: MetricField | None = None) -> Ten
     )
     vals = gamma_inv.values @ term.reshape(term.shape[:-3] + (n, n * n))
     vals *= 0.5
-    return TensorField(gamma.grid, vals.reshape(term.shape), (UP, LO, LO))
+    return TensorField(gamma.grid, vals.reshape(term.shape))
 
 
 def curvature_package(gamma: MetricField, ricci_convention: str = "last") -> RiemannPackage:
@@ -94,12 +92,12 @@ def curvature_package(gamma: MetricField, ricci_convention: str = "last") -> Rie
         riem[..., axis] += fd_partial(gam, axis).values
     # antisymmetrize in (k, l) into a C-ordered array
     riem = np.subtract(riem, riem.swapaxes(-2, -1), out=np.empty(riem.shape))
-    curvature = TensorField(gamma.grid, riem, (UP, LO, LO, LO))
+    curvature = TensorField(gamma.grid, riem)
     if ricci_convention == "last":
         ricci_vals = np.einsum("...kijk->...ij", riem)
     else:
         ricci_vals = np.einsum("...kikj->...ij", riem)
-    ricci = TensorField(gamma.grid, ricci_vals, (LO, LO))
+    ricci = TensorField(gamma.grid, ricci_vals)
     scalar_vals = np.einsum("...ij,...ij->...", gamma_inv.values, ricci_vals)
     return RiemannPackage(
         gamma=gamma,

@@ -54,11 +54,6 @@ from .systems import (
 from .tensor_core import ChartGrid, identity_metric, metric_field, sample_metric, volume_integral
 
 FORMAT = "%.17g"
-# the tasks that read the pair's first-stage evaluation at the map, and
-# those that read the checked psi values at the map
-_EVALUATION_TASKS = {"energy", "el_residual"}
-_MAP_PSI_TASKS = _EVALUATION_TASKS | {"certify_theorem", "pfaff", "pseudolinear",
-                                      "group_lagrangian"}
 # Rows formatted and written per block.  It bounds the transient memory of a
 # dump (value deduplication, cell array, block string): at 257^2 nodes with
 # four components 2048 rows wrote as fast as 4096 with half the peak memory.
@@ -145,9 +140,6 @@ class _Context:
         self.stencil_override = stencil_override
         self.tol = {**sc.DEFAULT_TOLERANCES, **spec.get("tolerances", {})}
         self._psi_checked: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # the exact partials of the energy's ingredients are compiled only
-        # for a residual
-        self.exact_partials = any(task["task"] == "el_residual" for task in spec["tasks"])
 
     @cached_property
     def m_grid(self) -> ChartGrid:
@@ -166,6 +158,13 @@ class _Context:
     def psi_eval(self):
         n = self.spec["n_space"]
         return sc.metric_evaluator(n.get("metric", "identity"), n["dim"], "x")
+
+    @cached_property
+    def psi_dx(self):
+        """The exact gradient of psi, shared by the pair and the orbit
+        residual."""
+        n = self.spec["n_space"]
+        return sc.metric_gradient_evaluator(n.get("metric", "identity"), n["dim"], "x")
 
     def checked_psi(self, f):
         """The target metric evaluator, after checking that psi is positive
@@ -211,28 +210,23 @@ class _Context:
 
     @cached_property
     def metric_pair(self) -> MetricPair:
-        """The conformal pair, phi read from the sampled source metric; with
-        a residual task, with the exact partials of sigma, tau and psi as
-        its hooks."""
+        """The conformal pair, phi read from the sampled source metric, with
+        the exact partials of psi and of the spec's sigma and tau as its
+        hooks."""
         spec = self.spec
         m_dim = spec["m_space"]["dim"]
         n_dim = spec["n_space"]["dim"]
         source_args, target_args = (("a", m_dim), ("b", m_dim)), (("x", n_dim), ("y", n_dim))
-        parts = {}
+        parts = {"psi_dx": self.psi_dx}
         if "sigma" in spec:
             parts["sigma"] = sc.scalar_evaluator_two_args(spec["sigma"], m_dim, "a", m_dim, "b")
+            parts["sigma_db"] = sc.gradient_evaluator([spec["sigma"]], source_args, "b",
+                                                      vectors=True)
         if "tau" in spec:
             parts["tau"] = sc.scalar_evaluator_two_args(spec["tau"], n_dim, "x", n_dim, "y")
-        if self.exact_partials:
-            parts["psi_dx"] = sc.metric_gradient_evaluator(
-                spec["n_space"].get("metric", "identity"), n_dim, "x")
-            if "sigma" in spec:
-                parts["sigma_db"] = sc.gradient_evaluator([spec["sigma"]], source_args, "b",
-                                                          vectors=True)
-            if "tau" in spec:
-                for wrt in ("y", "x"):
-                    parts[f"tau_d{wrt}"] = sc.gradient_evaluator([spec["tau"]], target_args, wrt,
-                                                                 vectors=True)
+            for wrt in ("y", "x"):
+                parts[f"tau_d{wrt}"] = sc.gradient_evaluator([spec["tau"]], target_args, wrt,
+                                                             vectors=True)
         phi = self.phi.values
         return MetricPair.conformal(lambda a: phi, self.checked_psi(self.map_jet), **parts)
 
@@ -246,11 +240,9 @@ class _Context:
         if spec["kind"] == "covector_fiber":
             return ConnectionTensor.covector_fiber(
                 sc.covector_evaluator(spec["A"], m_dim, "a"))
-        xi_dx = None
-        if self.exact_partials:
-            xi_dx = sc.gradient_evaluator(spec["xi"], (("x", n_dim),), "x", (n_dim,))
         return ConnectionTensor.oneform_source(
-            sc.covector_evaluator(spec["xi"], n_dim, "x"), xi_dx=xi_dx)
+            sc.covector_evaluator(spec["xi"], n_dim, "x"),
+            xi_dx=sc.gradient_evaluator(spec["xi"], (("x", n_dim),), "x", (n_dim,)))
 
     @cached_property
     def evaluation(self) -> DensityEvaluation:
@@ -258,17 +250,6 @@ class _Context:
         sqrt(phi), shared by the energy and el_residual tasks; each part is
         computed by the first task that reads it."""
         return DensityEvaluation(self.map_jet, self.metric_pair, self.connection, self.phi)
-
-    def release(self, later_tasks: list[dict]) -> None:
-        """Free what no later task reads: the map's first-stage evaluation
-        and the pair after the last energy or el_residual task, and the
-        checked psi values at the map after the last task that reads them."""
-        later = {task["task"] for task in later_tasks}
-        if not later & _EVALUATION_TASKS:
-            for name in ("evaluation", "metric_pair"):
-                self.__dict__.pop(name, None)
-            if not later & _MAP_PSI_TASKS and "map_jet" in self.__dict__:
-                self._psi_checked.pop(id(self.map_jet.values), None)
 
     @cached_property
     def gl(self):
@@ -355,15 +336,13 @@ def _task_certify(ctx: _Context, task: dict, dumps):
 
 def _task_orbit(ctx: _Context, task: dict, dumps):
     curve = ctx.orbit_curve
-    n = ctx.spec["n_space"]
-    xi_dx = sc.gradient_evaluator(ctx.spec["system"]["xi"], (("x", n["dim"]),), "x",
-                                  (n["dim"],))
-    psi_dx = sc.metric_gradient_evaluator(n.get("metric", "identity"), n["dim"], "x")
+    n_dim = ctx.spec["n_space"]["dim"]
+    xi_dx = sc.gradient_evaluator(ctx.spec["system"]["xi"], (("x", n_dim),), "x", (n_dim,))
     # an orbit that leaves the domain of xi has non-finite nodes: the task
     # counts them, numpy need not warn of them
     with _quiet_if_nonfinite(curve.values):
         res = orbit_geodesic_residual(curve, ctx.system.xi, ctx.checked_psi(curve),
-                                      ctx.tol["eps_sing"], xi_dx=xi_dx, psi_dx=psi_dx)
+                                      ctx.tol["eps_sing"], xi_dx=xi_dx, psi_dx=ctx.psi_dx)
     threshold = task.get("residual_threshold", 1e-4)
     scalars = {"threshold": threshold}
     _fold_max_abs(scalars, "max_residual", "residual_nonfinite", res.values)
@@ -588,7 +567,7 @@ def run_scenario(spec: dict, out_dir, stencil_override: int | None = None) -> di
     # path -> (values, grid) of the last dump written there; the values by
     # weak reference, so a dump keeps no array alive
     written: dict = {}
-    for index, task in enumerate(spec["tasks"]):
+    for task in spec["tasks"]:
         name = task["task"]
         dumps: list = []
         record: dict[str, Any] = {"task": name}
@@ -615,7 +594,6 @@ def run_scenario(spec: dict, out_dir, stencil_override: int | None = None) -> di
         record["wall_time_s"] = round(time.perf_counter() - start, 6)
         all_ok = all_ok and record["status"] == "pass"
         report["tasks"].append(record)
-        ctx.release(spec["tasks"][index + 1:])
 
         for dump_name, grid, values, prefix in dumps:
             path = out / f"{spec['name']}__{name}__{dump_name}.csv"

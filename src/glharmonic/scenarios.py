@@ -205,6 +205,22 @@ _TASK_REQUIREMENTS = {
     "einstein": ("gl_space", "samples"),
 }
 
+# the optional keys each task reads beside "task": finite-number bounds,
+# and the flags of _TASK_FLAGS
+_TASK_KEYS = {
+    "energy": ("expected", "tol"),
+    "el_residual": ("max_abs",),
+    "certify_theorem": (),
+    "orbit": ("residual_threshold",),
+    "pfaff": (),
+    "pseudolinear": ("level_set_threshold",),
+    "group_lagrangian": ("oracle_tol",),
+    "maxwell": ("residual1_max", "residual2_max", "residual3_max"),
+    "einstein": ("h_lhs_max", "v_lhs_max", "expected_scalar", "scalar_tol", "reduction_tol",
+                 "energy_momentum", "check_sigma_zero_reduction"),
+}
+_TASK_FLAGS = {"energy_momentum", "check_sigma_zero_reduction"}
+
 # the fields each system kind reads
 SYSTEM_FIELDS = {"general": ("T",), "orbit": ("xi",), "pfaff": ("A",),
                  "pseudolinear": ("xi", "A"), "group": ("generators",)}
@@ -247,6 +263,13 @@ def _checked(spec: Any) -> tuple[list[str], dict | None]:
 
 def _is_number(value) -> bool:
     return isinstance(value, numbers.Number) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    # an int of any size is finite; math.isfinite overflows on a huge one
+    return isinstance(value, numbers.Integral) or math.isfinite(value)
 
 
 _TYPES = {
@@ -510,6 +533,17 @@ def _semantic_errors(spec: dict) -> list[str]:
 
     for t, task in enumerate(spec.get("tasks", [])):
         name = task.get("task")
+        for key, value in task.items():
+            if key == "task":
+                continue
+            if key not in _TASK_KEYS[name]:
+                errors.append(f"tasks.{t} ({name}): unknown key {key!r}")
+            elif key in _TASK_FLAGS:
+                if not isinstance(value, bool):
+                    errors.append(f"tasks.{t} ({name}): {key} must be true or false, "
+                                  f"got {value!r}")
+            elif not _is_finite_real(value):
+                errors.append(f"tasks.{t} ({name}): {key} must be a finite number, got {value!r}")
         for req in _TASK_REQUIREMENTS.get(name, ()):
             if isinstance(req, tuple):
                 options = [alt.split("+") for alt in req]

@@ -143,7 +143,7 @@ class SampledCurve:
         if grid.dim != 1:
             raise ValueError("curves live on one-dimensional grids")
         values = np.asarray(values, dtype=float)
-        field = TensorField(grid, values, ("lo",))
+        field = TensorField(grid, values)
         vel = fd_partial(field, 0).values
         return cls(grid=grid, values=values, velocity=vel)
 
@@ -506,7 +506,7 @@ def level_set_geodesic_defect(f: MapJet) -> float:
         raise ValueError("gradient vanishes somewhere: level sets degenerate")
     unit = grad / norm[..., None]
     grid = f.grid
-    unit_field = TensorField(grid, unit, ("lo",))
+    unit_field = TensorField(grid, unit)
     jac = grid_partials(unit_field)
     proj = np.broadcast_to(np.eye(grid.dim), grid.shape + (grid.dim, grid.dim)) \
         - unit[..., :, None] * unit[..., None, :]

@@ -40,9 +40,6 @@ import numpy as np
 
 from .errors import SingularMetricError, StencilSupportError
 
-UP = "up"
-LO = "lo"
-
 _MIN_NODES = 5
 
 # the largest condition number invert_metric accepts at a node
@@ -141,35 +138,20 @@ def box_grid(extents: Sequence[tuple[float, float]], nodes: Sequence[int],
 class TensorField:
     """A tensor sampled at every grid node.
 
-    ``values`` has shape ``(*grid.shape, *slot_dims)``; ``index_kinds``
-    tags each trailing slot as contravariant (``"up"``) or covariant
-    (``"lo"``).  Slots may have different dimensions (sections of pulled
-    back bundles mix source and target indices).
+    ``values`` has shape ``(*grid.shape, *slot_dims)``.  Slots may have
+    different dimensions (sections of pulled back bundles mix source and
+    target indices).  Variance is not tagged: indices are raised and
+    lowered only by explicit contractions.
     """
 
     grid: ChartGrid
     values: np.ndarray
-    index_kinds: tuple[str, ...] = ()
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "index_kinds", tuple(self.index_kinds))
-        expected = values.ndim - self.grid.dim
-        if expected != len(self.index_kinds):
-            raise ValueError(
-                f"index_kinds has {len(self.index_kinds)} entries but values "
-                f"carry {expected} slots beyond the grid axes"
-            )
         if values.shape[: self.grid.dim] != self.grid.shape:
             raise ValueError(f"values shape {values.shape} does not start with grid shape {self.grid.shape}")
-        for kind in self.index_kinds:
-            if kind not in (UP, LO):
-                raise ValueError(f"unknown index kind {kind!r}")
-
-    @property
-    def arity(self) -> int:
-        return len(self.index_kinds)
 
     @property
     def slot_dims(self) -> tuple[int, ...]:
@@ -177,7 +159,7 @@ class TensorField:
 
 
 def scalar_field(grid: ChartGrid, values: np.ndarray) -> TensorField:
-    return TensorField(grid, values, ())
+    return TensorField(grid, values)
 
 
 def sample_scalar(grid: ChartGrid, fn: Callable[[np.ndarray], np.ndarray]) -> TensorField:
@@ -187,19 +169,17 @@ def sample_scalar(grid: ChartGrid, fn: Callable[[np.ndarray], np.ndarray]) -> Te
 
 @dataclass(frozen=True)
 class MetricField(TensorField):
-    """Symmetric two-slot field: a metric (``lo,lo``) or its inverse
-    (``up,up``).  Every metric is checked finite at every node, before
-    symmetry; Riemannian metrics also positive definite.  The symmetry
-    defect is the largest |g_ij - g_ji| over the pairs i < j, taken one
-    pair at a time."""
+    """Symmetric two-slot field: a metric or its inverse.  Every metric is
+    checked finite at every node, before symmetry; Riemannian metrics also
+    positive definite.  The symmetry defect is the largest |g_ij - g_ji|
+    over the pairs i < j, taken one pair at a time."""
 
-    index_kinds: tuple[str, str] = (LO, LO)
     definite: str = field(default="riemannian", compare=False)
 
     def __post_init__(self):
         TensorField.__post_init__(self)
-        if self.arity != 2 or self.index_kinds not in ((LO, LO), (UP, UP)):
-            raise ValueError("a metric carries exactly two like-variance slots")
+        if len(self.slot_dims) != 2:
+            raise ValueError("a metric carries exactly two slots")
         n1, n2 = self.slot_dims
         if n1 != n2:
             raise ValueError("metric slots must have equal dimension")
@@ -228,7 +208,7 @@ def _first_false(mask: np.ndarray) -> tuple[int, ...]:
 
 
 def metric_field(grid: ChartGrid, values: np.ndarray, definite: str = "riemannian") -> MetricField:
-    return MetricField(grid, values, (LO, LO), definite)
+    return MetricField(grid, values, definite)
 
 
 def sample_metric(grid: ChartGrid, fn: Callable[[np.ndarray], np.ndarray]) -> MetricField:
@@ -309,7 +289,7 @@ def fd_partial(f: TensorField, axis: int) -> TensorField:
         raise ValueError(f"axis {axis} out of range for a {f.grid.dim}-dimensional grid")
     out = _derivative_1d(f.values, axis, f.grid.spacing[axis], f.grid.stencil_order,
                          f.grid.periodic[axis])
-    return TensorField(f.grid, out, f.index_kinds)
+    return TensorField(f.grid, out)
 
 
 def grid_partials(f: TensorField) -> np.ndarray:
@@ -461,7 +441,7 @@ def _condition_gate(values: np.ndarray, doubtful: np.ndarray) -> None:
 
 
 def invert_metric(g: MetricField) -> MetricField:
-    """Pointwise matrix inverse with flipped variance.
+    """Pointwise matrix inverse.
 
     Nodes whose 2-norm condition number exceeds ``COND_BOUND``, or is NaN,
     raise a singular-metric error naming the first offending node.  The
@@ -489,8 +469,7 @@ def invert_metric(g: MetricField) -> MetricField:
     n = g.values.shape[-1]
     if n > 2 or (n == 2 and not np.array_equal(g.values[..., 0, 1], g.values[..., 1, 0])):
         inv = 0.5 * (inv + np.swapaxes(inv, -1, -2))
-    kinds = (UP, UP) if g.index_kinds == (LO, LO) else (LO, LO)
-    return MetricField(g.grid, inv, kinds, definite="pseudo")
+    return MetricField(g.grid, inv, definite="pseudo")
 
 
 def sqrt_det(g: MetricField) -> TensorField:
@@ -506,7 +485,7 @@ def volume_integral(rho: TensorField, g: MetricField) -> float:
 def quadrature(rho: TensorField) -> float:
     """Integral of a scalar field: tensor-product trapezoid rule with
     rectangle weights on periodic axes."""
-    if rho.arity != 0:
+    if rho.slot_dims:
         raise ValueError("quadrature integrates scalar fields")
     return float(np.sum(rho.values * rho.grid.quadrature_weights()))
 

@@ -23,8 +23,6 @@ from glharmonic.gl_space import (
 from glharmonic.riemann import RiemannPackage, christoffel, curvature_package
 from glharmonic.scenarios import sigma_jet_evaluator
 from glharmonic.tensor_core import (
-    LO,
-    UP,
     TensorField,
     box_grid,
     contract_vector,
@@ -61,9 +59,9 @@ def random_package(rng, n) -> RiemannPackage:
     return RiemannPackage(
         gamma=gamma,
         gamma_inv=invert_metric(gamma),
-        christoffel=TensorField(grid, rng.standard_normal(shape + (n,) * 3), (UP, LO, LO)),
-        curvature=TensorField(grid, rng.standard_normal(shape + (n,) * 4), (UP, LO, LO, LO)),
-        ricci=TensorField(grid, rng.standard_normal(shape + (n, n)), (LO, LO)),
+        christoffel=TensorField(grid, rng.standard_normal(shape + (n,) * 3)),
+        curvature=TensorField(grid, rng.standard_normal(shape + (n,) * 4)),
+        ricci=TensorField(grid, rng.standard_normal(shape + (n, n))),
         scalar=scalar_field(grid, rng.standard_normal(shape)),
     )
 
@@ -75,7 +73,7 @@ def maxwell_package(rng, n) -> RiemannPackage:
     package = random_package(rng, n)
     r = package.curvature
     return replace(package, curvature=TensorField(
-        r.grid, r.values - np.swapaxes(r.values, -1, -2), r.index_kinds))
+        r.grid, r.values - np.swapaxes(r.values, -1, -2)))
 
 
 def smooth_sigma(pts, y):
@@ -94,7 +92,7 @@ def smooth_sigma_jet(n):
 
 
 def _partials(values, grid):
-    field = TensorField(grid, values, (LO,) * (values.ndim - grid.dim))
+    field = TensorField(grid, values)
     return np.stack([fd_partial(field, k).values for k in range(grid.dim)], axis=-1)
 
 
@@ -235,7 +233,7 @@ def test_curvature_package_matches_einsum(case, ricci_convention):
     n, seed = case
     rng = np.random.default_rng(seed)
     gamma = random_metric(rng, n)
-    gam = TensorField(gamma.grid, rng.standard_normal(gamma.grid.shape + (n,) * 3), (UP, LO, LO))
+    gam = TensorField(gamma.grid, rng.standard_normal(gamma.grid.shape + (n,) * 3))
     with mock.patch.object(riemann, "christoffel", lambda g, g_inv: gam):
         pkg = curvature_package(gamma, ricci_convention)
     riem, ricci, scalar = curvature_reference(gam.values, pkg.gamma_inv.values, gamma.grid,
@@ -267,7 +265,7 @@ def test_deflection_terms_match_einsum(case):
     grid = space.grid
 
     def rand(rank):
-        return TensorField(grid, rng.standard_normal(grid.shape + (n,) * rank), (LO,) * rank)
+        return TensorField(grid, rng.standard_normal(grid.shape + (n,) * rank))
 
     blocks = ConformalFactorDerivatives(
         grad_h=rand(1), grad_v=rand(1), sq_h=rand(0), hess_h=rand(2), tr_h=rand(0),

@@ -167,13 +167,12 @@ def test_coupled_run_evaluates_each_factor_once(name, lists, monkeypatch, tmp_pa
                       "derivative lists": lists}
 
 
-def test_energy_only_spec_builds_no_derivative_list(monkeypatch, tmp_path):
+def test_energy_only_spec_evaluates_sigma_and_tau_once(monkeypatch, tmp_path):
     counts = {}
     _counting_factories(monkeypatch, counts)
     for _, spec in COUPLED[:2]:
         spec = {**spec, "tasks": [{"task": "energy"}]}
         assert run_scenario(spec, tmp_path / spec["name"])["status"] == "pass"
-    assert "derivative lists" not in counts
     assert counts["sigma"] == counts["tau"] == 2
 
 
@@ -187,15 +186,3 @@ def test_a_spec_setting_fd_step_is_rejected():
     assert len(errors) == 1
     assert errors[0].startswith("tolerances: ") and "'fd_step'" in errors[0]
 
-
-def test_the_context_frees_the_evaluation_after_its_last_reader():
-    _, spec = COUPLED[0]
-    ctx = _Context(require_valid(spec), None)
-    ev = ctx.evaluation
-    ctx.release([{"task": "el_residual"}])
-    assert ctx.evaluation is ev
-    ctx.release([{"task": "group_lagrangian"}])
-    assert "evaluation" not in vars(ctx) and "metric_pair" not in vars(ctx)
-    assert id(ctx.map_jet.values) in ctx._psi_checked
-    ctx.release([])
-    assert ctx._psi_checked == {}

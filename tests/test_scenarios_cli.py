@@ -453,6 +453,24 @@ _UNIT_SQUARE = {"dim": 2, "extents": [[0.0, 1.0], [0.0, 1.0]], "nodes": [9, 9]}
     ("group-two-generators",
      [(("system",), {"kind": "pseudolinear", "xi": ["1", "0"], "A": ["1", "1"]})],
      "tasks.0 (group_lagrangian): system.kind must be 'group'"),
+    # a misspelled bound used to be ignored, and its gate skipped
+    ("maxwell-logconformal", [(("tasks", 0, "residual3_maxx"), 1e-300)],
+     "tasks.0 (maxwell): unknown key 'residual3_maxx'"),
+    ("harmonic-identity", [(("tasks", 0, "max_abs"), 1e-9)],
+     "tasks.0 (energy): unknown key 'max_abs'"),
+    # a bound that is not a number used to end as an error record
+    ("maxwell-logconformal", [(("tasks", 0, "residual3_max"), "abc")],
+     "tasks.0 (maxwell): residual3_max must be a finite number, got 'abc'"),
+    ("harmonic-identity", [(("tasks", 1, "max_abs"), True)],
+     "tasks.1 (el_residual): max_abs must be a finite number, got True"),
+    ("harmonic-identity", [(("tasks", 0, "expected"), float("inf"))],
+     "tasks.0 (energy): expected must be a finite number, got inf"),
+    ("orbit-rotation", [(("tasks", 0, "residual_threshold"), float("nan"))],
+     "tasks.0 (orbit): residual_threshold must be a finite number, got nan"),
+    ("einstein-2d", [(("tasks", 0, "check_sigma_zero_reduction"), 1)],
+     "tasks.0 (einstein): check_sigma_zero_reduction must be true or false, got 1"),
+    ("sphere-curvature", [(("tasks", 0, "energy_momentum"), "no")],
+     "tasks.0 (einstein): energy_momentum must be true or false, got 'no'"),
 ])
 def test_validator_branch_messages(name, edits, error, tmp_path):
     # one change of a bundled spec per semantic check: exactly its message,
@@ -470,6 +488,17 @@ def test_validator_branch_messages(name, edits, error, tmp_path):
     with pytest.raises(ScenarioValidationError):
         run_scenario(spec, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def test_every_task_key_is_read_by_the_runner(tmp_path):
+    source = pathlib.Path(glharmonic.runner.__file__).read_text()
+    for keys in glharmonic.scenarios._TASK_KEYS.values():
+        for key in keys:
+            assert f'"{key}"' in source, key
+    # the correctly spelled bound gates the task
+    spec = json.loads(json.dumps(BUILTIN_SCENARIOS["maxwell-logconformal"]))
+    spec["tasks"][0]["residual3_max"] = 1e-300
+    assert run_scenario(spec, tmp_path)["tasks"][0]["status"] == "fail"
 
 
 def test_invalid_run_prints_every_error_and_exits_2(tmp_path):

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from glharmonic.errors import SingularMetricError
 from glharmonic.tensor_core import (
     COND_BOUND,
-    UP,
     NodeMatrices,
+    TensorField,
     box_grid,
     fd_partial,
     identity_metric,
@@ -86,7 +86,6 @@ def test_invert_identity():
     g = identity_metric(grid)
     ginv = invert_metric(g)
     assert np.allclose(ginv.values, g.values)
-    assert ginv.index_kinds == (UP, UP)
 
 
 def test_invert_diagonal():
@@ -478,6 +477,12 @@ def test_quadrature_constant_times_volume():
     assert quadrature(f) == pytest.approx(c * 2 * 3, rel=1e-14)
 
 
+def test_quadrature_rejects_a_vector_field():
+    grid = box_grid([(0, 1), (0, 1)], [6, 5])
+    with pytest.raises(ValueError, match="integrates scalar fields"):
+        quadrature(TensorField(grid, np.ones(grid.shape + (2,))))
+
+
 # ---------------------------------------------------------------------------
 # grids
 # ---------------------------------------------------------------------------
@@ -494,6 +499,21 @@ def test_grid_spacing_conventions():
 def test_grid_rejects_tiny_axes():
     with pytest.raises(ValueError):
         interval_grid(0, 1, 4)
+
+
+def test_field_values_must_start_with_the_grid_shape():
+    grid = box_grid([(0, 1), (0, 1)], [6, 5])
+    assert TensorField(grid, np.zeros((6, 5, 5))).slot_dims == (5,)
+    with pytest.raises(ValueError, match="does not start with grid shape"):
+        TensorField(grid, np.zeros((5, 6, 5)))
+
+
+def test_metric_field_needs_two_equal_slots():
+    grid = box_grid([(0, 1), (0, 1)], [6, 5])
+    with pytest.raises(ValueError, match="exactly two"):
+        metric_field(grid, np.broadcast_to(np.eye(2), grid.shape + (2, 2, 2)).copy())
+    with pytest.raises(ValueError, match="equal dimension"):
+        metric_field(grid, np.zeros(grid.shape + (2, 3)))
 
 
 def test_sample_metric_shape_checks():
