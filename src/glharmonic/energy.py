@@ -141,11 +141,8 @@ class ConnectionTensor:
 
     @classmethod
     def zero(cls, m: int, n: int) -> "ConnectionTensor":
-        return cls(
-            source=lambda a, x: np.zeros(a.shape[:-1] + (m, m, n)),
-            target=lambda a, x: np.zeros(a.shape[:-1] + (n, m, n)),
-            m=m, n=n, source_depends_on_x=False, target_depends_on_x=False,
-        )
+        return cls(source=_zero_source, target=_zero_target, m=m, n=n,
+                   source_depends_on_x=False, target_depends_on_x=False)
 
     @classmethod
     def constant(cls, source_block: np.ndarray, target_block: np.ndarray) -> "ConnectionTensor":
@@ -172,11 +169,7 @@ class ConnectionTensor:
             eye = np.eye(x_vals.shape[-1])
             return avals[..., None, :, None] * eye[:, None, :]
 
-        def zero_source(a_pts, x_vals):
-            mm, nn = a_pts.shape[-1], x_vals.shape[-1]
-            return np.zeros(a_pts.shape[:-1] + (mm, mm, nn))
-
-        return cls(source=source or zero_source, target=target, m=m, n=n,
+        return cls(source=source or _zero_source, target=target, m=m, n=n,
                    source_depends_on_x=source is not None, target_depends_on_x=False)
 
     @classmethod
@@ -200,11 +193,7 @@ class ConnectionTensor:
             eye = np.eye(a_pts.shape[-1])
             return eye[:, :, None, None] * dxi[..., None, None, :, :]
 
-        def zero_target(a_pts, x_vals):
-            mm, nn = a_pts.shape[-1], x_vals.shape[-1]
-            return np.zeros(a_pts.shape[:-1] + (nn, mm, nn))
-
-        return cls(source=source, target=target or zero_target, m=m, n=n,
+        return cls(source=source, target=target or _zero_target, m=m, n=n,
                    source_depends_on_x=True, target_depends_on_x=target is not None,
                    source_dx=None if xi_dx is None else source_dx)
 
@@ -213,6 +202,18 @@ class ConnectionTensor:
         """One-dimensional source with unit covector: the induced fiber is
         the curve velocity."""
         return cls.covector_fiber(lambda a: np.ones(a.shape[:-1] + (1,)), None, 1, n)
+
+
+def _zero_source(a_pts: np.ndarray, x_vals: np.ndarray) -> np.ndarray:
+    """The zero source block, m and n read off the arguments."""
+    m, n = a_pts.shape[-1], x_vals.shape[-1]
+    return np.zeros(a_pts.shape[:-1] + (m, m, n))
+
+
+def _zero_target(a_pts: np.ndarray, x_vals: np.ndarray) -> np.ndarray:
+    """The zero target block, m and n read off the arguments."""
+    m, n = a_pts.shape[-1], x_vals.shape[-1]
+    return np.zeros(a_pts.shape[:-1] + (n, m, n))
 
 
 # ---------------------------------------------------------------------------

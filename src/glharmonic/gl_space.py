@@ -95,13 +95,9 @@ class ConformalLagrangeSpace:
     def dim(self) -> int:
         return self.base.dim
 
-    def sigma_field(self, y: np.ndarray) -> TensorField:
-        pts = self.grid.points()
-        return scalar_field(self.grid, np.asarray(self.sigma(pts, np.asarray(y, float)), float))
-
     def metric_values(self, y: np.ndarray) -> np.ndarray:
         """g_ij(x, y) = exp(2 sigma) gamma_ij(x) at every node, fixed fiber."""
-        s = self.sigma_field(y).values
+        s = np.asarray(self.sigma(self.grid.points(), np.asarray(y, float)), float)
         return np.exp(2.0 * s)[..., None, None] * self.base.gamma.values
 
     def nonlinear_connection(self, y: np.ndarray) -> np.ndarray:
@@ -165,13 +161,10 @@ def delta_derivative(F: Callable[[np.ndarray, np.ndarray], np.ndarray],
     adapted frame: dF/dx^i - N^j_i dF/dy^j, at one constant fiber."""
     y = np.asarray(y, float)
     pts = space.grid.points()
-    sampled = scalar_field(space.grid, np.asarray(F(pts, y), float))
-    dx = grid_partials(sampled)                       # (..., i)
+    values = np.asarray(F(pts, y), float)
     dy = fiber_partials(lambda yy: np.asarray(F(pts, yy), float), y,
                         space.dim, space.fiber_step_scale)
-    n_conn = space.nonlinear_connection(y)            # (..., j, i)
-    vals = dx - np.einsum("...ji,...j->...i", n_conn, dy)
-    return TensorField(space.grid, vals)
+    return TensorField(space.grid, _horizontal(values, dy, space, space.nonlinear_connection(y)))
 
 
 def hv_covariant(X: Callable[[np.ndarray], np.ndarray],
@@ -276,7 +269,8 @@ def sigma_gradients(space: ConformalLagrangeSpace, y: np.ndarray,
 
 def _horizontal(s: np.ndarray, grad_v: np.ndarray, space: ConformalLagrangeSpace,
                 n_conn: np.ndarray) -> np.ndarray:
-    """grad_h_i = d sigma/dx^i - N^j_i grad_v_j."""
+    """The horizontal derivative of the samples ``s`` of a scalar from its
+    fiber partials: d s/dx^i - N^j_i grad_v_j."""
     # a jet may return a broadcast view, which np.roll in the stencil
     # copies several times slower than a contiguous array
     dx = grid_partials(scalar_field(space.grid, np.ascontiguousarray(s)))

@@ -26,22 +26,31 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .energy import constant_metric
 from .errors import ScenarioValidationError, StepLimitError
 from .expressions import Expression, ExpressionError, component_env, derivative
 from .systems import DEFAULT_RK4_STEP, rk4_substeps
-from .tensor_core import ChartGrid, MetricField, box_grid, interval_grid, metric_field
+from .tensor_core import ChartGrid, MetricField, box_grid, interval_grid, sample_metric
 
-TASK_NAMES = (
-    "energy",
-    "el_residual",
-    "certify_theorem",
-    "orbit",
-    "pfaff",
-    "pseudolinear",
-    "group_lagrangian",
-    "maxwell",
-    "einstein",
-)
+# task -> (the scenario fields it needs, a tuple of field tuples being
+# either of them; the system kind it needs; the optional keys it reads
+# beside "task": finite-number bounds and the flags of _TASK_FLAGS)
+_TASKS = {
+    "energy": (("m_space", "n_space", "map", "connection"), None, ("expected", "tol")),
+    "el_residual": (("m_space", "n_space", "map", "connection"), None, ("max_abs",)),
+    # certify accepts either a sampled map on a chart or an integrated orbit
+    "certify_theorem": (("n_space", "system", (("m_space", "map"), ("orbit",))), None, ()),
+    "orbit": (("n_space", "system", "orbit"), "orbit", ("residual_threshold",)),
+    "pfaff": (("m_space", "n_space", "map", "system"), "pfaff", ()),
+    "pseudolinear": (("m_space", "n_space", "map", "system"), "pseudolinear",
+                     ("level_set_threshold",)),
+    "group_lagrangian": (("m_space", "n_space", "map", "system"), "group", ("oracle_tol",)),
+    "maxwell": (("gl_space", "samples"), None, ("residual1_max", "residual2_max", "residual3_max")),
+    "einstein": (("gl_space", "samples"), None,
+                 ("h_lhs_max", "v_lhs_max", "expected_scalar", "scalar_tol", "reduction_tol",
+                  "energy_momentum", "check_sigma_zero_reduction")),
+}
+_TASK_FLAGS = {"energy_momentum", "check_sigma_zero_reduction"}
 
 _EXPR = {"type": "string", "minLength": 1}
 _EXPR_LIST = {"type": "array", "items": _EXPR, "minItems": 1}
@@ -186,48 +195,15 @@ SCENARIO_SCHEMA = {
             "items": {
                 "type": "object",
                 "required": ["task"],
-                "properties": {"task": {"enum": list(TASK_NAMES)}},
+                "properties": {"task": {"enum": list(_TASKS)}},
             },
         },
     },
 }
 
-_TASK_REQUIREMENTS = {
-    "energy": ("m_space", "n_space", "map", "connection"),
-    "el_residual": ("m_space", "n_space", "map", "connection"),
-    # certify accepts either a sampled map on a chart or an integrated orbit
-    "certify_theorem": ("n_space", "system", ("m_space+map", "orbit")),
-    "orbit": ("n_space", "system", "orbit"),
-    "pfaff": ("m_space", "n_space", "map", "system"),
-    "pseudolinear": ("m_space", "n_space", "map", "system"),
-    "group_lagrangian": ("m_space", "n_space", "map", "system"),
-    "maxwell": ("gl_space", "samples"),
-    "einstein": ("gl_space", "samples"),
-}
-
-# the optional keys each task reads beside "task": finite-number bounds,
-# and the flags of _TASK_FLAGS
-_TASK_KEYS = {
-    "energy": ("expected", "tol"),
-    "el_residual": ("max_abs",),
-    "certify_theorem": (),
-    "orbit": ("residual_threshold",),
-    "pfaff": (),
-    "pseudolinear": ("level_set_threshold",),
-    "group_lagrangian": ("oracle_tol",),
-    "maxwell": ("residual1_max", "residual2_max", "residual3_max"),
-    "einstein": ("h_lhs_max", "v_lhs_max", "expected_scalar", "scalar_tol", "reduction_tol",
-                 "energy_momentum", "check_sigma_zero_reduction"),
-}
-_TASK_FLAGS = {"energy_momentum", "check_sigma_zero_reduction"}
-
 # the fields each system kind reads
 SYSTEM_FIELDS = {"general": ("T",), "orbit": ("xi",), "pfaff": ("A",),
                  "pseudolinear": ("xi", "A"), "group": ("generators",)}
-
-# the system kind a construction task reads
-_TASK_SYSTEM_KIND = {"orbit": "orbit", "pfaff": "pfaff", "pseudolinear": "pseudolinear",
-                     "group_lagrangian": "group"}
 
 DEFAULT_TOLERANCES = {
     "tol_gap": 1e-6,
@@ -426,8 +402,22 @@ def _metric_errors(errors, path, spec, dim, names):
         errors.append(f"{path}: needs diag or matrix (or the string 'identity')")
 
 
+def _nonfinite_errors(errors, path, value):
+    """A message for each non-finite float in ``value`` and its entries."""
+    if isinstance(value, (dict, list)):
+        for key, item in (value.items() if isinstance(value, dict) else enumerate(value)):
+            _nonfinite_errors(errors, f"{path}.{key}", item)
+    elif isinstance(value, float) and not math.isfinite(value):
+        errors.append(f"{path}: must be a finite number, got {value!r}")
+
+
 def _semantic_errors(spec: dict) -> list[str]:
     errors: list[str] = []
+    # JSON Schema's numbers include nan and inf; the tasks' own keys are
+    # checked with the task
+    for key, value in spec.items():
+        if key != "tasks":
+            _nonfinite_errors(errors, key, value)
     m = spec.get("m_space")
     n = spec.get("n_space")
     gl = spec.get("gl_space")
@@ -516,7 +506,10 @@ def _semantic_errors(spec: dict) -> list[str]:
     if orbit:
         if n_dim and len(orbit["x0"]) != n_dim:
             errors.append(f"orbit.x0: expected {n_dim} components, got {len(orbit['x0'])}")
-        if orbit["t1"] <= orbit["t0"]:
+        times = (orbit["t0"], orbit["t1"], orbit.get("rk4_step", DEFAULT_RK4_STEP))
+        if not all(map(_is_finite_real, times)):
+            pass    # reported as non-finite above
+        elif orbit["t1"] <= orbit["t0"]:
             errors.append("orbit: t1 must exceed t0")
         else:
             grid = interval_grid(orbit["t0"], orbit["t1"], orbit["nodes"])
@@ -533,10 +526,11 @@ def _semantic_errors(spec: dict) -> list[str]:
 
     for t, task in enumerate(spec.get("tasks", [])):
         name = task.get("task")
+        fields, needed, keys = _TASKS[name]
         for key, value in task.items():
             if key == "task":
                 continue
-            if key not in _TASK_KEYS[name]:
+            if key not in keys:
                 errors.append(f"tasks.{t} ({name}): unknown key {key!r}")
             elif key in _TASK_FLAGS:
                 if not isinstance(value, bool):
@@ -544,17 +538,19 @@ def _semantic_errors(spec: dict) -> list[str]:
                                   f"got {value!r}")
             elif not _is_finite_real(value):
                 errors.append(f"tasks.{t} ({name}): {key} must be a finite number, got {value!r}")
-        for req in _TASK_REQUIREMENTS.get(name, ()):
+        for req in fields:
             if isinstance(req, tuple):
-                options = [alt.split("+") for alt in req]
-                if not any(all(key in spec for key in opt) for opt in options):
-                    pretty = " or ".join(" and ".join(opt) for opt in options)
+                if not any(all(key in spec for key in option) for option in req):
+                    pretty = " or ".join(" and ".join(option) for option in req)
                     errors.append(f"tasks.{t} ({name}): scenario needs {pretty}")
             elif req not in spec:
                 errors.append(f"tasks.{t} ({name}): scenario is missing required field {req!r}")
-        if name == "einstein" and "K" not in spec and task.get("energy_momentum", False):
-            errors.append(f"tasks.{t} (einstein): energy_momentum requires K")
-        needed = _TASK_SYSTEM_KIND.get(name)
+        # the runner's default: energy-momentum components when K is given
+        if name == "einstein" and task.get("energy_momentum", "K" in spec):
+            if "K" not in spec:
+                errors.append(f"tasks.{t} (einstein): energy_momentum requires K")
+            elif spec["K"] == 0:
+                errors.append(f"tasks.{t} (einstein): energy_momentum requires a nonzero K")
         if needed and spec.get("system", {}).get("kind") != needed:
             errors.append(f"tasks.{t} ({name}): system.kind must be {needed!r}")
         if name == "pseudolinear" and n_dim not in (None, 1):
@@ -589,10 +585,7 @@ def metric_evaluator(spec_metric, dim: int, prefix: str) -> Callable[[np.ndarray
     {'matrix': ...} with expressions (sources or checked trees) in
     prefix1..prefixD."""
     if spec_metric in (None, "identity"):
-        def identity(pts):
-            return np.broadcast_to(np.eye(dim), pts.shape[:-1] + (dim, dim)).copy()
-
-        return identity
+        return constant_metric(np.eye(dim))
 
     entries = _Outputs(_metric_entries(spec_metric, dim), ((prefix, dim),), (dim, dim))
     if "diag" in spec_metric:
@@ -788,8 +781,7 @@ _FLOAT = np.dtype(float)
 
 
 def sampled_metric(grid: ChartGrid, spec_metric, dim: int, prefix: str) -> MetricField:
-    ev = metric_evaluator(spec_metric, dim, prefix)
-    return metric_field(grid, ev(grid.points()))
+    return sample_metric(grid, metric_evaluator(spec_metric, dim, prefix))
 
 
 def build_map_values(spec_map: dict, grid: ChartGrid, n_dim: int):

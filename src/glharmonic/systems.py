@@ -366,37 +366,27 @@ def orbit_geodesic_residual(c: SampledCurve, xi, psi, eps_sing: float = DEFAULT_
     Without them, each is differenced on a stencil of its own.
     """
     message = "orbit residual queried where the direction pairing vanishes"
-    last = {}
-
-    def fields(x_vals):
-        # el_residual evaluates psi(x) and then tau(x, y) on the curve itself
-        # (in h), and tau needs psi(x) and xi(x) there too
-        if last.get("x") is not x_vals:
-            last.update(x=x_vals, psi=psi(x_vals), xi=xi(x_vals))
-        return last["psi"], last["xi"]
-
-    psi_at, xi_at = (lambda x_vals: fields(x_vals)[0]), (lambda x_vals: fields(x_vals)[1])
 
     def tau(x_vals, y_vals):
-        _, _, pairing, norm2 = _orbit_factor(xi_at, psi_at, x_vals, y_vals, eps_sing, message)
+        _, _, pairing, norm2 = _orbit_factor(xi, psi, x_vals, y_vals, eps_sing, message)
         return 0.5 * np.log(norm2) - np.log(np.abs(pairing))
 
     # el_residual asks for the partials of tau and psi only at the curve
     # itself, (c, cdot)
-    psi_vals, xi_flat, pairing, norm2 = _orbit_factor(xi_at, psi_at, c.values, c.velocity,
+    psi_vals, xi_flat, pairing, norm2 = _orbit_factor(xi, psi, c.values, c.velocity,
                                                       eps_sing, message)
     dtau_dy = -xi_flat / pairing[..., None]
     hooks = {}
     if xi_dx is not None and psi_dx is not None:
         dxi, dpsi = np.asarray(xi_dx(c.values), float), np.asarray(psi_dx(c.values), float)
-        xi_vals, y = xi_at(c.values), c.velocity
+        xi_vals, y = np.asarray(xi(c.values), float), c.velocity
         half_dnorm2 = (np.einsum("...i,...ij->...j", xi_flat, dxi)
                        + 0.5 * np.einsum("...k,...klj,...l->...j", xi_vals, dpsi, xi_vals))
         dpairing = (np.einsum("...k,...klj,...l->...j", y, dpsi, xi_vals)
                     + np.einsum("...k,...kl,...lj->...j", y, psi_vals, dxi))
         dtau_dx = half_dnorm2 / norm2[..., None] - dpairing / pairing[..., None]
         hooks = {"tau_dx": lambda x_vals, y_vals: dtau_dx, "psi_dx": lambda x_vals: dpsi}
-    pair = MetricPair.conformal(constant_metric(np.eye(1)), psi_at, tau=tau,
+    pair = MetricPair.conformal(constant_metric(np.eye(1)), psi, tau=tau,
                                 tau_dy=lambda x_vals, y_vals: dtau_dy, **hooks)
     f = MapJet(grid=c.grid, values=c.values, jet=c.velocity[..., None])
     return el_residual(f, pair, ConnectionTensor.velocity(), identity_metric(c.grid))

@@ -471,6 +471,26 @@ _UNIT_SQUARE = {"dim": 2, "extents": [[0.0, 1.0], [0.0, 1.0]], "nodes": [9, 9]}
      "tasks.0 (einstein): check_sigma_zero_reduction must be true or false, got 1"),
     ("sphere-curvature", [(("tasks", 0, "energy_momentum"), "no")],
      "tasks.0 (einstein): energy_momentum must be true or false, got 'no'"),
+    # energy-momentum components divide by K: a zero K used to end as an
+    # error record
+    ("einstein-2d", [(("K",), 0.0)], "tasks.0 (einstein): energy_momentum requires a nonzero K"),
+    # JSON Schema's numbers include nan and inf: a nan step used to run as
+    # one substep, and a nan end time to pass "t1 must exceed t0"
+    ("orbit-rotation", [(("orbit", "rk4_step"), float("nan"))],
+     "orbit.rk4_step: must be a finite number, got nan"),
+    ("orbit-rotation", [(("orbit", "t1"), float("nan"))],
+     "orbit.t1: must be a finite number, got nan"),
+    ("orbit-rotation", [(("orbit", "x0", 1), float("-inf"))],
+     "orbit.x0.1: must be a finite number, got -inf"),
+    ("einstein-2d", [(("K",), float("nan"))], "K: must be a finite number, got nan"),
+    ("maxwell-logconformal", [(("samples", 0, 2), float("inf"))],
+     "samples.0.2: must be a finite number, got inf"),
+    ("pfaff-exact", [(("m_space", "extents", 1, 1), float("inf"))],
+     "m_space.extents.1.1: must be a finite number, got inf"),
+    ("harmonic-identity", [(("map", "linear_jet", 0, 0), float("nan"))],
+     "map.linear_jet.0.0: must be a finite number, got nan"),
+    ("pfaff-exact", [(("tolerances", "tol_gap"), float("inf"))],
+     "tolerances.tol_gap: must be a finite number, got inf"),
 ])
 def test_validator_branch_messages(name, edits, error, tmp_path):
     # one change of a bundled spec per semantic check: exactly its message,
@@ -492,7 +512,7 @@ def test_validator_branch_messages(name, edits, error, tmp_path):
 
 def test_every_task_key_is_read_by_the_runner(tmp_path):
     source = pathlib.Path(glharmonic.runner.__file__).read_text()
-    for keys in glharmonic.scenarios._TASK_KEYS.values():
+    for _, _, keys in glharmonic.scenarios._TASKS.values():
         for key in keys:
             assert f'"{key}"' in source, key
     # the correctly spelled bound gates the task
@@ -712,6 +732,29 @@ def test_tasks_reuse_the_context_metric_evaluators(name, tmp_path, monkeypatch):
     report = run_scenario(BUILTIN_SCENARIOS[name], tmp_path)
     assert report["status"] == "pass"
     assert prefixes == ["a", "x"]
+
+
+def test_pseudolinear_run_evaluates_each_metric_once(tmp_path, monkeypatch):
+    # the attached energy reads the context's sampled phi and checked psi,
+    # as the group task does
+    import glharmonic.scenarios as scenarios_module
+
+    calls = {}
+    original = scenarios_module.metric_evaluator
+
+    def counted(spec_metric, dim, prefix):
+        ev = original(spec_metric, dim, prefix)
+
+        def wrapped(pts):
+            calls[prefix] = calls.get(prefix, 0) + 1
+            return ev(pts)
+
+        return wrapped
+
+    monkeypatch.setattr(scenarios_module, "metric_evaluator", counted)
+    report = run_scenario(BUILTIN_SCENARIOS["pseudolinear-exp"], tmp_path)
+    assert report["status"] == "pass"
+    assert calls == {"a": 1, "x": 1}
 
 
 def test_validator_rejects_pseudo_metric_key():
