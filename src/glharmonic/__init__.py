@@ -66,7 +66,6 @@ from .tensor_core import (
     identity_metric,
     interval_grid,
     invert_metric,
-    metric_field,
     quadrature,
     sample_metric,
     sample_scalar,

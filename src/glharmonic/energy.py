@@ -60,7 +60,6 @@ from .tensor_core import (
     fd_partial,
     grid_partials,
     invert_metric,
-    scalar_field,
     sqrt_det,
     volume_integral,
 )
@@ -303,9 +302,9 @@ class MetricPair:
     """The two direction-dependent metrics of an energy functional.
 
     ``g(a_pts, b) -> (..., m, m)`` on the source side and
-    ``h(x_vals, y) -> (..., n, n)`` along the map.  Conformal pairs carry
-    their ingredients so the residual can take its partials by the chain
-    rule: g = exp(-2 sigma(a,b)) phi(a) and h = exp(2 tau(x,y)) psi(x).
+    ``h(x_vals, y) -> (..., n, n)`` along the map.  A pair is conformal
+    when it carries psi; its ingredients let the residual take its partials
+    by the chain rule: g = exp(-2 sigma(a,b)) phi(a), h = exp(2 tau(x,y)) psi(x).
     The optional hooks are exact partials of the ingredients, the
     derivative axis last: ``sigma_db(a, b) -> (..., m)``,
     ``tau_dy(x, y)`` and ``tau_dx(x, y) -> (..., n)`` and
@@ -315,7 +314,6 @@ class MetricPair:
 
     g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     h: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    kind: str = "general"
     phi: Callable[[np.ndarray], np.ndarray] | None = None
     psi: Callable[[np.ndarray], np.ndarray] | None = None
     sigma: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
@@ -327,7 +325,7 @@ class MetricPair:
 
     @classmethod
     def general(cls, g, h) -> "MetricPair":
-        return cls(g=g, h=h, kind="general")
+        return cls(g=g, h=h)
 
     @classmethod
     def riemannian(cls, phi, psi) -> "MetricPair":
@@ -343,8 +341,8 @@ class MetricPair:
         def h(x, y):
             return _scaled(psi(x), None if tau is None else tau(x, y), 2.0)[0]
 
-        return cls(g=g, h=h, kind="conformal", phi=phi, psi=psi, sigma=sigma, tau=tau,
-                   tau_dy=tau_dy, sigma_db=sigma_db, tau_dx=tau_dx, psi_dx=psi_dx)
+        return cls(g=g, h=h, phi=phi, psi=psi, sigma=sigma, tau=tau, tau_dy=tau_dy,
+                   sigma_db=sigma_db, tau_dx=tau_dx, psi_dx=psi_dx)
 
 
 def _scaled(base, log_factor, weight: float) -> tuple[np.ndarray, np.ndarray | None]:
@@ -418,7 +416,7 @@ def _first_stage(a_pts: np.ndarray, f_vals: np.ndarray, jet_vals: np.ndarray,
     e^{2 tau} is kept; g and h are the bits ``pair.g`` and ``pair.h``
     give."""
     b, y = _arguments(blocks, _raised_jet(jet_vals, phi_inv))
-    conformal = pair.kind == "conformal"
+    conformal = pair.psi is not None
     if conformal:
         gmat = _scaled(pair.phi(a_pts), None if pair.sigma is None else pair.sigma(a_pts, b),
                        -2.0)[0]
@@ -496,7 +494,7 @@ def lagrangian_density(f: MapJet, pair: MetricPair, P: ConnectionTensor,
     from ``evaluation`` (a ``DensityEvaluation`` of these arguments) when
     given."""
     ev = _evaluation_of(f, pair, P, phi, evaluation)
-    return scalar_field(f.grid, ev.stage.density)
+    return TensorField(f.grid, ev.stage.density)
 
 
 def energy(f: MapJet, pair: MetricPair, P: ConnectionTensor, phi: MetricField) -> float:
@@ -517,7 +515,7 @@ def density_partials(f: MapJet, pair: MetricPair, P: ConnectionTensor,
     Returns (dL/df^i of shape (*grid, n), dL/df^i_a of shape (*grid, n, m)).
     """
     ev = _evaluation_of(f, pair, P, phi, evaluation)
-    if pair.kind == "conformal":
+    if pair.psi is not None:
         return _conformal_partials(ev, pair, P, fd_step)
     grid = f.grid
     a_pts, phi_inv = ev.points, ev.phi_inv

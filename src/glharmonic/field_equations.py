@@ -37,7 +37,7 @@ from .gl_space import (
     sigma_gradient_partials,
     sigma_gradients,
 )
-from .tensor_core import TensorField, contract_vector, fd_partial, scalar_field
+from .tensor_core import TensorField, contract_vector, fd_partial
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ def _h_components(vals: np.ndarray, rows: np.ndarray, space: ConformalLagrangeSp
     stencil of vals_ab along axis c, minus N^m_c rows_m with ``rows`` the
     fiber partials d vals_ab/dy^m, (..., len(a), m), minus
     Gamma^m_ac vals_mb and Gamma^m_bc vals_am."""
-    out = np.stack([fd_partial(scalar_field(space.grid, vals[..., i, j]), k).values
+    out = np.stack([fd_partial(TensorField(space.grid, vals[..., i, j]), k).values
                     for i, j, k in zip(a, b, c)], axis=-1)
     gam = space.base.christoffel.values            # (..., m, i, k)
     out -= np.einsum("...pm,...mp->...p", rows, n_conn[..., :, c])
@@ -300,8 +300,7 @@ def einstein_system(space: ConformalLagrangeSpace, K: float, y: np.ndarray,
     n = base.dim
     blocks = sigma_blocks(space, y)
     t_field = _deflection(space, y, blocks)
-    h_vals = base.ricci.values - 0.5 * base.scalar.values[..., None, None] * base.gamma.values \
-        + t_field.values
+    h_vals = base.einstein_tensor().values + t_field.values
     v_vals = (2.0 - n) * (blocks.hess_v.values - blocks.tr_v.values[..., None, None] * base.gamma.values)
     h_lhs = TensorField(space.grid, h_vals)
     v_lhs = TensorField(space.grid, v_vals)

@@ -47,7 +47,6 @@ from .tensor_core import (
     contract_vector,
     fd_partial,
     grid_partials,
-    scalar_field,
 )
 
 FIBER_STEP_SCALE = 1e-4
@@ -273,7 +272,7 @@ def _horizontal(s: np.ndarray, grad_v: np.ndarray, space: ConformalLagrangeSpace
     fiber partials: d s/dx^i - N^j_i grad_v_j."""
     # a jet may return a broadcast view, which np.roll in the stencil
     # copies several times slower than a contiguous array
-    dx = grid_partials(scalar_field(space.grid, np.ascontiguousarray(s)))
+    dx = grid_partials(TensorField(space.grid, np.ascontiguousarray(s)))
     return dx - np.einsum("...ji,...j->...i", n_conn, grad_v)
 
 
@@ -343,10 +342,10 @@ def sigma_blocks(space: ConformalLagrangeSpace, y: np.ndarray) -> ConformalFacto
     return ConformalFactorDerivatives(
         grad_h=TensorField(grid, grad_h),
         grad_v=TensorField(grid, grad_v),
-        sq_h=scalar_field(grid, sq_h),
+        sq_h=TensorField(grid, sq_h),
         hess_h=TensorField(grid, hess_h),
-        tr_h=scalar_field(grid, tr_h),
-        sq_v=scalar_field(grid, sq_v),
+        tr_h=TensorField(grid, tr_h),
+        sq_v=TensorField(grid, sq_v),
         hess_v=TensorField(grid, hess_v),
-        tr_v=scalar_field(grid, tr_v),
+        tr_v=TensorField(grid, tr_v),
     )

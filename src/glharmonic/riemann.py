@@ -4,9 +4,9 @@ symbols, curvature tensor, Ricci tensor and scalar curvature.
 Index conventions.  The curvature tensor ``r^i_{jkl}`` is antisymmetric in
 its last two slots and its overall sign is fixed so that the round sphere
 has positive scalar curvature under the trace ``r_ij = r^k_{ijk}`` (upper
-slot against the *last* lower slot).  Many texts trace against the middle
-slot instead; ``ricci_convention="middle"`` flips to ``r_ij = r^k_{ikj}``,
-which negates Ricci and scalar.
+slot against the *last* lower slot).  Ricci, the scalar, the Einstein
+tensor and the field equations built on them all use this one trace; texts
+that trace against the middle slot have the opposite sign of Ricci and R.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .tensor_core import (
     fd_partial,
     grid_partials,
     invert_metric,
-    metric_field,
-    scalar_field,
 )
 
 
@@ -71,16 +69,14 @@ def christoffel(gamma: MetricField, gamma_inv: MetricField | None = None) -> Ten
     return TensorField(gamma.grid, vals.reshape(term.shape))
 
 
-def curvature_package(gamma: MetricField, ricci_convention: str = "last") -> RiemannPackage:
+def curvature_package(gamma: MetricField) -> RiemannPackage:
     """Full curvature data of a metric.
 
     r^i_{jkl} = d_l Gamma^i_{jk} - d_k Gamma^i_{jl}
                 + Gamma^i_{ml} Gamma^m_{jk} - Gamma^i_{mk} Gamma^m_{jl},
-    the sign chosen so the sphere comes out positive under the default
-    trace r_ij = r^k_{ijk}.
+    the sign chosen so the sphere comes out positive under the trace
+    r_ij = r^k_{ijk}, the only one taken.
     """
-    if ricci_convention not in ("last", "middle"):
-        raise ValueError(f"ricci_convention must be 'last' or 'middle', got {ricci_convention!r}")
     gamma_inv = invert_metric(gamma)
     gam = christoffel(gamma, gamma_inv)
     n, lead, g = gamma.grid.dim, gamma.grid.shape, gam.values
@@ -93,10 +89,7 @@ def curvature_package(gamma: MetricField, ricci_convention: str = "last") -> Rie
     # antisymmetrize in (k, l) into a C-ordered array
     riem = np.subtract(riem, riem.swapaxes(-2, -1), out=np.empty(riem.shape))
     curvature = TensorField(gamma.grid, riem)
-    if ricci_convention == "last":
-        ricci_vals = np.einsum("...kijk->...ij", riem)
-    else:
-        ricci_vals = np.einsum("...kikj->...ij", riem)
+    ricci_vals = np.einsum("...kijk->...ij", riem)
     ricci = TensorField(gamma.grid, ricci_vals)
     scalar_vals = np.einsum("...ij,...ij->...", gamma_inv.values, ricci_vals)
     return RiemannPackage(
@@ -105,7 +98,7 @@ def curvature_package(gamma: MetricField, ricci_convention: str = "last") -> Rie
         christoffel=gam,
         curvature=curvature,
         ricci=ricci,
-        scalar=scalar_field(gamma.grid, scalar_vals),
+        scalar=TensorField(gamma.grid, scalar_vals),
     )
 
 
@@ -117,4 +110,4 @@ def sphere_metric(grid: ChartGrid, radius: float = 1.0) -> MetricField:
     vals = np.zeros(grid.shape + (2, 2))
     vals[..., 0, 0] = radius**2
     vals[..., 1, 1] = (radius * np.sin(theta)) ** 2
-    return metric_field(grid, vals)
+    return MetricField(grid, vals)

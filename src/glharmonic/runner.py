@@ -49,7 +49,7 @@ from .systems import (
     orbit_geodesic_residual,
     unit,
 )
-from .tensor_core import ChartGrid, identity_metric, metric_field, sample_metric, volume_integral
+from .tensor_core import ChartGrid, MetricField, identity_metric, sample_metric, volume_integral
 
 FORMAT = "%.17g"
 # Rows formatted and written per block.  It bounds the transient memory of a
@@ -175,7 +175,7 @@ class _Context:
         if id(f.values) not in self._psi_checked:
             values = self.psi_eval(f.values)
             try:
-                metric_field(f.grid, values)
+                MetricField(f.grid, values)
             except SingularMetricError as exc:
                 raise SingularMetricError(f"target metric psi: {exc}",
                                           node=exc.node) from None
@@ -254,7 +254,7 @@ class _Context:
         g = self.spec["gl_space"]
         grid = sc.build_grid(g, self.stencil_override)
         gamma = sc.sampled_metric(grid, g.get("metric", "identity"), g["dim"], "x")
-        base = curvature_package(gamma, g.get("ricci_convention", "last"))
+        base = curvature_package(gamma)
         sigma = sc.scalar_evaluator_two_args(g["sigma"], g["dim"], "x", g["dim"], "y")
         return conformal_space(base, sigma, sc.sigma_jet_evaluator(g["sigma"], g["dim"]))
 

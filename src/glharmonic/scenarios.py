@@ -69,6 +69,10 @@ _METRIC_SPEC = {
     ]
 }
 
+# The most nodes a chart may sample, all axes together; the largest chart of
+# the benchmark workloads has 257^2 = 66,049
+MAX_CHART_NODES = 2**20
+
 _CHART_SPEC = {
     "type": "object",
     "required": ["dim", "extents", "nodes"],
@@ -115,7 +119,6 @@ SCENARIO_SCHEMA = {
             "properties": {
                 **_CHART_SPEC["properties"],
                 "sigma": _EXPR,
-                "ricci_convention": {"enum": ["last", "middle"]},
             },
         },
         "map": {
@@ -372,6 +375,8 @@ def _chart_errors(errors, path, chart):
         errors.append(f"{path}.extents: expected {dim} entries, got {len(chart['extents'])}")
     if len(chart["nodes"]) != dim:
         errors.append(f"{path}.nodes: expected {dim} entries, got {len(chart['nodes'])}")
+    if math.prod(chart["nodes"]) > MAX_CHART_NODES:
+        errors.append(f"{path}.nodes: more than MAX_CHART_NODES = {MAX_CHART_NODES} nodes")
     per = chart.get("periodic", False)
     if isinstance(per, list) and len(per) != dim:
         errors.append(f"{path}.periodic: expected {dim} entries, got {len(per)}")

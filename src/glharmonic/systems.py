@@ -46,7 +46,6 @@ from .tensor_core import (
     interval_grid,
     invert_metric,
     quadrature,
-    scalar_field,
     sqrt_det,
     volume_integral,
 )
@@ -240,7 +239,7 @@ def _quotient(f: MapJet, system: FirstOrderSystem, phi: MetricField, psi, eps_si
     pair = section_scalar_product(f.jet, T_vals, phi_inv, psi_vals)
     _pairing_guard(pair, norm_df, norm_T, eps_sing, f.grid)
     integrand = norm_T * norm_df / pair**2
-    value = 0.5 * volume_integral(scalar_field(f.grid, integrand), phi)
+    value = 0.5 * volume_integral(TensorField(f.grid, integrand), phi)
     return value, phi_inv, psi_vals, T_vals, norm_T, pair
 
 

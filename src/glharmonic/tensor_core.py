@@ -158,13 +158,9 @@ class TensorField:
         return self.values.shape[self.grid.dim:]
 
 
-def scalar_field(grid: ChartGrid, values: np.ndarray) -> TensorField:
-    return TensorField(grid, values)
-
-
 def sample_scalar(grid: ChartGrid, fn: Callable[[np.ndarray], np.ndarray]) -> TensorField:
     """Sample an evaluator ``fn(points) -> values`` once at construction."""
-    return scalar_field(grid, np.asarray(fn(grid.points()), dtype=float))
+    return TensorField(grid, np.asarray(fn(grid.points()), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -207,17 +203,13 @@ def _first_false(mask: np.ndarray) -> tuple[int, ...]:
     return tuple(int(i) for i in np.unravel_index(int(np.argmin(mask)), mask.shape))
 
 
-def metric_field(grid: ChartGrid, values: np.ndarray, definite: str = "riemannian") -> MetricField:
-    return MetricField(grid, values, definite)
-
-
 def sample_metric(grid: ChartGrid, fn: Callable[[np.ndarray], np.ndarray]) -> MetricField:
-    return metric_field(grid, np.asarray(fn(grid.points()), dtype=float))
+    return MetricField(grid, np.asarray(fn(grid.points()), dtype=float))
 
 
 def identity_metric(grid: ChartGrid) -> MetricField:
     n = grid.dim
-    return metric_field(grid, np.broadcast_to(np.eye(n), grid.shape + (n, n)).copy())
+    return MetricField(grid, np.broadcast_to(np.eye(n), grid.shape + (n, n)).copy())
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +292,16 @@ def grid_partials(f: TensorField) -> np.ndarray:
 
 def interior_mask(grid: ChartGrid) -> np.ndarray:
     """Boolean mask of nodes beyond the reach of the one-sided boundary
-    stencils at the grid's order from any non-periodic boundary."""
+    stencils at the grid's order from any non-periodic boundary.  An axis
+    too short to keep one such node raises StencilSupportError."""
     margin = 3 if grid.stencil_order == 2 else 6
     mask = np.ones(grid.shape, dtype=bool)
     for k in range(grid.dim):
         if grid.periodic[k]:
             continue
+        if grid.shape[k] <= 2 * margin:
+            raise StencilSupportError(f"axis {k} has {grid.shape[k]} nodes; an interior node "
+                                      f"at stencil order {grid.stencil_order} needs {2 * margin + 1}")
         idx = [slice(None)] * grid.dim
         idx[k] = slice(0, margin)
         mask[tuple(idx)] = False
@@ -474,12 +470,12 @@ def invert_metric(g: MetricField) -> MetricField:
 
 def sqrt_det(g: MetricField) -> TensorField:
     """Scalar field of sqrt(|det g|) per node (the volume weight)."""
-    return scalar_field(g.grid, np.sqrt(np.abs(NodeMatrices(g.values).det)))
+    return TensorField(g.grid, np.sqrt(np.abs(NodeMatrices(g.values).det)))
 
 
 def volume_integral(rho: TensorField, g: MetricField) -> float:
     """Integral of a scalar field against the volume weight sqrt(|det g|)."""
-    return quadrature(scalar_field(rho.grid, rho.values * sqrt_det(g).values))
+    return quadrature(TensorField(rho.grid, rho.values * sqrt_det(g).values))
 
 
 def quadrature(rho: TensorField) -> float:

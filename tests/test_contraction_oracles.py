@@ -23,13 +23,12 @@ from glharmonic.gl_space import (
 from glharmonic.riemann import RiemannPackage, christoffel, curvature_package
 from glharmonic.scenarios import sigma_jet_evaluator
 from glharmonic.tensor_core import (
+    MetricField,
     TensorField,
     box_grid,
     contract_vector,
     fd_partial,
     invert_metric,
-    metric_field,
-    scalar_field,
 )
 
 RTOL = 1e-13
@@ -48,7 +47,7 @@ def assert_close(got, want, scale=None):
 def random_metric(rng, n):
     grid = box_grid([(0.0, 1.0)] * n, SHAPES[n])
     a = 0.4 * rng.standard_normal(grid.shape + (n, n))
-    return metric_field(grid, a @ a.swapaxes(-1, -2) + np.eye(n))
+    return MetricField(grid, a @ a.swapaxes(-1, -2) + np.eye(n))
 
 
 def random_package(rng, n) -> RiemannPackage:
@@ -62,7 +61,7 @@ def random_package(rng, n) -> RiemannPackage:
         christoffel=TensorField(grid, rng.standard_normal(shape + (n,) * 3)),
         curvature=TensorField(grid, rng.standard_normal(shape + (n,) * 4)),
         ricci=TensorField(grid, rng.standard_normal(shape + (n, n))),
-        scalar=scalar_field(grid, rng.standard_normal(shape)),
+        scalar=TensorField(grid, rng.standard_normal(shape)),
     )
 
 
@@ -116,7 +115,7 @@ def christoffel_reference(gamma, gamma_inv):
     return 0.5 * np.einsum("...im,...mjk->...ijk", gamma_inv.values, term)
 
 
-def curvature_reference(gam, gamma_inv, grid, ricci_convention):
+def curvature_reference(gam, gamma_inv, grid):
     dgam = _partials(gam, grid)
     riem = (
         dgam
@@ -124,8 +123,7 @@ def curvature_reference(gam, gamma_inv, grid, ricci_convention):
         + np.einsum("...iml,...mjk->...ijkl", gam, gam)
         - np.einsum("...imk,...mjl->...ijkl", gam, gam)
     )
-    trace = "...kijk->...ij" if ricci_convention == "last" else "...kikj->...ij"
-    ricci = np.einsum(trace, riem)
+    ricci = np.einsum("...kijk->...ij", riem)
     return riem, ricci, np.einsum("...ij,...ij->...", gamma_inv, ricci)
 
 
@@ -226,8 +224,8 @@ def test_christoffel_matches_einsum(case):
 
 
 @oracle_settings
-@given(cases, st.sampled_from(["last", "middle"]))
-def test_curvature_package_matches_einsum(case, ricci_convention):
+@given(cases)
+def test_curvature_package_matches_einsum(case):
     # a random non-symmetric Gamma in place of the metric's, so that a slot
     # swap in the Gamma.Gamma product shows
     n, seed = case
@@ -235,9 +233,8 @@ def test_curvature_package_matches_einsum(case, ricci_convention):
     gamma = random_metric(rng, n)
     gam = TensorField(gamma.grid, rng.standard_normal(gamma.grid.shape + (n,) * 3))
     with mock.patch.object(riemann, "christoffel", lambda g, g_inv: gam):
-        pkg = curvature_package(gamma, ricci_convention)
-    riem, ricci, scalar = curvature_reference(gam.values, pkg.gamma_inv.values, gamma.grid,
-                                              ricci_convention)
+        pkg = curvature_package(gamma)
+    riem, ricci, scalar = curvature_reference(gam.values, pkg.gamma_inv.values, gamma.grid)
     assert_close(pkg.curvature.values, riem)
     assert_close(pkg.ricci.values, ricci)
     assert_close(pkg.scalar.values, scalar)

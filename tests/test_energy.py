@@ -25,13 +25,13 @@ from glharmonic.energy import (
     lagrangian_density,
 )
 from glharmonic.tensor_core import (
+    MetricField,
+    TensorField,
     box_grid,
     identity_metric,
     interval_grid,
     invert_metric,
-    metric_field,
     quadrature,
-    scalar_field,
 )
 
 rng = np.random.default_rng(314159)
@@ -97,9 +97,8 @@ def test_induced_arguments_match_loop_oracle():
     P = ConnectionTensor.constant(sb, tb)
     a = rng.normal(size=(5, 5, m, m))
     phi_vals = np.einsum("...ij,...kj->...ik", a, a) + 3 * np.eye(m)
-    from glharmonic.tensor_core import metric_field
 
-    phi_inv = invert_metric(metric_field(grid, phi_vals)).values
+    phi_inv = invert_metric(MetricField(grid, phi_vals)).values
     b, y = induced_arguments(f, P, phi_inv)
     b_oracle = np.zeros_like(b)
     y_oracle = np.zeros_like(y)
@@ -190,7 +189,7 @@ def test_scalar_reduction_energy_matches_direct_formula():
     grad = np.einsum("km,...m->...k", np.eye(2), f.jet[..., 0, :])
     s = sigma(pts, grad)
     direct = 0.5 * np.exp(2 * s) * np.einsum("...a,...a->...", f.jet[..., 0, :], f.jet[..., 0, :])
-    assert E == pytest.approx(quadrature(scalar_field(grid, direct)), rel=1e-12)
+    assert E == pytest.approx(quadrature(TensorField(grid, direct)), rel=1e-12)
 
 
 def test_singular_source_metric_names_node():
@@ -580,7 +579,7 @@ def _random_problem(m, n, seed, nodes=5):
     hb = 0.3 * r.normal(size=(n, n, 2 * n))
     pair = MetricPair.general(g=lambda a, b: _spd(gb, a, b), h=lambda x, y: _spd(hb, x, y))
     pb = 0.3 * r.normal(size=(m, m, 2 * m))
-    phi = metric_field(grid, _spd(pb, grid.points(), 2.0 * grid.points()))
+    phi = MetricField(grid, _spd(pb, grid.points(), 2.0 * grid.points()))
     return f, pair, P, phi
 
 
@@ -881,7 +880,7 @@ def _coupled_conformal_problem(m, n, seed, connection, hooks, free_block):
     grid = box_grid([(0.0, 2 * np.pi)] * m, [7] * m, periodic=True)
     pts = grid.points()
     vals = r.normal(size=n) + np.sin(pts @ r.normal(size=(m, n)) + r.uniform(0, 6, size=n))
-    phi = metric_field(grid, _spd(0.3 * r.normal(size=(m, m, 2 * m)), pts, 2.0 * pts))
+    phi = MetricField(grid, _spd(0.3 * r.normal(size=(m, m, 2 * m)), pts, 2.0 * pts))
     gb, hb = 0.3 * r.normal(size=(m, m, 2 * m)), 0.3 * r.normal(size=(n, n, 2 * n))
     ca, cb, cx, cy = r.normal(size=m), r.normal(size=m), r.normal(size=n), r.normal(size=n)
 

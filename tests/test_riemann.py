@@ -100,14 +100,13 @@ def test_curvature_antisymmetry_last_two_slots():
     assert np.max(np.abs(c - np.einsum("...ikj->...ijk", c))) < 1e-12
 
 
-@pytest.mark.parametrize("convention", ["last", "middle"])
 @pytest.mark.parametrize("metric, dim", [(curved_2d, 2), (curved_3d, 3)],
                          ids=["curved-2d", "curved-3d"])
-def test_curvature_is_antisymmetric_in_its_last_two_slots_bit_for_bit(metric, dim, convention):
+def test_curvature_is_antisymmetric_in_its_last_two_slots_bit_for_bit(metric, dim):
     # field_equations.maxwell_residuals takes the curvature term at the
     # components of a 3-form, which holds only for this exact symmetry
     grid = box_grid([(0, 2 * np.pi)] * dim, [8] * dim, periodic=True)
-    r = curvature_package(sample_metric(grid, metric), convention).curvature.values
+    r = curvature_package(sample_metric(grid, metric)).curvature.values
     assert np.any(r)
     assert np.array_equal(r, -np.swapaxes(r, -1, -2))
 
@@ -150,19 +149,3 @@ def test_sphere_scalar_converges_at_stencil_order():
             pkg = curvature_package(sphere_metric(grid))
             errs.append(abs(pkg.scalar.values[n // 2, 0] - 2.0))
         assert errs[0] / errs[1] > min_ratio, (order, errs)
-
-
-def test_ricci_convention_flag_flips_sign():
-    grid = sphere_grid(32)
-    g = sphere_metric(grid)
-    default = curvature_package(g, ricci_convention="last")
-    flipped = curvature_package(g, ricci_convention="middle")
-    assert np.allclose(default.ricci.values, -flipped.ricci.values, atol=1e-12)
-    assert np.all(default.scalar.values > 0)
-    assert np.all(flipped.scalar.values < 0)
-
-
-def test_ricci_convention_rejects_unknown():
-    grid = sphere_grid(8)
-    with pytest.raises(ValueError):
-        curvature_package(sphere_metric(grid), ricci_convention="bogus")

@@ -18,6 +18,7 @@ from glharmonic.expressions import Expression, component_env
 from glharmonic.runner import run_scenario
 from glharmonic.scenarios import (
     BUILTIN_SCENARIOS,
+    MAX_CHART_NODES,
     builtin_catalog,
     covector_evaluator,
     load_scenario,
@@ -357,6 +358,25 @@ def test_unexpected_exception_becomes_error_record(tmp_path, monkeypatch):
     assert residual["status"] == "pass"
 
 
+def test_node_limit_admits_a_chart_at_the_limit():
+    spec = json.loads(json.dumps(BUILTIN_SCENARIOS["pseudolinear-exp"]))
+    spec["m_space"]["nodes"] = [1024, 1024]
+    assert 1024 * 1024 == MAX_CHART_NODES
+    assert validate_scenario(spec) == []
+
+
+def test_empty_interior_is_a_library_error(tmp_path):
+    # an order-2 stencil leaves no interior node on a 5-node interval axis:
+    # the level-set defect used to take the maximum of an empty array
+    spec = json.loads(json.dumps(BUILTIN_SCENARIOS["pseudolinear-exp"]))
+    spec["m_space"]["nodes"] = [65, 5]
+    pseudolinear = run_scenario(spec, tmp_path)["tasks"][0]
+    assert pseudolinear["status"] == "error"
+    assert pseudolinear["error_type"] == "StencilSupportError"
+    assert pseudolinear["reason"] == "axis 1 has 5 nodes; an interior node at stencil order 2 needs 7"
+    assert "where" not in pseudolinear
+
+
 def test_validator_rejects_level_sets_of_vector_maps():
     # the level-set check of the pseudolinear task needs a scalar map
     spec = json.loads(json.dumps(BUILTIN_SCENARIOS["pseudolinear-exp"]))
@@ -491,6 +511,16 @@ _UNIT_SQUARE = {"dim": 2, "extents": [[0.0, 1.0], [0.0, 1.0]], "nodes": [9, 9]}
      "map.linear_jet.0.0: must be a finite number, got nan"),
     ("pfaff-exact", [(("tolerances", "tol_gap"), float("inf"))],
      "tolerances.tol_gap: must be a finite number, got inf"),
+    # an integral float passes as an integer: 1e300 nodes used to validate
+    ("pseudolinear-exp", [(("m_space", "nodes"), [1e300, 9])],
+     "m_space.nodes: more than MAX_CHART_NODES = 1048576 nodes"),
+    ("pseudolinear-exp", [(("m_space", "nodes"), [1025, 1024])],
+     "m_space.nodes: more than MAX_CHART_NODES = 1048576 nodes"),
+    ("maxwell-logconformal", [(("gl_space", "nodes"), [102, 102, 101])],
+     "gl_space.nodes: more than MAX_CHART_NODES = 1048576 nodes"),
+    # there is one Ricci trace, and no switch to another
+    ("maxwell-logconformal", [(("gl_space", "ricci_convention"), "last")],
+     "gl_space: Additional properties are not allowed ('ricci_convention' was unexpected)"),
 ])
 def test_validator_branch_messages(name, edits, error, tmp_path):
     # one change of a bundled spec per semantic check: exactly its message,
@@ -658,13 +688,13 @@ def test_psi_is_checked_once_on_the_orbit_nodes(tmp_path, monkeypatch):
     import glharmonic.runner as runner_module
 
     checked = []
-    original = runner_module.metric_field
+    original = runner_module.MetricField
 
     def counted(grid, values, *args, **kwargs):
         checked.append(values.shape)
         return original(grid, values, *args, **kwargs)
 
-    monkeypatch.setattr(runner_module, "metric_field", counted)
+    monkeypatch.setattr(runner_module, "MetricField", counted)
     spec = BUILTIN_SCENARIOS["orbit-rotation"]
     assert [t["task"] for t in spec["tasks"]] == ["orbit", "certify_theorem"]
     report = run_scenario(spec, tmp_path)

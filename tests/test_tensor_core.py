@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from glharmonic.errors import SingularMetricError
 from glharmonic.tensor_core import (
     COND_BOUND,
+    MetricField,
     NodeMatrices,
     TensorField,
     box_grid,
@@ -13,11 +14,9 @@ from glharmonic.tensor_core import (
     identity_metric,
     interval_grid,
     invert_metric,
-    metric_field,
     quadrature,
     sample_metric,
     sample_scalar,
-    scalar_field,
 )
 
 rng = np.random.default_rng(20240817)
@@ -60,7 +59,7 @@ def test_fd_polynomial_exactness(order, degree):
     grid = interval_grid(-1.0, 2.0, 21, stencil_order=order)
     coeffs = rng.normal(size=degree + 1)
     x = grid.axis_coords(0)
-    f = scalar_field(grid, np.polyval(coeffs, x))
+    f = TensorField(grid, np.polyval(coeffs, x))
     df = fd_partial(f, 0)
     exact = np.polyval(np.polyder(coeffs), x)
     assert np.max(np.abs(df.values - exact)) < 1e-10
@@ -91,7 +90,7 @@ def test_invert_identity():
 def test_invert_diagonal():
     grid = interval_grid(0, 1, 5)
     vals = np.broadcast_to(np.diag([4.0, 9.0]), (5, 2, 2)).copy()
-    g = metric_field(grid, vals)
+    g = MetricField(grid, vals)
     ginv = invert_metric(g)
     assert np.allclose(ginv.values, np.diag([0.25, 1.0 / 9.0]))
 
@@ -100,7 +99,7 @@ def _spd_roundtrip(n):
     grid = box_grid([(0, 1), (0, 1)], [7, 5])
     a = rng.normal(size=(7, 5, n, n))
     spd = np.einsum("...ij,...kj->...ik", a, a) + 3.0 * np.eye(n)
-    g = metric_field(grid, spd)
+    g = MetricField(grid, spd)
     ginv = invert_metric(g)
     prod = np.einsum("...ij,...jk->...ik", g.values, ginv.values)
     assert np.max(np.abs(prod - np.eye(n))) < 1e-12
@@ -121,7 +120,7 @@ def test_invert_singular_names_node():
     grid = interval_grid(0, 1, 5)
     vals = np.broadcast_to(np.eye(2), (5, 2, 2)).copy()
     vals[3] = [[1.0, 1.0], [1.0, 1.0 + 1e-15]]
-    g = metric_field(grid, vals, definite="pseudo")
+    g = MetricField(grid, vals, definite="pseudo")
     with pytest.raises(SingularMetricError) as err:
         invert_metric(g)
     assert err.value.node == (3,)
@@ -129,7 +128,7 @@ def test_invert_singular_names_node():
 
 def test_invert_nan_names_node():
     grid = interval_grid(0, 1, 5)
-    g = metric_field(grid, np.broadcast_to(np.eye(2), (5, 2, 2)).copy(), definite="pseudo")
+    g = MetricField(grid, np.broadcast_to(np.eye(2), (5, 2, 2)).copy(), definite="pseudo")
     # construction rejects NaN, so poison the checked field in place to
     # reach the condition-number gate of invert_metric
     g.values[2, 0, 1] = g.values[2, 1, 0] = np.nan
@@ -142,9 +141,9 @@ def test_non_spd_metric_rejected():
     grid = interval_grid(0, 1, 5)
     vals = np.broadcast_to(np.diag([1.0, -1.0]), (5, 2, 2)).copy()
     with pytest.raises(SingularMetricError):
-        metric_field(grid, vals)
+        MetricField(grid, vals)
     # but allowed as a pseudo-Riemannian metric
-    metric_field(grid, vals, definite="pseudo")
+    MetricField(grid, vals, definite="pseudo")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -157,7 +156,7 @@ def test_non_finite_metric_rejected(n, bad):
     vals[4, 2, 0, 0] = bad
     vals[5, 1, n - 1, n - 1] = -1.0
     with pytest.raises(SingularMetricError) as err:
-        metric_field(grid, vals)
+        MetricField(grid, vals)
     assert err.value.node == (4, 2)
     assert str(err.value) == "metric is not finite at node (4, 2)"
 
@@ -173,7 +172,7 @@ def test_non_finite_metric_rejected_before_symmetry(definite, n, bad):
     vals[3, 1, 0, n - 1] = bad
     vals[5, 4, 0, 0] = -1.0
     with pytest.raises(SingularMetricError) as err:
-        metric_field(grid, vals, definite=definite)
+        MetricField(grid, vals, definite=definite)
     assert err.value.node == (3, 1)
     assert str(err.value) == "metric is not finite at node (3, 1)"
 
@@ -320,7 +319,7 @@ def test_order_three_and_up_is_numpy_linalg_bit_for_bit(n):
     assert np.array_equal(nm.det, np.linalg.det(vals))
     assert np.array_equal(nm.inv, np.linalg.inv(vals))
     assert np.array_equal(nm.cond, np.linalg.cond(vals))
-    ginv = invert_metric(metric_field(grid, vals)).values
+    ginv = invert_metric(MetricField(grid, vals)).values
     ref = np.linalg.inv(vals)
     assert np.array_equal(ginv, 0.5 * (ref + np.swapaxes(ref, -1, -2)))
     indefinite = vals.copy()
@@ -366,7 +365,7 @@ def _metric_holding(m):
     symmetric or not: construction checks symmetry, so the checked field
     is overwritten in place."""
     n = m.shape[-1]
-    g = metric_field(box_grid([(0, 1), (0, 1)], [8, 6]),
+    g = MetricField(box_grid([(0, 1), (0, 1)], [8, 6]),
                      np.broadcast_to(np.eye(n), (8, 6, n, n)).copy(), definite="pseudo")
     g.values[...] = m.reshape(8, 6, n, n)
     return g
@@ -404,7 +403,7 @@ def test_no_condition_number_where_every_node_clears(monkeypatch):
     monkeypatch.setattr(NodeMatrices, "cond", property(spy))
     for n in (1, 2, 3):
         a = rng.normal(size=(7, 5, n, n))
-        g = metric_field(box_grid([(0, 1), (0, 1)], [7, 5]),
+        g = MetricField(box_grid([(0, 1), (0, 1)], [7, 5]),
                          np.einsum("...ij,...kj->...ik", a, a) + np.eye(n))
         invert_metric(g)
         assert sizes == []
@@ -425,7 +424,7 @@ def test_symmetry_defect_message():
     vals[2, 3, 2, 1] -= 5e-10
     defect = np.max(np.abs(vals - np.swapaxes(vals, -1, -2)))
     with pytest.raises(ValueError) as err:
-        metric_field(grid, vals)
+        MetricField(grid, vals)
     assert str(err.value) == f"metric is not symmetric (max defect {defect:.3e})"
     assert str(err.value) == "metric is not symmetric (max defect 1.000e-09)"
 
@@ -454,13 +453,13 @@ def test_definiteness_with_non_finite_entries_off_the_diagonal(n):
 
 def test_quadrature_unit_square():
     grid = box_grid([(0, 1), (0, 1)], [11, 17])
-    one = scalar_field(grid, np.ones(grid.shape))
+    one = TensorField(grid, np.ones(grid.shape))
     assert quadrature(one) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_quadrature_periodic_circle():
     grid = interval_grid(0.0, 2 * np.pi, 16, periodic=True)
-    one = scalar_field(grid, np.ones(grid.shape))
+    one = TensorField(grid, np.ones(grid.shape))
     assert quadrature(one) == pytest.approx(2 * np.pi, abs=1e-13)
 
 
@@ -473,7 +472,7 @@ def test_quadrature_sin_squared():
 def test_quadrature_constant_times_volume():
     grid = box_grid([(0, 2), (1, 4)], [9, 13], periodic=[True, False])
     c = 2.75
-    f = scalar_field(grid, np.full(grid.shape, c))
+    f = TensorField(grid, np.full(grid.shape, c))
     assert quadrature(f) == pytest.approx(c * 2 * 3, rel=1e-14)
 
 
@@ -511,9 +510,9 @@ def test_field_values_must_start_with_the_grid_shape():
 def test_metric_field_needs_two_equal_slots():
     grid = box_grid([(0, 1), (0, 1)], [6, 5])
     with pytest.raises(ValueError, match="exactly two"):
-        metric_field(grid, np.broadcast_to(np.eye(2), grid.shape + (2, 2, 2)).copy())
+        MetricField(grid, np.broadcast_to(np.eye(2), grid.shape + (2, 2, 2)).copy())
     with pytest.raises(ValueError, match="equal dimension"):
-        metric_field(grid, np.zeros(grid.shape + (2, 3)))
+        MetricField(grid, np.zeros(grid.shape + (2, 3)))
 
 
 def test_sample_metric_shape_checks():
