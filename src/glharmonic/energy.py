@@ -10,7 +10,7 @@ the discrete energy gradient vanishes.
 Evaluation.  One first-stage evaluation of a pair at a map
 (``DensityEvaluation``) holds P's flattened blocks, b and y (one
 matrix-vector product each of the blocks with w_{bi} = phi^{ab} f^i_a),
-the guarded g^{-1}(a, b), h(f, y) and L = g^{gm} (f^T h f)_{gm} / 2;
+g^{-1}(a, b) by ``invert_metric``, h(f, y) and L = g^{gm} (f^T h f)_{gm} / 2;
 ``lagrangian_density`` and ``density_partials`` both read it, so the
 energy and the residual of one map share it.  A general pair's residual
 differences the density by central steps in each map value and each jet
@@ -55,7 +55,6 @@ from .errors import SingularMetricError
 from .tensor_core import (
     ChartGrid,
     MetricField,
-    NodeMatrices,
     TensorField,
     fd_partial,
     grid_partials,
@@ -324,10 +323,6 @@ class MetricPair:
     psi_dx: Callable[[np.ndarray], np.ndarray] | None = None
 
     @classmethod
-    def general(cls, g, h) -> "MetricPair":
-        return cls(g=g, h=h)
-
-    @classmethod
     def riemannian(cls, phi, psi) -> "MetricPair":
         """Direction-independent pair: the classical harmonic-map setting."""
         return cls.conformal(phi, psi)
@@ -353,25 +348,6 @@ def _scaled(base, log_factor, weight: float) -> tuple[np.ndarray, np.ndarray | N
         return base, None
     scale = np.exp(weight * np.asarray(log_factor, float))
     return scale[..., None, None] * base, scale
-
-
-def _inverse_with_guard(mats: np.ndarray, what: str, grid_dim: int) -> np.ndarray:
-    try:
-        inv = NodeMatrices(mats).inv
-    except np.linalg.LinAlgError:
-        det = np.abs(NodeMatrices(mats).det).reshape(-1)
-        node = tuple(int(i) for i in np.unravel_index(np.argmin(det), mats.shape[:grid_dim]))
-        raise SingularMetricError(f"{what} is singular at node {node}", node=node) from None
-    defect = np.abs(mats @ inv - np.eye(mats.shape[-1]))
-    worst = np.max(defect)
-    if not np.isfinite(worst) or worst > 1e-6:
-        flat = defect.reshape(defect.shape[:grid_dim] + (-1,)).max(axis=-1)
-        node = tuple(int(i) for i in np.argwhere(~np.isfinite(flat) | (flat > 1e-6))[0])
-        raise SingularMetricError(
-            f"{what} is numerically singular at node {node} (inverse defect {worst:.2e})",
-            node=node,
-        )
-    return inv
 
 
 def _node_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -408,7 +384,7 @@ class _Stage(NamedTuple):
 
 def _first_stage(a_pts: np.ndarray, f_vals: np.ndarray, jet_vals: np.ndarray,
                  pair: MetricPair, blocks: tuple[np.ndarray, np.ndarray],
-                 phi_inv: np.ndarray, grid_dim: int) -> _Stage:
+                 phi_inv: np.ndarray, grid: ChartGrid) -> _Stage:
     """The density and its intermediates with b and y recomputed from the
     given jet (their dependence on the map is part of the variational
     structure); ``blocks`` are the flattened connection blocks at
@@ -421,8 +397,11 @@ def _first_stage(a_pts: np.ndarray, f_vals: np.ndarray, jet_vals: np.ndarray,
         gmat = _scaled(pair.phi(a_pts), None if pair.sigma is None else pair.sigma(a_pts, b),
                        -2.0)[0]
     else:
-        gmat = np.asarray(pair.g(a_pts, b), float)
-    ginv = _inverse_with_guard(gmat, "source metric g(a, b)", grid_dim)
+        gmat = pair.g(a_pts, b)
+    try:
+        ginv = invert_metric(MetricField(grid, gmat, definite="pseudo")).values
+    except SingularMetricError as exc:
+        raise SingularMetricError(f"source metric g(a, b): {exc}", node=exc.node) from None
     if conformal:
         hmat, scale = _scaled(pair.psi(f_vals), None if pair.tau is None else pair.tau(f_vals, y),
                               2.0)
@@ -432,18 +411,11 @@ def _first_stage(a_pts: np.ndarray, f_vals: np.ndarray, jet_vals: np.ndarray,
     return _Stage(b, y, ginv, hmat, scale, 0.5 * (ginv * pulled).sum((-2, -1)))
 
 
-def _density_values(a_pts: np.ndarray, f_vals: np.ndarray, jet_vals: np.ndarray,
-                    pair: MetricPair, blocks: tuple[np.ndarray, np.ndarray],
-                    phi_inv: np.ndarray, grid_dim: int) -> np.ndarray:
-    """Pointwise density of ``_first_stage``."""
-    return _first_stage(a_pts, f_vals, jet_vals, pair, blocks, phi_inv, grid_dim).density
-
-
 class DensityEvaluation:
     """The first-stage evaluation of a pair's density at a map, each part
     computed on first use: phi^{-1} and sqrt(phi) of the sampled source
-    metric, P's flattened blocks at (a, f) and the ``_Stage`` (b, y, the
-    guarded g^{-1}, h, e^{2 tau} and L).  ``lagrangian_density``,
+    metric, P's flattened blocks at (a, f) and the ``_Stage`` (b, y,
+    g^{-1} by ``invert_metric``, h, e^{2 tau} and L).  ``lagrangian_density``,
     ``density_partials`` and ``el_residual`` take one as ``evaluation``,
     so the energy and the residual of a map evaluate the pair there once;
     it must be an evaluation of the very (f, pair, P, phi) they are given.
@@ -472,7 +444,7 @@ class DensityEvaluation:
     def stage(self) -> _Stage:
         f = self.f
         return _first_stage(self.points, f.values, f.jet, self.pair, self.blocks,
-                            self.phi_inv, f.grid.dim)
+                            self.phi_inv, f.grid)
 
 
 def _evaluation_of(f: MapJet, pair: MetricPair, P: ConnectionTensor, phi: MetricField,
@@ -522,14 +494,14 @@ def density_partials(f: MapJet, pair: MetricPair, P: ConnectionTensor,
     n = f.target_dim
     m = grid.dim
     dLdf = central_partials(
-        lambda fv: _density_values(a_pts, fv, f.jet, pair, _connection_blocks(P, a_pts, fv),
-                                   phi_inv, grid.dim),
+        lambda fv: _first_stage(a_pts, fv, f.jet, pair, _connection_blocks(P, a_pts, fv),
+                                phi_inv, grid).density,
         f.values, fd_step)
     # P depends on (a, f) only: one evaluation serves every jet partial.
     # The jet is differenced as n*m coordinates per node, entry (i, a) at i*m + a.
     dLdjet = central_partials(
-        lambda jv: _density_values(a_pts, f.values, jv.reshape(jv.shape[:-1] + (n, m)),
-                                   pair, ev.blocks, phi_inv, grid.dim),
+        lambda jv: _first_stage(a_pts, f.values, jv.reshape(jv.shape[:-1] + (n, m)),
+                                pair, ev.blocks, phi_inv, grid).density,
         f.jet.reshape(grid.shape + (n * m,)), fd_step)
     return dLdf, dLdjet.reshape(grid.shape + (n, m))
 
@@ -547,7 +519,7 @@ def _conformal_partials(ev: DensityEvaluation, pair: MetricPair, P: ConnectionTe
     where S, T are P's flattened blocks and b = S w, y = T w with
     w = vec((J phi^{-1})^T).  L scales as e^{2 sigma + 2 tau}, so its
     direction partials are 2L dsigma/db and 2L dtau/dy.  g^{-1} is the
-    guarded inverse of g(a, b) itself: ``pair.phi`` need not be the metric
+    ``invert_metric`` inverse of g(a, b) itself: ``pair.phi`` need not be the metric
     whose inverse ``phi_inv`` defines w.  A missing sigma or tau drops its
     terms, and so does a block that does not depend on x.
 

@@ -199,7 +199,7 @@ class _Context:
         n_dim = self.spec.get("n_space", {}).get("dim", 1)
         m_dim = self.spec.get("m_space", {}).get("dim", 1)
         if spec["kind"] == "general":
-            return FirstOrderSystem.general(sc.system_matrix_evaluator(spec["T"], m_dim, n_dim))
+            return FirstOrderSystem(T=sc.system_matrix_evaluator(spec["T"], m_dim, n_dim))
         read = {key: spec[key] for key in sc.SYSTEM_FIELDS[spec["kind"]]}
         return FirstOrderSystem.group(
             [(sc.covector_evaluator(g["xi"], n_dim, "x") if "xi" in g else unit,

@@ -588,45 +588,38 @@ def build_grid(chart: dict, stencil_override: int | None = None) -> ChartGrid:
 def metric_evaluator(spec_metric, dim: int, prefix: str) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized metric evaluator from 'identity', {'diag': ...} or
     {'matrix': ...} with expressions (sources or checked trees) in
-    prefix1..prefixD."""
+    prefix1..prefixD; a matrix metric is symmetrized in its entries
+    (``_metric_entries``)."""
     if spec_metric in (None, "identity"):
         return constant_metric(np.eye(dim))
-
-    entries = _Outputs(_metric_entries(spec_metric, dim), ((prefix, dim),), (dim, dim))
-    if "diag" in spec_metric:
-        return entries
-
-    def matrix_eval(pts):
-        out = entries(pts)
-        return 0.5 * (out + np.swapaxes(out, -1, -2))
-
-    return matrix_eval
+    return _Outputs(_metric_entries(spec_metric, dim, prefix), ((prefix, dim),), (dim, dim))
 
 
 def metric_gradient_evaluator(spec_metric, dim: int, prefix: str):
     """The exact partials of :func:`metric_evaluator`'s metric in its
     coordinates, ``grad(pts) -> (..., dim, dim, dim)`` with the derivative
-    axis last; a matrix metric's are symmetrized as the metric is."""
+    axis last: the derivatives of its entries, so a matrix metric's are
+    those of the symmetrized entries."""
     if spec_metric in (None, "identity"):
         return lambda pts: np.zeros(pts.shape[:-1] + (dim, dim, dim))
-    grad = gradient_evaluator(_metric_entries(spec_metric, dim), ((prefix, dim),), prefix,
-                              (dim, dim))
-    if "diag" in spec_metric:
-        return grad
-
-    def matrix_grad(pts):
-        out = grad(pts)
-        return 0.5 * (out + np.swapaxes(out, -3, -2))
-
-    return matrix_grad
+    return gradient_evaluator(_metric_entries(spec_metric, dim, prefix), ((prefix, dim),),
+                              prefix, (dim, dim))
 
 
-def _metric_entries(spec_metric, dim: int) -> list:
-    """The entries of a diag or matrix metric spec in row-major order."""
+def _metric_entries(spec_metric, dim: int, prefix: str) -> list:
+    """The entries of a diag or matrix metric spec in row-major order.  A
+    matrix spec's (i, j) and (j, i) entries are one tree, 0.5*(m_ij + m_ji)."""
     if "diag" in spec_metric:
         diag = spec_metric["diag"]
         return [diag[i] if i == j else ast.Constant(0) for i in range(dim) for j in range(dim)]
-    return [src for row in spec_metric["matrix"] for src in row]
+    m = Expression([src for row in spec_metric["matrix"] for src in row],
+                   [f"{prefix}{k + 1}" for k in range(dim)]).trees
+    sym = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            sym[i, j] = sym[j, i] = ast.BinOp(ast.Constant(0.5), ast.Mult(), ast.BinOp(
+                m[i * dim + j], ast.Add(), m[j * dim + i]))
+    return [sym.get((i, j), m[i * dim + j]) for i in range(dim) for j in range(dim)]
 
 
 def system_matrix_evaluator(rows, m_dim: int, n_dim: int):
@@ -658,7 +651,9 @@ def gradient_evaluator(sources, args, wrt: str, shape: tuple = (), vectors: bool
     declared = [p for p, _ in args] if vectors else []
     trees = Expression(list(sources), names, declared).trees
     wrt_names = [f"{wrt}{k + 1}" for k in range(dict(args)[wrt])]
-    return _Outputs([derivative(tree, v, declared) for tree in trees for v in wrt_names],
+    # a tree listed twice is differentiated once, so its partials are shared
+    partials = {id(tree): [derivative(tree, v, declared) for v in wrt_names] for tree in trees}
+    return _Outputs([d for tree in trees for d in partials[id(tree)]],
                     args, tuple(shape) + (len(wrt_names),), vectors)
 
 

@@ -86,10 +86,6 @@ class FirstOrderSystem:
     generators: tuple = ()
 
     @classmethod
-    def general(cls, T) -> "FirstOrderSystem":
-        return cls(T=T)
-
-    @classmethod
     def orbit(cls, xi) -> "FirstOrderSystem":
         """dc/dt = xi(c) on a one-dimensional source."""
         return cls.group([(xi, unit)])

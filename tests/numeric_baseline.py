@@ -6,7 +6,8 @@ Regenerate ``tests/data/numeric_baseline.json`` only on purpose, when a
 change is meant to move numbers, and say in the change which moved.  List
 them first, against the committed file, with ``--diff`` (it writes
 nothing; it also lists each dump whose sha256 changed while its digest
-passes the gate):
+passes the gate, and each task scalar whose value changed while it passes
+the gate):
 
     PYTHONPATH=src python tests/numeric_baseline.py --diff
     PYTHONPATH=src python tests/numeric_baseline.py
@@ -190,6 +191,18 @@ def rehashed(new: dict, old: dict) -> list[str]:
             and not _digest_moves(name, got, want, dump_floor(name))]
 
 
+def nudged(new: dict, old: dict) -> list[str]:
+    """One line per task scalar of both ``new`` and ``old`` whose value
+    changed while it passes the gate: its bits moved within the gate.  A
+    value is compared by its JSON text, which tells -0.0 from 0.0."""
+    return [_line(f"{key} {name}", got, want)
+            for key in sorted(set(new) & set(old))
+            for name, want in sorted(old[key]["scalars"].items())
+            if name in new[key]["scalars"]
+            and json.dumps(got := new[key]["scalars"][name]) != json.dumps(want)
+            and close(got, want, scalar_floor(name))]
+
+
 def _digest_moves(name: str, got: dict, want: dict, floor: float) -> list[str]:
     """The lines of the digest fields of one dump that fail the gate."""
     floors = {"count": 0.0, "nonfinite": 0.0, "max_abs": floor,
@@ -211,7 +224,8 @@ def main() -> None:
     parser.add_argument("--diff", action="store_true",
                         help="print every value that moved beyond the gate against the "
                              "committed baseline, then every dump whose bytes changed "
-                             "within it, and write nothing")
+                             "within it and every scalar whose value changed within it, "
+                             "and write nothing")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         data = generate(pathlib.Path(tmp))
@@ -221,6 +235,8 @@ def main() -> None:
         print("\n".join(lines) if lines else "no value moved beyond the gate")
         print("\n".join(rehashed(data, baseline)
                         or ["no dump changed its bytes within the gate"]))
+        print("\n".join(nudged(data, baseline)
+                        or ["no scalar changed its bits within the gate"]))
         return
     BASELINE.parent.mkdir(exist_ok=True)
     with open(BASELINE, "w", encoding="utf-8") as fh:

@@ -12,8 +12,7 @@ from glharmonic.energy import (
     MapJet,
     MetricPair,
     _connection_blocks,
-    _density_values,
-    _inverse_with_guard,
+    _first_stage,
     central_partials,
     constant_metric,
     density_partials,
@@ -192,22 +191,50 @@ def test_scalar_reduction_energy_matches_direct_formula():
     assert E == pytest.approx(quadrature(TensorField(grid, direct)), rel=1e-12)
 
 
-def test_singular_source_metric_names_node():
-    from glharmonic.errors import SingularMetricError
-
+def _patched_source_metric(node_matrix):
+    """A general pair whose g(a, b) is the identity but at node (3, 4) of a
+    9^2 chart, where it is ``node_matrix``, and a map jet on that chart."""
     grid = torus(9)
     f = MapJet.from_values(grid, smooth_map(grid, 2, seed=5))
 
-    def g_degenerate(a, b):
+    def g_patched(a, b):
         out = np.broadcast_to(np.eye(2), a.shape[:-1] + (2, 2)).copy()
-        out[3, 4] = [[1.0, 1.0], [1.0, 1.0]]
+        out[3, 4] = node_matrix
         return out
 
-    pair = MetricPair.general(g_degenerate, eye2)
+    return f, MetricPair(g=g_patched, h=lambda x, y: eye2(x))
+
+
+def _raises_at_node_3_4(node_matrix, message):
+    from glharmonic.errors import SingularMetricError
+
+    f, pair = _patched_source_metric(node_matrix)
     with pytest.raises(SingularMetricError) as err:
-        lagrangian_density(f, pair, ConnectionTensor.zero(2, 2), identity_metric(grid))
+        lagrangian_density(f, pair, ConnectionTensor.zero(2, 2), identity_metric(f.grid))
     assert err.value.node == (3, 4)
-    assert str(err.value) == "source metric g(a, b) is singular at node (3, 4)"
+    assert str(err.value) == f"source metric g(a, b): {message}"
+
+
+def test_singular_source_metric_names_node():
+    # g(a, b) is inverted as phi and gamma are, by invert_metric
+    _raises_at_node_3_4([[1.0, 1.0], [1.0, 1.0]],
+                        "metric condition number inf exceeds bound at node (3, 4)")
+
+
+@pytest.mark.parametrize("node_matrix, message", [
+    ([[np.nan, 0.0], [0.0, 1.0]], "metric is not finite at node (3, 4)"),
+    ([[1.0, 0.0], [0.0, 1e-13]], "metric condition number 1.000e+13 exceeds bound at node (3, 4)"),
+], ids=["nan", "cond-1e13"])
+def test_unusable_source_metric_names_node(node_matrix, message):
+    # a NaN node is not finite, and a condition number over COND_BOUND
+    # fails as it does for phi
+    _raises_at_node_3_4(node_matrix, message)
+
+
+def test_asymmetric_source_metric_is_rejected():
+    f, pair = _patched_source_metric([[1.0, 0.5], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="metric is not symmetric"):
+        lagrangian_density(f, pair, ConnectionTensor.zero(2, 2), identity_metric(f.grid))
 
 
 def test_energy_nonnegative_and_axis_relabel_invariant():
@@ -535,7 +562,7 @@ def test_pfaff_jet_partial_matches_display_formula():
 # the matmul density path against the einsum path it replaced
 # ---------------------------------------------------------------------------
 
-def _einsum_density_values(a_pts, f_vals, jet_vals, pair, P, phi_inv, grid_dim):
+def _einsum_density_values(a_pts, f_vals, jet_vals, pair, P, phi_inv):
     """Reference: the density by one einsum per contraction, with P
     evaluated at the given map values."""
     src = np.asarray(P.source(a_pts, f_vals), float)
@@ -543,7 +570,7 @@ def _einsum_density_values(a_pts, f_vals, jet_vals, pair, P, phi_inv, grid_dim):
     b = np.einsum("...ab,...ia,...gbi->...g", phi_inv, jet_vals, src)
     y = np.einsum("...ab,...ia,...kbi->...k", phi_inv, jet_vals, tgt)
     gmat = np.asarray(pair.g(a_pts, b), float)
-    ginv = _inverse_with_guard(gmat, "source metric g(a, b)", grid_dim)
+    ginv = np.linalg.inv(gmat)
     hmat = np.asarray(pair.h(f_vals, y), float)
     return 0.5 * np.einsum("...gm,...kl,...kg,...lm->...", ginv, hmat, jet_vals, jet_vals)
 
@@ -577,7 +604,7 @@ def _random_problem(m, n, seed, nodes=5):
                          target=lambda a, x: T0 + T1 * wave(a, x), m=m, n=n)
     gb = 0.3 * r.normal(size=(m, m, 2 * m))
     hb = 0.3 * r.normal(size=(n, n, 2 * n))
-    pair = MetricPair.general(g=lambda a, b: _spd(gb, a, b), h=lambda x, y: _spd(hb, x, y))
+    pair = MetricPair(g=lambda a, b: _spd(gb, a, b), h=lambda x, y: _spd(hb, x, y))
     pb = 0.3 * r.normal(size=(m, m, 2 * m))
     phi = MetricField(grid, _spd(pb, grid.points(), 2.0 * grid.points()))
     return f, pair, P, phi
@@ -589,7 +616,7 @@ def _random_problem(m, n, seed, nodes=5):
 def test_density_matches_einsum_reference(m, n, seed):
     f, pair, P, phi = _random_problem(m, n, seed)
     phi_inv = invert_metric(phi).values
-    ref = _einsum_density_values(f.grid.points(), f.values, f.jet, pair, P, phi_inv, m)
+    ref = _einsum_density_values(f.grid.points(), f.values, f.jet, pair, P, phi_inv)
     got = lagrangian_density(f, pair, P, phi).values
     # only the contraction order differs
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -650,7 +677,7 @@ def test_density_partials_evaluates_phi_once_and_psi_2n_plus_1_times(m, n):
     for k in (0, 1):
         scale = np.max(np.abs(ref[k]))
         assert np.max(np.abs(got[k] - ref[k])) <= 1e-8 * max(1.0, scale)
-    general = MetricPair.general(pair.g, pair.h)
+    general = MetricPair(g=pair.g, h=pair.h)
     for got_k, ref_k in zip(density_partials(f, general, P, phi),
                             _loop_density_partials(f, general, P, phi)):
         assert np.array_equal(got_k, ref_k)
@@ -697,7 +724,7 @@ def test_conformal_jet_partials_match_general_difference_path(m, n, seed, sigma,
     f, _, P, phi = _random_problem(m, n, seed)
     pair = _counted_conformal_pair(m, n, {}, sigma, tau, seed=seed + 1)
     got = density_partials(f, pair, P, phi)
-    ref = density_partials(f, MetricPair.general(pair.g, pair.h), P, phi)
+    ref = density_partials(f, MetricPair(g=pair.g, h=pair.h), P, phi)
     for k in (0, 1):
         scale = np.max(np.abs(ref[k]))
         assert np.max(np.abs(got[k] - ref[k])) <= 1e-8 * max(1.0, scale)
@@ -721,10 +748,10 @@ def _loop_density_partials(f, pair, P, phi, fd_step=DEFAULT_FD_STEP):
         fp[..., i] += h
         fm = f.values.copy()
         fm[..., i] -= h
-        Lp = _density_values(a_pts, fp, f.jet, pair, _connection_blocks(P, a_pts, fp),
-                             phi_inv, grid.dim)
-        Lm = _density_values(a_pts, fm, f.jet, pair, _connection_blocks(P, a_pts, fm),
-                             phi_inv, grid.dim)
+        Lp = _first_stage(a_pts, fp, f.jet, pair, _connection_blocks(P, a_pts, fp),
+                          phi_inv, grid).density
+        Lm = _first_stage(a_pts, fm, f.jet, pair, _connection_blocks(P, a_pts, fm),
+                          phi_inv, grid).density
         dLdf[..., i] = (Lp - Lm) / (2.0 * h)
     blocks = _connection_blocks(P, a_pts, f.values)
     dLdjet = np.empty(grid.shape + (n, m))
@@ -735,8 +762,8 @@ def _loop_density_partials(f, pair, P, phi, fd_step=DEFAULT_FD_STEP):
             jp[..., i, al] += h
             jm = f.jet.copy()
             jm[..., i, al] -= h
-            Lp = _density_values(a_pts, f.values, jp, pair, blocks, phi_inv, grid.dim)
-            Lm = _density_values(a_pts, f.values, jm, pair, blocks, phi_inv, grid.dim)
+            Lp = _first_stage(a_pts, f.values, jp, pair, blocks, phi_inv, grid).density
+            Lm = _first_stage(a_pts, f.values, jm, pair, blocks, phi_inv, grid).density
             dLdjet[..., i, al] = (Lp - Lm) / (2.0 * h)
     return dLdf, dLdjet
 
@@ -828,7 +855,7 @@ def test_closed_form_residuals_match_general_in_every_dimension(m, n):
         ]
         for special, conformal_pair, P in cases:
             # the difference path of the same g and h: an independent implementation
-            general_pair = MetricPair.general(conformal_pair.g, conformal_pair.h)
+            general_pair = MetricPair(g=conformal_pair.g, h=conformal_pair.h)
             general = el_residual(f, general_pair, P, phi).values
             scale = np.max(np.abs(general))
             assert np.max(np.abs(special.values - general)) < 1e-8 * max(1.0, scale)
@@ -1053,7 +1080,7 @@ def test_an_evaluation_of_other_arguments_is_rejected():
     ev = DensityEvaluation(f, pair, P, phi)
     assert np.array_equal(lagrangian_density(f, pair, P, phi, ev).values,
                           lagrangian_density(f, pair, P, phi).values)
-    other = MetricPair.general(pair.g, pair.h)
+    other = MetricPair(g=pair.g, h=pair.h)
     copy = MapJet(f.grid, f.values.copy(), f.jet.copy())
     for call in (lambda: lagrangian_density(f, other, P, phi, ev),
                  lambda: lagrangian_density(copy, pair, P, phi, ev),

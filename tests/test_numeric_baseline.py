@@ -5,7 +5,8 @@ benchmark workload specs at seeds 1 and 7 against the recorded baseline
 defines.  A dump whose bytes changed while its count, non-finite count,
 max |v| and sum of v^2 pass is reported as a warning, not failed, and
 ``--diff`` lists it: the digests gate the numbers, the hash shows that a
-digit moved.
+digit moved.  ``--diff`` also lists each scalar whose value changed within
+the gate.
 """
 
 import json
@@ -18,6 +19,7 @@ from numeric_baseline import (
     close,
     dump_floor,
     moved,
+    nudged,
     record,
     rehashed,
     scalar_floor,
@@ -68,3 +70,20 @@ def test_diff_lists_dumps_whose_bytes_moved_within_the_gate():
     assert [line.split(":")[0] for line in moved(new, old)] == [f"s {plain} max_abs"]
     assert rehashed(new, old) == [f"s {floored} sha256: a -> b"]
     assert moved(old, old) == rehashed(old, old) == []
+
+
+def test_diff_lists_scalars_whose_bits_moved_within_the_gate():
+    # a value one ulp off and a zero that changed sign pass the gate and are
+    # listed; an equal value is not, and a move beyond the gate is moved's
+    old = {"s": {"scalars": {"0:energy.scalars.energy": 1.0, "0:energy.scalars.zero": 0.0,
+                             "0:energy.scalars.same": 2.5, "0:energy.scalars.far": 1.0,
+                             "0:energy.status": "pass"},
+                 "dumps": {}}}
+    new = {"s": {"scalars": {"0:energy.scalars.energy": 1.0 + 2.0 ** -52,
+                             "0:energy.scalars.zero": -0.0, "0:energy.scalars.same": 2.5,
+                             "0:energy.scalars.far": 2.0, "0:energy.status": "pass"},
+                 "dumps": {}}}
+    assert [line.split(": ")[0] for line in nudged(new, old)] == [
+        "s 0:energy.scalars.energy", "s 0:energy.scalars.zero"]
+    assert [line.split(": ")[0] for line in moved(new, old)] == ["s 0:energy.scalars.far"]
+    assert nudged(old, old) == []

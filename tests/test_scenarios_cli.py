@@ -21,8 +21,10 @@ from glharmonic.scenarios import (
     MAX_CHART_NODES,
     builtin_catalog,
     covector_evaluator,
+    gradient_evaluator,
     load_scenario,
     metric_evaluator,
+    metric_gradient_evaluator,
     require_valid,
     scalar_evaluator_two_args,
     system_matrix_evaluator,
@@ -923,12 +925,27 @@ def test_float_entry_matches_the_array_path(x):
     # the outputs in row-major order as Python floats, the array path's
     # where the float lowering divides by zero, overflows or meets dot
     cases = [(ev, args) for ev, args in _single_point_cases(x) if hasattr(ev, "at_point")]
-    assert len(cases) == 5
+    assert len(cases) == 6
     with np.errstate(all="ignore"):
         for ev, args in cases:
             got = ev.at_point(*(v for arg in args for v in arg.tolist()))
             assert type(got) is tuple and all(type(v) is float for v in got)
             _same_bytes(np.array(got), ev(*(v[None] for v in args))[0].ravel())
+
+
+@pytest.mark.parametrize("point_shape", [(), (4, 3)])
+def test_matrix_metric_is_the_symmetric_part_of_its_entries(point_shape):
+    # the reference symmetrizes the unsymmetrized entries and their
+    # gradient afterwards, in numpy
+    rows = [["2", "0.1*x1"], ["0.3*x2", "1/x1"]]
+    entries = [src for row in rows for src in row]
+    pts = np.random.default_rng(11).normal(size=point_shape + (2,))
+    values = covector_evaluator(entries, 2, "x")(pts).reshape(point_shape + (2, 2))
+    grad = gradient_evaluator(entries, (("x", 2),), "x", (2, 2))(pts)
+    _same_bytes(metric_evaluator({"matrix": rows}, 2, "x")(pts),
+                0.5 * (values + np.swapaxes(values, -1, -2)))
+    _same_bytes(metric_gradient_evaluator({"matrix": rows}, 2, "x")(pts),
+                0.5 * (grad + np.swapaxes(grad, -3, -2)))
 
 
 def test_float_entry_warns_as_the_array_path_on_a_non_finite_value():

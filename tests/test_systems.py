@@ -82,7 +82,7 @@ def test_single_generator_properties():
     assert pl.generators == ((xi, A),) and pl.xi is xi and pl.A is A
     assert FirstOrderSystem.orbit(xi).xi is xi
     assert FirstOrderSystem.pfaff(A).A is A
-    for system in (FirstOrderSystem.group([(xi, A)] * 2), FirstOrderSystem.general(None)):
+    for system in (FirstOrderSystem.group([(xi, A)] * 2), FirstOrderSystem(T=None)):
         with pytest.raises(ValueError, match="values to unpack"):
             system.xi
 
