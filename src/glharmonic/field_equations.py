@@ -160,7 +160,7 @@ def maxwell_residuals(space: ConformalLagrangeSpace, y: np.ndarray
     lead = grid.shape
     n_conn = space.nonlinear_connection(y)
 
-    if space.sigma_jet is not None:
+    if space.factor[1] is not None:
         F, f, dF_rows, df_rows, gy, gv = _em_jet(space, y, n_conn)
     else:
         F, f, gy, gv = _em_values(space, y, n_conn)    # gy = g_ip y^p
@@ -294,14 +294,19 @@ def einstein_system(space: ConformalLagrangeSpace, K: float, y: np.ndarray,
     """Left-hand sides r_ij - r gamma_ij / 2 + t_ij (horizontal) and
     (2-n)(hess_v_ab - tr_v gamma_ab) (vertical) at one fiber; with a
     nonzero gravific constant the implied energy-momentum components are
-    LHS / K."""
+    LHS / K.  Without a factor (``sigma`` None) t_ij and the vertical side
+    are zeros; the base Einstein tensor is still added to t, as on the full
+    path, which maps its -0.0 entries alike and keeps non-finite ones."""
     y = np.asarray(y, float)
     base = space.base
     n = base.dim
-    blocks = sigma_blocks(space, y)
-    t_field = _deflection(space, y, blocks)
-    h_vals = base.einstein_tensor().values + t_field.values
-    v_vals = (2.0 - n) * (blocks.hess_v.values - blocks.tr_v.values[..., None, None] * base.gamma.values)
+    if space.sigma is None:
+        t_vals, v_vals = np.zeros((2,) + space.grid.shape + (n, n))
+    else:
+        blocks = sigma_blocks(space, y)
+        t_vals = _deflection(space, y, blocks).values
+        v_vals = (2.0 - n) * (blocks.hess_v.values - blocks.tr_v.values[..., None, None] * base.gamma.values)
+    h_vals = base.einstein_tensor().values + t_vals
     h_lhs = TensorField(space.grid, h_vals)
     v_lhs = TensorField(space.grid, v_vals)
 
@@ -312,5 +317,5 @@ def einstein_system(space: ConformalLagrangeSpace, K: float, y: np.ndarray,
                 "energy-momentum components require a nonzero gravific constant")
         TH = TensorField(space.grid, h_vals / K)
         TV = TensorField(space.grid, v_vals / K)
-    return EinsteinSystem(h_lhs=h_lhs, v_lhs=v_lhs, t_field=t_field, K=float(K),
-                          TH=TH, TV=TV, y=y)
+    return EinsteinSystem(h_lhs=h_lhs, v_lhs=v_lhs, t_field=TensorField(space.grid, t_vals),
+                          K=float(K), TH=TH, TV=TV, y=y)

@@ -10,7 +10,8 @@ Berwald-type pair (Gamma^i_{jk}, 0), whose vertical coefficients are zero.
 
 Direction-dependent quantities are evaluated one fiber vector at a time:
 a "fibered" field is a callable ``y -> grid samples``.  Partials in x are
-grid stencils.  Fiber partials of the log factor come one of two ways:
+grid stencils.  ``sigma`` None means no factor (sigma = 0, the zero jet).
+Fiber partials of the log factor come one of two ways:
 
 - With the ``sigma_jet`` hook (every scenario-built space: the runner
   differentiates the sigma expression, ``scenarios.sigma_jet_evaluator``)
@@ -79,10 +80,12 @@ class ConformalLagrangeSpace:
     are exact.  Without it they are central fiber differences,
     (1 + 2n)^2 sigma calls per block or sample.  x-partials are grid
     stencils either way.
+    ``sigma`` None means no factor: its readers take the zero jet
+    (``factor``) and ``einstein_system`` drops its terms.
     """
 
     base: RiemannPackage
-    sigma: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    sigma: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     sigma_jet: SigmaJet | None = None
     fiber_step_scale: float = FIBER_STEP_SCALE
 
@@ -94,9 +97,14 @@ class ConformalLagrangeSpace:
     def dim(self) -> int:
         return self.base.dim
 
+    @property
+    def factor(self) -> tuple:
+        """(sigma, sigma_jet) as their readers call them; zero for no factor."""
+        return (zero_sigma, zero_sigma_jet) if self.sigma is None else (self.sigma, self.sigma_jet)
+
     def metric_values(self, y: np.ndarray) -> np.ndarray:
         """g_ij(x, y) = exp(2 sigma) gamma_ij(x) at every node, fixed fiber."""
-        s = np.asarray(self.sigma(self.grid.points(), np.asarray(y, float)), float)
+        s = np.asarray(self.factor[0](self.grid.points(), np.asarray(y, float)), float)
         return np.exp(2.0 * s)[..., None, None] * self.base.gamma.values
 
     def nonlinear_connection(self, y: np.ndarray) -> np.ndarray:
@@ -257,11 +265,12 @@ def sigma_gradients(space: ConformalLagrangeSpace, y: np.ndarray,
     pts = space.grid.points()
     if n_conn is None:
         n_conn = space.nonlinear_connection(y)
-    if space.sigma_jet is not None:
-        s, grad_v, _ = space.sigma_jet(pts, y)
+    sigma, jet = space.factor
+    if jet is not None:
+        s, grad_v, _ = jet(pts, y)
     else:
-        s = np.asarray(space.sigma(pts, y), float)
-        grad_v = fiber_partials(lambda yy: np.asarray(space.sigma(pts, yy), float), y,
+        s = np.asarray(sigma(pts, y), float)
+        grad_v = fiber_partials(lambda yy: np.asarray(sigma(pts, yy), float), y,
                                 space.dim, space.fiber_step_scale)
     return s, _horizontal(s, grad_v, space, n_conn), grad_v
 
@@ -291,12 +300,12 @@ def sigma_gradient_partials(space: ConformalLagrangeSpace, y: np.ndarray,
     y = np.asarray(y, float)
     if n_conn is None:
         n_conn = space.nonlinear_connection(y)
-    if space.sigma_jet is None:
+    if space.factor[1] is None:
         s, grad_h, grad_v = sigma_gradients(space, y, n_conn)
         d_grad_h, d_grad_v = joint_fiber_partials(lambda yy: sigma_gradients(space, yy)[1:],
                                                   y, space.dim, space.fiber_step_scale)
         return s, grad_h, grad_v, d_grad_h, d_grad_v
-    s, s_y, s_yy = space.sigma_jet(space.grid.points(), y)
+    s, s_y, s_yy = space.factor[1](space.grid.points(), y)
     grad_h = _horizontal(s, s_y, space, n_conn)
     # d/dx^i of each sigma_{y^k}, then the connection terms entry by entry:
     # no temporary beyond one grid of values

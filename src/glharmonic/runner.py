@@ -10,6 +10,7 @@ environment metadata).
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import json
 import math
@@ -255,8 +256,11 @@ class _Context:
         grid = sc.build_grid(g, self.stencil_override)
         gamma = sc.sampled_metric(grid, g.get("metric", "identity"), g["dim"], "x")
         base = curvature_package(gamma)
-        sigma = sc.scalar_evaluator_two_args(g["sigma"], g["dim"], "x", g["dim"], "y")
-        return conformal_space(base, sigma, sc.sigma_jet_evaluator(g["sigma"], g["dim"]))
+        if isinstance(g["sigma"], ast.Constant) and g["sigma"].value == 0:
+            return conformal_space(base, None)    # no factor: the base geometry alone
+        # sigma is the jet's value, so one compiled list serves both
+        jet = sc.sigma_jet_evaluator(g["sigma"], g["dim"])
+        return conformal_space(base, lambda pts, y: jet(pts, y)[0], jet)
 
     @cached_property
     def orbit_curve(self) -> SampledCurve:

@@ -33,7 +33,7 @@ from .energy import (
     el_residual,
     lagrangian_density,
 )
-from .errors import AdmissibilityError, SingularDirectionError, StepLimitError
+from .errors import AdmissibilityError, SingularDirectionError, SingularMetricError, StepLimitError
 from .tensor_core import (
     ChartGrid,
     MetricField,
@@ -396,7 +396,13 @@ def _pfaff_factor(A, phi_eval, a_pts, b_vals, eps_sing: float, message: str):
     """(phi(a), A(b), |A|^2_phi) at (a, b), after checking that A(b) does
     not vanish; ``message`` names the caller in the error."""
     phi_vals = np.asarray(phi_eval(a_pts), float)
-    phi_inv = NodeMatrices(phi_vals).inv
+    phi_mats = NodeMatrices(phi_vals)
+    try:
+        phi_inv = phi_mats.inv
+    except np.linalg.LinAlgError:
+        node = tuple(int(i) for i in np.argwhere(phi_mats.det == 0)[0])
+        raise SingularMetricError(f"source metric phi: metric is singular at node {node}",
+                                  node=node) from None
     A_vals = np.asarray(A(a_pts), float)
     Ab = np.einsum("...a,...a->...", A_vals, np.asarray(b_vals, float))
     norm2 = np.einsum("...ab,...a,...b->...", phi_inv, A_vals, A_vals)

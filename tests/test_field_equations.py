@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
@@ -10,10 +12,16 @@ from glharmonic.field_equations import (
     em_tensors,
     maxwell_residuals,
 )
-from glharmonic.gl_space import conformal_space, zero_sigma
+from glharmonic.gl_space import conformal_space, zero_sigma, zero_sigma_jet
 from glharmonic.riemann import curvature_package, sphere_metric
 from glharmonic.scenarios import sigma_jet_evaluator
-from glharmonic.tensor_core import box_grid, identity_metric, interior_mask, sample_metric
+from glharmonic.tensor_core import (
+    TensorField,
+    box_grid,
+    identity_metric,
+    interior_mask,
+    sample_metric,
+)
 from test_contraction_oracles import cyclic
 
 rng = np.random.default_rng(99)
@@ -259,6 +267,41 @@ def test_sigma_zero_reduces_to_riemannian_einstein_tensor():
     sys = einstein_system(space, K=1.0, y=np.array([0.3, 0.9]))
     direct = space.base.einstein_tensor()
     assert np.max(np.abs(sys.h_lhs.values - direct.values)) < 1e-10
+
+
+@pytest.mark.parametrize("make, ys", [
+    (lambda: curved_space(), [[0.3, 0.9], [-0.7, 0.4]]),
+    (lambda: curved_space_3d(n=9), [[1.0, 0.3, 0.2], [-0.5, 0.8, -1.1]]),
+], ids=["sphere-band", "curved-3d"])
+def test_no_factor_matches_the_zero_jet_path(make, ys):
+    # sigma None skips the derivative blocks; the full path on the zero jet
+    # gives the same h_lhs and Maxwell residuals bit for bit.  Its t_ij and
+    # v_lhs are zeros too, but on the 3-D chart some carry the sign of
+    # their arithmetic (-0.0 in t_01 at some nodes, and in every v_lhs
+    # entry from the factor 2 - n); the addition G + t still gives G's bits
+    base = make().base
+    none, zero = conformal_space(base, None), conformal_space(base, zero_sigma, zero_sigma_jet)
+    for y in map(np.array, ys):
+        got, want = einstein_system(none, 1.0, y, False), einstein_system(zero, 1.0, y, False)
+        assert got.h_lhs.values.tobytes() == want.h_lhs.values.tobytes()
+        for name in ("v_lhs", "t_field"):
+            g, w = getattr(got, name).values, getattr(want, name).values
+            assert not np.any(g) and not np.any(np.signbit(g)) and not np.any(w)
+            if base.dim == 2:
+                assert g.tobytes() == w.tobytes()
+        for r_got, r_want in zip(maxwell_residuals(none, y), maxwell_residuals(zero, y)):
+            assert r_got.values.tobytes() == r_want.values.tobytes()
+
+
+def test_no_factor_keeps_a_nonfinite_einstein_node():
+    base = curved_space(n=17).base
+    ricci = base.ricci.values.copy()
+    ricci[3, 4, 0, 1] = np.nan
+    ricci[5, 6, 1, 1] = np.inf
+    bad = replace(base, ricci=TensorField(base.grid, ricci))
+    h = einstein_system(conformal_space(bad, None), 1.0, np.array([0.5, 0.5]), False).h_lhs.values
+    assert np.isnan(h[3, 4, 0, 1]) and h[5, 6, 1, 1] == np.inf
+    assert np.argwhere(~np.isfinite(h)).tolist() == [[3, 4, 0, 1], [5, 6, 1, 1]]
 
 
 def test_energy_momentum_division():

@@ -1,6 +1,7 @@
 """The exact fiber jet of a scenario sigma (``sigma_jet`` hook) against the
 fiber-stencil path of the same space, on every bundled field-equation
-scenario and on the benchmark's field-equations and bulk-output specs."""
+scenario and on the benchmark's field-equations and bulk-output specs;
+and the space the runner builds for a constant zero sigma."""
 
 import importlib.util
 import pathlib
@@ -9,10 +10,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import glharmonic.field_equations as field_equations_module
+import glharmonic.scenarios as scenarios_module
 from glharmonic.field_equations import _em_jet, einstein_system, em_tensors, maxwell_residuals
 from glharmonic.gl_space import conformal_space, sigma_blocks
-from glharmonic.runner import _Context
-from glharmonic.scenarios import BUILTIN_SCENARIOS, sigma_jet_evaluator
+from glharmonic.runner import _Context, run_scenario
+from glharmonic.scenarios import BUILTIN_SCENARIOS, require_valid, sigma_jet_evaluator
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_workloads", pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py")
@@ -119,3 +122,37 @@ def test_jet_is_nan_wherever_an_entry_is_not_finite():
     assert s[1] == ln2 * 0.5 * 2.0
     assert np.array_equal(s_y[1], [ln2 * 2.0, ln2 * 0.5])
     assert np.array_equal(s_yy[1], [[0.0, ln2], [ln2, 0.0]])
+
+
+@pytest.mark.parametrize("sigma, none", [("0", True), ("0.0", True), ("0*x1", False)])
+def test_a_constant_zero_sigma_is_no_factor(sigma, none, monkeypatch):
+    # only the constant 0 skips the factor machinery; any other sigma is the
+    # value of its jet, and no separate sigma evaluator is built
+    monkeypatch.setattr(scenarios_module, "scalar_evaluator_two_args", None)
+    spec = require_valid({**BUILTIN_SCENARIOS["flat-vacuum"],
+                          "gl_space": {**BUILTIN_SCENARIOS["flat-vacuum"]["gl_space"],
+                                       "sigma": sigma}})
+    space = _Context(spec, None).gl
+    assert (space.sigma is None) is none
+    if not none:
+        y = np.array([1.0, 0.5])
+        assert np.array_equal(space.sigma(space.grid.points(), y),
+                              space.sigma_jet(space.grid.points(), y)[0])
+
+
+@pytest.mark.parametrize("check, runs", [(False, 0), (True, 1)])
+def test_zero_sigma_runs_sigma_blocks_only_for_the_reduction_check(check, runs, monkeypatch,
+                                                                   tmp_path):
+    # two samples of a sigma = "0" chart make no derivative block; the
+    # reduction check runs the full machinery on the zero jet once
+    calls = []
+    monkeypatch.setattr(field_equations_module, "sigma_blocks",
+                        lambda *args: calls.append(1) or sigma_blocks(*args))
+    spec = BUILTIN_SCENARIOS["sphere-curvature"]
+    task = {**spec["tasks"][0], "check_sigma_zero_reduction": check}
+    spec = {**spec, "samples": [[0.5, 0.5], [0.9, -0.2]], "tasks": [task]}
+    report = run_scenario(spec, tmp_path)
+    assert report["status"] == "pass"
+    assert len(calls) == runs
+    if check:
+        assert report["tasks"][0]["scalars"]["sigma_zero_reduction_error"] == 0.0

@@ -11,7 +11,12 @@ from glharmonic.energy import (
     el_residual_fiber_covector,
     energy,
 )
-from glharmonic.errors import AdmissibilityError, SingularDirectionError, StepLimitError
+from glharmonic.errors import (
+    AdmissibilityError,
+    SingularDirectionError,
+    SingularMetricError,
+    StepLimitError,
+)
 from glharmonic.scenarios import (
     covector_evaluator,
     gradient_evaluator,
@@ -495,6 +500,25 @@ def test_pfaff_factor_guard_names_point_and_direction(which, message):
     assert str(info.value) == message
     assert np.array_equal(info.value.point, a[1])
     assert np.array_equal(info.value.direction, b[1])
+
+
+@pytest.mark.parametrize("which", ["pfaff", "pseudolinear"])
+def test_pfaff_factor_names_the_first_singular_phi_node(which):
+    def phi(a):
+        vals = np.broadcast_to(np.eye(2), a.shape[:-1] + (2, 2)).copy()
+        vals[1:] = 0.0
+        return vals
+
+    A = lambda a: np.stack([1.0 + a[..., 0], np.ones_like(a[..., 0])], axis=-1)
+    if which == "pfaff":
+        fn = pfaff_metric(A, phi)
+    else:
+        fn = pseudolinear_scenario(lambda x: np.ones_like(x), A, phi, one1)[0].sigma
+    a = np.array([[0.2, 0.9], [0.5, 0.1], [0.3, 0.3]])
+    with pytest.raises(SingularMetricError) as info:
+        fn(a, np.array([[0.4, -0.7]] * 3))
+    assert str(info.value) == "source metric phi: metric is singular at node (1,)"
+    assert info.value.node == (1,)
 
 
 def test_pfaff_exact_primitive_minimizes():
