@@ -14,11 +14,12 @@ g^{-1}(a, b) by ``invert_metric``, h(f, y) and L = g^{gm} (f^T h f)_{gm} / 2;
 ``lagrangian_density`` and ``density_partials`` both read it, so the
 energy and the residual of one map share it.  A general pair's residual
 differences the density by central steps in each map value and each jet
-entry.  A conformal pair g = e^{-2 sigma(a,b)} phi(a), h = e^{2 tau(x,y)}
-psi(x) takes both partials by the chain rule (``_conformal_partials``): L
-scales as e^{2 sigma + 2 tau}, so one pair of direction gradients
-dsigma/db and dtau/dy serves both, and dL/df needs the x-partials of psi,
-of tau at fixed y and of the connection blocks that depend on x.
+entry.  A conformal pair, its ingredients g = e^{-2 sigma(a,b)} phi(a)
+and h = e^{2 tau(x,y)} psi(x) alone, takes both partials by the chain
+rule (``_conformal_partials``): L scales as e^{2 sigma + 2 tau}, so one
+pair of direction gradients dsigma/db and dtau/dy serves both, and dL/df
+needs the x-partials of psi, of tau at fixed y and of the connection
+blocks that depend on x.
 
 Hooks and differences.  Each of those partials is exact where the pair
 or P carries its hook (``MetricPair.conformal``'s ``sigma_db``,
@@ -121,12 +122,13 @@ class ConnectionTensor:
     with axes [upper, lower-source, lower-target] and
     ``target(a_pts, x_vals) -> (..., n, m, n)`` with axes
     [upper, lower-source, lower-target].  ``source_depends_on_x`` and
-    ``target_depends_on_x`` say whether a block depends on x; a block that
-    does not is never re-evaluated at perturbed map values.  Both default
-    to True, which is always correct.  ``source_dx(a_pts, x_vals) -> (...,
-    m, m, n, n)`` is the optional exact x-partial of the source block, the
-    derivative axis last (the layout of ``central_partials``); an
-    x-dependent block without one is differenced.
+    ``target_depends_on_x`` say whether a block depends on x; a conformal
+    pair's residual never re-evaluates one that does not at perturbed map
+    values (a general pair's dL/df difference re-evaluates both blocks at
+    every perturbed f).  Both default to True, which is always correct.
+    ``source_dx(a_pts, x_vals) -> (..., m, m, n, n)`` is the optional exact
+    x-partial of the source block, the derivative axis last (the layout of
+    ``central_partials``); an x-dependent block without one is differenced.
     """
 
     source: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -300,19 +302,19 @@ def _arguments(blocks: tuple[np.ndarray, np.ndarray], w: np.ndarray
 class MetricPair:
     """The two direction-dependent metrics of an energy functional.
 
-    ``g(a_pts, b) -> (..., m, m)`` on the source side and
-    ``h(x_vals, y) -> (..., n, n)`` along the map.  A pair is conformal
-    when it carries psi; its ingredients let the residual take its partials
-    by the chain rule: g = exp(-2 sigma(a,b)) phi(a), h = exp(2 tau(x,y)) psi(x).
-    The optional hooks are exact partials of the ingredients, the
-    derivative axis last: ``sigma_db(a, b) -> (..., m)``,
+    A general pair carries ``g(a_pts, b) -> (..., m, m)`` and
+    ``h(x_vals, y) -> (..., n, n)``.  A conformal pair carries psi, and no
+    g or h: it is its ingredients g = exp(-2 sigma(a,b)) phi(a) and
+    h = exp(2 tau(x,y)) psi(x), which let the residual take its partials
+    by the chain rule.  The optional hooks are exact partials of the
+    ingredients, the derivative axis last: ``sigma_db(a, b) -> (..., m)``,
     ``tau_dy(x, y)`` and ``tau_dx(x, y) -> (..., n)`` and
     ``psi_dx(x) -> (..., n, n, n)``.  Without one, the partial it stands
     for is differenced.
     """
 
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    h: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    h: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     phi: Callable[[np.ndarray], np.ndarray] | None = None
     psi: Callable[[np.ndarray], np.ndarray] | None = None
     sigma: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
@@ -322,6 +324,11 @@ class MetricPair:
     tau_dx: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     psi_dx: Callable[[np.ndarray], np.ndarray] | None = None
 
+    def __post_init__(self):
+        if not (None not in (self.g, self.h) if self.psi is None
+                else self.phi is not None and self.g is None and self.h is None):
+            raise TypeError("a MetricPair carries g and h, or phi and psi without g and h")
+
     @classmethod
     def riemannian(cls, phi, psi) -> "MetricPair":
         """Direction-independent pair: the classical harmonic-map setting."""
@@ -330,13 +337,7 @@ class MetricPair:
     @classmethod
     def conformal(cls, phi, psi, sigma=None, tau=None, tau_dy=None, sigma_db=None,
                   tau_dx=None, psi_dx=None) -> "MetricPair":
-        def g(a, b):
-            return _scaled(phi(a), None if sigma is None else sigma(a, b), -2.0)[0]
-
-        def h(x, y):
-            return _scaled(psi(x), None if tau is None else tau(x, y), 2.0)[0]
-
-        return cls(g=g, h=h, phi=phi, psi=psi, sigma=sigma, tau=tau, tau_dy=tau_dy,
+        return cls(phi=phi, psi=psi, sigma=sigma, tau=tau, tau_dy=tau_dy,
                    sigma_db=sigma_db, tau_dx=tau_dx, psi_dx=psi_dx)
 
 
@@ -389,8 +390,7 @@ def _first_stage(a_pts: np.ndarray, f_vals: np.ndarray, jet_vals: np.ndarray,
     given jet (their dependence on the map is part of the variational
     structure); ``blocks`` are the flattened connection blocks at
     (a, f_vals).  A conformal pair is evaluated from its ingredients, so
-    e^{2 tau} is kept; g and h are the bits ``pair.g`` and ``pair.h``
-    give."""
+    e^{2 tau} is kept."""
     b, y = _arguments(blocks, _raised_jet(jet_vals, phi_inv))
     conformal = pair.psi is not None
     if conformal:

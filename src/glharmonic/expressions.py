@@ -112,7 +112,6 @@ class Expression:
 
     def __init__(self, source: str | ast.expr | Sequence[str | ast.expr],
                  scalars: Sequence[str], vectors: Sequence[str] = ()):
-        self.source = source
         self.scalars = tuple(scalars)
         self.vectors = tuple(vectors)
         self._single = isinstance(source, (str, ast.expr))

@@ -47,7 +47,6 @@ class ElectromagneticTensors:
 
     F: TensorField
     f: TensorField
-    y: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -59,10 +58,8 @@ class EinsteinSystem:
     h_lhs: TensorField
     v_lhs: TensorField
     t_field: TensorField
-    K: float
     TH: TensorField | None
     TV: TensorField | None
-    y: np.ndarray
 
 
 def _em_values(space: ConformalLagrangeSpace, y: np.ndarray,
@@ -112,13 +109,8 @@ def _wedge_partials(G: np.ndarray, gy: np.ndarray, grad: np.ndarray, d_grad: np.
 def em_tensors(space: ConformalLagrangeSpace, y: np.ndarray) -> ElectromagneticTensors:
     """F_ij = (g_ip s_j - g_jp s_i) y^p and f_ij = (g_ip sdot_j - g_jp
     sdot_i) y^p at one fiber vector."""
-    y = np.asarray(y, float)
-    F, f, _, _ = _em_values(space, y)
-    return ElectromagneticTensors(
-        F=TensorField(space.grid, F),
-        f=TensorField(space.grid, f),
-        y=y,
-    )
+    F, f, _, _ = _em_values(space, np.asarray(y, float))
+    return ElectromagneticTensors(F=TensorField(space.grid, F), f=TensorField(space.grid, f))
 
 
 def maxwell_residuals(space: ConformalLagrangeSpace, y: np.ndarray
@@ -294,14 +286,17 @@ def einstein_system(space: ConformalLagrangeSpace, K: float, y: np.ndarray,
     """Left-hand sides r_ij - r gamma_ij / 2 + t_ij (horizontal) and
     (2-n)(hess_v_ab - tr_v gamma_ab) (vertical) at one fiber; with a
     nonzero gravific constant the implied energy-momentum components are
-    LHS / K.  Without a factor (``sigma`` None) t_ij and the vertical side
-    are zeros; the base Einstein tensor is still added to t, as on the full
+    LHS / K.  Without a factor (``sigma`` None) t_ij is zero and the
+    vertical side is the full path's (2 - n)(+0.0) at every entry, so -0.0
+    for n > 2; the base Einstein tensor is still added to t, as on the full
     path, which maps its -0.0 entries alike and keeps non-finite ones."""
     y = np.asarray(y, float)
     base = space.base
     n = base.dim
     if space.sigma is None:
         t_vals, v_vals = np.zeros((2,) + space.grid.shape + (n, n))
+        if n > 2:
+            v_vals[...] = -0.0      # the full path's (2 - n)(+0.0)
     else:
         blocks = sigma_blocks(space, y)
         t_vals = _deflection(space, y, blocks).values
@@ -318,4 +313,4 @@ def einstein_system(space: ConformalLagrangeSpace, K: float, y: np.ndarray,
         TH = TensorField(space.grid, h_vals / K)
         TV = TensorField(space.grid, v_vals / K)
     return EinsteinSystem(h_lhs=h_lhs, v_lhs=v_lhs, t_field=TensorField(space.grid, t_vals),
-                          K=float(K), TH=TH, TV=TV, y=y)
+                          TH=TH, TV=TV)

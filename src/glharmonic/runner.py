@@ -136,13 +136,16 @@ class _Context:
 
     def __init__(self, spec: dict, stencil_override: int | None):
         self.spec = spec
-        self.stencil_override = stencil_override
+        # each chart's stencil order: the override, else its own, else its kind's default
+        self.stencil_orders = {key: stencil_override or spec[key].get("stencil_order", default)
+                               for key, default in (("m_space", 2), ("gl_space", 2), ("orbit", 4))
+                               if key in spec}
         self.tol = {**sc.DEFAULT_TOLERANCES, **spec.get("tolerances", {})}
         self._psi_checked: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @cached_property
     def m_grid(self) -> ChartGrid:
-        return sc.build_grid(self.spec["m_space"], self.stencil_override)
+        return sc.build_grid(self.spec["m_space"], self.stencil_orders["m_space"])
 
     @cached_property
     def phi(self):
@@ -253,7 +256,7 @@ class _Context:
     @cached_property
     def gl(self):
         g = self.spec["gl_space"]
-        grid = sc.build_grid(g, self.stencil_override)
+        grid = sc.build_grid(g, self.stencil_orders["gl_space"])
         gamma = sc.sampled_metric(grid, g.get("metric", "identity"), g["dim"], "x")
         base = curvature_package(gamma)
         if isinstance(g["sigma"], ast.Constant) and g["sigma"].value == 0:
@@ -266,8 +269,7 @@ class _Context:
     def orbit_curve(self) -> SampledCurve:
         o = self.spec["orbit"]
         return integrate_orbit(self.system.xi, o["x0"], o["t0"], o["t1"], o["nodes"],
-                               o.get("rk4_step", DEFAULT_RK4_STEP),
-                               self.stencil_override or o.get("stencil_order", 4))
+                               o.get("rk4_step", DEFAULT_RK4_STEP), self.stencil_orders["orbit"])
 
     @cached_property
     def map_certificate(self) -> MinimizerCertificate:
@@ -557,14 +559,13 @@ def run_scenario(spec: dict, out_dir, stencil_override: int | None = None) -> di
         grids["gl_space"] = list(spec["gl_space"]["nodes"])
     if "orbit" in spec:
         grids["orbit"] = [spec["orbit"]["nodes"]]
-    orders = [spec[key].get("stencil_order", default)
-              for key, default in (("m_space", 2), ("gl_space", 2), ("orbit", 4)) if key in spec]
 
     report = {
         "scenario": spec["name"],
         "environment": {
             "grids": grids,
-            "stencil_order": stencil_override or (orders[0] if orders else 2),
+            # every task reads a chart, so a valid spec has one
+            "stencil_order": next(iter(ctx.stencil_orders.values())),
         },
         "tasks": [],
     }

@@ -579,10 +579,8 @@ def require_valid(spec: Any) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def build_grid(chart: dict, stencil_override: int | None = None) -> ChartGrid:
-    per = chart.get("periodic", False)
-    order = stencil_override or chart.get("stencil_order", 2)
-    return box_grid(chart["extents"], chart["nodes"], per, order)
+def build_grid(chart: dict, stencil_order: int) -> ChartGrid:
+    return box_grid(chart["extents"], chart["nodes"], chart.get("periodic", False), stencil_order)
 
 
 def metric_evaluator(spec_metric, dim: int, prefix: str) -> Callable[[np.ndarray], np.ndarray]:

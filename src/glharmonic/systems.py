@@ -37,7 +37,6 @@ from .errors import AdmissibilityError, SingularDirectionError, SingularMetricEr
 from .tensor_core import (
     ChartGrid,
     MetricField,
-    NodeMatrices,
     TensorField,
     fd_partial,
     grid_partials,
@@ -45,6 +44,7 @@ from .tensor_core import (
     interior_mask,
     interval_grid,
     invert_metric,
+    metric_inverse,
     quadrature,
     sqrt_det,
     volume_integral,
@@ -396,13 +396,10 @@ def _pfaff_factor(A, phi_eval, a_pts, b_vals, eps_sing: float, message: str):
     """(phi(a), A(b), |A|^2_phi) at (a, b), after checking that A(b) does
     not vanish; ``message`` names the caller in the error."""
     phi_vals = np.asarray(phi_eval(a_pts), float)
-    phi_mats = NodeMatrices(phi_vals)
     try:
-        phi_inv = phi_mats.inv
-    except np.linalg.LinAlgError:
-        node = tuple(int(i) for i in np.argwhere(phi_mats.det == 0)[0])
-        raise SingularMetricError(f"source metric phi: metric is singular at node {node}",
-                                  node=node) from None
+        phi_inv = metric_inverse(phi_vals)
+    except SingularMetricError as exc:
+        raise SingularMetricError(f"source metric phi: {exc}", node=exc.node) from None
     A_vals = np.asarray(A(a_pts), float)
     Ab = np.einsum("...a,...a->...", A_vals, np.asarray(b_vals, float))
     norm2 = np.einsum("...ab,...a,...b->...", phi_inv, A_vals, A_vals)

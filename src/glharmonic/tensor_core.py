@@ -228,30 +228,22 @@ _ONESIDED = {
 
 
 def _derivative_1d(values: np.ndarray, axis: int, h: float, order: int, periodic: bool) -> np.ndarray:
+    # a ChartGrid axis has order 2 or 4 and 5 or more nodes: every stencil fits
     n = values.shape[axis]
     if order == 2:
-        if n < 3:
-            raise StencilSupportError(f"axis has {n} nodes; order-2 stencil needs 3")
         out = (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2 * h)
-    elif order == 4:
-        if n < 5:
-            raise StencilSupportError(f"axis has {n} nodes; order-4 stencil needs 5")
+    else:
         out = (
             np.roll(values, 2, axis=axis)
             - 8 * np.roll(values, 1, axis=axis)
             + 8 * np.roll(values, -1, axis=axis)
             - np.roll(values, -2, axis=axis)
         ) / (12 * h)
-    else:
-        raise ValueError(f"stencil order must be 2 or 4, got {order}")
     if periodic:
         return out
 
     # repair the wrapped rows with one-sided stencils of matching order
     rows = _ONESIDED[order]
-    width = rows[0].shape[0]
-    if n < width:
-        raise StencilSupportError(f"axis has {n} nodes; one-sided order-{order} stencil needs {width}")
 
     def take(i):
         return np.take(values, i, axis=axis)
@@ -436,8 +428,9 @@ def _condition_gate(values: np.ndarray, doubtful: np.ndarray) -> None:
         )
 
 
-def invert_metric(g: MetricField) -> MetricField:
-    """Pointwise matrix inverse.
+def metric_inverse(values: np.ndarray) -> np.ndarray:
+    """Pointwise inverse of metric matrices stacked along leading node
+    axes, ``(..., n, n)``, symmetrized.
 
     Nodes whose 2-norm condition number exceeds ``COND_BOUND``, or is NaN,
     raise a singular-metric error naming the first offending node.  The
@@ -450,22 +443,27 @@ def invert_metric(g: MetricField) -> MetricField:
     raises ``np.linalg.LinAlgError``.
     """
     try:
-        inv = NodeMatrices(g.values).inv
+        inv = NodeMatrices(values).inv
     except np.linalg.LinAlgError:
-        _condition_gate(g.values, np.ones(g.values.shape[:-2], dtype=bool))
+        _condition_gate(values, np.ones(values.shape[:-2], dtype=bool))
         raise
     with np.errstate(all="ignore"):
-        screen = (np.einsum("...ij,...ij->...", g.values, g.values)
+        screen = (np.einsum("...ij,...ij->...", values, values)
                   * np.einsum("...ij,...ij->...", inv, inv))
     doubtful = ~(screen <= (0.5 * COND_BOUND) ** 2)
     if doubtful.any():
-        _condition_gate(g.values, doubtful)
+        _condition_gate(values, doubtful)
     # for n <= 2 the adjugate inverse of an exactly symmetric input is
     # exactly symmetric already, and averaging it would return it unchanged
-    n = g.values.shape[-1]
-    if n > 2 or (n == 2 and not np.array_equal(g.values[..., 0, 1], g.values[..., 1, 0])):
+    n = values.shape[-1]
+    if n > 2 or (n == 2 and not np.array_equal(values[..., 0, 1], values[..., 1, 0])):
         inv = 0.5 * (inv + np.swapaxes(inv, -1, -2))
-    return MetricField(g.grid, inv, definite="pseudo")
+    return inv
+
+
+def invert_metric(g: MetricField) -> MetricField:
+    """Pointwise inverse of a metric field, by ``metric_inverse``."""
+    return MetricField(g.grid, metric_inverse(g.values), definite="pseudo")
 
 
 def sqrt_det(g: MetricField) -> TensorField:

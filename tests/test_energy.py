@@ -13,6 +13,7 @@ from glharmonic.energy import (
     MetricPair,
     _connection_blocks,
     _first_stage,
+    _scaled,
     central_partials,
     constant_metric,
     density_partials,
@@ -60,6 +61,18 @@ def smooth_map(grid, n_target, amp=0.4, seed=0):
 
 eye2 = constant_metric(np.eye(2))
 one1 = constant_metric(np.eye(1))
+
+
+def general_of(pair):
+    """The general pair of a conformal pair's ingredients: g = e^{-2 sigma}
+    phi and h = e^{2 tau} psi, the values the first stage forms from them."""
+    def g(a, b):
+        return _scaled(pair.phi(a), None if pair.sigma is None else pair.sigma(a, b), -2.0)[0]
+
+    def h(x, y):
+        return _scaled(pair.psi(x), None if pair.tau is None else pair.tau(x, y), 2.0)[0]
+
+    return MetricPair(g=g, h=h)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +248,32 @@ def test_asymmetric_source_metric_is_rejected():
     f, pair = _patched_source_metric([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError, match="metric is not symmetric"):
         lagrangian_density(f, pair, ConnectionTensor.zero(2, 2), identity_metric(f.grid))
+
+
+def test_a_conformal_pair_is_its_ingredients():
+    # no g or h is stored beside phi, psi, sigma and tau, so a replaced
+    # ingredient leaves no stale metric behind
+    pair = MetricPair.conformal(eye2, eye2, sigma=lambda a, b: 0.1 * b[..., 0],
+                                tau=lambda x, y: 0.2 * y[..., 1])
+    assert pair.g is None and pair.h is None
+    grid = torus(9)
+    f = MapJet.from_values(grid, smooth_map(grid, 2, seed=6))
+    P, phi = ConnectionTensor.constant(np.ones((2, 2, 2)), np.ones((2, 2, 2))), identity_metric(grid)
+    changed = replace(pair, sigma=lambda a, b: -0.3 * b[..., 1])
+    assert changed.g is None and changed.h is None
+    assert np.array_equal(lagrangian_density(f, changed, P, phi).values,
+                          lagrangian_density(f, general_of(changed), P, phi).values)
+
+
+@pytest.mark.parametrize("fields", [
+    {}, {"g": eye2}, {"h": eye2}, {"psi": eye2}, {"phi": eye2},
+    {"phi": eye2, "psi": eye2, "g": eye2}, {"phi": eye2, "psi": eye2, "h": eye2},
+], ids=["nothing", "g-only", "h-only", "psi-only", "phi-only", "conformal-with-g",
+        "conformal-with-h"])
+def test_an_incomplete_pair_is_rejected_at_construction(fields):
+    # a pair is general (g and h) or conformal (phi and psi, no g or h)
+    with pytest.raises(TypeError, match="a MetricPair carries g and h, or phi and psi"):
+        MetricPair(**fields)
 
 
 def test_energy_nonnegative_and_axis_relabel_invariant():
@@ -677,7 +716,7 @@ def test_density_partials_evaluates_phi_once_and_psi_2n_plus_1_times(m, n):
     for k in (0, 1):
         scale = np.max(np.abs(ref[k]))
         assert np.max(np.abs(got[k] - ref[k])) <= 1e-8 * max(1.0, scale)
-    general = MetricPair(g=pair.g, h=pair.h)
+    general = general_of(pair)
     for got_k, ref_k in zip(density_partials(f, general, P, phi),
                             _loop_density_partials(f, general, P, phi)):
         assert np.array_equal(got_k, ref_k)
@@ -724,7 +763,7 @@ def test_conformal_jet_partials_match_general_difference_path(m, n, seed, sigma,
     f, _, P, phi = _random_problem(m, n, seed)
     pair = _counted_conformal_pair(m, n, {}, sigma, tau, seed=seed + 1)
     got = density_partials(f, pair, P, phi)
-    ref = density_partials(f, MetricPair(g=pair.g, h=pair.h), P, phi)
+    ref = density_partials(f, general_of(pair), P, phi)
     for k in (0, 1):
         scale = np.max(np.abs(ref[k]))
         assert np.max(np.abs(got[k] - ref[k])) <= 1e-8 * max(1.0, scale)
@@ -855,7 +894,7 @@ def test_closed_form_residuals_match_general_in_every_dimension(m, n):
         ]
         for special, conformal_pair, P in cases:
             # the difference path of the same g and h: an independent implementation
-            general_pair = MetricPair(g=conformal_pair.g, h=conformal_pair.h)
+            general_pair = general_of(conformal_pair)
             general = el_residual(f, general_pair, P, phi).values
             scale = np.max(np.abs(general))
             assert np.max(np.abs(special.values - general)) < 1e-8 * max(1.0, scale)

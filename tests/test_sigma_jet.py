@@ -156,3 +156,18 @@ def test_zero_sigma_runs_sigma_blocks_only_for_the_reduction_check(check, runs, 
     assert len(calls) == runs
     if check:
         assert report["tasks"][0]["scalars"]["sigma_zero_reduction_error"] == 0.0
+
+
+def test_a_zero_sigma_dumps_the_same_v_lhs_bytes_in_3d(tmp_path):
+    # "0" takes the no-factor short cut and "0*x1" the full path; both give
+    # v_lhs = (2 - n)(+0.0), so the two dumps are equal byte for byte
+    base = BUILTIN_SCENARIOS["maxwell-logconformal"]
+    dumps = []
+    for k, sigma in enumerate(("0", "0*x1")):
+        spec = {**base, "gl_space": {**base["gl_space"], "nodes": [7, 7, 7], "sigma": sigma},
+                "tasks": [{"task": "einstein", "energy_momentum": False}]}
+        assert run_scenario(spec, tmp_path / str(k))["status"] == "pass"
+        dumps.append((tmp_path / str(k) / f"{base['name']}__einstein__einstein_v_lhs.csv")
+                     .read_bytes())
+    assert dumps[0] == dumps[1]
+    assert b"-0" in dumps[0]

@@ -502,11 +502,13 @@ def test_pfaff_factor_guard_names_point_and_direction(which, message):
     assert np.array_equal(info.value.direction, b[1])
 
 
-@pytest.mark.parametrize("which", ["pfaff", "pseudolinear"])
-def test_pfaff_factor_names_the_first_singular_phi_node(which):
+def _pfaff_factor_error(which, node_matrix):
+    """The error of the Pfaff metric or the pseudolinear source factor at
+    three points whose phi is the identity but ``node_matrix`` from the
+    second on."""
     def phi(a):
         vals = np.broadcast_to(np.eye(2), a.shape[:-1] + (2, 2)).copy()
-        vals[1:] = 0.0
+        vals[1:] = node_matrix
         return vals
 
     A = lambda a: np.stack([1.0 + a[..., 0], np.ones_like(a[..., 0])], axis=-1)
@@ -517,8 +519,22 @@ def test_pfaff_factor_names_the_first_singular_phi_node(which):
     a = np.array([[0.2, 0.9], [0.5, 0.1], [0.3, 0.3]])
     with pytest.raises(SingularMetricError) as info:
         fn(a, np.array([[0.4, -0.7]] * 3))
-    assert str(info.value) == "source metric phi: metric is singular at node (1,)"
     assert info.value.node == (1,)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("which", ["pfaff", "pseudolinear"])
+def test_pfaff_factor_names_the_first_singular_phi_node(which):
+    # phi is inverted by invert_metric's rule, which names the first node
+    assert _pfaff_factor_error(which, 0.0) == (
+        "source metric phi: metric condition number inf exceeds bound at node (1,)")
+
+
+@pytest.mark.parametrize("which", ["pfaff", "pseudolinear"])
+def test_pfaff_factor_rejects_an_ill_conditioned_phi_node(which):
+    # a condition number over COND_BOUND fails as it does for phi's field
+    assert _pfaff_factor_error(which, np.diag([1.0, 1e-13])) == (
+        "source metric phi: metric condition number 1.000e+13 exceeds bound at node (1,)")
 
 
 def test_pfaff_exact_primitive_minimizes():
