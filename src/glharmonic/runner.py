@@ -19,9 +19,9 @@ import shutil
 import time
 import traceback
 import weakref
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -53,10 +53,10 @@ from .systems import (
 from .tensor_core import ChartGrid, MetricField, identity_metric, sample_metric, volume_integral
 
 FORMAT = "%.17g"
-# Rows formatted and written per block.  It bounds the transient memory of a
-# dump (value deduplication, cell array, block string): at 257^2 nodes with
-# four components 2048 rows wrote as fast as 4096 with half the peak memory.
-DUMP_BLOCK_ROWS = 2048
+# Cells formatted and written per block.  It bounds the transient memory of a
+# dump below 2 MiB an array: the largest are the numpy FORMAT's source rows,
+# 112 bytes a value, and the block string, at most 25 characters a cell.
+DUMP_BLOCK_CELLS = 8192
 # Bytes per block when a dump copies the rows of an earlier dump
 COPY_BLOCK_BYTES = 1 << 19
 
@@ -66,13 +66,239 @@ COPY_BLOCK_BYTES = 1 << 19
 # ---------------------------------------------------------------------------
 
 
+def dump_block_rows(n_columns: int) -> int:
+    """Rows per block of a dump with ``n_columns`` columns."""
+    return max(1, DUMP_BLOCK_CELLS // n_columns)
+
+
+# The numpy FORMAT.  For 1e-280 <= |v| <= 1e280 the 17 significant digits
+# are the integer D = round(|v| * 10**p), p = 16 - floor(log10 |v|).  10**p
+# is a double-double hi + lo; Dekker's two-product gives |v| * hi exactly, and
+# only |v| * lo and one sum are rounded, so D is exact unless the fraction
+# lies within 1e-6 of a half.  For p in [0, 22] 10**p is a double, so the
+# whole product is exact, ties included, which FORMAT rounds half to even.
+# The characters are gathered from a row of digits and constants by one of
+# 2 x 23 x 17 layouts: sign, exponent form, number of significant digits.
+# FORMAT itself writes the values outside that range (zeros, subnormals, nan,
+# inf), those whose rounding the product cannot settle and those whose 17
+# digits round up to the next power of ten.
+_POWERS = range(-266, 299)     # p for the range, one beyond each end
+_SPLIT = 134217729.0           # 2**27 + 1, Veltkamp's splitting factor
+# Blocks with fewer distinct values are formatted by FORMAT alone, which is
+# faster there than the fixed cost of the numpy path.
+FAST_FORMAT_MIN = 256
+# A source row holds, in code points: digits 2-17 (0-15), the exponent's
+# sign and its two or three digits (16-19), the first digit (20), ",-.0e"
+# (21-25) and NULs (26, 27).
+_ROW = 28
+_WIDTH = 25                    # ",-1.2345678901234567e-100"
+_E_SIGN, _E_DIGITS, _FIRST = 16, 17, 20
+_COMMA, _MINUS, _POINT, _ZERO, _E, _NUL = 21, 22, 23, 24, 25, 26
+_EXPONENTS = range(-281, 282)  # decimal exponents of the range, with margin
+_FORMS = 23                    # exponent forms of one sign
+# Rows gathered at a time: the gather index, and the table of row offsets
+# added to it, take 200 bytes a row
+_GATHER_ROWS = 1024
+
+
+def _layout(negative: bool, form: int, n: int) -> list[int]:
+    """Source-row positions of the characters of ``"," + FORMAT % v`` for a
+    ``v`` of the given sign, exponent form and ``n`` significant digits: form
+    0-20 is fixed point with decimal exponent form - 4, 21 and 22 are
+    exponential with two and three exponent digits."""
+    digits = [_FIRST] + list(range(n - 1))
+    out = [_COMMA] + [_MINUS] * negative
+    if form < 21:
+        e = form - 4
+        if e < 0:
+            out += [_ZERO, _POINT] + [_ZERO] * (-e - 1) + digits
+        else:
+            out += digits[:e + 1] + [_ZERO] * (e + 1 - n)
+            out += ([_POINT] + digits[e + 1:]) * (n > e + 1)
+    else:
+        out += digits[:1] + ([_POINT] + digits[1:]) * (n > 1) + [_E, _E_SIGN]
+        out += list(range(_E_DIGITS, _E_DIGITS + form - 19))
+    return out + [_NUL] * (_WIDTH - len(out))
+
+
+def _form(e: int) -> int:
+    """The exponent form, as ``_layout`` takes it, of decimal exponent e."""
+    return e + 4 if -4 <= e <= 16 else 21 + (abs(e) >= 100)
+
+
+class _FormatTables(NamedTuple):
+    high: np.ndarray            # 10**p rounded to a double, for p in _POWERS
+    high_hi: np.ndarray         # its Veltkamp halves
+    high_lo: np.ndarray
+    low: np.ndarray             # 10**p - high, rounded
+    groups: np.ndarray          # "0000" ... "9999" as 16-byte code points
+    exponents: np.ndarray       # sign and digits of each e in _EXPONENTS, 16 bytes
+    classes: np.ndarray         # layout row of a positive 17-digit value, by e
+    trailing_zeros: np.ndarray  # of the four digits of 0 ... 9999
+    constants: np.ndarray       # the first digit's place and ",-.0e" of a row
+    layouts: np.ndarray         # the _layout of each class, by row
+    offsets: np.ndarray         # the start of each of _GATHER_ROWS rows
+
+
+@cache
+def _format_tables() -> _FormatTables:
+    """The tables of the numpy FORMAT, built once a process."""
+    highs, lows = [], []
+    for p in _POWERS:
+        if p >= 0:
+            exact = 10 ** p
+            high = float(exact)
+            lows.append(float(exact - int(high)))
+        else:
+            exact = 10 ** -p
+            high = 1 / exact
+            num, den = high.as_integer_ratio()
+            lows.append((den - num * exact) / (den * exact))
+        highs.append(high)
+    high = np.array(highs)
+    c = _SPLIT * high
+    high_hi = c - (c - high)
+    # the four digits of 0 ... 9999 from those of 0 ... 99, with no
+    # transient larger than the 160 KB table itself
+    pairs = np.array([[ord(a), ord(b)] for a in "0123456789" for b in "0123456789"],
+                     dtype=np.uint32)
+    groups = np.empty((100, 100, 4), dtype=np.uint32)
+    groups[:, :, :2] = pairs[:, None]
+    groups[:, :, 2:] = pairs[None, :]
+    pair_zeros = np.array([2] + [int(i % 10 == 0) for i in range(1, 100)], dtype=np.int8)
+    exponents = [(("-" if e < 0 else "+") + "%02d" % abs(e)).ljust(4, "\0") for e in _EXPONENTS]
+    return _FormatTables(
+        high, high_hi, high - high_hi, np.array(lows),
+        groups=groups.view("V16").ravel(),
+        exponents=np.array([[ord(ch) for ch in s] for s in exponents],
+                           dtype=np.uint32).view("V16").ravel(),
+        classes=np.array([_form(e) * 17 + 16 for e in _EXPONENTS]),
+        trailing_zeros=np.where(pair_zeros < 2, pair_zeros, 2 + pair_zeros[:, None]).ravel(),
+        constants=np.array([ord(c) for c in "0,-.0e\0\0"], dtype=np.uint32).view("V16"),
+        layouts=np.array([_layout(negative, form, n) for negative in (False, True)
+                          for form in range(_FORMS) for n in range(1, 18)], dtype=np.intp),
+        offsets=np.repeat(np.arange(0, _GATHER_ROWS * _ROW, _ROW), _WIDTH).reshape(-1, _WIDTH))
+
+
+def _scaled(a: np.ndarray, p: np.ndarray, t: _FormatTables) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**p as hi + r: hi the double product, r the rest."""
+    i = p - _POWERS.start
+    high = t.high[i]
+    hi = a * high
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    high_hi, high_lo = t.high_hi[i], t.high_lo[i]
+    r = a_hi * high_hi - hi
+    r += a_hi * high_lo
+    r += a_lo * high_hi
+    r += a_lo * high_lo
+    r += a * t.low[i]
+    return hi, r
+
+
+def _decimal_digits(values: np.ndarray, t: _FormatTables
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 significant digits of each value as an integer in
+    [10**16, 10**17), its decimal exponent, and the mask of the values whose
+    rounding is certain."""
+    a = np.abs(values)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    p = 16 - e
+    hi, r = _scaled(a, p, t)
+    # floor(log10) may be one off: hi + r below 1e16 or from 1e17 on
+    off = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
+    if off.size:
+        h, s = hi[off], r[off]
+        step = ((h > 1e17) | ((h == 1e17) & (s >= 0))).astype(np.int64)
+        step -= (h < 1e16) | ((h == 1e16) & (s < 0))
+        off, step = off[step != 0], step[step != 0]
+        e[off] += step
+        p[off] -= step
+        hi[off], r[off] = _scaled(a[off], p[off], t)
+    # hi is even (its spacing is 2 or more), so rounding r half to even
+    # rounds hi + r half to even
+    rounded = np.rint(r)
+    digits = hi.astype(np.int64)
+    digits += rounded.astype(np.int64)
+    r -= rounded
+    certain = ((p >= 0) & (p <= 22)) | (np.abs(r) < 0.5 - 1e-6)
+    # a few doubles just below a power of ten round up to 10**17 (1e-14 is
+    # one): % writes them
+    certain &= (digits >= 10 ** 16) & (digits < 10 ** 17)
+    return digits, e, certain
+
+
+def _source_rows(negative: np.ndarray, digits: np.ndarray, e: np.ndarray,
+                 t: _FormatTables) -> tuple[np.ndarray, np.ndarray]:
+    """The source row of each value and the row of ``t.layouts`` that lays
+    out its characters."""
+    head = digits // 10 ** 8
+    low8 = digits - head * 10 ** 8
+    first = head // 10 ** 8
+    high8 = head - first * 10 ** 8
+    g1 = high8 // 10 ** 4
+    g2 = high8 - g1 * 10 ** 4
+    g3 = low8 // 10 ** 4
+    g4 = low8 - g3 * 10 ** 4
+    source = np.empty((len(digits), _ROW), dtype=np.uint32)
+    quads = source.view("V16")
+    for k, g in enumerate((g1, g2, g3, g4)):
+        quads[:, k] = t.groups[g]
+    e = e - _EXPONENTS.start
+    quads[:, 4] = t.exponents[e]
+    quads[:, 5:] = t.constants
+    first += 48
+    source[:, _FIRST] = first
+    # trailing zeros of the last 16 digits: where the last group is all
+    # zeros, count on into the groups before it
+    zeros = t.trailing_zeros[g4]
+    rare = np.flatnonzero(g4 == 0)
+    for g in (g3, g2, g1):
+        if not rare.size:
+            break
+        more = t.trailing_zeros[g[rare]]
+        zeros[rare] += more
+        rare = rare[more == 4]
+    layout = t.classes[e]
+    layout -= zeros
+    layout += negative * (_FORMS * 17)
+    return source, layout
+
+
+def _fast_format(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """``"," + FORMAT % v`` for float64 values with 1e-280 <= |v| <= 1e280, and
+    the mask of the entries it is certain of."""
+    t = _format_tables()
+    digits, e, certain = _decimal_digits(values, t)
+    source, layout = _source_rows(values < 0, digits, e, t)
+    del digits, e
+    text: list[str] = []
+    flat = source.ravel()
+    for start in range(0, len(values), _GATHER_ROWS):
+        rows = layout[start:start + _GATHER_ROWS]
+        index = np.take(t.layouts, rows, axis=0)
+        index += t.offsets[:len(rows)]
+        text += np.take(flat[start * _ROW:], index).view(f"U{_WIDTH}").ravel().tolist()
+    return text, certain
+
+
 def _format_distinct(values: np.ndarray) -> np.ndarray:
-    """``FORMAT % v`` for every entry of a float64 array, as an object array
-    of the same shape.  Each distinct bit pattern is formatted once, so
+    """``"," + FORMAT % v`` for every entry of a float64 array, as an object
+    array of the same shape.  Each distinct bit pattern is formatted once, so
     -0.0 and 0.0, and NaNs with different payloads, stay apart exactly as
     they do under ``%``."""
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    strings = np.array([FORMAT % v for v in bits.view(np.float64).tolist()], dtype=object)
+    distinct = bits.view(np.float64)
+    strings = np.empty(len(distinct), dtype=object)
+    slow = np.ones(len(distinct), dtype=bool)
+    if len(distinct) >= FAST_FORMAT_MIN:
+        a = np.abs(distinct)
+        fast = np.flatnonzero((a >= 1e-280) & (a <= 1e280))
+        text, certain = _fast_format(distinct[fast])
+        strings[fast] = text
+        slow[fast[certain]] = False
+    strings[slow] = [("," + FORMAT) % v for v in distinct[slow].tolist()]
     return strings[inverse.reshape(values.shape)]
 
 
@@ -91,25 +317,36 @@ def _csv_headers(grid: ChartGrid, values: np.ndarray, coord_prefix: str,
 def dump_field_csv(path: pathlib.Path, grid: ChartGrid, values: np.ndarray,
                    coord_prefix: str, value_name: str) -> None:
     """Fixed column order: coordinates first, then components in
-    lexicographic index order, 17 significant digits."""
+    lexicographic index order, 17 significant digits.
+
+    Each cell is written with the separator before it: the first coordinate
+    with the newline that ends the previous line (the header's, for the
+    first row), every other cell with a comma.  A block of rows, at most
+    DUMP_BLOCK_CELLS cells, is then one ``"".join`` of its cells.  Each
+    distinct value of a block is formatted once: by numpy when the block has
+    FAST_FORMAT_MIN distinct values or more, where it can prove the rounding,
+    else by ``FORMAT %``, with the same bytes either way."""
     n_rows = int(np.prod(grid.shape))
     flat = np.ascontiguousarray(values, dtype=np.float64).reshape(n_rows, -1)
     headers = _csv_headers(grid, values, coord_prefix, value_name)
     # grid.points() is the meshgrid of the axis coordinates: format each axis
     # once and pick its strings by node index
-    axis_strings = [np.array([FORMAT % v for v in grid.axis_coords(k).tolist()], dtype=object)
+    axis_strings = [np.array([(("\n" if k == 0 else ",") + FORMAT) % v
+                              for v in grid.axis_coords(k).tolist()], dtype=object)
                     for k in range(grid.dim)]
-    row = ",".join(["%s"] * len(headers)) + "\n"
+    block_rows = dump_block_rows(len(headers))
+    block = np.empty((min(block_rows, n_rows), len(headers)), dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(headers) + "\n")
-        for start in range(0, n_rows, DUMP_BLOCK_ROWS):
-            stop = min(start + DUMP_BLOCK_ROWS, n_rows)
-            cells = np.empty((stop - start, len(headers)), dtype=object)
+        fh.write(",".join(headers))
+        for start in range(0, n_rows, block_rows):
+            stop = min(start + block_rows, n_rows)
+            cells = block[:stop - start]
             nodes = np.unravel_index(np.arange(start, stop), grid.shape)
             for k, strings in enumerate(axis_strings):
                 cells[:, k] = strings[nodes[k]]
             cells[:, grid.dim:] = _format_distinct(flat[start:stop])
-            fh.write(row * (stop - start) % tuple(cells.ravel().tolist()))
+            fh.write("".join(cells.ravel().tolist()))
+        fh.write("\n")
 
 
 def _copy_dump_rows(source: pathlib.Path, path: pathlib.Path, grid: ChartGrid,
@@ -191,9 +428,10 @@ class _Context:
 
     @cached_property
     def map_jet(self) -> MapJet:
-        values, linear_jet = sc.build_map_values(
-            self.spec["map"], self.m_grid, self.spec["n_space"]["dim"])
-        return MapJet.from_values(self.m_grid, values, linear_jet)
+        with _quiet_if_out_of_range(self.m_grid):
+            values, linear_jet = sc.build_map_values(
+                self.spec["map"], self.m_grid, self.spec["n_space"]["dim"])
+            return MapJet.from_values(self.m_grid, values, linear_jet)
 
     @cached_property
     def system(self) -> FirstOrderSystem:
@@ -278,8 +516,11 @@ class _Context:
         return self.certify(self.map_jet, self.phi)
 
     def certify(self, f, phi) -> MinimizerCertificate:
-        return certify_minimizer(f, self.system, phi, self.checked_psi(f), self.tol["tol_gap"],
-                                 self.tol["tol_defect"], self.tol["eps_sing"])
+        # out-of-range nodes give a non-finite certificate, which fails
+        with _quiet_if_out_of_range(f.grid, f.values):
+            return certify_minimizer(f, self.system, phi, self.checked_psi(f),
+                                     self.tol["tol_gap"], self.tol["tol_defect"],
+                                     self.tol["eps_sing"])
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +569,8 @@ def _task_certify(ctx: _Context, task: dict, dumps):
     if "orbit" in ctx.spec and ctx.spec.get("system", {}).get("kind") == "orbit":
         curve = ctx.orbit_curve
         grid = curve.grid
-        # non-finite orbit nodes give a non-finite certificate, which fails
-        with _quiet_if_nonfinite(curve.values):
+        # the jet of the curve is differenced from its nodes
+        with _quiet_if_out_of_range(grid, curve.values):
             cert = ctx.certify(curve.as_map(), identity_metric(grid))
     else:
         grid, cert = ctx.m_grid, ctx.map_certificate
@@ -342,9 +583,10 @@ def _task_orbit(ctx: _Context, task: dict, dumps):
     curve = ctx.orbit_curve
     n_dim = ctx.spec["n_space"]["dim"]
     xi_dx = sc.gradient_evaluator(ctx.spec["system"]["xi"], (("x", n_dim),), "x", (n_dim,))
-    # an orbit that leaves the domain of xi has non-finite nodes: the task
-    # counts them, numpy need not warn of them
-    with _quiet_if_nonfinite(curve.values):
+    # an orbit that leaves the domain of xi has non-finite nodes, and one
+    # far enough out non-finite residuals: the task counts them, numpy need
+    # not warn of them
+    with _quiet_if_out_of_range(curve.grid, curve.values):
         res = orbit_geodesic_residual(curve, ctx.system.xi, ctx.checked_psi(curve),
                                       ctx.tol["eps_sing"], xi_dx=xi_dx, psi_dx=ctx.psi_dx)
     threshold = task.get("residual_threshold", 1e-4)
@@ -355,10 +597,18 @@ def _task_orbit(ctx: _Context, task: dict, dumps):
     return _all_finite(scalars) and scalars["max_residual"] <= threshold, scalars, {}
 
 
-def _quiet_if_nonfinite(values: np.ndarray):
-    """A context that silences numpy's warnings when ``values`` has a
-    non-finite entry, and leaves them on otherwise."""
-    return contextlib.nullcontext() if np.isfinite(values).all() else np.errstate(all="ignore")
+def _quiet_if_out_of_range(grid: ChartGrid, values: np.ndarray | None = None):
+    """A context that silences numpy's warnings when a node coordinate of
+    ``grid`` or an entry of ``values`` is not finite or so large that its
+    square overflows, so that what is computed from them (expressions, metric
+    and energy quadratic forms) is not finite either, and leaves them on
+    otherwise."""
+    arrays = [grid.axis_coords(k) for k in range(grid.dim)]
+    if values is not None:
+        arrays.append(values)
+    with np.errstate(over="ignore"):
+        in_range = all(np.isfinite(np.square(a)).all() for a in arrays)
+    return contextlib.nullcontext() if in_range else np.errstate(all="ignore")
 
 
 def _task_pseudolinear(ctx: _Context, task: dict, dumps):
@@ -384,8 +634,10 @@ def _task_pseudolinear(ctx: _Context, task: dict, dumps):
 def _attached_density(ctx: _Context):
     """The density of the energy attached to the scenario's system at its
     map, from the sampled phi and the checked psi."""
-    return group_system_lagrangian(ctx.system.generators, ctx.map_jet, ctx.phi,
-                                   ctx.checked_psi(ctx.map_jet), ctx.tol["eps_sing"])
+    f = ctx.map_jet
+    with _quiet_if_out_of_range(f.grid, f.values):
+        return group_system_lagrangian(ctx.system.generators, f, ctx.phi, ctx.checked_psi(f),
+                                       ctx.tol["eps_sing"])
 
 
 def _task_group(ctx: _Context, task: dict, dumps):
@@ -548,6 +800,9 @@ def run_scenario(spec: dict, out_dir, stencil_override: int | None = None) -> di
     passed.
     """
     spec = sc.require_valid(spec)
+    # the dump tables live as long as the process: built before any task's
+    # arrays, they do not pin the heap above the space those arrays free
+    _format_tables()
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ctx = _Context(spec, stencil_override)

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glharmonic import runner
-from glharmonic.runner import DUMP_BLOCK_ROWS, FORMAT, dump_field_csv, run_scenario
+from glharmonic.runner import DUMP_BLOCK_CELLS, FORMAT, dump_block_rows, dump_field_csv, run_scenario
 from glharmonic.scenarios import BUILTIN_SCENARIOS
 from glharmonic.tensor_core import box_grid
 
-B = DUMP_BLOCK_ROWS
+import format_check
 
 SPECIALS = np.array([
     -0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310,
@@ -23,15 +23,18 @@ SPECIALS = np.array([
     1.0, 0.1, 1e300,
 ])
 
-# node counts below, at and above one block and at an exact multiple of it
-SHAPES = {
-    1: st.one_of(st.integers(5, 40).map(lambda n: (n,)),
-                 st.sampled_from([(B - 1,), (B,), (B + 1,), (2 * B,), (2 * B + 3,)])),
-    2: st.one_of(st.tuples(st.integers(5, 12), st.integers(5, 12)),
-                 st.sampled_from([(64, B // 64), (64, 2 * B // 64), (65, 70), (5, B // 5)])),
-    3: st.one_of(st.tuples(*[st.integers(5, 7)] * 3),
-                 st.sampled_from([(16, 16, B // 256), (17, 16, 16), (5, 5, 200)])),
-}
+
+def _shapes(dim, B):
+    """Node counts below, at and above one block of B rows and at an exact
+    multiple of it."""
+    return {
+        1: st.one_of(st.integers(5, 40).map(lambda n: (n,)),
+                     st.sampled_from([(B - 1,), (B,), (B + 1,), (2 * B,), (2 * B + 3,)])),
+        2: st.one_of(st.tuples(st.integers(5, 12), st.integers(5, 12)),
+                     st.sampled_from([(64, B // 64), (64, 2 * B // 64), (65, 70), (5, B // 5)])),
+        3: st.one_of(st.tuples(*[st.integers(5, 7)] * 3),
+                     st.sampled_from([(B // 64, 8, 8), (17, 16, 16), (5, 5, 200)])),
+    }[dim]
 
 
 def reference_dump(path, grid, values, coord_prefix, value_name):
@@ -86,7 +89,8 @@ def _assert_same_bytes(tmp_path, grid, values, prefix="a", name="v"):
        layout=st.sampled_from(["c", "fortran", "strided", "reversed"]))
 def test_block_writer_matches_row_writer(tmp_path_factory, data, dim, comp_shape, seed,
                                          special_share, repeat_share, layout):
-    shape = data.draw(SHAPES[dim], label="nodes")
+    B = dump_block_rows(dim + int(np.prod(comp_shape)))
+    shape = data.draw(_shapes(dim, B), label="nodes")
     periodic = data.draw(st.lists(st.booleans(), min_size=dim, max_size=dim), label="periodic")
     rng = np.random.default_rng(seed)
     lo = rng.uniform(-10.0, 10.0, dim)
@@ -96,11 +100,43 @@ def test_block_writer_matches_row_writer(tmp_path_factory, data, dim, comp_shape
     _assert_same_bytes(tmp_path_factory.mktemp("dump"), grid, values)
 
 
-@pytest.mark.parametrize("shape", [(B - 1,), (B,), (B + 1,), (2 * B,), (64, 64), (16, 16, 32)])
+# rows of one block of a dump with two components: 1-D, 2-D and 3-D
+B1, B2, B3 = (dump_block_rows(dim + 2) for dim in (1, 2, 3))
+
+
+@pytest.mark.parametrize("shape", [(B1 - 1,), (B1,), (B1 + 1,), (2 * B1,), (B2 // 64, 64),
+                                   (2 * B2 // 64 + 1, 64), (B3 // 25 + 1, 5, 5), (16, 16, 32)])
 def test_block_writer_at_block_boundaries(tmp_path, shape):
     rng = np.random.default_rng(len(shape))
     grid = box_grid([(0.0, 1.0)] * len(shape), shape)
     _assert_same_bytes(tmp_path, grid, _values(rng, shape + (2,), 0.05, 0.5))
+
+
+# a 4-D rank-3 dump has 4 + 64 columns, so far fewer rows to a block
+B4 = dump_block_rows(4 + 4 ** 3)
+
+
+# 1200 nodes are ten blocks of 120 rows
+@pytest.mark.parametrize("shape", [(5, 5, 5, 5), (5, 5, 6, 8), (5, 5, 5, 7)])
+def test_rank_three_dump_in_four_dimensions_at_block_boundaries(tmp_path, monkeypatch, shape):
+    # each block string stays far below 2 MiB: at most 25 characters a cell
+    writes = []
+
+    def recording_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write = fh.write
+        fh.write = lambda text: writes.append(len(text)) or write(text)
+        return fh
+
+    monkeypatch.setattr(runner, "open", recording_open, raising=False)
+    rng = np.random.default_rng(4)
+    grid = box_grid([(0.0, 1.0)] * 4, shape)
+    _assert_same_bytes(tmp_path, grid, _values(rng, shape + (4, 4, 4), 0.05, 0.3), "x",
+                       "maxwell_residual3")
+    n_rows = int(np.prod(shape))
+    assert B4 * 68 <= DUMP_BLOCK_CELLS
+    assert len(writes) == 2 + -(-n_rows // B4)     # header, blocks, last newline
+    assert max(writes) <= 25 * B4 * 68 < 1 << 20
 
 
 def test_block_writer_matches_row_writer_at_257_squared(tmp_path):
@@ -108,6 +144,40 @@ def test_block_writer_matches_row_writer_at_257_squared(tmp_path):
     grid = box_grid([(0.0, 2 * np.pi), (0.0, 1.0)], [257, 257], [True, False])
     values = _values(rng, (257, 257, 2, 2), 0.01, 0.3)
     _assert_same_bytes(tmp_path, grid, values, "x", "einstein_h_lhs")
+
+
+# ---------------------------------------------------------------------------
+# the numpy FORMAT against %
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(seed=st.integers(0, 2**64 - 1))
+def test_numpy_format_matches_percent_on_drawn_bit_patterns(seed):
+    assert format_check.mismatches(format_check.drawn_values(np.random.default_rng(seed), 5000)) == []
+
+
+def test_numpy_format_matches_percent_at_specials_powers_of_ten_short_decimals_and_ties():
+    rng = np.random.default_rng(17)
+    for values in (format_check.special_values(), format_check.power_values(),
+                   format_check.short_values(rng, 1000), format_check.tie_values(rng, 20000),
+                   format_check.INEXACT_TIES):
+        assert format_check.mismatches(values) == []
+
+
+def test_numpy_format_settles_exact_ties_itself():
+    # 10**p is a double for p <= 22, so the product is exact and a tie
+    # rounds half to even without the fallback to %
+    ties = format_check.tie_values(np.random.default_rng(3), 20000)
+    text, certain = runner._fast_format(ties)
+    assert certain.all()
+    assert text[-2:] == [",1000000000000000.2", ",250000000000000.12"]
+
+
+def test_numpy_format_leaves_ties_of_an_inexact_scale_to_percent():
+    ties = format_check.INEXACT_TIES
+    assert not runner._fast_format(ties)[1].any()
+    assert format_check.mismatches(ties) == []
 
 
 # ---------------------------------------------------------------------------

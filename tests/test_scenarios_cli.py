@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -340,6 +341,24 @@ def test_orbit_leaving_the_domain_reports_a_nan_maximum(tmp_path):
     assert orbit["scalars"]["residual_nonfinite"] == 402
     assert orbit["scalars"]["max_residual"] == "nan"
     assert certify["certificate"]["verdict"] is False
+
+
+@pytest.mark.parametrize("name, edit, statuses", [
+    # exp(a1 + a2) overflows on a chart reaching 1e300
+    ("pseudolinear-exp", lambda s: s["m_space"].update(extents=[[0, 1], [0, 1e300]]),
+     [("pseudolinear", "error", "SingularMetricError"), ("certify_theorem", "fail", None)]),
+    # |x|^2 overflows on an orbit of radius 1e300
+    ("orbit-rotation", lambda s: s["orbit"].update(x0=[1e300, 0]),
+     [("orbit", "fail", None), ("certify_theorem", "error", "AdmissibilityError")]),
+])
+def test_out_of_range_nodes_leak_no_numpy_warning(tmp_path, name, edit, statuses):
+    spec = json.loads(json.dumps(BUILTIN_SCENARIOS[name]))
+    edit(spec)
+    assert validate_scenario(spec) == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_scenario(spec, tmp_path)
+    assert [(t["task"], t["status"], t.get("error_type")) for t in report["tasks"]] == statuses
 
 
 def test_unexpected_exception_becomes_error_record(tmp_path, monkeypatch):
