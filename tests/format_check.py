@@ -2,16 +2,15 @@
 and the values where a 17-digit rounding is hardest, powers of ten with
 both neighbours, short decimals and exact ties at the 17th digit.
 
-    PYTHONPATH=src python tests/format_check.py [--values N] [--seed S]
+    PYTHONPATH=src python tests/format_check.py
 
-checks N drawn bit patterns (default 10**7) in chunks of 10**5, then the
-hard values, and exits 1 on the first chunk with a mismatch, printing it.
+checks VALUES drawn bit patterns (10**7, seed 0) in chunks of 10**5, then
+the hard values, and exits 1 on the first chunk with a mismatch, printing it.
 ``tests/test_dump_csv.py`` runs the same comparison on a small draw.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import sys
 
@@ -19,6 +18,7 @@ import numpy as np
 
 from glharmonic.runner import _fast_format, _format_distinct
 
+VALUES = 10 ** 7
 CHUNK = 10 ** 5
 
 
@@ -79,14 +79,8 @@ def mismatches(values: np.ndarray) -> list[tuple[float, str, str]]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--values", type=int, default=10 ** 7,
-                        help="number of drawn bit patterns (default 10**7)")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-    rng = np.random.default_rng(args.seed)
-    drawn = (drawn_values(rng, min(CHUNK, args.values - start))
-             for start in range(0, args.values, CHUNK))
+    rng = np.random.default_rng(0)
+    drawn = (drawn_values(rng, CHUNK) for _ in range(VALUES // CHUNK))
     checked = 0
     for values in itertools.chain(drawn, [special_values(), power_values(), short_values(rng, 5000),
                                           tie_values(rng, CHUNK), INEXACT_TIES]):
