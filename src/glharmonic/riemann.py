@@ -7,11 +7,23 @@ has positive scalar curvature under the trace ``r_ij = r^k_{ijk}`` (upper
 slot against the *last* lower slot).  Ricci, the scalar, the Einstein
 tensor and the field equations built on them all use this one trace; texts
 that trace against the middle slot have the opposite sign of Ricci and R.
+
+What is computed when.  ``curvature_package`` computes the inverse metric
+and the Christoffel symbols.  Ricci, the scalar and the curvature tensor
+are each computed when first read and then kept.  The Einstein equations
+of a chart without a conformal factor read only Ricci, R and the Einstein
+tensor, so such a chart forms no array with n^4 entries per node; the
+deflection tensor of a conformal factor and the Maxwell residuals (n >= 3)
+also read the curvature tensor.  Ricci comes from its contracted form, not from the trace of the
+curvature tensor: the two are the same sums in another order, so they
+agree to round-off, not bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -19,6 +31,7 @@ from .tensor_core import (
     ChartGrid,
     MetricField,
     TensorField,
+    _derivative_1d,
     fd_partial,
     grid_partials,
     invert_metric,
@@ -27,14 +40,13 @@ from .tensor_core import (
 
 @dataclass(frozen=True)
 class RiemannPackage:
-    """All curvature data of one base metric, computed in a single pass."""
+    """The curvature data of one base metric.  The inverse metric and the
+    Christoffel symbols are computed with the package; the curvature tensor,
+    Ricci and the scalar each when first read, and then kept."""
 
     gamma: MetricField
     gamma_inv: MetricField
     christoffel: TensorField   # Gamma^i_{jk}, slots (up, lo, lo)
-    curvature: TensorField     # r^i_{jkl}, slots (up, lo, lo, lo)
-    ricci: TensorField         # r_ij, slots (lo, lo)
-    scalar: TensorField
 
     @property
     def grid(self) -> ChartGrid:
@@ -43,6 +55,68 @@ class RiemannPackage:
     @property
     def dim(self) -> int:
         return self.gamma.slot_dims[0]
+
+    @cached_property
+    def curvature(self) -> TensorField:
+        """r^i_{jkl}, slots (up, lo, lo, lo):
+
+        r^i_{jkl} = d_l Gamma^i_{jk} - d_k Gamma^i_{jl}
+                    + Gamma^i_{ml} Gamma^m_{jk} - Gamma^i_{mk} Gamma^m_{jl},
+
+        the sign chosen so the sphere comes out positive under the trace
+        r_ij = r^k_{ijk}.  n^4 entries per node: only the fields that
+        contract it read it."""
+        gam = self.christoffel
+        n, lead, g = self.grid.dim, self.grid.shape, gam.values
+        # Gamma^i_{ml} Gamma^m_{jk} from one batched product (il, m) @ (m, jk),
+        # viewed in (..., i, j, k, l) order; d_l Gamma^i_{jk} added in place
+        prod = g.swapaxes(-2, -1).reshape(lead + (n * n, n)) @ g.reshape(lead + (n, n * n))
+        riem = np.moveaxis(prod.reshape(lead + (n,) * 4), -3, -1)
+        for axis in range(n):
+            riem[..., axis] += fd_partial(gam, axis).values
+        # antisymmetrize in (k, l) into a C-ordered array
+        riem = np.subtract(riem, riem.swapaxes(-2, -1), out=np.empty(riem.shape))
+        return TensorField(self.grid, riem)
+
+    @cached_property
+    def ricci(self) -> TensorField:
+        """r_ij = r^k_{ijk} in its contracted form
+
+        r_ij = d_k Gamma^k_{ij} - d_j Gamma^k_{ik}
+               + Gamma^k_{mk} Gamma^m_{ij} - Gamma^k_{mj} Gamma^m_{ik},
+
+        all n^2 entries (the discrete Ricci is not symmetric), with no
+        symmetry of Gamma assumed and no n^4 array.  Gamma is copied once
+        into entry planes, so each product reads contiguous memory and each
+        stencil runs over a whole (n, n) or (n,) block of planes."""
+        grid = self.grid
+        n = grid.dim
+        # planes[k, i, j] = Gamma^k_{ij} and trace[i] = Gamma^k_{ik}, grid last
+        planes = np.moveaxis(self.christoffel.values, (-3, -2, -1), (0, 1, 2)).copy()
+        trace = sum(planes[k, :, k] for k in range(n))
+
+        def partial(vals: np.ndarray, k: int) -> np.ndarray:
+            return _derivative_1d(vals, vals.ndim - n + k, grid.spacing[k],
+                                  grid.stencil_order, grid.periodic[k])
+
+        ricci = partial(planes[0], 0)
+        for k in range(1, n):
+            ricci += partial(planes[k], k)
+        for j in range(n):
+            ricci[:, j] -= partial(trace, j)
+        for i, j in product(range(n), repeat=2):
+            entry = ricci[i, j]
+            for m in range(n):
+                entry += trace[m] * planes[m, i, j]
+            for k, m in product(range(n), repeat=2):
+                entry -= planes[k, m, j] * planes[m, i, k]
+        return TensorField(grid, np.moveaxis(ricci, (0, 1), (-2, -1)).copy())
+
+    @cached_property
+    def scalar(self) -> TensorField:
+        """R = gamma^{ij} r_ij."""
+        vals = np.einsum("...ij,...ij->...", self.gamma_inv.values, self.ricci.values)
+        return TensorField(self.grid, vals)
 
     def einstein_tensor(self) -> TensorField:
         """r_ij - r gamma_ij / 2 as a (0,2) field."""
@@ -70,36 +144,11 @@ def christoffel(gamma: MetricField, gamma_inv: MetricField | None = None) -> Ten
 
 
 def curvature_package(gamma: MetricField) -> RiemannPackage:
-    """Full curvature data of a metric.
-
-    r^i_{jkl} = d_l Gamma^i_{jk} - d_k Gamma^i_{jl}
-                + Gamma^i_{ml} Gamma^m_{jk} - Gamma^i_{mk} Gamma^m_{jl},
-    the sign chosen so the sphere comes out positive under the trace
-    r_ij = r^k_{ijk}, the only one taken.
-    """
+    """The curvature data of a metric: its inverse and Christoffel symbols
+    now, the rest when read (see :class:`RiemannPackage`)."""
     gamma_inv = invert_metric(gamma)
-    gam = christoffel(gamma, gamma_inv)
-    n, lead, g = gamma.grid.dim, gamma.grid.shape, gam.values
-    # Gamma^i_{ml} Gamma^m_{jk} from one batched product (il, m) @ (m, jk),
-    # viewed in (..., i, j, k, l) order; d_l Gamma^i_{jk} added in place
-    prod = g.swapaxes(-2, -1).reshape(lead + (n * n, n)) @ g.reshape(lead + (n, n * n))
-    riem = np.moveaxis(prod.reshape(lead + (n,) * 4), -3, -1)
-    for axis in range(n):
-        riem[..., axis] += fd_partial(gam, axis).values
-    # antisymmetrize in (k, l) into a C-ordered array
-    riem = np.subtract(riem, riem.swapaxes(-2, -1), out=np.empty(riem.shape))
-    curvature = TensorField(gamma.grid, riem)
-    ricci_vals = np.einsum("...kijk->...ij", riem)
-    ricci = TensorField(gamma.grid, ricci_vals)
-    scalar_vals = np.einsum("...ij,...ij->...", gamma_inv.values, ricci_vals)
-    return RiemannPackage(
-        gamma=gamma,
-        gamma_inv=gamma_inv,
-        christoffel=gam,
-        curvature=curvature,
-        ricci=ricci,
-        scalar=TensorField(gamma.grid, scalar_vals),
-    )
+    return RiemannPackage(gamma=gamma, gamma_inv=gamma_inv,
+                          christoffel=christoffel(gamma, gamma_inv))
 
 
 def sphere_metric(grid: ChartGrid, radius: float = 1.0) -> MetricField:

@@ -299,8 +299,15 @@ def _format_distinct(values: np.ndarray) -> np.ndarray:
     """``"," + FORMAT % v`` for every entry of a float64 array, as an object
     array of the same shape.  Each distinct bit pattern is formatted once, so
     -0.0 and 0.0, and NaNs with different payloads, stay apart exactly as
-    they do under ``%``."""
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    they do under ``%``.  A block of one bit pattern (the 2-D Einstein
+    v_lhs) is filled with its one string, without ``np.unique``."""
+    bits = values.view(np.int64)
+    if (bits == bits.flat[0]).all():
+        # fill, not np.full, which makes one str object per entry
+        strings = np.empty(values.shape, dtype=object)
+        strings.fill(("," + FORMAT) % float(values.flat[0]))
+        return strings
+    bits, inverse = np.unique(bits, return_inverse=True)
     distinct = bits.view(np.float64)
     strings = np.empty(len(distinct), dtype=object)
     slow = np.ones(len(distinct), dtype=bool)

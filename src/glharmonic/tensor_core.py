@@ -5,13 +5,17 @@ Everything else in the library is built on this layer.  A chart is a
 rectangular box, each axis either a closed interval or a full period of a
 flat torus.  Fields store one small dense tensor per node.
 
-Nodewise contractions in ``riemann``, ``gl_space`` and ``field_equations``
-are batched ``@`` on contiguous reshapes; a slot contracted against a
-vector that is the same at every node (the fiber vector y) goes through
-:func:`contract_vector`.  einsum remains for matrix-vector products per
-node, quadratic forms and traces, and in ``energy`` and ``systems``;
-``energy`` takes the per-node products of an exact conformal residual
-entry by entry.
+Nodewise contractions in ``riemann``'s curvature tensor, ``gl_space`` and
+``field_equations`` are batched ``@`` on contiguous reshapes; a slot
+contracted against a vector that is the same at every node (the fiber
+vector y) goes through :func:`contract_vector`.  einsum remains for
+matrix-vector products per node, quadratic forms and traces, and in
+``energy`` and ``systems``; ``energy`` takes the per-node products of an
+exact conformal residual, and ``riemann`` those of Ricci, entry by entry.
+
+A finite difference along one axis reads the field through shifted slices
+of its flat C-ordered values, one pass per stencil term, and copies a
+strided field once, never once per term.
 
 Pointwise linear algebra of per-node matrices (determinant, inverse,
 2-norm condition number, positive-definiteness) goes through
@@ -227,37 +231,56 @@ _ONESIDED = {
 }
 
 
+# entries of the flat stencil per pass: the operands of a pass stay in
+# cache, and its one temporary (8 v at order 4) is 256 KiB at most
+_CHUNK = 1 << 15
+
+
+def _central(v: np.ndarray, out: np.ndarray, s: int, h: float, order: int) -> None:
+    """The central stencil of step ``s`` along the flat array ``v`` into
+    ``out``, which is 2ws entries shorter (w = order // 2):
+    (v[i+s] - v[i-s]) / 2h, or (v[i-2s] - 8 v[i-s] + 8 v[i+s] - v[i+2s]) / 12h
+    summed left to right."""
+    for lo in range(0, len(out), _CHUNK):
+        o, u = out[lo:lo + _CHUNK], v[lo:]
+        k = len(o)
+        if order == 2:
+            np.subtract(u[2 * s:2 * s + k], u[:k], out=o)
+            o /= 2 * h
+        else:
+            np.multiply(u[s:s + k], 8, out=o)
+            np.subtract(u[:k], o, out=o)
+            o += 8 * u[3 * s:3 * s + k]
+            o -= u[4 * s:4 * s + k]
+            o /= 12 * h
+
+
 def _derivative_1d(values: np.ndarray, axis: int, h: float, order: int, periodic: bool) -> np.ndarray:
-    # a ChartGrid axis has order 2 or 4 and 5 or more nodes: every stencil fits
-    n = values.shape[axis]
-    if order == 2:
-        out = (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2 * h)
-    else:
-        out = (
-            np.roll(values, 2, axis=axis)
-            - 8 * np.roll(values, 1, axis=axis)
-            + 8 * np.roll(values, -1, axis=axis)
-            - np.roll(values, -2, axis=axis)
-        ) / (12 * h)
+    # A ChartGrid axis has order 2 or 4 and 5 or more nodes: every stencil
+    # fits.  On the flat C-ordered array a step along ``axis`` is a shift by
+    # its stride, so each term of the central stencil is one shifted slice;
+    # only the w rows at each end of the axis, where that shift crosses into
+    # the next row, are written again, through views with ``axis`` first.
+    n, w = values.shape[axis], order // 2
+    v = np.ascontiguousarray(values, dtype=float)
+    s = v.strides[axis] // v.itemsize
+    out = np.empty(v.shape)
+    _central(v.reshape(-1), out.reshape(-1)[w * s:out.size - w * s], s, h, order)
+    v, o = v.swapaxes(0, axis), out.swapaxes(0, axis)
     if periodic:
+        # the wrap rows: the stencil over the 4w rows around the seam
+        seam = np.concatenate((v[n - 2 * w:], v[:2 * w]))
+        wrap = np.empty((2 * w,) + seam.shape[1:])
+        _central(seam.reshape(-1), wrap.reshape(-1), wrap[0].size, h, order)
+        o[n - w:] = wrap[:w]
+        o[:w] = wrap[w:]
         return out
 
-    # repair the wrapped rows with one-sided stencils of matching order
-    rows = _ONESIDED[order]
-
-    def take(i):
-        return np.take(values, i, axis=axis)
-
-    # stencil node offsets are measured from the boundary, not from the row
-    for r, coeffs in enumerate(rows):
-        low = sum(c * take(j) for j, c in enumerate(coeffs)) / h
-        high = -sum(c * take(n - 1 - j) for j, c in enumerate(coeffs)) / h
-        idx_lo = [slice(None)] * values.ndim
-        idx_lo[axis] = r
-        idx_hi = [slice(None)] * values.ndim
-        idx_hi[axis] = n - 1 - r
-        out[tuple(idx_lo)] = low
-        out[tuple(idx_hi)] = high
+    # one-sided stencils of matching order at each boundary; node offsets
+    # are measured from the boundary, not from the row
+    for r, coeffs in enumerate(_ONESIDED[order]):
+        o[r] = sum(c * v[j] for j, c in enumerate(coeffs)) / h
+        o[n - 1 - r] = -sum(c * v[n - 1 - j] for j, c in enumerate(coeffs)) / h
     return out
 
 

@@ -1,9 +1,8 @@
 """The batched-matmul contractions of the field layers against the einsum
-forms they replaced, on random non-symmetric Christoffel and curvature
-arrays.  The einsum functions below are the references; they are kept
-verbatim from the per-node formulas and must not be rewritten."""
+forms they replaced, on random non-symmetric Christoffel arrays and the
+curvature they give.  The einsum functions below are the references; they
+are kept verbatim from the per-node formulas and must not be rewritten."""
 
-from dataclasses import replace
 from itertools import combinations
 from unittest import mock
 
@@ -51,28 +50,17 @@ def random_metric(rng, n):
 
 
 def random_package(rng, n) -> RiemannPackage:
-    """Random (non-symmetric) Christoffel, curvature and Ricci arrays over a
-    random positive definite metric; they need not be consistent."""
+    """A package around a random (non-symmetric) Christoffel array over a
+    random positive definite metric; they need not be consistent.  Its
+    curvature and Ricci come from that Christoffel array, so the curvature
+    is antisymmetric in its last two slots, as ``maxwell_residuals`` takes
+    it to be."""
     gamma = random_metric(rng, n)
-    grid, shape = gamma.grid, gamma.grid.shape
     return RiemannPackage(
         gamma=gamma,
         gamma_inv=invert_metric(gamma),
-        christoffel=TensorField(grid, rng.standard_normal(shape + (n,) * 3)),
-        curvature=TensorField(grid, rng.standard_normal(shape + (n,) * 4)),
-        ricci=TensorField(grid, rng.standard_normal(shape + (n, n))),
-        scalar=TensorField(grid, rng.standard_normal(shape)),
+        christoffel=TensorField(gamma.grid, rng.standard_normal(gamma.grid.shape + (n,) * 3)),
     )
-
-
-def maxwell_package(rng, n) -> RiemannPackage:
-    """:func:`random_package` with its curvature r - r^T over the last two
-    slots: antisymmetric there, as every ``curvature_package`` result is and
-    as ``maxwell_residuals`` takes it to be."""
-    package = random_package(rng, n)
-    r = package.curvature
-    return replace(package, curvature=TensorField(
-        r.grid, r.values - np.swapaxes(r.values, -1, -2)))
 
 
 def smooth_sigma(pts, y):
@@ -241,6 +229,16 @@ def test_curvature_package_matches_einsum(case):
 
 
 @oracle_settings
+@given(cases)
+def test_ricci_is_the_first_last_trace_of_the_curvature(case):
+    # the contracted form of Ricci against the trace of r^i_{jkl}, on a
+    # non-symmetric Gamma: the same sums in another order
+    n, seed = case
+    pkg = random_package(np.random.default_rng(seed), n)
+    assert_close(pkg.ricci.values, np.einsum("...kijk->...ij", pkg.curvature.values))
+
+
+@oracle_settings
 @given(cases, st.sampled_from([1, 2, 3]))
 def test_h_covariant_matches_einsum(case, rank):
     n, seed = case
@@ -281,7 +279,7 @@ def test_deflection_terms_match_einsum(case):
 def test_maxwell_curvature_term_matches_einsum(case):
     n, seed = case
     rng = np.random.default_rng(seed)
-    space = conformal_space(maxwell_package(rng, n), smooth_sigma)
+    space = conformal_space(random_package(rng, n), smooth_sigma)
     y = rng.uniform(0.3, 1.2, n) * rng.choice([-1.0, 1.0], n)
     assert_maxwell_matches_reference(space, y)
 
@@ -324,7 +322,7 @@ def test_maxwell_residuals_are_three_forms_at_their_components(n, jet, seed):
     # n = 4 has four triples i < j < k; with the jet the fiber partials are
     # exact, and the reference takes them from the product rule
     rng = np.random.default_rng(seed)
-    space = conformal_space(maxwell_package(rng, n), smooth_sigma,
+    space = conformal_space(random_package(rng, n), smooth_sigma,
                             smooth_sigma_jet(n) if jet else None)
     y = rng.uniform(0.3, 1.2, n) * rng.choice([-1.0, 1.0], n)
     r3 = assert_maxwell_matches_reference(space, y, em_jet_reference(space, y) if jet else None)[2]

@@ -112,6 +112,19 @@ def test_block_writer_at_block_boundaries(tmp_path, shape):
     _assert_same_bytes(tmp_path, grid, _values(rng, shape + (2,), 0.05, 0.5))
 
 
+@pytest.mark.parametrize("value, other", [(0.0, -0.0), (-0.0, 0.0), (np.nan, -np.nan),
+                                          (-np.inf, np.inf), (0.1, 0.5), (-3e-310, 3e-310)])
+def test_a_constant_block_matches_the_row_writer(tmp_path, value, other):
+    # a block of one bit pattern is filled with one string: a dump of such
+    # blocks, then one whose last block also holds another bit pattern
+    shape = (2 * B2 // 64 + 1, 64)
+    grid = box_grid([(0.0, 1.0)] * 2, shape)
+    values = np.full(shape + (2,), value)
+    _assert_same_bytes(tmp_path, grid, values)
+    values[-1, -1, 1] = other
+    _assert_same_bytes(tmp_path, grid, values)
+
+
 # a 4-D rank-3 dump has 4 + 64 columns, so far fewer rows to a block
 B4 = dump_block_rows(4 + 4 ** 3)
 

@@ -186,6 +186,24 @@ def test_residual_fields_are_cyclic_objects():
         assert np.max(np.abs(r.values - cycled)) < 1e-10
 
 
+def test_each_field_forms_only_the_curvature_data_it_reads():
+    # a curvature package computes Ricci, R and r^i_{jkl} when first read:
+    # the Einstein equations without a factor never form the n^4 tensor,
+    # and the Maxwell residuals never form Ricci or R
+    base = curved_space().base
+    einstein_system(conformal_space(base, None), 1.0, np.array([0.5, 0.5]), False)
+    assert "ricci" in vars(base) and "scalar" in vars(base)
+    assert "curvature" not in vars(base)
+
+    def sig(pts, y):
+        return 0.1 * np.sin(pts[..., 0]) * (1 + 0.2 * y[1])
+
+    space = curved_space_3d(sig, n=9)
+    maxwell_residuals(space, np.array([0.9, 0.7, 0.2]))
+    assert "curvature" in vars(space.base)
+    assert "ricci" not in vars(space.base) and "scalar" not in vars(space.base)
+
+
 # ---------------------------------------------------------------------------
 # deflection tensor
 # ---------------------------------------------------------------------------
@@ -298,7 +316,10 @@ def test_no_factor_keeps_a_nonfinite_einstein_node():
     ricci = base.ricci.values.copy()
     ricci[3, 4, 0, 1] = np.nan
     ricci[5, 6, 1, 1] = np.inf
-    bad = replace(base, ricci=TensorField(base.grid, ricci))
+    # a fresh package with the bad Ricci and the original finite scalar in
+    # its cache: a lazy scalar of the bad Ricci would be non-finite there
+    bad = replace(base)
+    vars(bad).update(ricci=TensorField(base.grid, ricci), scalar=base.scalar)
     h = einstein_system(conformal_space(bad, None), 1.0, np.array([0.5, 0.5]), False).h_lhs.values
     assert np.isnan(h[3, 4, 0, 1]) and h[5, 6, 1, 1] == np.inf
     assert np.argwhere(~np.isfinite(h)).tolist() == [[3, 4, 0, 1], [5, 6, 1, 1]]

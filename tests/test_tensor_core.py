@@ -9,6 +9,8 @@ from glharmonic.tensor_core import (
     MetricField,
     NodeMatrices,
     TensorField,
+    _ONESIDED,
+    _derivative_1d,
     box_grid,
     fd_partial,
     identity_metric,
@@ -73,6 +75,79 @@ def test_fd_order2_convergence_rate():
         exact = 2 * np.pi * np.cos(2 * np.pi * grid.axis_coords(0))
         errs.append(np.max(np.abs(fd_partial(f, 0).values - exact)))
     assert errs[0] / errs[1] > 3.5  # second order: ratio ~4
+
+
+def derivative_1d_reference(values, axis, h, order, periodic):
+    """The stencil as it was computed from ``np.roll`` copies, with the
+    one-sided rows from ``np.take``: the reference of every output byte."""
+    n = values.shape[axis]
+    if order == 2:
+        out = (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2 * h)
+    else:
+        out = (
+            np.roll(values, 2, axis=axis)
+            - 8 * np.roll(values, 1, axis=axis)
+            + 8 * np.roll(values, -1, axis=axis)
+            - np.roll(values, -2, axis=axis)
+        ) / (12 * h)
+    if periodic:
+        return out
+
+    def take(i):
+        return np.take(values, i, axis=axis)
+
+    for r, coeffs in enumerate(_ONESIDED[order]):
+        low = sum(c * take(j) for j, c in enumerate(coeffs)) / h
+        high = -sum(c * take(n - 1 - j) for j, c in enumerate(coeffs)) / h
+        idx_lo = [slice(None)] * values.ndim
+        idx_lo[axis] = r
+        idx_hi = [slice(None)] * values.ndim
+        idx_hi[axis] = n - 1 - r
+        out[tuple(idx_lo)] = low
+        out[tuple(idx_hi)] = high
+    return out
+
+
+SPECIAL_ENTRIES = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308])
+
+
+@st.composite
+def stencil_inputs(draw):
+    """A field of 1-3 grid axes of 5-8 nodes and 0-2 slots, as a contiguous
+    array or a strided view (every other entry of a trailing or a grid axis),
+    with none, some or all entries drawn from SPECIAL_ENTRIES or from its
+    two signed zeros."""
+    grid_shape = tuple(draw(st.lists(st.integers(5, 8), min_size=1, max_size=3)))
+    slots = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    layout = draw(st.sampled_from(["contiguous", "trailing", "grid"]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    full = list(grid_shape + slots)
+    if layout == "trailing":
+        full.append(2)
+    elif layout == "grid":
+        full[0] *= 2
+    base = gen.standard_normal(full) * 10.0 ** gen.integers(-3, 4, size=full)
+    # all signed zeros, too: the sign of a zero row depends on every term
+    palette = draw(st.sampled_from([SPECIAL_ENTRIES, SPECIAL_ENTRIES[:2]]))
+    special = gen.random(full) < draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    base[special] = gen.choice(palette, size=int(special.sum()))
+    values = base[..., 1] if layout == "trailing" else base[::2] if layout == "grid" else base
+    axis = draw(st.integers(0, len(grid_shape) - 1))
+    return values, axis
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(stencil_inputs(), st.sampled_from([2, 4]), st.booleans(),
+       st.floats(1e-3, 10.0))
+def test_derivative_1d_bytes_match_the_roll_stencil(case, order, periodic, h):
+    values, axis = case
+    with np.errstate(all="ignore"):
+        got = _derivative_1d(values, axis, h, order, periodic)
+        want = derivative_1d_reference(values, axis, h, order, periodic)
+        dense = _derivative_1d(np.ascontiguousarray(values), axis, h, order, periodic)
+    assert got.shape == values.shape
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == dense.tobytes()
 
 
 # ---------------------------------------------------------------------------
