@@ -9,7 +9,9 @@ the discrete energy gradient vanishes.
 
 Evaluation.  One first-stage evaluation of a pair at a map
 (``DensityEvaluation``) holds P's flattened blocks, b and y (one
-matrix-vector product each of the blocks with w_{bi} = phi^{ab} f^i_a),
+matrix-vector product each of the blocks with w_{bi} = phi^{ab} f^i_a,
+each only where the pair reads it: a conformal pair reads b only through
+sigma and y only through tau, and a block is evaluated only for its own),
 g^{-1}(a, b) by ``invert_metric``, h(f, y) and L = g^{gm} (f^T h f)_{gm} / 2;
 ``lagrangian_density`` and ``density_partials`` both read it, so the
 energy and the residual of one map share it.  A general pair's residual
@@ -275,9 +277,13 @@ def _connection_blocks(P: ConnectionTensor, a_pts: np.ndarray, f_vals: np.ndarra
                        ) -> tuple[np.ndarray, np.ndarray]:
     """P's source and target blocks at (a, f) with the two lower slots
     flattened: (..., m, m*n) and (..., n, m*n)."""
-    src = np.asarray(P.source(a_pts, f_vals), float)
-    tgt = np.asarray(P.target(a_pts, f_vals), float)
-    return (src.reshape(src.shape[:-2] + (-1,)), tgt.reshape(tgt.shape[:-2] + (-1,)))
+    return _flat_block(P.source, a_pts, f_vals), _flat_block(P.target, a_pts, f_vals)
+
+
+def _flat_block(block, a_pts: np.ndarray, f_vals: np.ndarray) -> np.ndarray:
+    """One block of P at (a, f), its two lower slots flattened."""
+    vals = np.asarray(block(a_pts, f_vals), float)
+    return vals.reshape(vals.shape[:-2] + (-1,))
 
 
 def _raised_jet(jet_vals: np.ndarray, phi_inv: np.ndarray) -> np.ndarray:
@@ -285,12 +291,11 @@ def _raised_jet(jet_vals: np.ndarray, phi_inv: np.ndarray) -> np.ndarray:
     return np.swapaxes(jet_vals @ phi_inv, -1, -2)
 
 
-def _arguments(blocks: tuple[np.ndarray, np.ndarray], w: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """b and y from flattened connection blocks and the raised jet w."""
-    src, tgt = blocks
+def _arguments(blocks: tuple, w: np.ndarray) -> tuple:
+    """b and y from flattened connection blocks and the raised jet w; an
+    argument whose block is given as None is None."""
     flat = w.reshape(w.shape[:-2] + (-1, 1))     # flattened like the blocks' lower slots
-    return (src @ flat)[..., 0], (tgt @ flat)[..., 0]
+    return tuple(None if block is None else (block @ flat)[..., 0] for block in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +378,11 @@ def _node_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 class _Stage(NamedTuple):
     """The first stage of the density at one map: the induced arguments,
     g^{-1}(a, b), h(x, y), e^{2 tau} (None without tau or for a general
-    pair) and L, per node."""
+    pair) and L, per node.  b and y are None where the pair does not read
+    them, so their blocks were not given (``DensityEvaluation.stage``)."""
 
-    b: np.ndarray
-    y: np.ndarray
+    b: np.ndarray | None
+    y: np.ndarray | None
     ginv: np.ndarray
     h: np.ndarray
     tau_scale: np.ndarray | None
@@ -384,14 +390,17 @@ class _Stage(NamedTuple):
 
 
 def _first_stage(a_pts: np.ndarray, f_vals: np.ndarray, jet_vals: np.ndarray,
-                 pair: MetricPair, blocks: tuple[np.ndarray, np.ndarray],
-                 phi_inv: np.ndarray, grid: ChartGrid) -> _Stage:
+                 pair: MetricPair, blocks: tuple, phi_inv: np.ndarray, grid: ChartGrid
+                 ) -> _Stage:
     """The density and its intermediates with b and y recomputed from the
     given jet (their dependence on the map is part of the variational
-    structure); ``blocks`` are the flattened connection blocks at
-    (a, f_vals).  A conformal pair is evaluated from its ingredients, so
-    e^{2 tau} is kept."""
-    b, y = _arguments(blocks, _raised_jet(jet_vals, phi_inv))
+    structure); ``blocks`` are the flattened source and target blocks of
+    the connection at (a, f_vals), either None where the pair does not read
+    its argument, which is then None too.  A conformal pair is evaluated
+    from its ingredients, so e^{2 tau} is kept."""
+    b = y = None
+    if any(block is not None for block in blocks):
+        b, y = _arguments(blocks, _raised_jet(jet_vals, phi_inv))
     conformal = pair.psi is not None
     if conformal:
         gmat = _scaled(pair.phi(a_pts), None if pair.sigma is None else pair.sigma(a_pts, b),
@@ -414,8 +423,12 @@ def _first_stage(a_pts: np.ndarray, f_vals: np.ndarray, jet_vals: np.ndarray,
 class DensityEvaluation:
     """The first-stage evaluation of a pair's density at a map, each part
     computed on first use: phi^{-1} and sqrt(phi) of the sampled source
-    metric, P's flattened blocks at (a, f) and the ``_Stage`` (b, y,
-    g^{-1} by ``invert_metric``, h, e^{2 tau} and L).  ``lagrangian_density``,
+    metric, P's flattened source and target blocks at (a, f) and the
+    ``_Stage`` (b, y, g^{-1} by ``invert_metric``, h, e^{2 tau} and L).
+    The stage evaluates a block only where the pair reads its argument: a
+    general pair reads both, a conformal pair b only through sigma and y
+    only through tau, so one with neither never evaluates P.
+    ``lagrangian_density``,
     ``density_partials`` and ``el_residual`` take one as ``evaluation``,
     so the energy and the residual of a map evaluate the pair there once;
     it must be an evaluation of the very (f, pair, P, phi) they are given.
@@ -437,14 +450,20 @@ class DensityEvaluation:
         return sqrt_det(self.phi).values
 
     @cached_property
-    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        return _connection_blocks(self.P, self.points, self.f.values)
+    def source_block(self) -> np.ndarray:
+        return _flat_block(self.P.source, self.points, self.f.values)
+
+    @cached_property
+    def target_block(self) -> np.ndarray:
+        return _flat_block(self.P.target, self.points, self.f.values)
 
     @cached_property
     def stage(self) -> _Stage:
-        f = self.f
-        return _first_stage(self.points, f.values, f.jet, self.pair, self.blocks,
-                            self.phi_inv, f.grid)
+        f, pair = self.f, self.pair
+        general = pair.psi is None
+        blocks = (self.source_block if general or pair.sigma is not None else None,
+                  self.target_block if general or pair.tau is not None else None)
+        return _first_stage(self.points, f.values, f.jet, pair, blocks, self.phi_inv, f.grid)
 
 
 def _evaluation_of(f: MapJet, pair: MetricPair, P: ConnectionTensor, phi: MetricField,
@@ -501,7 +520,8 @@ def density_partials(f: MapJet, pair: MetricPair, P: ConnectionTensor,
     # The jet is differenced as n*m coordinates per node, entry (i, a) at i*m + a.
     dLdjet = central_partials(
         lambda jv: _first_stage(a_pts, f.values, jv.reshape(jv.shape[:-1] + (n, m)),
-                                pair, ev.blocks, phi_inv, grid).density,
+                                pair, (ev.source_block, ev.target_block), phi_inv,
+                                grid).density,
         f.jet.reshape(grid.shape + (n * m,)), fd_step)
     return dLdf, dLdjet.reshape(grid.shape + (n, m))
 
@@ -571,7 +591,6 @@ def _conformal_jet_partials(ev: DensityEvaluation, pair: MetricPair, P: Connecti
     intermediate is freed once read, so little besides the evaluation is
     held at once."""
     st, a_pts, x, jet = ev.stage, ev.points, ev.f.values, ev.f.jet
-    src, tgt = ev.blocks
     jet_t = np.swapaxes(jet, -1, -2)
     hj = _node_product(st.h, jet)
     dLdjet = _node_product(hj, st.ginv)
@@ -584,13 +603,13 @@ def _conformal_jet_partials(ev: DensityEvaluation, pair: MetricPair, P: Connecti
         w = _raised_jet(jet, ev.phi_inv)[..., None, :, :]
     if pair.sigma is not None:
         ds = _partials(pair.sigma, pair.sigma_db, (a_pts, st.b), 1, fd_step)
-        R = _node_product(ds[..., None, :], src)
+        R = _node_product(ds[..., None, :], ev.source_block)
         if P.source_depends_on_x:
             in_x.append((P.source, P.source_dx, (two_L[..., None] * ds)[..., None, None] * w))
         del ds
     if pair.tau is not None:
         dt = _partials(pair.tau, pair.tau_dy, (x, st.y), 1, fd_step)
-        R = R + _node_product(dt[..., None, :], tgt)
+        R = R + _node_product(dt[..., None, :], ev.target_block)
         if P.target_depends_on_x:
             in_x.append((P.target, None, (two_L[..., None] * dt)[..., None, None] * w))
         del dt

@@ -22,8 +22,10 @@ builtins that holds only the grammar's functions:
 
 A scenario evaluator has one float entry, ``at_point``, which takes the
 float lowering: the scalars of one point as Python floats in, a tuple of
-floats out.  The RK4 orbit calls it directly; an evaluator called on one
-point as 1-D arrays goes through it too.  Where the float lowering raises
+floats out.  An evaluator called on one point as 1-D arrays goes through
+it.  The RK4 orbit calls the float lowering itself, and ``at_point`` at
+each stage of an interval where that raises or ends non-finite (see
+``systems.integrate_orbit``).  Where the float lowering raises
 ZeroDivisionError or gives a non-finite value, ``at_point`` returns the
 array path's result for the point instead, so the values are
 bit-identical on both paths, and numpy's warnings for a

@@ -721,7 +721,8 @@ class _Outputs:
     of Python floats out, by the float lowering.  Called on one point,
     every argument a 1-D float64 array of its dimension, the evaluator
     returns that tuple as an array of ``shape``; any other call takes the
-    array path."""
+    array path.  ``point_form`` is the raw float lowering, for a caller
+    that checks its results itself (the RK4 orbit)."""
 
     def __init__(self, sources, args, shape: tuple, vectors: bool = False):
         self.args = tuple(args)
@@ -746,12 +747,20 @@ class _Outputs:
             flat[..., j] = value    # broadcasts constants
         return out
 
+    @property
+    def point_form(self):
+        """The float lowering of the outputs (``Expression.point_form``):
+        it raises ZeroDivisionError where ``at_point`` takes the array path
+        for that reason, and its non-finite values are not replaced.  None
+        when the expressions use dot."""
+        return self.expr.point_form
+
     def at_point(self, *values: float) -> tuple:
         """The outputs at one point, the arguments' components in order as
         Python floats, as a tuple of floats in row-major order.  Where the
         float lowering raises ZeroDivisionError, gives a non-finite value or
         does not exist (dot), it is the array path's result for the point."""
-        form = self.expr.point_form
+        form = self.point_form
         if form is not None:
             try:
                 outputs = form(*values)

@@ -19,6 +19,7 @@ proportional family, not only exact solutions.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -165,8 +166,22 @@ def integrate_orbit(xi, x0, t0: float, t1: float, nodes: int,
     """Fixed-step classical fourth-order Runge-Kutta orbit of a vector
     field, landing exactly on the curve grid nodes (each grid interval is
     split into equal substeps no longer than ``max_step``, see
-    :func:`rk4_substeps`).  A scenario evaluator is called through its float
-    entry ``at_point``, any other callable on one point as an array.
+    :func:`rk4_substeps`).
+
+    The stages are combined in Python floats: the same IEEE operations in
+    the same order as the array expressions x + h/2 k1, ...,
+    x + h/6 (k1 + 2 k2 + 2 k3 + k4), each grid interval's substeps in one
+    compiled loop (:func:`_rk4_interval`).  A scenario evaluator with a
+    float lowering (``point_form``) is called through it directly.  An
+    interval where that raises ZeroDivisionError or whose end point is not
+    finite is redone from its start through ``at_point``, which takes the
+    array path at such a stage; a non-finite stage always leaves a
+    non-finite end point, since each stage enters it with a nonzero
+    coefficient.  So the samples are bit-identical to calling ``at_point``
+    at every stage.  An evaluator without a float lowering is called
+    through ``at_point`` at every stage, any other callable on one point as
+    an array.
+
     numpy's floating-point warnings are silenced here, in the stages and
     in the velocity stencil: an orbit that leaves the domain of xi gives
     non-finite samples, which callers count."""
@@ -175,30 +190,59 @@ def integrate_orbit(xi, x0, t0: float, t1: float, nodes: int,
     h = grid.spacing[0] / k
     half_h, sixth_h = 0.5 * h, h / 6.0
 
+    point_form = getattr(xi, "point_form", None)
     at_point = getattr(xi, "at_point", None)
+    if at_point is None:
+        def at_point(*point):
+            return np.asarray(xi(np.array(point)), float).tolist()
 
-    def slope(point):
-        if at_point is not None:
-            return at_point(*point)
-        return np.asarray(xi(np.array(point)), float).tolist()
-
-    # The stages are combined in Python floats: the same IEEE operations in
-    # the same order as the array expressions x + h/2 k1, ...,
-    # x + h/6 (k1 + 2 k2 + 2 k3 + k4), without numpy's per-operation
-    # overhead on a handful of components.
     x = np.asarray(x0, dtype=float).tolist()
+    interval = _rk4_interval(len(x))
     samples = [x]
     with np.errstate(all="ignore"):
         for _ in range(nodes - 1):
-            for _ in range(k):
-                k1 = slope(x)
-                k2 = slope([a + half_h * b for a, b in zip(x, k1)])
-                k3 = slope([a + half_h * b for a, b in zip(x, k2)])
-                k4 = slope([a + h * b for a, b in zip(x, k3)])
-                x = [a + sixth_h * (p + 2 * q + 2 * r + s)
-                     for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
+            end = None
+            if point_form is not None:
+                try:
+                    end = interval(point_form, x, k, h, half_h, sixth_h)
+                except ZeroDivisionError:
+                    pass
+                else:
+                    if not all(map(math.isfinite, end)):
+                        end = None
+            x = interval(at_point, x, k, h, half_h, sixth_h) if end is None else end
             samples.append(x)
         return SampledCurve.from_values(grid, np.array(samples))
+
+
+@functools.cache
+def _rk4_interval(n: int):
+    """``interval(f, x, k, h, half_h, sixth_h)``: k RK4 substeps from the
+    point x (a list of n floats) under the float function f of n floats,
+    the four stages and the combination unrolled over the n components,
+    returning the end point as a list.  The code is generated from n
+    alone."""
+    xs = [f"x{i}" for i in range(n)]
+
+    def stage(name, step, prev):
+        args = xs if prev is None else [f"{x} + {step} * {prev}{i}" for i, x in enumerate(xs)]
+        return f"        {''.join(f'{name}{i}, ' for i in range(n))}= f({', '.join(args)})"
+
+    source = "\n".join([
+        "def interval(f, x, k, h, half_h, sixth_h):",
+        f"    {''.join(x + ', ' for x in xs)}= x",
+        "    for _ in range(k):",
+        stage("p", None, None),
+        stage("q", "half_h", "p"),
+        stage("r", "half_h", "q"),
+        stage("s", "h", "r"),
+        *(f"        {x} = {x} + sixth_h * (p{i} + 2 * q{i} + 2 * r{i} + s{i})"
+          for i, x in enumerate(xs)),
+        f"    return [{', '.join(xs)}]",
+    ])
+    namespace: dict = {}
+    exec(compile(source, f"<rk4 interval, n={n}>", "exec"), namespace)
+    return namespace["interval"]
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +252,23 @@ def integrate_orbit(xi, x0, t0: float, t1: float, nodes: int,
 
 def section_scalar_product(T_vals: np.ndarray, S_vals: np.ndarray,
                            phi_inv: np.ndarray, psi_vals: np.ndarray) -> np.ndarray:
-    """<T, S> = phi^{ab} psi_ij T^i_a S^j_b per node."""
-    return np.einsum("...ab,...ij,...ia,...jb->...", phi_inv, psi_vals, T_vals, S_vals)
+    """<T, S> = phi^{ab} psi_ij T^i_a S^j_b per node, entry by entry in
+    the order of ``np.einsum("...ab,...ij,...ia,...jb->...")``: each term
+    (phi^{ab} psi_ij) T^i_a S^j_b over (i, a, j, b), added into +0.0.  On
+    three or more nodes (a chart has at least five) of C-ordered T and S
+    that gives the einsum's bits, up to the sign and payload of a NaN.
+    The einsum sums in its operands' memory order, so on a transposed T or
+    S it gives other last bits; this sum has those of the C-ordered copy."""
+    n, m = T_vals.shape[-2:]
+    lead = np.broadcast_shapes(phi_inv.shape[:-2], psi_vals.shape[:-2],
+                               T_vals.shape[:-2], S_vals.shape[:-2])
+    out, term = np.zeros(lead), np.empty(lead)
+    for i, a, j, b in np.ndindex(n, m, n, m):
+        np.multiply(phi_inv[..., a, b], psi_vals[..., i, j], out=term)
+        term *= T_vals[..., i, a]
+        term *= S_vals[..., j, b]
+        out += term
+    return out
 
 
 def _pairing_guard(pair_vals, norm_df, norm_T, eps_sing, grid):

@@ -1127,3 +1127,42 @@ def test_an_evaluation_of_other_arguments_is_rejected():
                  lambda: el_residual(f, pair, replace(P), phi, evaluation=ev)):
         with pytest.raises(ValueError, match="evaluation is of another"):
             call()
+
+
+@pytest.mark.parametrize("factor", [None, "sigma", "tau"])
+def test_a_conformal_pair_evaluates_only_the_blocks_its_factors_read(factor):
+    # sigma reads b, the source block's argument, and tau reads y, the
+    # target block's: a block that no factor reads raising gives the
+    # density and residual of the zero block there, byte for byte
+    grid = torus(9)
+    f = MapJet.from_values(grid, smooth_map(grid, 2, seed=7))
+    phi = identity_metric(grid)
+
+    def psi(x):
+        return (1.0 + 0.1 * x[..., :1, None] ** 2) * np.eye(2) + 0.05 * np.sin(x[..., 1:, None])
+
+    def log_factor(p, arg):
+        return 0.1 * np.sin(p[..., 0]) * np.cos(arg[..., 0] + 0.5 * arg[..., 1])
+
+    def read(a, x):
+        out = np.zeros(a.shape[:-1] + (2, 2, 2))
+        out[..., 0, 0, 0] = 0.4 + 0.1 * np.sin(x[..., 0])
+        out[..., 1, 0, 1] = 0.3 * np.cos(a[..., 1])
+        return out
+
+    def unread(a, x):
+        raise AssertionError("an unread block is evaluated")
+
+    def connection(other):
+        return ConnectionTensor(source=read if factor == "sigma" else other,
+                                target=read if factor == "tau" else other, m=2, n=2)
+
+    pair = MetricPair.conformal(lambda a: phi.values, psi,
+                                **({} if factor is None else {factor: log_factor}))
+    raising = connection(unread)
+    zero = connection(lambda a, x: np.zeros(a.shape[:-1] + (2, 2, 2)))
+    for fn in (lagrangian_density, el_residual):
+        got, ref = fn(f, pair, raising, phi).values, fn(f, pair, zero, phi).values
+        assert got.tobytes() == ref.tobytes()
+    stage = DensityEvaluation(f, pair, raising, phi).stage
+    assert (stage.b is None) == (factor != "sigma") and (stage.y is None) == (factor != "tau")

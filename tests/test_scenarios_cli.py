@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -31,8 +32,8 @@ from glharmonic.scenarios import (
     system_matrix_evaluator,
     validate_scenario,
 )
-from glharmonic.systems import integrate_orbit
-from glharmonic.tensor_core import invert_metric
+from glharmonic.systems import integrate_orbit, rk4_substeps
+from glharmonic.tensor_core import interval_grid, invert_metric
 
 runner = CliRunner()
 
@@ -1002,6 +1003,109 @@ def test_orbit_float_entry_falls_back_to_the_array_path(float_lowering, monkeypa
         curve, ref = _orbit_pair(["1", "exp(1000*x1)"], [0.0, 0.0], 1.0)
     _same_bytes(curve, ref)
     assert np.isinf(curve[-1, 1]) and np.all(np.isfinite(curve[:50]))
+
+
+def _count_at_point(monkeypatch) -> list:
+    """The points of every evaluator ``at_point`` call from here on, in
+    order."""
+    import glharmonic.scenarios as scenarios_module
+
+    calls = []
+    original = scenarios_module._Outputs.at_point
+
+    def counted(self, *values):
+        calls.append(values)
+        return original(self, *values)
+
+    monkeypatch.setattr(scenarios_module._Outputs, "at_point", counted)
+    return calls
+
+
+def _per_stage(xi):
+    """xi without its float lowering: integrate_orbit calls its at_point at
+    every stage."""
+    return types.SimpleNamespace(at_point=xi.at_point)
+
+
+STEP = 0.012    # 5 RK4 substeps per interval of a 21-node unit interval
+
+
+def _array_rk4(f, x0, nodes, max_step):
+    """The RK4 orbit on [0, 1] as numpy array expressions, stage by stage:
+    the reference for the order of the float loop's operations."""
+    grid = interval_grid(0.0, 1.0, nodes)
+    k = rk4_substeps(grid, max_step)
+    h = grid.spacing[0] / k
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    x = np.array(x0, float)
+    samples = [x]
+    for _ in range(nodes - 1):
+        for _ in range(k):
+            k1 = f(x)
+            k2 = f(x + half_h * k1)
+            k3 = f(x + half_h * k2)
+            k4 = f(x + h * k3)
+            x = x + sixth_h * (k1 + 2 * k2 + 2 * k3 + k4)
+        samples.append(x)
+    return np.array(samples)
+
+
+@pytest.mark.parametrize("exprs, x0", [
+    (["-0.5*x1 + sin(x1)"], [0.3]),
+    (["-x2 + 0.1*sin(x1)", "x1*exp(-0.05*x2)"], [1.0, 0.0]),
+    (["x2*cos(x3)", "-x1 + ln(2 + x3*x3)", "abs(x1) - 0.3*x2/(1 + x3*x3)"], [0.4, -0.2, 0.7]),
+])
+def test_fused_orbit_matches_the_per_stage_route(exprs, x0, monkeypatch):
+    # n = 1, 2 and 3: the compiled interval loop gives the bytes of
+    # at_point at every stage, of the array path and of the RK4 written as
+    # array expressions, and an all-finite orbit never calls at_point
+    k = rk4_substeps(interval_grid(0.0, 1.0, 21), STEP)
+    assert k == 5
+    xi = covector_evaluator(exprs, len(x0), "x")
+    calls = _count_at_point(monkeypatch)
+    curve = integrate_orbit(xi, x0, 0.0, 1.0, nodes=21, max_step=STEP).values
+    assert calls == []
+    _same_bytes(curve, integrate_orbit(_per_stage(xi), x0, 0.0, 1.0, nodes=21,
+                                       max_step=STEP).values)
+    assert len(calls) == 4 * k * 20
+    _same_bytes(curve, integrate_orbit(lambda pts: xi(pts[None])[0], x0, 0.0, 1.0, nodes=21,
+                                       max_step=STEP).values)
+    _same_bytes(curve, _array_rk4(lambda pts: xi(pts[None])[0], x0, 21, STEP))
+
+
+def test_fused_orbit_redoes_only_the_interval_that_divides_by_zero(monkeypatch):
+    # x2' = 1/(1/(x1 - c)) is x1 - c on the float path except at x1 == c,
+    # where the float lowering divides by zero and the array path gives
+    # 1/(1/0) = 0.  c is the midpoint x1 + h/2 of interval 7's first
+    # substep, where its second and third stages are evaluated; x1' = 1
+    # takes the same steps whatever x2 does.
+    drift = integrate_orbit(covector_evaluator(["1", "0"], 2, "x"), [0.0, 0.0], 0.0, 1.0,
+                            nodes=21, max_step=STEP).values
+    half_h = 0.5 * (interval_grid(0.0, 1.0, 21).spacing[0] / 5)
+    xi = covector_evaluator(["1", f"1/(1/(x1 - {float(drift[7, 0] + half_h)!r}))"], 2, "x")
+    calls = _count_at_point(monkeypatch)
+    curve = integrate_orbit(xi, [0.0, 0.0], 0.0, 1.0, nodes=21, max_step=STEP).values
+    # interval 7 alone is redone stage by stage; 0-6 and 8-19 run fused
+    assert len(calls) == 4 * 5 and calls[0] == tuple(curve[7].tolist())
+    _same_bytes(curve[:, 0], drift[:, 0])
+    del calls[:]
+    _same_bytes(curve, integrate_orbit(_per_stage(xi), [0.0, 0.0], 0.0, 1.0, nodes=21,
+                                       max_step=STEP).values)
+
+
+def test_fused_orbit_redoes_every_interval_from_the_first_non_finite_one(monkeypatch):
+    # exp(1000*x1) overflows once x1 passes ln(max float)/1000 = 0.70978,
+    # at t = 0.70478 from x1 = 0.005: at the fifth of interval 70's ten
+    # substeps.  That interval and every later one are redone stage by stage.
+    xi = covector_evaluator(["1", "exp(1000*x1)"], 2, "x")
+    calls = _count_at_point(monkeypatch)
+    curve = integrate_orbit(xi, [0.005, 0.0], 0.0, 1.0, nodes=101).values
+    first = int(np.flatnonzero(~np.all(np.isfinite(curve), axis=1))[0]) - 1
+    assert first == 70 and np.all(np.isfinite(curve[:71])) and np.isinf(curve[-1, 1])
+    assert len(calls) == 4 * 10 * (100 - first) and calls[0] == tuple(curve[first].tolist())
+    del calls[:]
+    _same_bytes(curve, integrate_orbit(_per_stage(xi), [0.005, 0.0], 0.0, 1.0,
+                                       nodes=101).values)
 
 
 def _per_node_group_oracle(gens, f, phi, psi_eval):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from glharmonic import systems
 from glharmonic.energy import (
@@ -127,6 +128,46 @@ def test_cauchy_schwarz_squared_and_equality_case():
     ts_p = section_scalar_product(T, S_prop, phi_inv, psi)
     ss_p = section_scalar_product(S_prop, S_prop, phi_inv, psi)
     assert np.max(np.abs(ts_p**2 - tt * ss_p)) < 1e-10 * np.max(tt * ss_p)
+
+
+_SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.2e-310, 1e300, -1e-300]
+
+
+def _entries(shape):
+    return hnp.arrays(np.float64, shape, elements=st.one_of(
+        st.sampled_from(_SPECIAL), st.floats(-1e3, 1e3), st.floats(allow_subnormal=True)))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(m=st.integers(1, 3), n=st.integers(1, 3), per_node_phi=st.booleans(),
+       per_node_psi=st.booleans(), transposed=st.sampled_from(["", "T", "S"]),
+       lead=st.sampled_from([(3,), (5,), (9,), (5, 6)]), data=st.data())
+def test_scalar_product_has_the_bits_of_its_einsum(m, n, per_node_phi, per_node_psi,
+                                                    transposed, lead, data):
+    # the einsum it replaces is the reference: the same bits wherever it
+    # is not NaN (the sign and payload of a NaN differ between numpy's own
+    # vector and scalar loops), NaN at the same nodes; phi^{-1} and psi
+    # either per node or one block broadcast over the nodes.  T or S may be
+    # a transposed view: the einsum sums in its operands' memory order,
+    # the scalar product in index order, so such a view gives the bits of
+    # its C-ordered copy
+    phi_inv = data.draw(_entries((lead if per_node_phi else ()) + (m, m)), label="phi_inv")
+    psi = data.draw(_entries((lead if per_node_psi else ()) + (n, n)), label="psi")
+
+    def section(name):
+        if name != transposed:
+            return data.draw(_entries(lead + (n, m)), label=name)
+        return np.swapaxes(data.draw(_entries(lead + (m, n)), label=name), -1, -2)
+
+    T, S = section("T"), section("S")
+    with np.errstate(all="ignore"):
+        ref = np.einsum("...ab,...ij,...ia,...jb->...", phi_inv, psi, np.ascontiguousarray(T),
+                        np.ascontiguousarray(S))
+        got = section_scalar_product(T, S, phi_inv, psi)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.array_equal(np.isnan(got), np.isnan(ref))
+    assert (np.where(np.isnan(got), 0.0, got).tobytes()
+            == np.where(np.isnan(ref), 0.0, ref).tobytes())
 
 
 # ---------------------------------------------------------------------------
