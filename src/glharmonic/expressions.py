@@ -14,25 +14,16 @@ builtins that holds only the grammar's functions:
 - the array lowering, on the first evaluation: operators call the numpy
   ufuncs, literals are floats, pi and e are literals, and variables are
   lookups in an environment of arrays;
-- the float lowering, on the first evaluation at a single point: the
-  scalars are positional Python floats, ``+ - * /`` and unary minus stay
-  Python operators, and exp, ln, sin, cos and abs call the numpy ufuncs
-  (same values and warnings as on 0-d arrays) with the result converted
-  to a float.  A list that uses dot has no float lowering.
+- the float lowering, on the first read of ``point_form``: the scalars
+  are positional Python floats, ``+ - * /`` and unary minus stay Python
+  operators, and exp, ln, sin, cos and abs call the numpy ufuncs (same
+  values and warnings as on 0-d arrays) with the result converted to a
+  float.  A list that uses dot has no float lowering.
 
-A scenario evaluator has one float entry, ``at_point``, which takes the
-float lowering: the scalars of one point as Python floats in, a tuple of
-floats out.  An evaluator called on one point as 1-D arrays goes through
-it.  The RK4 orbit calls the float lowering itself, and ``at_point`` at
-each stage of an interval where that raises or ends non-finite (see
-``systems.integrate_orbit``).  Where the float lowering raises
-ZeroDivisionError or gives a non-finite value, ``at_point`` returns the
-array path's result for the point instead, so the values are
-bit-identical on both paths, and numpy's warnings for a
-non-finite result are the array path's (a ufunc warning the float path
-already gave is then given twice).  The one difference: an intermediate
-overflow in ``+ - * /`` whose result still ends finite gives no overflow
-warning on the float path.
+A scenario evaluator is called on the array lowering, on one point as on
+many.  Only the RK4 orbit reads the float lowering, and it takes the
+array call at each stage of an interval where that raises or ends
+non-finite (see ``systems.integrate_orbit``).
 
 :func:`derivative` differentiates a checked tree symbolically (Griewank &
 Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 2): the sum,

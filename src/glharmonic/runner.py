@@ -36,7 +36,7 @@ from .energy import (
 )
 from .errors import GLHarmonicError, SingularMetricError
 from .field_equations import einstein_system, maxwell_residuals
-from .gl_space import conformal_space
+from .gl_space import conformal_space, zero_sigma, zero_sigma_jet
 from .riemann import curvature_package
 from .systems import (
     DEFAULT_RK4_STEP,
@@ -50,7 +50,14 @@ from .systems import (
     orbit_geodesic_residual,
     unit,
 )
-from .tensor_core import ChartGrid, MetricField, identity_metric, sample_metric, volume_integral
+from .tensor_core import (
+    ChartGrid,
+    MetricField,
+    identity_metric,
+    invert_metric,
+    sample_metric,
+    volume_integral,
+)
 
 FORMAT = "%.17g"
 # Cells formatted and written per block.  It bounds the transient memory of a
@@ -144,8 +151,9 @@ class _FormatTables(NamedTuple):
 def _format_tables() -> _FormatTables:
     """The tables of the numpy FORMAT, built once a process.
 
-    They take 0.56 MB and live as long as the process, so they are built
-    before any task's arrays (``_reserve_dump_tables``): built lazily
+    They take 0.56 MB and live as long as the process, so ``run_scenario``
+    builds them before any task's arrays, whether or not the scenario
+    dumps: built lazily
     inside the first dump, they pinned the heap above the space the task
     arrays later free, and harmonic-maps' ``peak_rss_mb`` rose 2.1 MB instead
     of 1.0 MB over the writer without them (5 s runs, two each)."""
@@ -184,12 +192,6 @@ def _format_tables() -> _FormatTables:
         layouts=np.array([_layout(negative, form, n) for negative in (False, True)
                           for form in range(_FORMS) for n in range(1, 18)], dtype=np.intp),
         offsets=np.repeat(np.arange(0, _GATHER_ROWS * _ROW, _ROW), _WIDTH).reshape(-1, _WIDTH))
-
-
-def _reserve_dump_tables() -> None:
-    """Build the dump formatter's tables ahead of a scenario's arrays (see
-    ``_format_tables``), whether or not the scenario dumps."""
-    _format_tables()
 
 
 def _scaled(a: np.ndarray, p: np.ndarray, t: _FormatTables) -> tuple[np.ndarray, np.ndarray]:
@@ -673,8 +675,6 @@ def _task_group(ctx: _Context, task: dict, dumps):
 def _group_loop_oracle(gens, f, phi, psi_eval):
     """Plain-loop evaluation of the group density: explicit loops over the
     generators and every index, each term taken over the whole grid."""
-    from .tensor_core import invert_metric
-
     grid = f.grid
     pts = grid.points()
     phi_inv = invert_metric(phi).values
@@ -781,8 +781,6 @@ def _task_einstein(ctx: _Context, task: dict, dumps):
         scalars["scalar_curvature_error"] = err
         ok = ok and err <= task.get("scalar_tol", 1e-3)
     if task.get("check_sigma_zero_reduction"):
-        from .gl_space import zero_sigma, zero_sigma_jet
-
         reduced = conformal_space(space.base, zero_sigma, zero_sigma_jet)
         sys0 = einstein_system(reduced, K, np.asarray(ctx.spec["samples"][0], float),
                                energy_momentum=False)
@@ -819,7 +817,7 @@ def run_scenario(spec: dict, out_dir, stencil_override: int | None = None) -> di
     passed.
     """
     spec = sc.require_valid(spec)
-    _reserve_dump_tables()
+    _format_tables()    # before the scenario's arrays: see its docstring
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ctx = _Context(spec, stencil_override)

@@ -717,12 +717,9 @@ class _Outputs:
     block of ``shape``.  With ``vectors`` each prefix is also declared as a
     vector for dot.
 
-    ``at_point`` is the one single-point entry: Python floats in, a tuple
-    of Python floats out, by the float lowering.  Called on one point,
-    every argument a 1-D float64 array of its dimension, the evaluator
-    returns that tuple as an array of ``shape``; any other call takes the
-    array path.  ``point_form`` is the raw float lowering, for a caller
-    that checks its results itself (the RK4 orbit)."""
+    A call takes the array path, on a batch of points or on one point
+    alike.  ``point_form`` is the raw float lowering, for a caller that
+    checks its results itself (the RK4 orbit)."""
 
     def __init__(self, sources, args, shape: tuple, vectors: bool = False):
         self.args = tuple(args)
@@ -732,14 +729,8 @@ class _Outputs:
         self.vectors = vectors
         self.shape = shape
         self.size = math.prod(shape)
-        self._point_shapes = tuple((dim,) for _, dim in self.args)
 
     def __call__(self, first: np.ndarray, second: np.ndarray | None = None) -> np.ndarray:
-        shapes = self._point_shapes
-        if first.shape == shapes[0] and first.dtype is _FLOAT and (
-                second is None or second.shape == shapes[1] and second.dtype is _FLOAT):
-            values = first.tolist() if second is None else first.tolist() + second.tolist()
-            return np.array(self.at_point(*values)).reshape(self.shape)
         lead = first.shape[:-1]
         out = np.zeros(lead + self.shape)
         flat = out.reshape(lead + (self.size,))
@@ -750,27 +741,13 @@ class _Outputs:
     @property
     def point_form(self):
         """The float lowering of the outputs (``Expression.point_form``):
-        it raises ZeroDivisionError where ``at_point`` takes the array path
-        for that reason, and its non-finite values are not replaced.  None
-        when the expressions use dot."""
+        the outputs at one point, the arguments' components in order as
+        Python floats, as a tuple of floats in row-major order.  Where it
+        is finite it equals the array path; it raises ZeroDivisionError
+        where the array path divides by zero, and an overflow in
+        ``+ - * /`` gives no numpy warning.  None when the expressions use
+        dot."""
         return self.expr.point_form
-
-    def at_point(self, *values: float) -> tuple:
-        """The outputs at one point, the arguments' components in order as
-        Python floats, as a tuple of floats in row-major order.  Where the
-        float lowering raises ZeroDivisionError, gives a non-finite value or
-        does not exist (dot), it is the array path's result for the point."""
-        form = self.point_form
-        if form is not None:
-            try:
-                outputs = form(*values)
-                if all(map(math.isfinite, outputs)):
-                    return outputs
-            except ZeroDivisionError:
-                pass
-        split = self.args[0][1]
-        batch = (np.array([values[:split]]), np.array([values[split:]]))[:len(self.args)]
-        return tuple(self(*batch)[0].ravel().tolist())
 
     def columns(self, first: np.ndarray, second: np.ndarray | None = None) -> tuple:
         """The outputs on the array path, each as computed: an argument's
@@ -782,9 +759,6 @@ class _Outputs:
             if self.vectors:
                 env[prefix] = a
         return self.expr(env)
-
-
-_FLOAT = np.dtype(float)
 
 
 def sampled_metric(grid: ChartGrid, spec_metric, dim: int, prefix: str) -> MetricField:

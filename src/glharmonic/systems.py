@@ -171,16 +171,16 @@ def integrate_orbit(xi, x0, t0: float, t1: float, nodes: int,
     The stages are combined in Python floats: the same IEEE operations in
     the same order as the array expressions x + h/2 k1, ...,
     x + h/6 (k1 + 2 k2 + 2 k3 + k4), each grid interval's substeps in one
-    compiled loop (:func:`_rk4_interval`).  A scenario evaluator with a
-    float lowering (``point_form``) is called through it directly.  An
-    interval where that raises ZeroDivisionError or whose end point is not
-    finite is redone from its start through ``at_point``, which takes the
-    array path at such a stage; a non-finite stage always leaves a
-    non-finite end point, since each stage enters it with a nonzero
-    coefficient.  So the samples are bit-identical to calling ``at_point``
-    at every stage.  An evaluator without a float lowering is called
-    through ``at_point`` at every stage, any other callable on one point as
-    an array.
+    compiled loop (:func:`_rk4_interval`), by one of two routes.  A
+    scenario evaluator with a float lowering (``point_form``) is called
+    through it directly.  Every other callable, and an interval where the
+    float lowering raises ZeroDivisionError or whose end point is not
+    finite, takes the per-stage route: xi called on the point as a 1-D
+    array at every stage (such an interval is redone from its start).  A
+    non-finite stage always leaves a non-finite end point, since each
+    stage enters it with a nonzero coefficient, and the float lowering
+    equals the array call wherever it is finite.  So the samples are
+    bit-identical to the per-stage route's.
 
     numpy's floating-point warnings are silenced here, in the stages and
     in the velocity stencil: an orbit that leaves the domain of xi gives
@@ -191,10 +191,9 @@ def integrate_orbit(xi, x0, t0: float, t1: float, nodes: int,
     half_h, sixth_h = 0.5 * h, h / 6.0
 
     point_form = getattr(xi, "point_form", None)
-    at_point = getattr(xi, "at_point", None)
-    if at_point is None:
-        def at_point(*point):
-            return np.asarray(xi(np.array(point)), float).tolist()
+
+    def per_stage(*point):
+        return np.asarray(xi(np.array(point)), float).tolist()
 
     x = np.asarray(x0, dtype=float).tolist()
     interval = _rk4_interval(len(x))
@@ -210,7 +209,7 @@ def integrate_orbit(xi, x0, t0: float, t1: float, nodes: int,
                 else:
                     if not all(map(math.isfinite, end)):
                         end = None
-            x = interval(at_point, x, k, h, half_h, sixth_h) if end is None else end
+            x = interval(per_stage, x, k, h, half_h, sixth_h) if end is None else end
             samples.append(x)
         return SampledCurve.from_values(grid, np.array(samples))
 

@@ -5,7 +5,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import types
 import warnings
 
 import numpy as np
@@ -932,9 +931,8 @@ POINTS = [[0.3, -1.7], [0.0, 2.0], [-0.0, np.inf]]
 
 @pytest.mark.parametrize("x", POINTS)
 def test_single_point_evaluators_match_the_array_path(x):
-    # one point takes the float lowering, unless the list uses dot or a
-    # value is non-finite; the same point as a batch of one takes the
-    # array path
+    # one point, each argument a 1-D array, gives the bytes of the same
+    # point as a batch of one
     with np.errstate(all="ignore"):
         for ev, args in _single_point_cases(x):
             _same_bytes(ev(*args), ev(*(v[None] for v in args))[0])
@@ -942,15 +940,27 @@ def test_single_point_evaluators_match_the_array_path(x):
 
 @pytest.mark.parametrize("x", POINTS)
 def test_float_entry_matches_the_array_path(x):
-    # the outputs in row-major order as Python floats, the array path's
-    # where the float lowering divides by zero, overflows or meets dot
-    cases = [(ev, args) for ev, args in _single_point_cases(x) if hasattr(ev, "at_point")]
-    assert len(cases) == 6
+    # point_form, the float lowering: the outputs in row-major order as
+    # Python floats, finite where the array path's are and then bit-equal
+    # to them.  It raises ZeroDivisionError at x1 = 0 (the three lists
+    # that divide by x1), and the list that uses dot has none.
+    cases = _single_point_cases(x)
+    assert [ev.point_form is None for ev, _ in cases] == [False] * 4 + [True, False]
+    raised = 0
     with np.errstate(all="ignore"):
-        for ev, args in cases:
-            got = ev.at_point(*(v for arg in args for v in arg.tolist()))
+        for ev, args in (case for case in cases if case[0].point_form is not None):
+            ref = ev(*(v[None] for v in args))[0].ravel()
+            try:
+                got = ev.point_form(*(v for arg in args for v in arg.tolist()))
+            except ZeroDivisionError:
+                raised += 1
+                continue
             assert type(got) is tuple and all(type(v) is float for v in got)
-            _same_bytes(np.array(got), ev(*(v[None] for v in args))[0].ravel())
+            got = np.array(got)
+            finite = np.isfinite(got)
+            assert np.array_equal(finite, np.isfinite(ref))
+            _same_bytes(got[finite], ref[finite])
+    assert raised == (3 if x[0] == 0 else 0)
 
 
 @pytest.mark.parametrize("point_shape", [(), (4, 3)])
@@ -966,14 +976,6 @@ def test_matrix_metric_is_the_symmetric_part_of_its_entries(point_shape):
                 0.5 * (values + np.swapaxes(values, -1, -2)))
     _same_bytes(metric_gradient_evaluator({"matrix": rows}, 2, "x")(pts),
                 0.5 * (grad + np.swapaxes(grad, -3, -2)))
-
-
-def test_float_entry_warns_as_the_array_path_on_a_non_finite_value():
-    # Python floats overflow silently; the array path's result comes with
-    # numpy's overflow warning
-    ev = covector_evaluator(["x1*x1", "1"], 1, "x")
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert ev.at_point(1e200) == (np.inf, 1.0)
 
 
 def _orbit_pair(exprs, x0, t1):
@@ -1005,26 +1007,27 @@ def test_orbit_float_entry_falls_back_to_the_array_path(float_lowering, monkeypa
     assert np.isinf(curve[-1, 1]) and np.all(np.isfinite(curve[:50]))
 
 
-def _count_at_point(monkeypatch) -> list:
-    """The points of every evaluator ``at_point`` call from here on, in
-    order."""
+def _count_per_stage(monkeypatch) -> list:
+    """The points of every evaluator call on one point (a 1-D first
+    argument) from here on, in order: the orbit's per-stage array calls."""
     import glharmonic.scenarios as scenarios_module
 
     calls = []
-    original = scenarios_module._Outputs.at_point
+    original = scenarios_module._Outputs.__call__
 
-    def counted(self, *values):
-        calls.append(values)
-        return original(self, *values)
+    def counted(self, first, second=None):
+        if first.ndim == 1:
+            calls.append(tuple(first.tolist()))
+        return original(self, first, second)
 
-    monkeypatch.setattr(scenarios_module._Outputs, "at_point", counted)
+    monkeypatch.setattr(scenarios_module._Outputs, "__call__", counted)
     return calls
 
 
 def _per_stage(xi):
-    """xi without its float lowering: integrate_orbit calls its at_point at
-    every stage."""
-    return types.SimpleNamespace(at_point=xi.at_point)
+    """xi without its float lowering: integrate_orbit calls it on the point
+    at every stage."""
+    return lambda point: xi(point)
 
 
 STEP = 0.012    # 5 RK4 substeps per interval of a 21-node unit interval
@@ -1056,13 +1059,14 @@ def _array_rk4(f, x0, nodes, max_step):
     (["x2*cos(x3)", "-x1 + ln(2 + x3*x3)", "abs(x1) - 0.3*x2/(1 + x3*x3)"], [0.4, -0.2, 0.7]),
 ])
 def test_fused_orbit_matches_the_per_stage_route(exprs, x0, monkeypatch):
-    # n = 1, 2 and 3: the compiled interval loop gives the bytes of
-    # at_point at every stage, of the array path and of the RK4 written as
-    # array expressions, and an all-finite orbit never calls at_point
+    # n = 1, 2 and 3: the compiled interval loop gives the bytes of the
+    # per-stage array call, of a batch of one at every stage and of the RK4
+    # written as array expressions, and an all-finite orbit never takes
+    # the per-stage route
     k = rk4_substeps(interval_grid(0.0, 1.0, 21), STEP)
     assert k == 5
     xi = covector_evaluator(exprs, len(x0), "x")
-    calls = _count_at_point(monkeypatch)
+    calls = _count_per_stage(monkeypatch)
     curve = integrate_orbit(xi, x0, 0.0, 1.0, nodes=21, max_step=STEP).values
     assert calls == []
     _same_bytes(curve, integrate_orbit(_per_stage(xi), x0, 0.0, 1.0, nodes=21,
@@ -1083,7 +1087,7 @@ def test_fused_orbit_redoes_only_the_interval_that_divides_by_zero(monkeypatch):
                             nodes=21, max_step=STEP).values
     half_h = 0.5 * (interval_grid(0.0, 1.0, 21).spacing[0] / 5)
     xi = covector_evaluator(["1", f"1/(1/(x1 - {float(drift[7, 0] + half_h)!r}))"], 2, "x")
-    calls = _count_at_point(monkeypatch)
+    calls = _count_per_stage(monkeypatch)
     curve = integrate_orbit(xi, [0.0, 0.0], 0.0, 1.0, nodes=21, max_step=STEP).values
     # interval 7 alone is redone stage by stage; 0-6 and 8-19 run fused
     assert len(calls) == 4 * 5 and calls[0] == tuple(curve[7].tolist())
@@ -1098,7 +1102,7 @@ def test_fused_orbit_redoes_every_interval_from_the_first_non_finite_one(monkeyp
     # at t = 0.70478 from x1 = 0.005: at the fifth of interval 70's ten
     # substeps.  That interval and every later one are redone stage by stage.
     xi = covector_evaluator(["1", "exp(1000*x1)"], 2, "x")
-    calls = _count_at_point(monkeypatch)
+    calls = _count_per_stage(monkeypatch)
     curve = integrate_orbit(xi, [0.005, 0.0], 0.0, 1.0, nodes=101).values
     first = int(np.flatnonzero(~np.all(np.isfinite(curve), axis=1))[0]) - 1
     assert first == 70 and np.all(np.isfinite(curve[:71])) and np.isinf(curve[-1, 1])

@@ -146,7 +146,13 @@ def test_derivative_1d_bytes_match_the_roll_stencil(case, order, periodic, h):
         want = derivative_1d_reference(values, axis, h, order, periodic)
         dense = _derivative_1d(np.ascontiguousarray(values), axis, h, order, periodic)
     assert got.shape == values.shape
-    assert got.tobytes() == want.tobytes()
+    # the slice stencil and the roll stencil may give a NaN of the other
+    # sign (a NaN's sign bit follows the order of the operations and any
+    # negation), which no dump or report shows: NaN by position, bytes
+    # everywhere else
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert (np.where(np.isnan(got), 0.0, got).tobytes()
+            == np.where(np.isnan(want), 0.0, want).tobytes())
     assert got.tobytes() == dense.tobytes()
 
 
