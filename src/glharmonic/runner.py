@@ -91,8 +91,9 @@ def dump_block_rows(n_columns: int) -> int:
 # digits round up to the next power of ten.
 _POWERS = range(-266, 299)     # p for the range, one beyond each end
 _SPLIT = 134217729.0           # 2**27 + 1, Veltkamp's splitting factor
-# Blocks with fewer distinct values are formatted by FORMAT alone, which is
-# faster there than the fixed cost of the numpy path.
+# Fewer values to format than this (a block's distinct values, or a whole
+# block formatted where it stands) go to FORMAT alone, which is faster there
+# than the fixed cost of the numpy path.
 FAST_FORMAT_MIN = 256
 # A source row holds, in code points: digits 2-17 (0-15), the exponent's
 # sign and its two or three digits (16-19), the first digit (20), ",-.0e"
@@ -297,29 +298,57 @@ def _fast_format(values: np.ndarray) -> tuple[list[str], np.ndarray]:
     return text, certain
 
 
-def _format_distinct(values: np.ndarray) -> np.ndarray:
-    """``"," + FORMAT % v`` for every entry of a float64 array, as an object
-    array of the same shape.  Each distinct bit pattern is formatted once, so
-    -0.0 and 0.0, and NaNs with different payloads, stay apart exactly as
-    they do under ``%``.  A block of one bit pattern (the 2-D Einstein
-    v_lhs) is filled with its one string, without ``np.unique``."""
-    bits = values.view(np.int64)
-    if (bits == bits.flat[0]).all():
-        # fill, not np.full, which makes one str object per entry
-        strings = np.empty(values.shape, dtype=object)
-        strings.fill(("," + FORMAT) % float(values.flat[0]))
-        return strings
-    bits, inverse = np.unique(bits, return_inverse=True)
-    distinct = bits.view(np.float64)
-    strings = np.empty(len(distinct), dtype=object)
-    slow = np.ones(len(distinct), dtype=bool)
-    if len(distinct) >= FAST_FORMAT_MIN:
-        a = np.abs(distinct)
+def _format_values(values: np.ndarray) -> np.ndarray:
+    """``"," + FORMAT % v`` for each value of a 1-D float64 array, as an
+    object array: by numpy from FAST_FORMAT_MIN values on, where it can prove
+    the rounding, else by ``FORMAT %``, with the same bytes either way."""
+    strings = np.empty(len(values), dtype=object)
+    slow = np.ones(len(values), dtype=bool)
+    if len(values) >= FAST_FORMAT_MIN:
+        a = np.abs(values)
         fast = np.flatnonzero((a >= 1e-280) & (a <= 1e280))
-        text, certain = _fast_format(distinct[fast])
+        text, certain = _fast_format(values[fast])
         strings[fast] = text
         slow[fast[certain]] = False
-    strings[slow] = [("," + FORMAT) % v for v in distinct[slow].tolist()]
+    strings[slow] = [("," + FORMAT) % v for v in values[slow].tolist()]
+    return strings
+
+
+def _format_distinct(values: np.ndarray) -> np.ndarray:
+    """``"," + FORMAT % v`` for every entry of a C-contiguous (rows, k)
+    float64 block, as an object array of the same shape, or of shape
+    (rows, 1) holding each row's k strings joined when the block is one bit
+    pattern (the 2-D Einstein v_lhs).
+
+    One ``np.sort`` of the block's bit patterns counts its distinct ones.
+    If at least half the entries are distinct, every entry is formatted
+    where it stands.  Else each distinct bit pattern is formatted once, so
+    -0.0 and 0.0, and NaNs with different payloads, stay apart exactly as
+    they do under ``%``.  The entries find theirs by ``np.searchsorted``
+    when d**2 < n (d distinct of n), a binary search over d against a
+    comparison sort over n, else by the inverse ``np.unique`` would give,
+    from an ``np.argsort``."""
+    bits = values.view(np.int64).ravel()
+    ordered = np.sort(bits)
+    if ordered[0] == ordered[-1]:
+        # fill, not np.full, which makes one str object per entry
+        strings = np.empty((len(values), 1), dtype=object)
+        strings.fill(("," + FORMAT) % float(values.flat[0]) * values.shape[1])
+        return strings
+    new = ordered[1:] != ordered[:-1]
+    n_distinct = 1 + int(np.count_nonzero(new))
+    if 2 * n_distinct >= len(bits):
+        return _format_values(values.ravel()).reshape(values.shape)
+    first = np.concatenate(([True], new))
+    distinct = ordered[first]
+    if n_distinct * n_distinct < len(bits):
+        inverse = np.searchsorted(distinct, bits)
+    else:
+        # np.unique's inverse, less its gather and compare: bits permuted
+        # by any argsort are ``ordered``
+        inverse = np.empty(len(bits), dtype=np.intp)
+        inverse[np.argsort(bits)] = np.cumsum(first) - 1
+    strings = _format_values(distinct.view(np.float64))
     return strings[inverse.reshape(values.shape)]
 
 
@@ -343,10 +372,14 @@ def dump_field_csv(path: pathlib.Path, grid: ChartGrid, values: np.ndarray,
     Each cell is written with the separator before it: the first coordinate
     with the newline that ends the previous line (the header's, for the
     first row), every other cell with a comma.  A block of rows, at most
-    DUMP_BLOCK_CELLS cells, is then one ``"".join`` of its cells.  Each
-    distinct value of a block is formatted once: by numpy when the block has
-    FAST_FORMAT_MIN distinct values or more, where it can prove the rounding,
-    else by ``FORMAT %``, with the same bytes either way."""
+    DUMP_BLOCK_CELLS cells, is then one ``"".join`` of its cells.  A block
+    takes one of three routes (``_format_distinct``): at least half its
+    values distinct, each value is formatted where it stands; fewer, each
+    distinct bit pattern is formatted once; one bit pattern, each row's
+    value columns are one string, so the join takes dim + 1 cells a row.
+    The values formatted go through numpy from FAST_FORMAT_MIN on, where it
+    can prove the rounding, else through ``FORMAT %``, with the same bytes
+    either way."""
     n_rows = int(np.prod(grid.shape))
     flat = np.ascontiguousarray(values, dtype=np.float64).reshape(n_rows, -1)
     headers = _csv_headers(grid, values, coord_prefix, value_name)
@@ -365,8 +398,10 @@ def dump_field_csv(path: pathlib.Path, grid: ChartGrid, values: np.ndarray,
             nodes = np.unravel_index(np.arange(start, stop), grid.shape)
             for k, strings in enumerate(axis_strings):
                 cells[:, k] = strings[nodes[k]]
-            cells[:, grid.dim:] = _format_distinct(flat[start:stop])
-            fh.write("".join(cells.ravel().tolist()))
+            strings = _format_distinct(flat[start:stop])
+            width = grid.dim + strings.shape[1]
+            cells[:, grid.dim:width] = strings
+            fh.write("".join(cells[:, :width].ravel().tolist()))
         fh.write("\n")
 
 

@@ -5,7 +5,9 @@ both neighbours, short decimals and exact ties at the 17th digit.
     PYTHONPATH=src python tests/format_check.py
 
 checks VALUES drawn bit patterns (10**7, seed 0) in chunks of 10**5, then
-the hard values, and exits 1 on the first chunk with a mismatch, printing it.
+the hard values, each chunk through both routes that format a dump block's
+values (see ``mismatches``), and exits 1 on the first chunk with a
+mismatch, printing it.
 ``tests/test_dump_csv.py`` runs the same comparison on a small draw.
 """
 
@@ -65,11 +67,19 @@ def drawn_values(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def mismatches(values: np.ndarray) -> list[tuple[float, str, str]]:
     """(value, written, expected) for every value whose dump text differs
-    from ``b",%.17g" % v``, through the dump's formatter with its fallback
+    from ``b",%.17g" % v``: through the dump's formatter with its fallback,
+    on the distinct values as they stand (all distinct, so formatted in
+    place) and on each of them three times over in shuffled order (one in
+    three distinct, so each distinct value formatted once and looked up),
     and through the numpy formatter alone where it is certain."""
     values = np.unique(values.view(np.int64)).view(np.float64)
     expected = [(b",%.17g" % v).decode() for v in values.tolist()]
-    written = list(zip(values.tolist(), _format_distinct(values).tolist(), expected))
+    written = list(zip(values.tolist(), _format_distinct(values[:, None]).ravel().tolist(),
+                       expected))
+    thrice = np.random.default_rng(len(values)).permutation(np.tile(np.arange(len(values)), 3))
+    repeated = _format_distinct(values[thrice, None]).ravel()
+    wrong = np.flatnonzero(repeated != np.array(expected, dtype=object)[thrice])
+    written += [(values[thrice[j]], repeated[j], expected[thrice[j]]) for j in wrong.tolist()]
     a = np.abs(values)
     fast = np.flatnonzero((a >= 1e-280) & (a <= 1e280))
     text, certain = _fast_format(values[fast])

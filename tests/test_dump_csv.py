@@ -125,6 +125,117 @@ def test_a_constant_block_matches_the_row_writer(tmp_path, value, other):
     _assert_same_bytes(tmp_path, grid, values)
 
 
+# ---------------------------------------------------------------------------
+# the three routes of a block: one bit pattern, formatted where it stands,
+# each distinct bit pattern formatted once
+# ---------------------------------------------------------------------------
+
+
+def _spy_routes(monkeypatch):
+    """Record the route of each block the dumps that follow format: "one
+    pattern", "in place", or the lookup of the deduplicated route,
+    "searchsorted" or "argsort"; and the length of every array the numpy
+    formatter takes."""
+    routes, fast = [], []
+    format_distinct, format_values, fast_format = (
+        runner._format_distinct, runner._format_values, runner._fast_format)
+
+    def spy_block(values):
+        routes.append(None)
+        strings = format_distinct(values)
+        routes[-1] = routes[-1] or "one pattern"
+        return strings
+
+    def spy_values(values):
+        routes[-1] = routes[-1] or "in place"
+        return format_values(values)
+
+    def spy_fast(values):
+        fast.append(len(values))
+        return fast_format(values)
+
+    def spy_lookup(name, fn):
+        def lookup(*args, **kwargs):
+            routes[-1] = name
+            return fn(*args, **kwargs)
+        return lookup
+
+    monkeypatch.setattr(runner, "_format_distinct", spy_block)
+    monkeypatch.setattr(runner, "_format_values", spy_values)
+    monkeypatch.setattr(runner, "_fast_format", spy_fast)
+    for name in ("searchsorted", "argsort"):
+        monkeypatch.setattr(runner.np, name, spy_lookup(name, getattr(np, name)))
+    return routes, fast
+
+
+# a 1-D scalar dump has two columns, so 4096 values to a block
+N1 = dump_block_rows(2)
+NAN_PAYLOAD = SPECIALS[10]
+
+
+@pytest.mark.parametrize("value", [-0.0, NAN_PAYLOAD])
+@pytest.mark.parametrize("first", [True, False])
+def test_a_one_pattern_block_next_to_another_across_a_block_boundary(tmp_path, monkeypatch,
+                                                                     value, first):
+    # the one-pattern block joins fewer cells a row than the other
+    shape = (64, B2 // 32)     # two blocks of B2 rows
+    grid = box_grid([(0.0, 1.0)] * 2, shape)
+    values = np.full(shape + (2,), value)
+    other = slice(B2, None) if first else slice(None, B2)
+    values.reshape(-1, 2)[other] = np.random.default_rng(2).standard_normal((B2, 2))
+    routes, _ = _spy_routes(monkeypatch)
+    _assert_same_bytes(tmp_path, grid, values)
+    assert routes == ["one pattern", "in place"][::1 if first else -1]
+
+
+def _pooled(n, n_distinct, seed):
+    """n values drawn from n_distinct bit patterns, each drawn at least once:
+    -0.0, 0.0 and a NaN payload among them."""
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([[-0.0, 0.0, NAN_PAYLOAD], rng.standard_normal(n_distinct - 3)])
+    return rng.permutation(np.concatenate([pool, rng.choice(pool, n - n_distinct)]))
+
+
+@pytest.mark.parametrize("n_distinct, route", [(10, "searchsorted"), (63, "searchsorted"),
+                                               (64, "argsort"), (N1 // 2 - 1, "argsort")])
+def test_few_distinct_values_are_formatted_once(tmp_path, monkeypatch, n_distinct, route):
+    # d**2 < n looks each value up by binary search, else by an argsort
+    values = _pooled(N1, n_distinct, n_distinct)
+    assert len(np.unique(values.view(np.int64))) == n_distinct
+    routes, fast = _spy_routes(monkeypatch)
+    _assert_same_bytes(tmp_path, box_grid([(0.0, 1.0)], (N1,)), values)
+    assert routes == [route]
+    # numpy takes the distinct values of its range: all but ±0 and the NaN
+    assert fast == ([n_distinct - 3] if n_distinct >= runner.FAST_FORMAT_MIN else [])
+
+
+def _all_distinct(n, seed):
+    """n distinct values of mixed scale, SPECIALS among them when n allows."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    if n > 10 * len(SPECIALS):
+        values[rng.choice(n, len(SPECIALS), replace=False)] = SPECIALS
+    assert len(np.unique(values.view(np.int64))) == n
+    return values
+
+
+@pytest.mark.parametrize("values", [
+    pytest.param(_pooled(N1, N1 // 2, 5), id="half-distinct"),
+    pytest.param(_all_distinct(N1, 6), id="all-distinct-with-specials"),
+    pytest.param(_all_distinct(runner.FAST_FORMAT_MIN - 1, 7), id="below-the-numpy-minimum"),
+    pytest.param(_all_distinct(runner.FAST_FORMAT_MIN, 8), id="at-the-numpy-minimum"),
+])
+def test_a_block_half_distinct_or_more_is_formatted_where_it_stands(tmp_path, monkeypatch, values):
+    routes, fast = _spy_routes(monkeypatch)
+    _assert_same_bytes(tmp_path, box_grid([(0.0, 1.0)], (len(values),)), values)
+    assert routes == ["in place"]
+    # numpy takes every value of its range, repeated or not, when there
+    # are FAST_FORMAT_MIN values to format
+    a = np.abs(values)
+    in_range = np.count_nonzero((a >= 1e-280) & (a <= 1e280))
+    assert fast == ([in_range] if len(values) >= runner.FAST_FORMAT_MIN else [])
+
+
 # a 4-D rank-3 dump has 4 + 64 columns, so far fewer rows to a block
 B4 = dump_block_rows(4 + 4 ** 3)
 
