@@ -84,6 +84,12 @@ def constant_metric(mat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return ev
 
 
+def unit(pts: np.ndarray) -> np.ndarray:
+    """The constant factor 1: the velocity connection's covector and the
+    unit factor of an orbit's or a Pfaff system's generator."""
+    return np.ones(pts.shape[:-1] + (1,))
+
+
 def central_partials(fn: Callable[[np.ndarray], np.ndarray], pts: np.ndarray,
                      rel_step: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Central differences of a vectorized point evaluator in each
@@ -203,7 +209,7 @@ class ConnectionTensor:
     def velocity(cls, n: int = -1) -> "ConnectionTensor":
         """One-dimensional source with unit covector: the induced fiber is
         the curve velocity."""
-        return cls.covector_fiber(lambda a: np.ones(a.shape[:-1] + (1,)), None, 1, n)
+        return cls.covector_fiber(unit, None, 1, n)
 
 
 def _zero_source(a_pts: np.ndarray, x_vals: np.ndarray) -> np.ndarray:

@@ -11,19 +11,18 @@ its values; each scenario evaluator (``scenarios``) holds one such list.
 There are two lowerings, each compiled once, into a namespace without
 builtins that holds only the grammar's functions:
 
-- the array lowering, on the first evaluation: operators call the numpy
+- the array lowering, on the first evaluation, which a scenario
+  evaluator calls on one point as on many: operators call the numpy
   ufuncs, literals are floats, pi and e are literals, and variables are
   lookups in an environment of arrays;
-- the float lowering, on the first read of ``point_form``: the scalars
-  are positional Python floats, ``+ - * /`` and unary minus stay Python
-  operators, and exp, ln, sin, cos and abs call the numpy ufuncs (same
-  values and warnings as on 0-d arrays) with the result converted to a
-  float.  A list that uses dot has no float lowering.
-
-A scenario evaluator is called on the array lowering, on one point as on
-many.  Only the RK4 orbit reads the float lowering, and it takes the
-array call at each stage of an interval where that raises or ends
-non-finite (see ``systems.integrate_orbit``).
+- the float lowering, on the first read of ``point_form``, which only the
+  RK4 orbit reads: the scalars are positional Python floats, ``+ - *`` and
+  unary minus stay Python operators, ``/`` is Python's but numpy's at a
+  zero divisor (±inf or nan), and exp, ln, sin, cos and abs call the
+  numpy ufuncs (same values and warnings as on 0-d arrays) with the
+  result converted to a float.  It never raises and gives the array
+  lowering's bits up to the sign and payload of a nan, but an overflow in
+  ``+ - * /`` gives no numpy warning.  A list that uses dot has none.
 
 :func:`derivative` differentiates a checked tree symbolically (Griewank &
 Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 2): the sum,
@@ -84,9 +83,16 @@ _NAMESPACE = {
     "dot": _dot,
 }
 
+
+def _float_divide(a, b):
+    """a / b on floats, numpy's ±inf or nan (and warning) at a zero divisor."""
+    return a / b if b else float(np.divide(a, b))
+
+
 # Everything the float lowering can name; its variables are parameters p0,
 # p1, ... in declaration order.
-_POINT_NAMESPACE = {"__builtins__": {}, **FUNCTIONS, **DERIVED_FUNCTIONS, "float": float}
+_POINT_NAMESPACE = {"__builtins__": {}, **FUNCTIONS, **DERIVED_FUNCTIONS, "float": float,
+                    "divide": _float_divide}
 
 
 class ExpressionError(ValueError):
@@ -263,12 +269,14 @@ def _lower(node: ast.AST, lower) -> ast.expr:
 
 def _lower_point(node: ast.AST, lower, index: Mapping[str, int]) -> ast.expr:
     """The validated tree (without dot) on Python floats, its subtrees
-    lowered by ``lower``: operators stay Python operators (a zero divisor
-    raises ZeroDivisionError), each function calls its numpy ufunc and
-    converts the result to a float, and a variable is the positional
-    parameter ``p<k>`` of its declared index, which no function name
-    shadows."""
+    lowered by ``lower``: ``+ - *`` stay Python operators, ``/`` calls
+    :func:`_float_divide` (numpy's value at a zero divisor), each function
+    calls its numpy ufunc and converts the result to a float, and a
+    variable is the positional parameter ``p<k>`` of its declared index,
+    which no function name shadows."""
     if isinstance(node, ast.BinOp):
+        if isinstance(node.op, ast.Div):
+            return _call("divide", lower(node.left), lower(node.right))
         return ast.BinOp(lower(node.left), node.op, lower(node.right), **_LOC)
     if isinstance(node, ast.UnaryOp):
         return ast.UnaryOp(node.op, lower(node.operand), **_LOC)

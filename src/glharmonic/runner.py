@@ -857,18 +857,12 @@ def run_scenario(spec: dict, out_dir, stencil_override: int | None = None) -> di
     out.mkdir(parents=True, exist_ok=True)
     ctx = _Context(spec, stencil_override)
 
-    grids = {}
-    if "m_space" in spec:
-        grids["m_space"] = list(spec["m_space"]["nodes"])
-    if "gl_space" in spec:
-        grids["gl_space"] = list(spec["gl_space"]["nodes"])
-    if "orbit" in spec:
-        grids["orbit"] = [spec["orbit"]["nodes"]]
-
     report = {
         "scenario": spec["name"],
         "environment": {
-            "grids": grids,
+            # a chart's nodes per axis; the orbit's one count as a list of one
+            "grids": {key: np.atleast_1d(spec[key]["nodes"]).tolist()
+                      for key in ctx.stencil_orders},
             # every task reads a chart, so a valid spec has one
             "stencil_order": next(iter(ctx.stencil_orders.values())),
         },

@@ -718,8 +718,7 @@ class _Outputs:
     vector for dot.
 
     A call takes the array path, on a batch of points or on one point
-    alike.  ``point_form`` is the raw float lowering, for a caller that
-    checks its results itself (the RK4 orbit)."""
+    alike.  ``point_form`` is the float lowering, for the RK4 orbit."""
 
     def __init__(self, sources, args, shape: tuple, vectors: bool = False):
         self.args = tuple(args)
@@ -742,11 +741,10 @@ class _Outputs:
     def point_form(self):
         """The float lowering of the outputs (``Expression.point_form``):
         the outputs at one point, the arguments' components in order as
-        Python floats, as a tuple of floats in row-major order.  Where it
-        is finite it equals the array path; it raises ZeroDivisionError
-        where the array path divides by zero, and an overflow in
-        ``+ - * /`` gives no numpy warning.  None when the expressions use
-        dot."""
+        Python floats, as a tuple of floats in row-major order.  It equals
+        the array path up to the sign and payload of a nan and never
+        raises; an overflow in ``+ - * /`` gives no numpy warning.  None
+        when the expressions use dot."""
         return self.expr.point_form
 
     def columns(self, first: np.ndarray, second: np.ndarray | None = None) -> tuple:

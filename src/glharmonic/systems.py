@@ -19,7 +19,6 @@ proportional family, not only exact solutions.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -33,6 +32,7 @@ from .energy import (
     constant_metric,
     el_residual,
     lagrangian_density,
+    unit,
 )
 from .errors import AdmissibilityError, SingularDirectionError, SingularMetricError, StepLimitError
 from .tensor_core import (
@@ -59,11 +59,6 @@ MAX_RK4_SUBSTEPS = 10**6
 # ---------------------------------------------------------------------------
 # systems and curves
 # ---------------------------------------------------------------------------
-
-
-def unit(pts: np.ndarray) -> np.ndarray:
-    """The constant factor 1 of an orbit's or a Pfaff system's generator."""
-    return np.ones(pts.shape[:-1] + (1,))
 
 
 def _sum(terms):
@@ -171,16 +166,11 @@ def integrate_orbit(xi, x0, t0: float, t1: float, nodes: int,
     The stages are combined in Python floats: the same IEEE operations in
     the same order as the array expressions x + h/2 k1, ...,
     x + h/6 (k1 + 2 k2 + 2 k3 + k4), each grid interval's substeps in one
-    compiled loop (:func:`_rk4_interval`), by one of two routes.  A
-    scenario evaluator with a float lowering (``point_form``) is called
-    through it directly.  Every other callable, and an interval where the
-    float lowering raises ZeroDivisionError or whose end point is not
-    finite, takes the per-stage route: xi called on the point as a 1-D
-    array at every stage (such an interval is redone from its start).  A
-    non-finite stage always leaves a non-finite end point, since each
-    stage enters it with a nonzero coefficient, and the float lowering
-    equals the array call wherever it is finite.  So the samples are
-    bit-identical to the per-stage route's.
+    compiled loop (:func:`_rk4_interval`).  A scenario evaluator with a
+    float lowering (``point_form``) is called through it directly: that
+    never raises and gives the array call's bits, up to the sign and
+    payload of a nan.  Every other callable is called on the point as a
+    1-D array at every stage.
 
     numpy's floating-point warnings are silenced here, in the stages and
     in the velocity stencil: an orbit that leaves the domain of xi gives
@@ -190,27 +180,16 @@ def integrate_orbit(xi, x0, t0: float, t1: float, nodes: int,
     h = grid.spacing[0] / k
     half_h, sixth_h = 0.5 * h, h / 6.0
 
-    point_form = getattr(xi, "point_form", None)
-
     def per_stage(*point):
         return np.asarray(xi(np.array(point)), float).tolist()
 
+    f = getattr(xi, "point_form", None) or per_stage
     x = np.asarray(x0, dtype=float).tolist()
     interval = _rk4_interval(len(x))
     samples = [x]
     with np.errstate(all="ignore"):
         for _ in range(nodes - 1):
-            end = None
-            if point_form is not None:
-                try:
-                    end = interval(point_form, x, k, h, half_h, sixth_h)
-                except ZeroDivisionError:
-                    pass
-                else:
-                    if not all(map(math.isfinite, end)):
-                        end = None
-            x = interval(per_stage, x, k, h, half_h, sixth_h) if end is None else end
-            samples.append(x)
+            samples.append(x := interval(f, x, k, h, half_h, sixth_h))
         return SampledCurve.from_values(grid, np.array(samples))
 
 
@@ -376,14 +355,14 @@ def _check_pairing(pairing, eps_sing: float, message: str, points, directions) -
 
 
 def _orbit_factor(xi, psi, x_vals, y_vals, eps_sing: float, message: str):
-    """(psi, xi_flat, xi_flat(y), |xi|^2_psi) at (x, y), after checking that
-    the pairing xi_flat(y) does not vanish."""
+    """(psi, xi, xi_flat, xi_flat(y), |xi|^2_psi) at (x, y), after checking
+    that the pairing xi_flat(y) does not vanish."""
     psi_vals = np.asarray(psi(x_vals), float)
     xi_vals = np.asarray(xi(x_vals), float)
     xi_flat = np.einsum("...ij,...j->...i", psi_vals, xi_vals)
     pairing = np.einsum("...i,...i->...", xi_flat, np.asarray(y_vals, float))
     _check_pairing(pairing, eps_sing, message, x_vals, y_vals)
-    return psi_vals, xi_flat, pairing, np.einsum("...i,...i->...", xi_flat, xi_vals)
+    return psi_vals, xi_vals, xi_flat, pairing, np.einsum("...i,...i->...", xi_flat, xi_vals)
 
 
 def orbit_metric(xi, psi, eps_sing: float = DEFAULT_EPS_SING):
@@ -391,7 +370,7 @@ def orbit_metric(xi, psi, eps_sing: float = DEFAULT_EPS_SING):
     geodesics: h_ij(x, y) = |xi(x)|^2_psi / (xi_flat(y))^2 psi_ij(x)."""
 
     def h(x_vals, y_vals):
-        psi_vals, _, pairing, norm2 = _orbit_factor(
+        psi_vals, _, _, pairing, norm2 = _orbit_factor(
             xi, psi, x_vals, y_vals, eps_sing,
             "orbit metric queried where the direction pairing vanishes")
         return (norm2 / pairing**2)[..., None, None] * psi_vals
@@ -421,18 +400,18 @@ def orbit_geodesic_residual(c: SampledCurve, xi, psi, eps_sing: float = DEFAULT_
     message = "orbit residual queried where the direction pairing vanishes"
 
     def tau(x_vals, y_vals):
-        _, _, pairing, norm2 = _orbit_factor(xi, psi, x_vals, y_vals, eps_sing, message)
+        *_, pairing, norm2 = _orbit_factor(xi, psi, x_vals, y_vals, eps_sing, message)
         return 0.5 * np.log(norm2) - np.log(np.abs(pairing))
 
     # el_residual asks for the partials of tau and psi only at the curve
     # itself, (c, cdot)
-    psi_vals, xi_flat, pairing, norm2 = _orbit_factor(xi, psi, c.values, c.velocity,
-                                                      eps_sing, message)
+    psi_vals, xi_vals, xi_flat, pairing, norm2 = _orbit_factor(
+        xi, psi, c.values, c.velocity, eps_sing, message)
     dtau_dy = -xi_flat / pairing[..., None]
     hooks = {}
     if xi_dx is not None and psi_dx is not None:
         dxi, dpsi = np.asarray(xi_dx(c.values), float), np.asarray(psi_dx(c.values), float)
-        xi_vals, y = np.asarray(xi(c.values), float), c.velocity
+        y = c.velocity
         half_dnorm2 = (np.einsum("...i,...ij->...j", xi_flat, dxi)
                        + 0.5 * np.einsum("...k,...klj,...l->...j", xi_vals, dpsi, xi_vals))
         dpairing = (np.einsum("...k,...klj,...l->...j", y, dpsi, xi_vals)

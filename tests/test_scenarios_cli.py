@@ -941,26 +941,20 @@ def test_single_point_evaluators_match_the_array_path(x):
 @pytest.mark.parametrize("x", POINTS)
 def test_float_entry_matches_the_array_path(x):
     # point_form, the float lowering: the outputs in row-major order as
-    # Python floats, finite where the array path's are and then bit-equal
-    # to them.  It raises ZeroDivisionError at x1 = 0 (the three lists
-    # that divide by x1), and the list that uses dot has none.
+    # Python floats, bit-equal to the array path's and nan where they are.
+    # It raises nowhere, not at x1 = 0 either (the three lists that divide
+    # by x1), and the list that uses dot has none.
     cases = _single_point_cases(x)
     assert [ev.point_form is None for ev, _ in cases] == [False] * 4 + [True, False]
-    raised = 0
     with np.errstate(all="ignore"):
         for ev, args in (case for case in cases if case[0].point_form is not None):
             ref = ev(*(v[None] for v in args))[0].ravel()
-            try:
-                got = ev.point_form(*(v for arg in args for v in arg.tolist()))
-            except ZeroDivisionError:
-                raised += 1
-                continue
+            got = ev.point_form(*(v for arg in args for v in arg.tolist()))
             assert type(got) is tuple and all(type(v) is float for v in got)
             got = np.array(got)
-            finite = np.isfinite(got)
-            assert np.array_equal(finite, np.isfinite(ref))
-            _same_bytes(got[finite], ref[finite])
-    assert raised == (3 if x[0] == 0 else 0)
+            nan = np.isnan(got)
+            assert np.array_equal(nan, np.isnan(ref))
+            _same_bytes(got[~nan], ref[~nan])
 
 
 @pytest.mark.parametrize("point_shape", [(), (4, 3)])
@@ -990,11 +984,11 @@ def test_transcendental_orbit_matches_the_array_path():
 
 
 @pytest.mark.parametrize("float_lowering", [True, False])
-def test_orbit_float_entry_falls_back_to_the_array_path(float_lowering, monkeypatch):
+def test_orbit_float_entry_divides_and_overflows_as_the_array_path(float_lowering,
+                                                                    monkeypatch):
     if not float_lowering:
         monkeypatch.setattr(Expression, "point_form", None)
-    # every stage divides by zero on the float path; the array path gives
-    # 1/(1/0) = 1/inf = 0
+    # every stage divides by zero, and both paths give 1/(1/0) = 1/inf = 0
     with np.errstate(divide="ignore"):
         curve, ref = _orbit_pair(["1", "1/(1/x2)"], [0.0, 0.0], 1.0)
     _same_bytes(curve, ref)
@@ -1022,6 +1016,23 @@ def _count_per_stage(monkeypatch) -> list:
 
     monkeypatch.setattr(scenarios_module._Outputs, "__call__", counted)
     return calls
+
+
+def _count_zero_divisors(monkeypatch) -> list:
+    """The dividend of every division by zero on the float lowering from
+    here on, in order."""
+    import glharmonic.expressions as expressions_module
+
+    dividends = []
+    divide = expressions_module._float_divide
+
+    def counted(a, b):
+        if not b:
+            dividends.append(a)
+        return divide(a, b)
+
+    monkeypatch.setitem(expressions_module._POINT_NAMESPACE, "divide", counted)
+    return dividends
 
 
 def _per_stage(xi):
@@ -1061,7 +1072,7 @@ def _array_rk4(f, x0, nodes, max_step):
 def test_fused_orbit_matches_the_per_stage_route(exprs, x0, monkeypatch):
     # n = 1, 2 and 3: the compiled interval loop gives the bytes of the
     # per-stage array call, of a batch of one at every stage and of the RK4
-    # written as array expressions, and an all-finite orbit never takes
+    # written as array expressions, and a scenario evaluator never takes
     # the per-stage route
     k = rk4_substeps(interval_grid(0.0, 1.0, 21), STEP)
     assert k == 5
@@ -1077,10 +1088,9 @@ def test_fused_orbit_matches_the_per_stage_route(exprs, x0, monkeypatch):
     _same_bytes(curve, _array_rk4(lambda pts: xi(pts[None])[0], x0, 21, STEP))
 
 
-def test_fused_orbit_redoes_only_the_interval_that_divides_by_zero(monkeypatch):
-    # x2' = 1/(1/(x1 - c)) is x1 - c on the float path except at x1 == c,
-    # where the float lowering divides by zero and the array path gives
-    # 1/(1/0) = 0.  c is the midpoint x1 + h/2 of interval 7's first
+def test_fused_orbit_divides_by_zero_as_the_per_stage_route(monkeypatch):
+    # x2' = 1/(1/(x1 - c)) is x1 - c except at x1 == c, where both paths
+    # give 1/(1/0) = 0.  c is the midpoint x1 + h/2 of interval 7's first
     # substep, where its second and third stages are evaluated; x1' = 1
     # takes the same steps whatever x2 does.
     drift = integrate_orbit(covector_evaluator(["1", "0"], 2, "x"), [0.0, 0.0], 0.0, 1.0,
@@ -1088,26 +1098,26 @@ def test_fused_orbit_redoes_only_the_interval_that_divides_by_zero(monkeypatch):
     half_h = 0.5 * (interval_grid(0.0, 1.0, 21).spacing[0] / 5)
     xi = covector_evaluator(["1", f"1/(1/(x1 - {float(drift[7, 0] + half_h)!r}))"], 2, "x")
     calls = _count_per_stage(monkeypatch)
+    dividends = _count_zero_divisors(monkeypatch)
     curve = integrate_orbit(xi, [0.0, 0.0], 0.0, 1.0, nodes=21, max_step=STEP).values
-    # interval 7 alone is redone stage by stage; 0-6 and 8-19 run fused
-    assert len(calls) == 4 * 5 and calls[0] == tuple(curve[7].tolist())
+    # every interval runs fused, interval 7 too: its two midpoint stages
+    # divide 1 by zero on the float lowering
+    assert calls == [] and dividends == [1.0, 1.0]
     _same_bytes(curve[:, 0], drift[:, 0])
-    del calls[:]
     _same_bytes(curve, integrate_orbit(_per_stage(xi), [0.0, 0.0], 0.0, 1.0, nodes=21,
                                        max_step=STEP).values)
 
 
-def test_fused_orbit_redoes_every_interval_from_the_first_non_finite_one(monkeypatch):
+def test_fused_orbit_overflows_as_the_per_stage_route(monkeypatch):
     # exp(1000*x1) overflows once x1 passes ln(max float)/1000 = 0.70978,
     # at t = 0.70478 from x1 = 0.005: at the fifth of interval 70's ten
-    # substeps.  That interval and every later one are redone stage by stage.
+    # substeps.  That interval and every later one run fused all the same.
     xi = covector_evaluator(["1", "exp(1000*x1)"], 2, "x")
     calls = _count_per_stage(monkeypatch)
     curve = integrate_orbit(xi, [0.005, 0.0], 0.0, 1.0, nodes=101).values
     first = int(np.flatnonzero(~np.all(np.isfinite(curve), axis=1))[0]) - 1
     assert first == 70 and np.all(np.isfinite(curve[:71])) and np.isinf(curve[-1, 1])
-    assert len(calls) == 4 * 10 * (100 - first) and calls[0] == tuple(curve[first].tolist())
-    del calls[:]
+    assert calls == []
     _same_bytes(curve, integrate_orbit(_per_stage(xi), [0.005, 0.0], 0.0, 1.0,
                                        nodes=101).values)
 
